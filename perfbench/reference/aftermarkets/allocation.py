@@ -1,0 +1,118 @@
+"""Welfare accounting and the greedy optimal-allocation oracle for identical
+units and non-increasing marginals, with an exhaustive cross-check."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .valuations import MarginalValuation
+
+
+@dataclass(frozen=True)
+class Allocation:
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(c < 0 for c in self.counts):
+            raise ValueError("unit counts must be nonnegative")
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+    def __getitem__(self, i: int) -> int:
+        return self.counts[i]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+
+def welfare(profile: Sequence[MarginalValuation], alloc: Allocation):
+    """Wel(v, x) = sum_i v_i(x_i)."""
+    if len(alloc) != len(profile):
+        raise ValueError("allocation arity does not match profile")
+    return sum(v.value(x) for v, x in zip(profile, alloc.counts))
+
+
+def opt_allocation(profile: Sequence[MarginalValuation], k: int):
+    """Greedy welfare maximum with at most k units: allocate the k globally
+    largest positive marginals, ties broken by (agent asc, unit asc).
+
+    Returns (Allocation, welfare). Zero-value marginals are never allocated
+    (they cannot change the welfare).
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    entries = []  # (value, agent, start_unit, count)
+    for i, v in enumerate(profile):
+        start = 0
+        for val, cnt in v.runs:
+            if val > 0:
+                entries.append((val, i, start, cnt))
+            start += cnt
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    counts = [0] * len(profile)
+    total = 0
+    left = k
+    for val, i, _, cnt in entries:
+        if left == 0:
+            break
+        take = min(cnt, left)
+        counts[i] += take
+        total += val * take
+        left -= take
+    return Allocation(tuple(counts)), total
+
+
+def brute_force_opt(profile: Sequence[MarginalValuation], k: int,
+                    guard: int = 10_000_000):
+    """Exhaustive maximum of welfare over all feasible allocations of <= k
+    units, independent of the greedy. Guarded against huge instances."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    caps = [min(k, v.n_explicit) for v in profile]
+    if _feasible_count(caps, k) > guard:
+        raise ValueError("instance too large for exhaustive enumeration")
+    prefix = []
+    for v, cap in zip(profile, caps):
+        row = [v.value(q) for q in range(cap + 1)]
+        prefix.append(row)
+
+    best = 0
+
+    def rec(i: int, left: int, acc):
+        nonlocal best
+        if i == len(prefix):
+            if acc > best:
+                best = acc
+            return
+        row = prefix[i]
+        for q in range(min(caps[i], left) + 1):
+            rec(i + 1, left - q, acc + row[q])
+
+    rec(0, k, 0)
+    return best
+
+
+def _feasible_count(caps: list[int], k: int) -> int:
+    """Exact number of integer vectors with 0 <= x_i <= cap_i and sum <= k."""
+    dp = [1] + [0] * k
+    for cap in caps:
+        new = [0] * (k + 1)
+        run = 0
+        for s in range(k + 1):
+            run += dp[s]
+            if s - cap - 1 >= 0:
+                run -= dp[s - cap - 1]
+            new[s] = run
+        dp = new
+    return sum(dp)
+
+
+def per_unit_avg_welfare(profile: Sequence[MarginalValuation], m: int):
+    """w^v = OPT(v; m) / m."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    _, opt = opt_allocation(profile, m)
+    return opt / m

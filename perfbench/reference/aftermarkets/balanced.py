@@ -1,0 +1,123 @@
+"""Balanced per-unit pricing: the realization price OPT(v; m)/m, exact
+(alpha, beta)-balancedness checks, the induced static posted price and
+uniform-price reserve E[OPT]/(2m), and the welfare-guarantee audits
+(including noisy estimates and perturbed prices).
+
+With identical units a per-unit price p is (alpha, beta)-balanced when for
+every number k of units sold
+    k * p >= (OPT(m) - OPT(m - k)) / alpha         (sold units cover the
+                                                    welfare they displace)
+    (m - k) * p <= beta * OPT(m - k)               (leftover units are not
+                                                    priced above their value)
+All checks are exact when the valuations use Fractions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from .allocation import opt_allocation
+from .combined import Integration, Mechanism, Quadrature, expected_optimal_welfare
+from .valuations import MarginalValuation, MarketModel
+
+
+def realization_price(profile: Sequence[MarginalValuation], m: int):
+    """w^v = OPT(v; m) / m; exact (a Fraction) for Fraction-valued profiles."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    _, opt = opt_allocation(profile, m)
+    if isinstance(opt, int):
+        return Fraction(opt, m)
+    if isinstance(opt, Fraction):
+        return opt / m
+    return opt / m
+
+
+@dataclass(frozen=True)
+class BalancednessReport:
+    alpha: float
+    beta: float
+    ok: bool
+    worst_k: int
+    min_margin_cover: object   # min over k of k*p - (OPT(m) - OPT(m-k))/alpha
+    min_margin_leftover: object  # min over k of beta*OPT(m-k) - (m-k)*p
+
+
+def check_balanced_conditions(profile: Sequence[MarginalValuation], m: int,
+                              price=None, alpha=1, beta=1) -> BalancednessReport:
+    """Verify both balancedness inequalities for every k in 0..m. Defaults to
+    the realization price and (1, 1); exact arithmetic when the inputs are
+    exact."""
+    p = realization_price(profile, m) if price is None else price
+    opts = [opt_allocation(profile, j)[1] for j in range(m + 1)]
+    worst_k = 0
+    min_cover = None
+    min_left = None
+    ok = True
+    for k in range(m + 1):
+        cover = k * p - (opts[m] - opts[m - k]) / alpha
+        left = beta * opts[m - k] - (m - k) * p
+        if min_cover is None or cover < min_cover:
+            min_cover, worst_k = cover, k
+        if min_left is None or left < min_left:
+            min_left = left
+        if cover < 0 or left < 0:
+            ok = False
+    return BalancednessReport(alpha, beta, ok, worst_k, min_cover, min_left)
+
+
+def static_price(alpha: float, beta: float, expected_per_unit: float) -> float:
+    """The static posted price alpha/(1 + alpha*beta) * E[w^v] induced by an
+    (alpha, beta)-balanced realization price; (1, 1) gives E[OPT]/(2m)."""
+    if alpha <= 0 or beta < 0:
+        raise ValueError("requires alpha > 0 and beta >= 0")
+    return alpha / (1.0 + alpha * beta) * expected_per_unit
+
+
+def balanced_reserve(market: MarketModel,
+                     integration: Optional[Integration] = None) -> float:
+    """E[OPT(v; m)] / (2m), the uniform-price reserve induced by the
+    (1, 1)-balanced realization price."""
+    integ = integration if integration is not None else Quadrature()
+    return expected_optimal_welfare(market, integ) / (2.0 * market.m)
+
+
+def uniform_with_balanced_reserve(market: MarketModel,
+                                  integration: Optional[Integration] = None
+                                  ) -> Mechanism:
+    return Mechanism("uniform", reserve=balanced_reserve(market, integration))
+
+
+@dataclass(frozen=True)
+class WelfareAudit:
+    ok: bool
+    expected_welfare: float
+    bound: float
+    slack: float
+
+
+def welfare_guarantee_audit(expected_welfare: float, expected_opt: float,
+                            factor: float = 0.5, tol: float = 0.0) -> WelfareAudit:
+    """Does the achieved expected welfare meet factor * E[OPT] (within tol)?"""
+    bound = factor * expected_opt
+    slack = expected_welfare - bound
+    return WelfareAudit(slack >= -tol, expected_welfare, bound, slack)
+
+
+def perturbed_guarantee(expected_opt: float, m: int,
+                        price_error: float) -> float:
+    """Welfare lower bound when the per-unit reserve is off by at most
+    price_error: E[OPT]/2 - m * price_error."""
+    if price_error < 0:
+        raise ValueError("price error must be nonnegative")
+    return 0.5 * expected_opt - m * price_error
+
+
+def noisy_reserve(psi: float, eps: float, m: int) -> tuple[float, float]:
+    """Reserve and guarantee factor from an estimate psi >= (1-eps) E[OPT]:
+    posting psi/(2m) still guarantees a (1-eps)/2 fraction of E[OPT]."""
+    if not (0.0 <= eps < 1.0):
+        raise ValueError("eps must be in [0, 1)")
+    return psi / (2.0 * m), (1.0 - eps) / 2.0

@@ -1,0 +1,225 @@
+"""The two-stage game engine: auction, signaling, aftermarket, and utility
+accounting; exact tensor quadrature or Monte Carlo expectations."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from itertools import product
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
+
+from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
+                          ThresholdBuyer, apply_signal, opt_out_outcome,
+                          run_posted_resale)
+from .allocation import Allocation, opt_allocation, welfare
+from .auctions import (AuctionOutcome, BidVector, all_pay_single,
+                       discriminatory, first_price_single, posted_price_sell,
+                       uniform_price)
+from .valuations import MarginalValuation, MarketModel
+
+MECHANISM_KINDS = ("uniform", "discriminatory", "first_price", "all_pay", "posted")
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    kind: str
+    reserve: Optional[float] = None
+    posted_price: Optional[float] = None
+    posted_order: Optional[tuple[int, ...]] = None
+    tiebreak: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.kind not in MECHANISM_KINDS:
+            raise ValueError(f"unknown mechanism kind {self.kind!r}")
+        if self.kind == "posted" and self.posted_price is None:
+            raise ValueError("posted mechanism needs a price")
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """Per-agent policy pair: an auction bid (a constant BidVector or a
+    function of the own valuation) and an aftermarket policy (a posted resale
+    price when acting as seller, a purchase threshold rule when buying).
+    `posted_buy` overrides the truthful demand under a posted primary
+    mechanism (quantity as a function of valuation, price, remaining stock)."""
+
+    bid: Union[BidVector, Callable[[MarginalValuation], BidVector], None] = None
+    seller_price: Union[float, Callable[[MarginalValuation, Observation], float]] = NO_OFFER
+    buyer: object = ThresholdBuyer()
+    posted_buy: Optional[Callable[[MarginalValuation, float, int], int]] = None
+
+    def bid_for(self, valuation: MarginalValuation, m: int) -> BidVector:
+        if self.bid is None:
+            return BidVector.from_runs((), m)
+        if callable(self.bid):
+            return self.bid(valuation)
+        return self.bid
+
+    def price_for(self, valuation: MarginalValuation, obs: Observation) -> float:
+        if callable(self.seller_price):
+            return self.seller_price(valuation, obs)
+        return self.seller_price
+
+    @property
+    def value_independent(self) -> bool:
+        return not callable(self.bid) and not callable(self.seller_price)
+
+
+@dataclass(frozen=True)
+class CombinedOutcome:
+    final_alloc: Allocation
+    auction_payments: tuple[float, ...]
+    transfers: tuple[float, ...]
+    utilities: tuple[float, ...]
+    welfare: float
+    revenue: float
+    auction_alloc: Allocation
+    clearing_price: Optional[float] = None
+
+
+def _run_auction(mechanism: Mechanism, bids: Sequence[BidVector], m: int,
+                 profile: Sequence[MarginalValuation],
+                 strategies: Sequence[Strategy]) -> AuctionOutcome:
+    if mechanism.kind == "uniform":
+        return uniform_price(bids, m, mechanism.reserve, mechanism.tiebreak)
+    if mechanism.kind == "discriminatory":
+        return discriminatory(bids, m, mechanism.tiebreak)
+    if mechanism.kind == "first_price":
+        flat = [b.runs[0][0] if b.runs else 0.0 for b in bids]
+        return first_price_single(flat, mechanism.tiebreak)
+    if mechanism.kind == "all_pay":
+        flat = [b.runs[0][0] if b.runs else 0.0 for b in bids]
+        return all_pay_single(flat, mechanism.tiebreak)
+    order = mechanism.posted_order or tuple(range(len(profile)))
+    quantities = [None] * len(profile)
+    for i, s in enumerate(strategies):
+        if s.posted_buy is not None:
+            left = m  # the engine caps by true remaining stock below
+            quantities[i] = s.posted_buy(profile[i], mechanism.posted_price, left)
+    return posted_price_sell(mechanism.posted_price, order, profile, m, quantities)
+
+
+def play(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
+         resale: Optional[ResaleSpec], strategies: Sequence[Strategy],
+         profile: Sequence[MarginalValuation],
+         seed: Optional[int] = None) -> CombinedOutcome:
+    """One pass of the combined market: bids, auction, signals, aftermarket,
+    utilities u_i = v_i(final x_i) - auction payment - transfer."""
+    if len(strategies) != len(profile):
+        raise ValueError("strategy arity does not match profile")
+    m = market.m
+    bids = [s.bid_for(v, m) for s, v in zip(strategies, profile)]
+    outcome = _run_auction(mechanism, bids, m, profile, strategies)
+    signals = apply_signal(protocol, outcome, bids)
+    if resale is None:
+        trade = opt_out_outcome(outcome.alloc)
+    else:
+        prices = {}
+        for seller, _ in resale.resolved_groups(outcome.alloc):
+            prices[seller] = strategies[seller].price_for(profile[seller],
+                                                          signals[seller])
+        policies = {i: s.buyer for i, s in enumerate(strategies)}
+        trade = run_posted_resale(outcome.alloc, resale, prices, policies, profile)
+    utilities = tuple(
+        v.value(trade.final_alloc[i]) - outcome.payments[i] - trade.transfers[i]
+        for i, v in enumerate(profile))
+    wel = welfare(profile, trade.final_alloc)
+    return CombinedOutcome(trade.final_alloc, outcome.payments, trade.transfers,
+                           utilities, wel, outcome.revenue, outcome.alloc,
+                           outcome.clearing_price)
+
+
+# -- expectations ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MonteCarlo:
+    n: int
+    seed: int
+
+
+@dataclass(frozen=True)
+class Quadrature:
+    """Exact tensor interval-moment rule over the market's scalar random
+    dimensions; `breakpoints` are extra cut points (decision thresholds),
+    `subdivide` refines each cell for integrands that are not piecewise
+    multilinear."""
+
+    subdivide: int = 4
+    breakpoints: tuple[float, ...] = ()
+
+
+Integration = Union[MonteCarlo, Quadrature]
+
+
+@dataclass(frozen=True)
+class ExpectedOutcome:
+    welfare: float
+    utilities: tuple[float, ...]
+    revenue: float
+    welfare_stderr: Optional[float] = None
+
+
+def profile_nodes(market: MarketModel, integration: Integration):
+    """Yield (profile, weight) pairs covering the market's randomness."""
+    dims = market.random_dims()
+    fixed = [a.realize() if not a.random else None for a in market.agents]
+    if isinstance(integration, MonteCarlo):
+        rng = np.random.default_rng(integration.seed)
+        w = 1.0 / integration.n
+        for _ in range(integration.n):
+            profile = list(fixed)
+            for i in dims:
+                agent = market.agents[i]
+                profile[i] = agent.realize(float(agent.dist.quantile(float(rng.random()))))
+            yield profile, w
+        return
+    if len(dims) > 2:
+        raise ValueError("quadrature limited to <= 2 scalar random dimensions")
+    axes = []
+    for i in dims:
+        nodes, weights = market.agents[i].dist.cells(integration.breakpoints,
+                                                     integration.subdivide)
+        axes.append(list(zip(nodes, weights)))
+    for combo in product(*axes):
+        profile = list(fixed)
+        w = 1.0
+        for i, (node, weight) in zip(dims, combo):
+            profile[i] = market.agents[i].realize(float(node))
+            w *= weight
+        yield profile, w
+
+
+def expected_outcome(market: MarketModel, mechanism: Mechanism,
+                     protocol: SignalProtocol, resale: Optional[ResaleSpec],
+                     strategies: Sequence[Strategy],
+                     integration: Integration) -> ExpectedOutcome:
+    """Expected welfare, utilities and revenue of play() over valuation draws."""
+    n = market.n
+    wel = rev = wel2 = 0.0
+    utils = np.zeros(n)
+    count = 0
+    for profile, w in profile_nodes(market, integration):
+        out = play(market, mechanism, protocol, resale, strategies, profile)
+        wel += w * out.welfare
+        wel2 += w * out.welfare ** 2
+        rev += w * out.revenue
+        utils += w * np.asarray(out.utilities)
+        count += 1
+    stderr = None
+    if isinstance(integration, MonteCarlo):
+        var = max(wel2 - wel * wel, 0.0)
+        stderr = math.sqrt(var / integration.n)
+    return ExpectedOutcome(wel, tuple(utils), rev, stderr)
+
+
+def expected_optimal_welfare(market: MarketModel,
+                             integration: Integration) -> float:
+    """E[OPT(v; m)] over the market's randomness."""
+    total = 0.0
+    for profile, w in profile_nodes(market, integration):
+        _, opt = opt_allocation(profile, market.m)
+        total += w * opt
+    return total

@@ -1,0 +1,304 @@
+"""Scalar unit distributions: point masses, uniforms, equal-revenue-capped, and
+piecewise CDFs with explicit atoms.
+
+Every distribution decomposes into continuous segments plus explicit atoms.
+Expectations of piecewise-smooth integrands are taken with an exact
+interval-moment rule: the support is cut at segment boundaries, atoms and
+caller-supplied breakpoints, and each continuous cell contributes
+(mass, conditional mean) so that any integrand that is linear on each cell
+integrates exactly.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+from scipy import integrate, optimize
+
+
+@dataclass(frozen=True)
+class Atom:
+    x: float
+    mass: float
+
+    def __post_init__(self):
+        if self.mass < 0:
+            raise ValueError("atom mass must be nonnegative")
+
+
+@dataclass(frozen=True)
+class SegmentSpec:
+    """Continuous CDF piece on [lo, hi). `cdf` and `ppf` are in global coordinates."""
+
+    lo: float
+    hi: float
+    cdf: Callable[[float], float]
+    pdf: Callable[[float], float]
+    ppf: Optional[Callable[[float], float]] = None  # inverse of global cdf
+
+
+class UnitDistribution:
+    """Base class. Subclasses provide `segments()` and `atoms()`; everything
+    else (cdf, quantile, sampling, moments, cells) derives from those."""
+
+    def segments(self) -> Sequence[SegmentSpec]:
+        raise NotImplementedError
+
+    def atoms(self) -> Sequence[Atom]:
+        return ()
+
+    # -- derived interface -------------------------------------------------
+
+    @property
+    def support(self) -> tuple[float, float]:
+        pts = [s.lo for s in self.segments()] + [s.hi for s in self.segments()]
+        pts += [a.x for a in self.atoms()]
+        return (min(pts), max(pts))
+
+    def cdf(self, x: float) -> float:
+        total = 0.0
+        for a in self.atoms():
+            if a.x <= x:
+                total += a.mass
+        for s in self.segments():
+            if x >= s.hi:
+                total += s.cdf(s.hi) - s.cdf(s.lo)
+            elif x > s.lo:
+                total += s.cdf(x) - s.cdf(s.lo)
+        return min(total, 1.0)
+
+    def _parts(self):
+        """Segments and atoms merged in increasing position order, each with
+        its cumulative-probability window [u0, u1)."""
+        items = [("seg", s.lo, s) for s in self.segments()]
+        items += [("atom", a.x, a) for a in self.atoms()]
+        # an atom sitting at a segment's upper end comes after the segment
+        items.sort(key=lambda t: (t[1], 0 if t[0] == "seg" else 1))
+        out, u = [], 0.0
+        for kind, _, obj in items:
+            mass = (obj.cdf(obj.hi) - obj.cdf(obj.lo)) if kind == "seg" else obj.mass
+            out.append((kind, obj, u, u + mass))
+            u += mass
+        if abs(u - 1.0) > 1e-9:
+            raise ValueError(f"total probability mass {u} != 1")
+        return out
+
+    def quantile(self, u: float) -> float:
+        if not 0.0 <= u < 1.0:
+            raise ValueError("quantile argument must lie in [0, 1)")
+        parts = self._parts()
+        for kind, obj, u0, u1 in parts:
+            if u < u1 or (kind, obj, u0, u1) is parts[-1]:
+                if kind == "atom":
+                    return obj.x
+                uu = min(max(u, u0), u1)
+                if obj.ppf is not None:
+                    return obj.ppf(obj.cdf(obj.lo) + (uu - u0))
+                target = obj.cdf(obj.lo) + (uu - u0)
+                return optimize.brentq(lambda x: obj.cdf(x) - target, obj.lo, obj.hi,
+                                       xtol=1e-14)
+        raise AssertionError("unreachable")
+
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
+        u = rng.random(size)
+        if size is None:
+            return self.quantile(float(u))
+        return np.array([self.quantile(float(ui)) for ui in u])
+
+    def mean(self, tol: float = 1e-10) -> float:
+        """E[Z] = integral of the survival function over [0, top] (nonnegative support)."""
+        lo, hi = self.support
+        if lo < 0:
+            raise ValueError("mean() assumes nonnegative support")
+        cuts = sorted({0.0, hi} | {s.lo for s in self.segments()}
+                      | {s.hi for s in self.segments()} | {a.x for a in self.atoms()})
+        total = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            val, _ = integrate.quad(lambda x: 1.0 - self.cdf(x), a, b,
+                                    epsabs=tol / max(1, len(cuts)), limit=200)
+            total += val
+        return total
+
+    def partial_mean(self, a: float, b: float, tol: float = 1e-12) -> float:
+        """E[Z * 1{a <= Z < b}] of the continuous part only."""
+        total = 0.0
+        for s in self.segments():
+            lo, hi = max(a, s.lo), min(b, s.hi)
+            if lo < hi:
+                val, _ = integrate.quad(lambda x: x * s.pdf(x), lo, hi,
+                                        epsabs=tol, limit=200)
+                total += val
+        return total
+
+    def cells(self, breakpoints: Sequence[float] = (), subdivide: int = 1):
+        """Nodes and weights for E[g(Z)]: one node per atom, and per continuous
+        cell the conditional mean with the cell mass as weight. Exact whenever
+        g is linear between consecutive breakpoints."""
+        nodes, weights = [], []
+        for a in self.atoms():
+            nodes.append(a.x)
+            weights.append(a.mass)
+        for s in self.segments():
+            cuts = sorted({s.lo, s.hi} | {b for b in breakpoints if s.lo < b < s.hi})
+            fine = []
+            for a, b in zip(cuts, cuts[1:]):
+                fine.extend(a + (b - a) * k / subdivide for k in range(subdivide))
+                fine.append(b)
+            fine = sorted(set(fine))
+            for a, b in zip(fine, fine[1:]):
+                mass = s.cdf(b) - s.cdf(a)
+                if mass <= 0:
+                    continue
+                nodes.append(self.partial_mean(a, b) / mass)
+                weights.append(mass)
+        return np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
+
+
+# -- concrete kinds --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PointMass(UnitDistribution):
+    c: float
+
+    def segments(self):
+        return ()
+
+    def atoms(self):
+        return (Atom(self.c, 1.0),)
+
+    @property
+    def support(self):
+        return (self.c, self.c)
+
+    def cdf(self, x):
+        return 1.0 if x >= self.c else 0.0
+
+    def mean(self, tol: float = 1e-10) -> float:
+        return self.c
+
+
+@dataclass(frozen=True)
+class Uniform(UnitDistribution):
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError("Uniform requires lo <= hi")
+        if self.lo == self.hi:
+            raise ValueError("degenerate Uniform; use PointMass")
+
+    def segments(self):
+        lo, hi = self.lo, self.hi
+        w = hi - lo
+        return (SegmentSpec(lo, hi,
+                            cdf=lambda x: (min(max(x, lo), hi) - lo) / w,
+                            pdf=lambda x: 1.0 / w,
+                            ppf=lambda u: lo + u * w),)
+
+    def partial_mean(self, a, b, tol: float = 1e-12):
+        lo, hi = max(a, self.lo), min(b, self.hi)
+        if lo >= hi:
+            return 0.0
+        return (hi * hi - lo * lo) / (2.0 * (self.hi - self.lo))
+
+
+@dataclass(frozen=True)
+class EqualRevenueCapped(UnitDistribution):
+    """CDF (v-1)/v on [1, H), atom 1/H at H. E[Z] = 1 + ln H."""
+
+    H: float
+
+    def __post_init__(self):
+        if self.H <= 1:
+            raise ValueError("EqualRevenueCapped requires H > 1")
+
+    def segments(self):
+        H = self.H
+        return (SegmentSpec(1.0, H,
+                            cdf=lambda x: (x - 1.0) / x,
+                            pdf=lambda x: 1.0 / (x * x),
+                            ppf=lambda u: 1.0 / (1.0 - u)),)
+
+    def atoms(self):
+        return (Atom(self.H, 1.0 / self.H),)
+
+    def partial_mean(self, a, b, tol: float = 1e-12):
+        lo, hi = max(a, 1.0), min(b, self.H)
+        if lo >= hi:
+            return 0.0
+        return math.log(hi / lo)
+
+
+@dataclass(frozen=True)
+class PiecewiseCdf(UnitDistribution):
+    """General piecewise distribution from explicit segment specs plus atoms."""
+
+    segs: tuple[SegmentSpec, ...]
+    atom_list: tuple[Atom, ...] = ()
+
+    def __post_init__(self):
+        for s in self.segs:
+            if s.lo >= s.hi:
+                raise ValueError("segment must have lo < hi")
+        for a in self.atom_list:
+            if a.mass < 0:
+                raise ValueError("negative atom mass")
+        self._parts()  # validates total mass
+
+    def segments(self):
+        return self.segs
+
+    def atoms(self):
+        return self.atom_list
+
+
+def lower_bound_z_distribution(m: int) -> PiecewiseCdf:
+    """The speculation example's z: CDF 1 - 1/(1+(2m-1)z) on [0,1), then
+    z - 1/(2m) on [1, 1+1/(2m)]. Continuous; E[z] = ln(2m)/(2m-1) + 1/(8m^2)."""
+    if m <= 3:
+        raise ValueError("requires m > 3")
+    c = 2 * m - 1
+    top = 1.0 + 1.0 / (2 * m)
+    seg1 = SegmentSpec(0.0, 1.0,
+                       cdf=lambda z: 1.0 - 1.0 / (1.0 + c * z),
+                       pdf=lambda z: c / (1.0 + c * z) ** 2,
+                       ppf=lambda u: u / (c * (1.0 - u)))
+    seg2 = SegmentSpec(1.0, top,
+                       cdf=lambda z: z - 1.0 / (2 * m),
+                       pdf=lambda z: 1.0,
+                       ppf=lambda u: u + 1.0 / (2 * m))
+    return PiecewiseCdf((seg1, seg2))
+
+
+def speculative_buyer_value_distribution(eps: float, H: float) -> PiecewiseCdf:
+    """Second buyer of the posted-price failure example: 0 w.p. 1-eps, else
+    z/eps with z equal-revenue capped at H. E = (1 - eps/H)*0 + ... = 1 + ln H
+    scaled; top atom of mass eps/H at H/eps."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
+    if H <= 1:
+        raise ValueError("H must exceed 1")
+    lo, hi = 1.0 / eps, H / eps
+    seg = SegmentSpec(lo, hi,
+                      cdf=lambda v: (1.0 - eps) + eps * (1.0 - 1.0 / (eps * v)),
+                      pdf=lambda v: 1.0 / (v * v),
+                      ppf=lambda u: 1.0 / (1.0 - u))
+    return PiecewiseCdf((seg,), (Atom(0.0, 1.0 - eps), Atom(hi, eps / H)))
+
+
+def cdf_eval(dist: UnitDistribution, x: float) -> float:
+    """P[Z <= x]."""
+    return dist.cdf(x)
+
+
+def expected_scalar(dist: UnitDistribution, tol: float = 1e-10) -> float:
+    """E[Z] by adaptive quadrature of the survival function."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return dist.mean(tol)

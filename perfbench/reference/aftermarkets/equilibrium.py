@@ -1,0 +1,692 @@
+"""Equilibrium tooling: epsilon-BNE verification over deviation grids, the
+scripted speculation equilibria, weak-dominance witness checks, interim
+curves and the Myerson payment identity, the symmetric first-price efficiency
+check, and best-response dynamics.
+
+Verification uses a constant-action fast path: when every strategy is a fixed
+(bid, aftermarket action) pair, the auction clears once per deviation and the
+aftermarket is integrated exactly over each resale group's <= 2 scalar random
+dimensions with the interval-moment rule.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Optional, Sequence, Union
+
+import numpy as np
+
+from .aftermarket import NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer
+from .auctions import BidVector
+from .combined import Mechanism, Strategy, _run_auction
+from .distributions import UnitDistribution
+from .valuations import (HeadTailModel, MarketModel, grouped_market,
+                         lower_bound_market)
+
+
+# -- actions and games -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Action:
+    """One agent's constant action in the combined market. `None` fields mean
+    "keep the scripted value" when used as a deviation."""
+
+    bid: Optional[BidVector] = None
+    seller_price: Optional[float] = None
+    buyer_threshold: Optional[float] = None
+    label: str = ""
+
+    def merged_into(self, base: "Action") -> "Action":
+        return Action(
+            bid=base.bid if self.bid is None else self.bid,
+            seller_price=(base.seller_price if self.seller_price is None
+                          else self.seller_price),
+            buyer_threshold=(base.buyer_threshold if self.buyer_threshold is None
+                             else self.buyer_threshold),
+            label=self.label or base.label)
+
+
+@dataclass(frozen=True)
+class CombinedGame:
+    """A market plus mechanism, signaling, resale structure and a scripted
+    constant-action strategy profile."""
+
+    market: MarketModel
+    mechanism: Mechanism
+    resale: Optional[ResaleSpec]
+    base_actions: tuple[Action, ...]
+    protocol: SignalProtocol = SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT
+
+    def strategies(self) -> tuple[Strategy, ...]:
+        out = []
+        for a in self.base_actions:
+            out.append(Strategy(
+                bid=a.bid,
+                seller_price=NO_OFFER if a.seller_price is None else a.seller_price,
+                buyer=ThresholdBuyer(a.buyer_threshold)))
+        return tuple(out)
+
+    def evaluator(self) -> "ConstantActionEvaluator":
+        return ConstantActionEvaluator(self)
+
+
+class ConstantActionEvaluator:
+    """Exact expected utilities/welfare for constant-action profiles.
+
+    The auction outcome is deterministic, so randomness only enters through
+    each resale group's scalar draws; utilities are piecewise multilinear in
+    those scalars with breakpoints at the effective purchase cutoffs, which
+    the interval-moment cells integrate exactly.
+    """
+
+    def __init__(self, game: CombinedGame):
+        self.game = game
+        self.market = game.market
+        self.m = game.market.m
+        # group lookup: agent -> (seller, ordered buyers)
+        self._group_of: dict[int, tuple[int, tuple[int, ...]]] = {}
+        if game.resale is not None:
+            if game.resale.winner_led:
+                raise ValueError("fast path requires fixed resale groups")
+            for seller, buyers in game.resale.groups:
+                block = (seller, buyers)
+                self._group_of[seller] = block
+                for b in buyers:
+                    self._group_of[b] = block
+        self._cells_cache: dict = {}
+
+    def _actions(self, overrides: Optional[Mapping[int, Action]]):
+        acts = list(self.game.base_actions)
+        if overrides:
+            for i, dev in overrides.items():
+                acts[i] = dev.merged_into(acts[i])
+        return acts
+
+    def _auction(self, acts):
+        bids = [a.bid if a.bid is not None else BidVector.from_runs((), self.m)
+                for a in acts]
+        mech = self.game.mechanism
+        return _run_auction(mech, bids, self.m, [None] * len(bids), [])
+
+    def _cells(self, agent: int, cut: Optional[float]):
+        key = (agent, cut)
+        if key not in self._cells_cache:
+            dist = self.market.agents[agent].dist
+            bps = () if cut is None or math.isinf(cut) else (cut,)
+            self._cells_cache[key] = dist.cells(bps)
+        return self._cells_cache[key]
+
+    def _group_tensor(self, block, acts, outcome):
+        """Scalars, weights, per-agent traded quantities and transfers over the
+        tensor of the group's random dimensions."""
+        seller, buyers = block
+        price = acts[seller].seller_price
+        price = NO_OFFER if price is None else price
+        rand = [i for i in (seller,) + buyers if self.market.agents[i].random]
+        axes = []
+        for i in rand:
+            thr = acts[i].buyer_threshold
+            cut = None
+            if i in buyers and not math.isinf(price):
+                cut = price if thr is None else max(price, thr)
+            nodes, weights = self._cells(i, cut)
+            axes.append((nodes, weights))
+        if axes:
+            grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+            wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+            scalars = {i: g.ravel() for i, g in zip(rand, grids)}
+            weights = np.ones(grids[0].size)
+            for wg in wgrids:
+                weights = weights * wg.ravel()
+        else:
+            scalars, weights = {}, np.ones(1)
+        size = weights.size
+        zero = np.zeros(size)
+        bought = {i: zero.copy() for i in (seller,) + buyers}
+        transfers = {i: zero.copy() for i in (seller,) + buyers}
+        if not math.isinf(price):
+            stock = np.full(size, float(outcome.alloc[seller]))
+            for b in buyers:
+                model = self.market.agents[b]
+                thr = acts[b].buyer_threshold
+                cut = price if thr is None else max(price, thr)
+                s = scalars.get(b, zero)
+                want = model.count_ge_vec(cut, s) - outcome.alloc[b]
+                q = np.clip(want, 0.0, stock)
+                bought[b] = q
+                transfers[b] = q * price
+                transfers[seller] = transfers[seller] - q * price
+                stock = stock - q
+            bought[seller] = -sum(bought[b] for b in buyers)
+        return scalars, weights, bought, transfers
+
+    def expected_utility(self, agent: int,
+                         overrides: Optional[Mapping[int, Action]] = None) -> float:
+        acts = self._actions(overrides)
+        outcome = self._auction(acts)
+        model = self.market.agents[agent]
+        if agent not in self._group_of:
+            if model.random:
+                nodes, weights = self._cells(agent, None)
+                vals = model.value_vec(np.full(nodes.shape, outcome.alloc[agent]),
+                                       nodes)
+                return float(vals @ weights) - outcome.payments[agent]
+            return model.realize().value(outcome.alloc[agent]) - outcome.payments[agent]
+        block = self._group_of[agent]
+        scalars, weights, bought, transfers = self._group_tensor(block, acts, outcome)
+        s = scalars.get(agent, np.zeros(weights.size))
+        holdings = outcome.alloc[agent] + bought[agent]
+        vals = model.value_vec(holdings, s)
+        u = vals - outcome.payments[agent] - transfers[agent]
+        return float(u @ weights)
+
+    def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
+        acts = self._actions(overrides)
+        outcome = self._auction(acts)
+        total = 0.0
+        seen = set()
+        for block in {id(b): b for b in self._group_of.values()}.values():
+            seller, buyers = block
+            scalars, weights, bought, _ = self._group_tensor(block, acts, outcome)
+            for i in (seller,) + buyers:
+                seen.add(i)
+                model = self.market.agents[i]
+                s = scalars.get(i, np.zeros(weights.size))
+                vals = model.value_vec(outcome.alloc[i] + bought[i], s)
+                total += float(vals @ weights)
+        for i, model in enumerate(self.market.agents):
+            if i in seen:
+                continue
+            if model.random:
+                nodes, weights = self._cells(i, None)
+                total += float(model.value_vec(
+                    np.full(nodes.shape, outcome.alloc[i]), nodes) @ weights)
+            else:
+                total += model.realize().value(outcome.alloc[i])
+        return total
+
+    def expected_revenue(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
+        acts = self._actions(overrides)
+        return self._auction(acts).revenue
+
+
+# -- deviation grids and BNE reports ---------------------------------------
+
+
+@dataclass(frozen=True)
+class DeviationGrid:
+    """Finite deviation set: flat (level x count) bid grids, optionally also
+    prefixed by fixed head runs, plus aftermarket grids (seller prices, buyer
+    thresholds). Always includes the on-path no-op."""
+
+    bid_levels: tuple[float, ...] = ()
+    bid_counts: tuple[int, ...] = ()
+    head: tuple[tuple[float, int], ...] = ()
+    seller_prices: tuple[float, ...] = ()
+    buyer_thresholds: tuple[float, ...] = ()
+
+    def deviations(self, m: int) -> list[Action]:
+        out = [Action(label="on-path")]
+        seen = set()
+        head_units = sum(c for _, c in self.head)
+        head_min = min((v for v, _ in self.head), default=math.inf)
+        for level in self.bid_levels:
+            for count in self.bid_counts:
+                for use_head in (False, True) if self.head else (False,):
+                    if use_head and (level > head_min or count > m - head_units):
+                        continue
+                    if not use_head and count > m:
+                        continue
+                    runs = (self.head if use_head else ()) + ((level, count),)
+                    bv = BidVector.from_runs(runs, m)
+                    if bv not in seen:
+                        seen.add(bv)
+                        out.append(Action(bid=bv,
+                                          label=f"bid{'+head' if use_head else ''} "
+                                                f"{level}x{count}"))
+        for p in self.seller_prices:
+            out.append(Action(seller_price=p, label=f"price {p}"))
+        for t in self.buyer_thresholds:
+            out.append(Action(buyer_threshold=t, label=f"threshold {t}"))
+        return out
+
+    def describe(self) -> str:
+        return (f"levels={len(self.bid_levels)} counts={len(self.bid_counts)} "
+                f"head={self.head} prices={len(self.seller_prices)} "
+                f"thresholds={len(self.buyer_thresholds)}")
+
+
+def default_deviation_grid(m: int, role: str) -> DeviationGrid:
+    """Deviation grid for the scripted speculation profiles: >= 1000 bid
+    deviations per agent plus the role's aftermarket grid."""
+    counts = sorted({int(c) for c in np.unique(np.geomspace(1, m, 32).round())}
+                    | {c for c in (m - 3, m - 2, m - 1, m) if c >= 1} | {1, 2, 3})
+    # enough bid levels that every role sees >= 1000 deviations
+    n_levels = max(26, -(-1100 // len(counts)))
+    levels = sorted(set(np.round(np.linspace(0.0, 2.4, n_levels), 6))
+                    | {0.5 / m, 1.0 / (2 * m), 0.999, 1.0, 1.001, 2.0})
+    prices = sorted(set(np.round(np.linspace(0.1, 1.4, 27), 6))
+                    | {0.999, 1.0, 1.001, 1.0 + 1.0 / (2 * m)})
+    thresholds = (0.5, 0.9, 1.0, 1.1, 1.3, 2.0)
+    if role == "speculator":
+        return DeviationGrid(tuple(levels), tuple(counts),
+                             seller_prices=tuple(prices))
+    return DeviationGrid(tuple(levels), tuple(counts), head=((2.0, 1),),
+                         buyer_thresholds=thresholds)
+
+
+@dataclass(frozen=True)
+class GapResult:
+    gap: float
+    witness: Action
+    equilibrium_utility: float
+    n_deviations: int
+    integration_error: float
+
+
+@dataclass(frozen=True)
+class BneReport:
+    gaps: tuple[GapResult, ...]
+    eps: float
+    grid_description: str
+
+    @property
+    def verdict(self) -> bool:
+        return all(g.gap <= self.eps for g in self.gaps)
+
+    @property
+    def max_gap(self) -> float:
+        return max(g.gap for g in self.gaps)
+
+
+def best_response_gap(game: CombinedGame, agent: int,
+                      grid: DeviationGrid) -> GapResult:
+    """Max over grid deviations of (deviation expected utility - equilibrium
+    expected utility), with the best deviation as witness."""
+    ev = game.evaluator()
+    base = ev.expected_utility(agent)
+    best, witness = -math.inf, Action(label="on-path")
+    devs = grid.deviations(game.market.m)
+    for dev in devs:
+        u = ev.expected_utility(agent, {agent: dev})
+        if u > best:
+            best, witness = u, dev
+    scale = max(1.0, abs(base), abs(best))
+    return GapResult(best - base, witness, base, len(devs), 1e-12 * scale)
+
+
+def verify_bne(game: CombinedGame,
+               grids: Union[DeviationGrid, Mapping[int, DeviationGrid]],
+               eps: float) -> BneReport:
+    """best_response_gap for every agent; verdict = all gaps <= eps."""
+    results = []
+    descs = []
+    for i in range(game.market.n):
+        grid = grids[i] if isinstance(grids, Mapping) else grids
+        results.append(best_response_gap(game, i, grid))
+        descs.append(f"agent{i}:{grid.describe()}")
+    return BneReport(tuple(results), eps, "; ".join(descs))
+
+
+# -- scripted equilibria ---------------------------------------------------
+
+
+def scripted_lower_bound_equilibrium(m: int,
+                                     reserve: Optional[float] = None) -> CombinedGame:
+    """A and B bid 2 on one unit, the speculator C bids 1 on m-2 units and
+    posts resale price 1; A and B buy while marginal value covers the price."""
+    if m <= 3:
+        raise ValueError("requires m > 3")
+    market = lower_bound_market(m)
+    actions = (
+        Action(bid=BidVector.flat(2.0, 1, m), label="A"),
+        Action(bid=BidVector.flat(2.0, 1, m), label="B"),
+        Action(bid=BidVector.flat(1.0, m - 2, m), seller_price=1.0, label="C"),
+    )
+    resale = ResaleSpec.single(2, (0, 1))
+    return CombinedGame(market, Mechanism("uniform", reserve=reserve), resale, actions)
+
+
+def scripted_grouped_equilibrium(m: int, gamma: float) -> CombinedGame:
+    """Per-group replica of the scripted profile; each speculator wins
+    m/k - 2 <= gamma*m units and resells only within her group."""
+    market = grouped_market(m, gamma)
+    k = len(market.groups)
+    r = m // k
+    actions = []
+    groups = []
+    for (a, b, c) in market.groups:
+        actions.append(Action(bid=BidVector.flat(2.0, 1, m), label=f"A{a // 3}"))
+        actions.append(Action(bid=BidVector.flat(2.0, 1, m), label=f"B{b // 3}"))
+        actions.append(Action(bid=BidVector.flat(1.0, r - 2, m), seller_price=1.0,
+                              label=f"C{c // 3}"))
+        groups.append((c, (a, b)))
+    return CombinedGame(market, Mechanism("uniform"), ResaleSpec(tuple(groups)),
+                        tuple(actions))
+
+
+# -- weak-dominance witnesses ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class WitnessRow:
+    label: str
+    scripted_utility: float
+    alternative_utility: float
+
+
+@dataclass(frozen=True)
+class DominanceReport:
+    agent: int
+    rows: tuple[WitnessRow, ...]
+    strictly_better_somewhere: bool
+    never_worse: bool
+
+    @property
+    def not_weakly_dominated(self) -> bool:
+        return self.strictly_better_somewhere and self.never_worse
+
+
+def weak_dominance_witnesses(game: CombinedGame, agent: int, alternative: Action,
+                             witnesses: Sequence[Mapping[int, Action]],
+                             labels: Optional[Sequence[str]] = None,
+                             strict_margin: float = 1e-9) -> DominanceReport:
+    """Compare the scripted action against `alternative` on each witness
+    opponent profile: the alternative does not weakly dominate the scripted
+    action if the scripted one is strictly better somewhere and never worse."""
+    ev = game.evaluator()
+    rows = []
+    strict = False
+    never_worse = True
+    for j, wit in enumerate(witnesses):
+        overrides = dict(wit)
+        overrides.pop(agent, None)
+        u_script = ev.expected_utility(agent, overrides)
+        u_alt = ev.expected_utility(agent, {**overrides, agent: alternative})
+        label = labels[j] if labels else f"witness{j}"
+        rows.append(WitnessRow(label, u_script, u_alt))
+        if u_script > u_alt + strict_margin:
+            strict = True
+        if u_script < u_alt - strict_margin:
+            never_worse = False
+    return DominanceReport(agent, tuple(rows), strict, never_worse)
+
+
+def dominance_witness_suite(game: CombinedGame):
+    """The three witness families for the speculator and the two families for
+    each of A and B, each as (label, agent, alternative, [witness])."""
+    m = game.market.m
+    eps = 0.01 / m
+    inf = NO_OFFER
+    cases = []
+    # speculator: bidding on fewer units forfeits the sale to A
+    cases.append((
+        "C fewer units", 2, Action(bid=BidVector.flat(1.0, m - 3, m)),
+        [{0: Action(bid=BidVector.flat(eps, 2, m)),
+          1: Action(bid=BidVector.flat(1.0, 1, m))}]))
+    # speculator: bidding b < 1 loses one unit to A at essentially the same price
+    b = 0.5
+    cases.append((
+        "C lower bid", 2, Action(bid=BidVector.flat(b, m - 2, m)),
+        [{0: Action(bid=BidVector.flat(b + eps, 2, m)),
+          1: Action(bid=BidVector.flat(1.0, 1, m))}]))
+    # speculator: positive bids on the remaining units only raise the price
+    cases.append((
+        "C extra units", 2, Action(bid=BidVector.flat(1.0, m - 1, m)),
+        [{}]))  # on-path opponents already make demand exactly m
+    # A: underbidding the first unit loses it to a competitor bidding in between
+    cases.append((
+        "A underbid", 0, Action(bid=BidVector.flat(1.5, 1, m)),
+        [{1: Action(bid=BidVector.from_runs((), m)),
+          2: Action(bid=BidVector.flat(1.75, m, m), seller_price=inf)}]))
+    # A: a nonzero bid on a second unit only raises the price paid
+    cases.append((
+        "A extra unit", 0, Action(bid=BidVector.from_runs(((2.0, 1), (0.5, 1)), m)),
+        [{1: Action(bid=BidVector.from_runs((), m)),
+          2: Action(bid=BidVector.flat(2.0, m - 1, m), seller_price=inf)}]))
+    # B: same two families
+    cases.append((
+        "B underbid", 1, Action(bid=BidVector.flat(1.5, 1, m)),
+        [{0: Action(bid=BidVector.from_runs((), m)),
+          2: Action(bid=BidVector.flat(1.75, m, m), seller_price=inf)}]))
+    cases.append((
+        "B extra unit", 1, Action(bid=BidVector.from_runs(((2.0, 1), (0.5, 1)), m)),
+        [{0: Action(bid=BidVector.from_runs((), m)),
+          2: Action(bid=BidVector.flat(2.0, m - 1, m), seller_price=inf)}]))
+    return cases
+
+
+def run_dominance_suite(game: CombinedGame) -> list[tuple[str, DominanceReport]]:
+    out = []
+    for label, agent, alt, wits in dominance_witness_suite(game):
+        out.append((label, weak_dominance_witnesses(game, agent, alt, wits,
+                                                    labels=[label])))
+    return out
+
+
+# -- single-item interim curves and the symmetric first-price check --------
+
+
+def _gauss(a: float, b: float, order: int = 64):
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    return mid + half * x, half * w
+
+
+def _monotone_inverse(fn: Callable[[float], float], target: float,
+                      lo: float, hi: float) -> float:
+    """sup{w in [lo,hi]: fn(w) < target} for nondecreasing fn (lo if none)."""
+    if fn(lo) >= target:
+        return lo
+    if fn(hi) < target:
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def interim_curves(dists: Sequence[UnitDistribution],
+                   bid_fns: Sequence[Callable[[float], float]], agent: int,
+                   value_grid: Sequence[float], mechanism: str = "first_price",
+                   quad_order: int = 64):
+    """Interim allocation and payment curves of a single-item auction under
+    monotone bid functions, plus the Myerson payment-identity residual
+    p(v) - p(lo) = v x(v) - lo x(lo) - int_lo^v x(z) dz."""
+    if len(dists) != 2 or len(bid_fns) != 2:
+        raise ValueError("single-item market with two agents required")
+    if mechanism not in ("first_price", "all_pay"):
+        raise ValueError("mechanism must be first_price or all_pay")
+    other = 1 - agent
+    lo_o, hi_o = dists[other].support
+    lo, _ = dists[agent].support
+
+    def x_tilde(v: float) -> float:
+        c = bid_fns[agent](v)
+        # the agent wins on ties only when her index is lower
+        if agent == 0:
+            w = _monotone_inverse(lambda t: bid_fns[other](t), c + 1e-15, lo_o, hi_o)
+        else:
+            w = _monotone_inverse(lambda t: bid_fns[other](t), c, lo_o, hi_o)
+        return dists[other].cdf(w)
+
+    def p_tilde(v: float) -> float:
+        b = bid_fns[agent](v)
+        return b * x_tilde(v) if mechanism == "first_price" else b
+
+    xs, ps, residuals = [], [], []
+    x_lo, p_lo = x_tilde(lo), p_tilde(lo)
+    for v in value_grid:
+        xv, pv = x_tilde(v), p_tilde(v)
+        nodes, wts = _gauss(lo, v, quad_order)
+        integral = float(sum(w * x_tilde(z) for z, w in zip(nodes, wts)))
+        residuals.append((pv - p_lo) - (v * xv - lo * x_lo - integral))
+        xs.append(xv)
+        ps.append(pv)
+    return np.asarray(xs), np.asarray(ps), np.asarray(residuals)
+
+
+def symmetric_fpa_bid(dist: UnitDistribution, v: float) -> float:
+    """b(v) = E[V' | V' < v] for atomless F (the symmetric equilibrium bid)."""
+    lo, _ = dist.support
+    mass = dist.cdf(v)
+    if mass <= 0.0:
+        return lo
+    return dist.partial_mean(lo, v) / mass
+
+
+@dataclass(frozen=True)
+class SymmetricFpaReport:
+    gap: float
+    efficiency: float
+    max_payment_residual: float
+    n_samples: int
+
+    def passes(self, eps: float) -> bool:
+        return self.gap <= eps and self.efficiency >= 0.999
+
+
+def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
+                        bid_points: int = 401, samples: int = 20000,
+                        seed: int = 0) -> SymmetricFpaReport:
+    """Check that (b, b) with b(v) = E[V'|V'<v] is an (approximate) BNE of the
+    first-price combined market whose ex-post-IR resale never trades on path,
+    and that the final allocation is efficient on sampled profiles."""
+    if dist.atoms():
+        raise ValueError("requires an atomless distribution")
+    lo, hi = dist.support
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("requires bounded support")
+
+    def b(v):
+        return symmetric_fpa_bid(dist, v)
+
+    values = np.linspace(lo, hi, value_points)
+    bids = np.linspace(lo, b(hi), bid_points)
+
+    def win_prob(c: float) -> float:
+        # deviator is agent 0: wins ties against the identical opponent
+        w = _monotone_inverse(b, c + 1e-15, lo, hi)
+        return dist.cdf(w)
+
+    gap = -math.inf
+    for v in values:
+        on_path = (v - b(v)) * win_prob(b(v))
+        best = max((v - c) * win_prob(c) for c in bids)
+        gap = max(gap, best - on_path)
+
+    rng = np.random.default_rng(seed)
+    eff = 0
+    ties = 0
+    for _ in range(samples):
+        v0, v1 = (float(dist.quantile(float(rng.random()))) for _ in range(2))
+        if abs(v0 - v1) < 1e-12:
+            ties += 1
+            continue
+        b0, b1 = b(v0), b(v1)
+        winner = 0 if (b0 > b1 or (b0 == b1)) else 1
+        if (winner == 0) == (v0 > v1):
+            eff += 1
+    counted = samples - ties
+
+    grid = np.linspace(lo + 1e-9 if lo == 0 else lo, hi, value_points)
+    _, _, residuals = interim_curves((dist, dist), (b, b), 0, grid)
+    return SymmetricFpaReport(gap, eff / counted if counted else 1.0,
+                              float(np.max(np.abs(residuals))), samples)
+
+
+# -- best-response dynamics ------------------------------------------------
+
+
+class TabularGame:
+    """Finite game interface for best-response dynamics."""
+
+    @property
+    def n_agents(self) -> int:
+        raise NotImplementedError
+
+    def action_set(self, agent: int) -> Sequence:
+        raise NotImplementedError
+
+    def utility(self, agent: int, actions: tuple) -> float:
+        raise NotImplementedError
+
+
+class CombinedTabularGame(TabularGame):
+    """Constant-action combined market restricted to finite action sets."""
+
+    def __init__(self, game: CombinedGame, action_sets: Sequence[Sequence[Action]]):
+        self.game = game
+        self._sets = [list(s) for s in action_sets]
+        self._ev = game.evaluator()
+        self._cache: dict = {}
+
+    @property
+    def n_agents(self) -> int:
+        return self.game.market.n
+
+    def action_set(self, agent: int):
+        return self._sets[agent]
+
+    def utility(self, agent: int, actions: tuple) -> float:
+        key = (agent, actions)
+        if key not in self._cache:
+            overrides = {i: a for i, a in enumerate(actions)}
+            self._cache[key] = self._ev.expected_utility(agent, overrides)
+        return self._cache[key]
+
+    def expected_welfare(self, actions: tuple) -> float:
+        return self._ev.expected_welfare({i: a for i, a in enumerate(actions)})
+
+
+@dataclass(frozen=True)
+class BrdResult:
+    fixed_points: tuple[tuple, ...]
+    n_converged: int
+    n_cycles: int
+    iterations: tuple[int, ...]
+
+
+def best_response_dynamics(game: TabularGame, inits: Sequence[tuple],
+                           max_iters: int = 200) -> BrdResult:
+    """Iterated argmax best responses; returns the distinct fixed points and a
+    cycle diagnostic for runs that revisit a profile without converging."""
+    fixed: list[tuple] = []
+    iters = []
+    cycles = 0
+    for init in inits:
+        profile = tuple(init)
+        seen = {profile}
+        converged = False
+        it = 0
+        for it in range(1, max_iters + 1):
+            changed = False
+            for i in range(game.n_agents):
+                current = profile[i]
+                best_u = game.utility(i, profile)
+                best_a = current
+                for a in game.action_set(i):
+                    if a == current:
+                        continue
+                    u = game.utility(i, profile[:i] + (a,) + profile[i + 1:])
+                    if u > best_u + 1e-12:
+                        best_u, best_a = u, a
+                if best_a != current:
+                    profile = profile[:i] + (best_a,) + profile[i + 1:]
+                    changed = True
+            if not changed:
+                converged = True
+                break
+            if profile in seen:
+                cycles += 1
+                break
+            seen.add(profile)
+        iters.append(it)
+        if converged and profile not in fixed:
+            fixed.append(profile)
+    return BrdResult(tuple(fixed), len(fixed), cycles, tuple(iters))

@@ -1,0 +1,404 @@
+"""(lambda, mu)-smoothness certificates: randomized deviation generators,
+finite-domain certificate checking, the explicit first-price/discriminatory
+deviations, lifting certificates from an auction to the combined market with
+aftermarket rounds, price-of-anarchy bounds, and the uniform-price
+overbidding counterexample.
+
+A game is (lambda, mu)-smooth if for every valuation profile v there are
+(possibly randomized) deviations a*_i(v) with
+    sum_i E[u_i(a*_i(v), a_{-i}; v)] >= lambda * OPT(v) - mu * Rev(a)
+for every action profile a. Semi-smoothness restricts a*_i to depend on v_i
+only. Certificates are checked on finite domains: the reported slack is the
+minimum of LHS - lambda*OPT + mu*Rev over the domain.
+"""
+
+from __future__ import annotations
+
+import inspect
+import math
+from dataclasses import dataclass
+from itertools import product
+from typing import Callable, Optional, Sequence
+
+from .allocation import opt_allocation
+from .auctions import (BidVector, all_pay_single, discriminatory,
+                       first_price_single, uniform_price)
+from .valuations import MarginalValuation
+
+ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
+
+
+@dataclass(frozen=True)
+class FiniteDist:
+    """Finite-support distribution over actions: ((action, prob), ...)."""
+
+    atoms: tuple
+
+    def __post_init__(self):
+        total = sum(p for _, p in self.atoms)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        if any(p < -1e-15 for _, p in self.atoms):
+            raise ValueError("negative probability")
+
+    @classmethod
+    def point(cls, action) -> "FiniteDist":
+        return cls(((action, 1.0),))
+
+    def expect(self, fn: Callable[[object], float]) -> float:
+        return sum(p * fn(a) for a, p in self.atoms)
+
+    def map(self, fn: Callable[[object], object]) -> "FiniteDist":
+        return FiniteDist(tuple((fn(a), p) for a, p in self.atoms))
+
+
+@dataclass(frozen=True)
+class SmoothnessCertificate:
+    """(lam, mu) plus a deviation generator. A generator of arity
+    (agent, value_profile) certifies smoothness; arity (agent, own_value)
+    certifies semi-smoothness (the deviation cannot see opponents' values)."""
+
+    lam: float
+    mu: float
+    generator: Callable[..., FiniteDist]
+    name: str = ""
+
+    @property
+    def semi(self) -> bool:
+        params = [p for p in inspect.signature(self.generator).parameters.values()
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        if len(params) not in (2,):
+            raise ValueError("generator must take (agent, value_profile) or "
+                             "(agent, own_value)")
+        return params[1].name in ("own_value", "own_valuation", "value", "valuation")
+
+    def deviation(self, agent: int, values: tuple) -> FiniteDist:
+        if self.semi:
+            return self.generator(agent, values[agent])
+        return self.generator(agent, values)
+
+
+# -- game wrappers ---------------------------------------------------------
+
+
+class SmoothableGame:
+    """Complete-information normal form: utilities and designer revenue for a
+    (value profile, action profile) pair, plus the optimal welfare."""
+
+    n_agents: int
+
+    def utilities_and_revenue(self, values: tuple, actions: tuple):
+        raise NotImplementedError
+
+    def opt_welfare(self, values: tuple) -> float:
+        raise NotImplementedError
+
+
+class SingleItemFirstPrice(SmoothableGame):
+    def __init__(self, n_agents: int):
+        self.n_agents = n_agents
+
+    def utilities_and_revenue(self, values, actions):
+        out = first_price_single(list(actions))
+        utils = tuple(values[i] * out.alloc[i] - out.payments[i]
+                      for i in range(self.n_agents))
+        return utils, out.revenue
+
+    def opt_welfare(self, values):
+        return max(values)
+
+
+class SingleItemAllPay(SmoothableGame):
+    def __init__(self, n_agents: int):
+        self.n_agents = n_agents
+
+    def utilities_and_revenue(self, values, actions):
+        out = all_pay_single(list(actions))
+        utils = tuple(values[i] * out.alloc[i] - out.payments[i]
+                      for i in range(self.n_agents))
+        return utils, out.revenue
+
+    def opt_welfare(self, values):
+        return max(values)
+
+
+class MultiUnitDiscriminatory(SmoothableGame):
+    """Values are MarginalValuations, actions are BidVectors."""
+
+    def __init__(self, n_agents: int, m: int):
+        self.n_agents = n_agents
+        self.m = m
+
+    def utilities_and_revenue(self, values, actions):
+        out = discriminatory(list(actions), self.m)
+        utils = tuple(values[i].value(out.alloc[i]) - out.payments[i]
+                      for i in range(self.n_agents))
+        return utils, out.revenue
+
+    def opt_welfare(self, values):
+        return opt_allocation(values, self.m)[1]
+
+
+class MultiUnitUniformPrice(SmoothableGame):
+    """Values are MarginalValuations, actions are BidVectors."""
+
+    def __init__(self, n_agents: int, m: int, reserve: Optional[float] = None):
+        self.n_agents = n_agents
+        self.m = m
+        self.reserve = reserve
+
+    def utilities_and_revenue(self, values, actions):
+        out = uniform_price(list(actions), self.m, self.reserve)
+        utils = tuple(values[i].value(out.alloc[i]) - out.payments[i]
+                      for i in range(self.n_agents))
+        return utils, out.revenue
+
+    def opt_welfare(self, values):
+        return opt_allocation(values, self.m)[1]
+
+
+# -- the combined (auction + aftermarket) lift -----------------------------
+
+
+OPT_OUT = "opt-out"
+
+
+@dataclass(frozen=True)
+class RoundAction:
+    """Active participation in one aftermarket round: the price posted when
+    holding the item, and the purchase threshold otherwise (None = buy
+    whenever value >= price)."""
+
+    seller_price: float = math.inf
+    buyer_threshold: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class LiftedAction:
+    """Auction action plus one aftermarket action per resale round; OPT_OUT
+    keeps holdings and makes no trades in that round."""
+
+    auction: object
+    rounds: tuple = ()
+
+
+class CombinedSingleItemGame(SmoothableGame):
+    """Single-item first-price auction followed by `rounds` winner-led posted
+    resale rounds. Designer revenue is the auction revenue; resale transfers
+    move between agents only."""
+
+    def __init__(self, n_agents: int, rounds: int = 1):
+        self.n_agents = n_agents
+        self.rounds = rounds
+
+    def _round_action(self, action, r: int):
+        if not isinstance(action, LiftedAction) or r >= len(action.rounds):
+            return OPT_OUT
+        return action.rounds[r]
+
+    def utilities_and_revenue(self, values, actions):
+        bids = [a.auction if isinstance(a, LiftedAction) else a for a in actions]
+        out = first_price_single(list(bids))
+        holder = max(range(self.n_agents), key=lambda i: out.alloc[i])
+        transfers = [0.0] * self.n_agents
+        for r in range(self.rounds):
+            sell = self._round_action(actions[holder], r)
+            if sell is OPT_OUT or math.isinf(sell.seller_price):
+                continue
+            price = sell.seller_price
+            for b in range(self.n_agents):
+                if b == holder:
+                    continue
+                buy = self._round_action(actions[b], r)
+                if buy is OPT_OUT:
+                    continue
+                cut = price if buy.buyer_threshold is None else max(
+                    price, buy.buyer_threshold)
+                if values[b] >= cut:
+                    transfers[b] += price
+                    transfers[holder] -= price
+                    holder = b
+                    break
+        utils = tuple(values[i] * (1 if i == holder else 0)
+                      - out.payments[i] - transfers[i]
+                      for i in range(self.n_agents))
+        return utils, out.revenue
+
+    def opt_welfare(self, values):
+        return max(values)
+
+
+def lift_certificate_to_combined(cert: SmoothnessCertificate) -> SmoothnessCertificate:
+    """Same (lam, mu) for the combined game: each auction deviation is paired
+    with opting out of the next aftermarket round, so the deviator's combined
+    utility equals her auction utility while the designer revenue is
+    unchanged. Applying the lift twice appends a second opt-out round."""
+
+    def wrap(action):
+        if isinstance(action, LiftedAction):
+            return LiftedAction(action.auction, action.rounds + (OPT_OUT,))
+        return LiftedAction(action, (OPT_OUT,))
+
+    if cert.semi:
+        def gen(agent, own_value):
+            return cert.generator(agent, own_value).map(wrap)
+    else:
+        def gen(agent, value_profile):
+            return cert.generator(agent, value_profile).map(wrap)
+    return SmoothnessCertificate(cert.lam, cert.mu, gen,
+                                 name=(cert.name + "+lift").strip("+"))
+
+
+# -- explicit deviations ---------------------------------------------------
+
+
+def fpa_deviation(own_value: float, resolution: int = 200) -> FiniteDist:
+    """Discretized single-item first-price deviation certifying
+    (1 - 1/e, 1): support y_k = (1-1/e) v k/res with the telescoping masses
+    ln((v - y_k)/(v - y_{k+1})); in the continuum E[(v - y) 1{y > B}] =
+    (1-1/e) v - B for any opponent bid B below the support top."""
+    v = float(own_value)
+    if v <= 0.0:
+        return FiniteDist.point(0.0)
+    top = ONE_MINUS_INV_E * v
+    ys = [top * k / resolution for k in range(resolution + 1)]
+    atoms = []
+    for k in range(resolution):
+        p = math.log((v - ys[k]) / (v - ys[k + 1]))
+        atoms.append((ys[k], p))
+    total = sum(p for _, p in atoms)
+    atoms = tuple((y, p / total) for y, p in atoms)
+    return FiniteDist(atoms)
+
+
+def fpa_deviation_generator(resolution: int = 200):
+    def gen(agent, own_value):
+        return fpa_deviation(own_value, resolution)
+    return gen
+
+
+def discriminatory_deviation(own_valuation: MarginalValuation, m: int,
+                             resolution: int = 200) -> FiniteDist:
+    """Multi-unit discriminatory deviation certifying (1 - 1/e, 1)-semi-
+    smoothness: one shared draw u ~ U[0,1] sets the bid v_j (1 - e^{-u}) on
+    every unit j, keeping marginal bids non-increasing."""
+    marginals = own_valuation.marginals_list(m)
+    atoms = []
+    for k in range(resolution):
+        u = k / resolution
+        scale = 1.0 - math.exp(-u)
+        bv = BidVector([vj * scale for vj in marginals], m)
+        atoms.append((bv, 1.0 / resolution))
+    return FiniteDist(tuple(atoms))
+
+
+def discriminatory_deviation_generator(m: int, resolution: int = 200):
+    def gen(agent, own_valuation):
+        return discriminatory_deviation(own_valuation, m, resolution)
+    return gen
+
+
+# -- checking --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CheckDomain:
+    """Finite check domain: valuation profiles crossed with the product of the
+    per-agent action sets."""
+
+    value_profiles: tuple
+    action_sets: tuple
+    max_action_profiles: int = 200_000
+
+    def action_profiles(self):
+        total = 1
+        for s in self.action_sets:
+            total *= len(s)
+        if total > self.max_action_profiles:
+            raise ValueError(f"{total} action profiles exceed the cap")
+        return product(*self.action_sets)
+
+
+@dataclass(frozen=True)
+class SmoothnessReport:
+    min_slack: float
+    worst_values: tuple
+    worst_actions: tuple
+    n_profiles_checked: int
+    lam: float
+    mu: float
+
+    def passes(self, tol: float = 0.0) -> bool:
+        return self.min_slack >= -tol
+
+
+def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
+                 domain: CheckDomain) -> SmoothnessReport:
+    """Minimum certificate slack over the domain. Expected deviation
+    utilities are cached per (agent, value profile, opponents' actions)."""
+    min_slack = math.inf
+    worst = ((), ())
+    checked = 0
+    for vi, values in enumerate(domain.value_profiles):
+        devs = [cert.deviation(i, values) for i in range(game.n_agents)]
+        opt = game.opt_welfare(values)
+        cache: dict = {}
+        for actions in domain.action_profiles():
+            _, rev = game.utilities_and_revenue(values, actions)
+            lhs = 0.0
+            for i in range(game.n_agents):
+                others = actions[:i] + actions[i + 1:]
+                key = (i, others)
+                if key not in cache:
+                    def u_dev(d, i=i, actions=actions):
+                        trial = actions[:i] + (d,) + actions[i + 1:]
+                        return game.utilities_and_revenue(values, trial)[0][i]
+                    cache[key] = devs[i].expect(u_dev)
+                lhs += cache[key]
+            slack = lhs - cert.lam * opt + cert.mu * rev
+            checked += 1
+            if slack < min_slack:
+                min_slack = slack
+                worst = (values, actions)
+    return SmoothnessReport(min_slack, worst[0], worst[1], checked,
+                            cert.lam, cert.mu)
+
+
+def check_semi_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
+                      domain: CheckDomain) -> SmoothnessReport:
+    """check_smooth restricted to semi-certificates (deviations that depend
+    only on the agent's own valuation)."""
+    if not cert.semi:
+        raise ValueError("certificate generator must take (agent, own_value)")
+    return check_smooth(game, cert, domain)
+
+
+def poa_bound(lam: float, mu: float) -> float:
+    """Robust price-of-anarchy bound max(1, mu) / lam implied by a
+    (lam, mu)-smoothness certificate."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    return max(1.0, mu) / lam
+
+
+def uniform_price_overbidding_probe(lam: float, mu: float,
+                                    ms: Sequence[int]) -> list[tuple[int, float]]:
+    """Why no fixed (lam, mu) certificate exists for the uniform-price
+    auction: against an opponent overbidding 10 on all m units with zero
+    revenue, no deviation of the 1-per-unit bidder earns a positive utility,
+    so the slack is at most -lam * m. Returns (m, slack upper bound) pairs
+    computed from the best deviation over a bid grid."""
+    rows = []
+    for m in ms:
+        values = (MarginalValuation.from_runs(((1.0, m),)), MarginalValuation([]))
+        overbid = BidVector.flat(10.0, m, m)
+        best = 0.0
+        for level in (0.5, 1.0, 5.0, 10.0, 10.5, 20.0):
+            for count in {1, m // 2 or 1, m}:
+                out = uniform_price([BidVector.flat(level, count, m), overbid], m)
+                u = values[0].value(out.alloc[0]) - out.payments[0]
+                best = max(best, u)
+        opt = opt_allocation(values, m)[1]
+        rev = uniform_price([BidVector.from_runs((), m), overbid], m).revenue
+        rows.append((m, best - lam * opt + mu * rev))
+    return rows
