@@ -167,13 +167,17 @@ def profile_nodes(market: MarketModel, integration: Integration):
     dims = market.random_dims()
     fixed = [a.realize() if not a.random else None for a in market.agents]
     if isinstance(integration, MonteCarlo):
-        rng = np.random.default_rng(integration.seed)
+        # row j is draw j: one uniform per random agent, in stream order,
+        # mapped through that agent's quantile
+        draws = np.random.default_rng(integration.seed).random((integration.n,
+                                                                len(dims)))
+        for k, i in enumerate(dims):
+            draws[:, k] = market.agents[i].dist.quantile(draws[:, k])
         w = 1.0 / integration.n
-        for _ in range(integration.n):
+        for row in draws.tolist():
             profile = list(fixed)
-            for i in dims:
-                agent = market.agents[i]
-                profile[i] = agent.realize(float(agent.dist.quantile(float(rng.random()))))
+            for i, x in zip(dims, row):
+                profile[i] = market.agents[i].realize(x)
             yield profile, w
         return
     if len(dims) > 2:

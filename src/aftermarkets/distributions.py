@@ -11,9 +11,8 @@ integrates exactly.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +42,13 @@ class SegmentSpec:
 
 class UnitDistribution:
     """Base class. Subclasses provide `segments()` and `atoms()`; everything
-    else (cdf, quantile, sampling, moments, cells) derives from those."""
+    else (cdf, quantile, sampling, moments, cells) derives from those.
+
+    `cdf`, `quantile` and `partial_mean` (in its upper limit) work elementwise
+    on numpy arrays and return a numpy scalar for a scalar argument. The
+    `SegmentSpec` callables are applied one element at a time, so they may be
+    scalar-only (`ppf=math.sqrt`). Segments, support and the cumulative
+    windows are computed once per instance and cached in `__dict__`."""
 
     def segments(self) -> Sequence[SegmentSpec]:
         raise NotImplementedError
@@ -51,30 +56,46 @@ class UnitDistribution:
     def atoms(self) -> Sequence[Atom]:
         return ()
 
+    def __getstate__(self):
+        # the caches hold SegmentSpec lambdas, which do not pickle
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_segments", "_parts", "kinks", "support")}
+
     # -- derived interface -------------------------------------------------
 
-    @property
+    @cached_property
+    def _segments(self) -> tuple[SegmentSpec, ...]:
+        return tuple(self.segments())
+
+    @cached_property
+    def kinks(self) -> tuple[float, ...]:
+        """Segment ends and atom positions, sorted: where the CDF may kink."""
+        return tuple(sorted({s.lo for s in self._segments}
+                            | {s.hi for s in self._segments}
+                            | {a.x for a in self.atoms()}))
+
+    @cached_property
     def support(self) -> tuple[float, float]:
-        pts = [s.lo for s in self.segments()] + [s.hi for s in self.segments()]
-        pts += [a.x for a in self.atoms()]
-        return (min(pts), max(pts))
+        return (self.kinks[0], self.kinks[-1])
 
-    def cdf(self, x: float) -> float:
-        total = 0.0
+    def cdf(self, x):
+        """P[Z <= x]."""
+        x = np.asarray(x, dtype=float)
+        total = np.zeros(x.shape)
         for a in self.atoms():
-            if a.x <= x:
-                total += a.mass
-        for s in self.segments():
-            if x >= s.hi:
-                total += s.cdf(s.hi) - s.cdf(s.lo)
-            elif x > s.lo:
-                total += s.cdf(x) - s.cdf(s.lo)
-        return min(total, 1.0)
+            total += np.where(a.x <= x, a.mass, 0.0)
+        for s in self._segments:
+            c_lo = s.cdf(s.lo)
+            total += np.where(x >= s.hi, s.cdf(s.hi) - c_lo, 0.0)
+            inside = (x > s.lo) & (x < s.hi)
+            total[inside] += [s.cdf(float(xi)) - c_lo for xi in x[inside]]
+        return np.minimum(total, 1.0)[()]
 
+    @cached_property
     def _parts(self):
         """Segments and atoms merged in increasing position order, each with
         its cumulative-probability window [u0, u1)."""
-        items = [("seg", s.lo, s) for s in self.segments()]
+        items = [("seg", s.lo, s) for s in self._segments]
         items += [("atom", a.x, a) for a in self.atoms()]
         # an atom sitting at a segment's upper end comes after the segment
         items.sort(key=lambda t: (t[1], 0 if t[0] == "seg" else 1))
@@ -85,37 +106,39 @@ class UnitDistribution:
             u += mass
         if abs(u - 1.0) > 1e-9:
             raise ValueError(f"total probability mass {u} != 1")
-        return out
+        return tuple(out)
 
-    def quantile(self, u: float) -> float:
-        if not 0.0 <= u < 1.0:
-            raise ValueError("quantile argument must lie in [0, 1)")
-        parts = self._parts()
-        for kind, obj, u0, u1 in parts:
-            if u < u1 or (kind, obj, u0, u1) is parts[-1]:
-                if kind == "atom":
-                    return obj.x
-                uu = min(max(u, u0), u1)
-                if obj.ppf is not None:
-                    return obj.ppf(obj.cdf(obj.lo) + (uu - u0))
-                target = obj.cdf(obj.lo) + (uu - u0)
-                return optimize.brentq(lambda x: obj.cdf(x) - target, obj.lo, obj.hi,
-                                       xtol=1e-14)
-        raise AssertionError("unreachable")
+    def quantile(self, u):
+        u = _unit_interval(u)
+        parts = self._parts
+        # the first part with u < u1; the last part takes the rest
+        which = np.searchsorted([p[3] for p in parts[:-1]], u, side="right")
+        out = np.empty(u.shape)
+        for k, count in enumerate(np.bincount(which.ravel(), minlength=len(parts))):
+            if not count:
+                continue
+            kind, obj, u0, u1 = parts[k]
+            sel = which == k
+            if kind == "atom":
+                out[sel] = obj.x
+                continue
+            targets = obj.cdf(obj.lo) + (np.clip(u[sel], u0, u1) - u0)
+            if obj.ppf is not None:
+                out[sel] = [obj.ppf(float(t)) for t in targets]
+            else:
+                out[sel] = [optimize.brentq(lambda x: obj.cdf(x) - t, obj.lo, obj.hi,
+                                            xtol=1e-14) for t in targets]
+        return out[()]
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
-        u = rng.random(size)
-        if size is None:
-            return self.quantile(float(u))
-        return np.array([self.quantile(float(ui)) for ui in u])
+        return self.quantile(rng.random(size))
 
     def mean(self, tol: float = 1e-10) -> float:
         """E[Z] = integral of the survival function over [0, top] (nonnegative support)."""
         lo, hi = self.support
         if lo < 0:
             raise ValueError("mean() assumes nonnegative support")
-        cuts = sorted({0.0, hi} | {s.lo for s in self.segments()}
-                      | {s.hi for s in self.segments()} | {a.x for a in self.atoms()})
+        cuts = sorted({0.0, hi} | set(self.kinks))
         total = 0.0
         for a, b in zip(cuts, cuts[1:]):
             val, _ = integrate.quad(lambda x: 1.0 - self.cdf(x), a, b,
@@ -123,16 +146,17 @@ class UnitDistribution:
             total += val
         return total
 
-    def partial_mean(self, a: float, b: float, tol: float = 1e-12) -> float:
+    def partial_mean(self, a: float, b, tol: float = 1e-12):
         """E[Z * 1{a <= Z < b}] of the continuous part only."""
-        total = 0.0
-        for s in self.segments():
-            lo, hi = max(a, s.lo), min(b, s.hi)
-            if lo < hi:
-                val, _ = integrate.quad(lambda x: x * s.pdf(x), lo, hi,
-                                        epsabs=tol, limit=200)
-                total += val
-        return total
+        b = np.asarray(b, dtype=float)
+        total = np.zeros(b.shape)
+        for s in self._segments:
+            lo, hi = max(a, s.lo), np.minimum(b, s.hi)
+            live = lo < hi
+            total[live] += [integrate.quad(lambda x: x * s.pdf(x), lo, float(h),
+                                           epsabs=tol, limit=200)[0]
+                            for h in hi[live]]
+        return total[()]
 
     def cells(self, breakpoints: Sequence[float] = (), subdivide: int = 1):
         """Nodes and weights for E[g(Z)]: one node per atom, and per continuous
@@ -142,7 +166,7 @@ class UnitDistribution:
         for a in self.atoms():
             nodes.append(a.x)
             weights.append(a.mass)
-        for s in self.segments():
+        for s in self._segments:
             cuts = sorted({s.lo, s.hi} | {b for b in breakpoints if s.lo < b < s.hi})
             fine = []
             for a, b in zip(cuts, cuts[1:]):
@@ -158,6 +182,13 @@ class UnitDistribution:
         return np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
 
 
+def _unit_interval(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if not np.all((0.0 <= u) & (u < 1.0)):
+        raise ValueError("quantile argument must lie in [0, 1)")
+    return u
+
+
 # -- concrete kinds --------------------------------------------------------
 
 
@@ -171,12 +202,8 @@ class PointMass(UnitDistribution):
     def atoms(self):
         return (Atom(self.c, 1.0),)
 
-    @property
-    def support(self):
-        return (self.c, self.c)
-
     def cdf(self, x):
-        return 1.0 if x >= self.c else 0.0
+        return np.where(np.asarray(x) >= self.c, 1.0, 0.0)[()]
 
     def mean(self, tol: float = 1e-10) -> float:
         return self.c
@@ -201,11 +228,17 @@ class Uniform(UnitDistribution):
                             pdf=lambda x: 1.0 / w,
                             ppf=lambda u: lo + u * w),)
 
+    def cdf(self, x):
+        return ((np.clip(x, self.lo, self.hi) - self.lo) / (self.hi - self.lo))[()]
+
+    def quantile(self, u):
+        return (self.lo + _unit_interval(u) * (self.hi - self.lo))[()]
+
     def partial_mean(self, a, b, tol: float = 1e-12):
-        lo, hi = max(a, self.lo), min(b, self.hi)
-        if lo >= hi:
-            return 0.0
-        return (hi * hi - lo * lo) / (2.0 * (self.hi - self.lo))
+        lo, hi = np.maximum(a, self.lo), np.minimum(b, self.hi)
+        # (hi - lo)(hi + lo), not hi^2 - lo^2, which cancels far from 0
+        return np.where(lo < hi, (hi - lo) * (hi + lo) / (2.0 * (self.hi - self.lo)),
+                        0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -228,11 +261,19 @@ class EqualRevenueCapped(UnitDistribution):
     def atoms(self):
         return (Atom(self.H, 1.0 / self.H),)
 
+    def cdf(self, x):
+        H = self.H
+        x = np.clip(x, 1.0, H)
+        return np.where(x >= H, min(1.0 / H + (H - 1.0) / H, 1.0), (x - 1.0) / x)[()]
+
+    def quantile(self, u):
+        u = _unit_interval(u)
+        return np.where(u < (self.H - 1.0) / self.H, 1.0 / (1.0 - u), self.H)[()]
+
     def partial_mean(self, a, b, tol: float = 1e-12):
-        lo, hi = max(a, 1.0), min(b, self.H)
-        if lo >= hi:
-            return 0.0
-        return math.log(hi / lo)
+        lo = np.maximum(a, 1.0)
+        # log(1) = 0 where the window is empty
+        return np.log(np.maximum(np.minimum(b, self.H), lo) / lo)[()]
 
 
 @dataclass(frozen=True)
@@ -249,7 +290,7 @@ class PiecewiseCdf(UnitDistribution):
         for a in self.atom_list:
             if a.mass < 0:
                 raise ValueError("negative atom mass")
-        self._parts()  # validates total mass
+        self._parts  # validates total mass
 
     def segments(self):
         return self.segs

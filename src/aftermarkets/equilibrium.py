@@ -475,29 +475,46 @@ def _gauss(a: float, b: float, order: int = 64):
     return mid + half * x, half * w
 
 
-def _monotone_inverse(fn: Callable[[float], float], target: float,
-                      lo: float, hi: float) -> float:
-    """sup{w in [lo,hi]: fn(w) < target} for nondecreasing fn (lo if none)."""
-    if fn(lo) >= target:
-        return lo
-    if fn(hi) < target:
-        return hi
+def _gauss_split(lo: float, grid: np.ndarray, kinks: Sequence[float], order: int):
+    """Gauss rules on [lo, v] for every v in `grid`, split at the kinks inside
+    (lo, v). Returns the nodes, the weights and, per node, the index of its v."""
+    nodes, weights, owner = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]
+    for i, v in enumerate(grid):
+        ends = [lo, *(k for k in kinks if lo < k < v), v]
+        for a, b in zip(ends, ends[1:]):
+            x, w = _gauss(a, b, order)
+            nodes.append(x)
+            weights.append(w)
+            owner.append(np.full(order, i))
+    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(owner)
+
+
+def _monotone_inverse(fn: Callable[[np.ndarray], np.ndarray], target,
+                      lo: float, hi: float) -> np.ndarray:
+    """sup{w in [lo,hi]: fn(w) < target} for nondecreasing fn (lo if none),
+    elementwise over an array of targets; fn is called on arrays."""
+    target = np.asarray(target, dtype=float)
+    f_lo, f_hi = fn(np.array([lo, hi]))
+    a = np.full(target.shape, lo, dtype=float)
+    b = np.full(target.shape, hi, dtype=float)
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (a + b)
+        below = fn(mid) < target
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return np.where(f_lo >= target, lo, np.where(f_hi < target, hi, 0.5 * (a + b)))
 
 
 def interim_curves(dists: Sequence[UnitDistribution],
-                   bid_fns: Sequence[Callable[[float], float]], agent: int,
+                   bid_fns: Sequence[Callable[[np.ndarray], np.ndarray]], agent: int,
                    value_grid: Sequence[float], mechanism: str = "first_price",
                    quad_order: int = 64):
     """Interim allocation and payment curves of a single-item auction under
     monotone bid functions, plus the Myerson payment-identity residual
-    p(v) - p(lo) = v x(v) - lo x(lo) - int_lo^v x(z) dz."""
+    p(v) - p(lo) = v x(v) - lo x(lo) - int_lo^v x(z) dz.
+
+    Bid functions are called with numpy arrays of values and must return
+    arrays of bids of the same shape. The integral is a Gauss rule split at
+    the kinks of the agent's distribution."""
     if len(dists) != 2 or len(bid_fns) != 2:
         raise ValueError("single-item market with two agents required")
     if mechanism not in ("first_price", "all_pay"):
@@ -505,39 +522,29 @@ def interim_curves(dists: Sequence[UnitDistribution],
     other = 1 - agent
     lo_o, hi_o = dists[other].support
     lo, _ = dists[agent].support
-
-    def x_tilde(v: float) -> float:
-        c = bid_fns[agent](v)
-        # the agent wins on ties only when her index is lower
-        if agent == 0:
-            w = _monotone_inverse(lambda t: bid_fns[other](t), c + 1e-15, lo_o, hi_o)
-        else:
-            w = _monotone_inverse(lambda t: bid_fns[other](t), c, lo_o, hi_o)
-        return dists[other].cdf(w)
-
-    def p_tilde(v: float) -> float:
-        b = bid_fns[agent](v)
-        return b * x_tilde(v) if mechanism == "first_price" else b
-
-    xs, ps, residuals = [], [], []
-    x_lo, p_lo = x_tilde(lo), p_tilde(lo)
-    for v in value_grid:
-        xv, pv = x_tilde(v), p_tilde(v)
-        nodes, wts = _gauss(lo, v, quad_order)
-        integral = float(sum(w * x_tilde(z) for z, w in zip(nodes, wts)))
-        residuals.append((pv - p_lo) - (v * xv - lo * x_lo - integral))
-        xs.append(xv)
-        ps.append(pv)
-    return np.asarray(xs), np.asarray(ps), np.asarray(residuals)
+    grid = np.asarray(value_grid, dtype=float)
+    nodes, wts, owner = _gauss_split(lo, grid, dists[agent].kinks, quad_order)
+    # every point at once: lo, the value grid, then the quadrature nodes
+    z = np.concatenate(([lo], grid, nodes))
+    bids = bid_fns[agent](z)
+    # the agent wins on ties only when its index is lower
+    target = np.nextafter(bids, np.inf) if agent == 0 else bids
+    x = dists[other].cdf(_monotone_inverse(bid_fns[other], target, lo_o, hi_o))
+    p = bids * x if mechanism == "first_price" else bids
+    n = grid.size
+    xs, ps = x[1:n + 1], p[1:n + 1]
+    integral = np.bincount(owner, weights=wts * x[n + 1:], minlength=n)
+    residuals = (ps - p[0]) - (grid * xs - lo * x[0] - integral)
+    return xs, ps, residuals
 
 
-def symmetric_fpa_bid(dist: UnitDistribution, v: float) -> float:
-    """b(v) = E[V' | V' < v] for atomless F (the symmetric equilibrium bid)."""
+def symmetric_fpa_bid(dist: UnitDistribution, v):
+    """b(v) = E[V' | V' < v] for atomless F (the symmetric equilibrium bid),
+    elementwise over arrays of v."""
     lo, _ = dist.support
-    mass = dist.cdf(v)
-    if mass <= 0.0:
-        return lo
-    return dist.partial_mean(lo, v) / mass
+    mass = np.asarray(dist.cdf(v))
+    out = np.full(mass.shape, lo, dtype=float)
+    return np.divide(dist.partial_mean(lo, v), mass, out=out, where=mass > 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -568,31 +575,22 @@ def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
 
     values = np.linspace(lo, hi, value_points)
     bids = np.linspace(lo, b(hi), bid_points)
+    on_bids = b(values)
+    # deviator is agent 0: wins ties against the identical opponent
+    targets = np.nextafter(np.concatenate((on_bids, bids)), np.inf)
+    win = dist.cdf(_monotone_inverse(b, targets, lo, hi))
+    on_path = (values - on_bids) * win[:value_points]
+    best = np.max((values[:, None] - bids[None, :]) * win[None, value_points:], axis=1)
+    gap = float(np.max(best - on_path))
 
-    def win_prob(c: float) -> float:
-        # deviator is agent 0: wins ties against the identical opponent
-        w = _monotone_inverse(b, c + 1e-15, lo, hi)
-        return dist.cdf(w)
-
-    gap = -math.inf
-    for v in values:
-        on_path = (v - b(v)) * win_prob(b(v))
-        best = max((v - c) * win_prob(c) for c in bids)
-        gap = max(gap, best - on_path)
-
-    rng = np.random.default_rng(seed)
-    eff = 0
-    ties = 0
-    for _ in range(samples):
-        v0, v1 = (float(dist.quantile(float(rng.random()))) for _ in range(2))
-        if abs(v0 - v1) < 1e-12:
-            ties += 1
-            continue
-        b0, b1 = b(v0), b(v1)
-        winner = 0 if (b0 > b1 or (b0 == b1)) else 1
-        if (winner == 0) == (v0 > v1):
-            eff += 1
-    counted = samples - ties
+    # the pairs (v0, v1) of consecutive uniforms from one stream
+    u = np.random.default_rng(seed).random(2 * samples)
+    v0, v1 = dist.quantile(u[0::2]), dist.quantile(u[1::2])
+    ties = np.abs(v0 - v1) < 1e-12
+    # agent 0 wins ties
+    winner0 = b(v0) >= b(v1)
+    eff = int(np.sum(~ties & (winner0 == (v0 > v1))))
+    counted = samples - int(np.sum(ties))
 
     grid = np.linspace(lo + 1e-9 if lo == 0 else lo, hi, value_points)
     _, _, residuals = interim_curves((dist, dist), (b, b), 0, grid)

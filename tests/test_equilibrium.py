@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aftermarkets.auctions import BidVector
-from aftermarkets.distributions import Uniform
+from aftermarkets.distributions import Uniform, lower_bound_z_distribution
 from aftermarkets.equilibrium import (Action, CombinedTabularGame,
                                       DeviationGrid, TabularGame,
                                       best_response_dynamics,
@@ -108,6 +108,36 @@ def test_interim_curves_uniform():
     assert np.allclose(xs, grid, atol=1e-9)
     assert np.allclose(ps, grid ** 2 / 2.0, atol=1e-9)
     assert np.max(np.abs(res)) <= 1e-6
+
+
+@pytest.mark.parametrize("level", [1.0, 16.0])
+def test_interim_tie_goes_to_lower_index(level):
+    # identical constant bids tie everywhere; agent 0 wins every tie
+    dist = Uniform(0.0, 1.0)
+    flat = lambda v: np.full(np.shape(v), level)
+    xs0, _, _ = interim_curves((dist, dist), (flat, flat), 0, [0.5])
+    xs1, _, _ = interim_curves((dist, dist), (flat, flat), 1, [0.5])
+    assert xs0[0] == 1.0
+    assert xs1[0] == 0.0
+
+
+def test_symmetric_fpa_residual_across_cdf_kink():
+    # the CDF of z kinks at 1, inside the support
+    report = symmetric_fpa_check(lower_bound_z_distribution(10), 11, 101, 2000)
+    assert report.max_payment_residual <= 1e-6
+
+
+def test_symmetric_fpa_far_from_zero():
+    report = symmetric_fpa_check(Uniform(1e5, 1e5 + 1.0), 11, 101, 2000)
+    assert report.max_payment_residual <= 1e-6
+    assert report.gap <= 1e-9
+
+
+def test_symmetric_fpa_cli_defaults_uniform():
+    report = symmetric_fpa_check(Uniform(0.0, 1.0), samples=20000, seed=11)
+    assert report.efficiency == 1.0
+    assert report.gap <= 1e-12
+    assert report.max_payment_residual <= 1e-12
 
 
 class MatchingPennies(TabularGame):
