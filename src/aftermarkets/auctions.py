@@ -3,6 +3,7 @@ single-item first-price and all-pay, and the sequential posted-price sale."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,8 +21,8 @@ class BidVector:
         runs = []
         prev = None
         for b in marginals:
-            if b < 0:
-                raise ValueError("bids must be nonnegative")
+            if not 0.0 <= b < math.inf:
+                raise ValueError("bids must be finite and nonnegative")
             if prev is not None and b > prev:
                 raise ValueError("marginal bids must be non-increasing")
             if runs and runs[-1][0] == b:
@@ -46,7 +47,7 @@ class BidVector:
         prev = None
         total = 0
         for b, c in runs:
-            if c < 0 or b < 0:
+            if c < 0 or not 0.0 <= b < math.inf:
                 raise ValueError("invalid bid run")
             if c == 0:
                 continue
@@ -87,12 +88,22 @@ class AuctionOutcome:
         return sum(self.payments)
 
 
+def _tiebreak_priorities(tiebreak: Sequence[int], n: int) -> list[int]:
+    """Per-agent tie priorities (lower wins); `tiebreak` must be a permutation
+    of range(n)."""
+    prio = list(tiebreak)
+    if sorted(prio) != list(range(n)):
+        raise ValueError("tiebreak must be a permutation of range(n)")
+    return prio
+
+
 def _sorted_entries(bids: Sequence[BidVector], m: int, reserve: Optional[float],
                     tiebreak: Optional[Sequence[int]]):
     """All marginal bid entries surviving the reserve, sorted by
     (bid desc, agent priority asc, unit asc). Implicit zeros included when no
     reserve filters them."""
-    prio = list(range(len(bids))) if tiebreak is None else list(tiebreak)
+    prio = (list(range(len(bids))) if tiebreak is None
+            else _tiebreak_priorities(tiebreak, len(bids)))
     entries = []
     for i, bv in enumerate(bids):
         start = 0
@@ -161,7 +172,8 @@ def first_price_single(bids: Sequence[float],
                        tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
     """Single item: highest bid wins (ties to lowest priority index), winner
     pays her bid."""
-    prio = list(range(len(bids))) if tiebreak is None else list(tiebreak)
+    prio = (list(range(len(bids))) if tiebreak is None
+            else _tiebreak_priorities(tiebreak, len(bids)))
     winner = min(range(len(bids)), key=lambda i: (-bids[i], prio[i]))
     counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
     payments = tuple(bids[winner] if i == winner else 0.0 for i in range(len(bids)))
@@ -171,7 +183,8 @@ def first_price_single(bids: Sequence[float],
 def all_pay_single(bids: Sequence[float],
                    tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
     """Single item: highest bid wins; every agent pays her own bid."""
-    prio = list(range(len(bids))) if tiebreak is None else list(tiebreak)
+    prio = (list(range(len(bids))) if tiebreak is None
+            else _tiebreak_priorities(tiebreak, len(bids)))
     winner = min(range(len(bids)), key=lambda i: (-bids[i], prio[i]))
     counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
     return AuctionOutcome(Allocation(counts), tuple(float(b) for b in bids))

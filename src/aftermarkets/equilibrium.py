@@ -4,9 +4,10 @@ curves and the Myerson payment identity, the symmetric first-price efficiency
 check, and best-response dynamics.
 
 Verification uses a constant-action fast path: when every strategy is a fixed
-(bid, aftermarket action) pair, the auction clears once per deviation and the
+(bid, aftermarket action) pair, the auction clears once per deviation. The
 aftermarket is integrated exactly over each resale group's <= 2 scalar random
-dimensions with the interval-moment rule.
+dimensions with the interval-moment rule, once per distinct group allocation
+and aftermarket action rather than once per deviation.
 """
 
 from __future__ import annotations
@@ -72,6 +73,21 @@ class CombinedGame:
         return ConstantActionEvaluator(self)
 
 
+@dataclass
+class _ResaleStage:
+    """One resale group's aftermarket over the tensor of its random
+    dimensions: the cell weights and, per member (seller first), the scalar
+    draws, post-resale holdings and resale transfers. `vals` keeps each
+    member's value of its holdings once it has been asked for. Every later
+    call with the same key reads these arrays, so none is written in place."""
+
+    weights: np.ndarray
+    scalars: dict
+    holdings: dict
+    transfers: dict
+    vals: dict = field(default_factory=dict)
+
+
 class ConstantActionEvaluator:
     """Exact expected utilities/welfare for constant-action profiles.
 
@@ -79,6 +95,11 @@ class ConstantActionEvaluator:
     each resale group's scalar draws; utilities are piecewise multilinear in
     those scalars with breakpoints at the effective purchase cutoffs, which
     the interval-moment cells integrate exactly.
+
+    The auction clears on every call, but the resale stage depends only on
+    the group's auction allocation, the seller's price and the buyers'
+    thresholds. It is integrated once per distinct such key and kept for the
+    evaluator's lifetime; auction payments are subtracted afterwards.
     """
 
     def __init__(self, game: CombinedGame):
@@ -87,15 +108,19 @@ class ConstantActionEvaluator:
         self.m = game.market.m
         # group lookup: agent -> (seller, ordered buyers)
         self._group_of: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._blocks: list[tuple[int, tuple[int, ...]]] = []
         if game.resale is not None:
             if game.resale.winner_led:
                 raise ValueError("fast path requires fixed resale groups")
             for seller, buyers in game.resale.groups:
-                block = (seller, buyers)
-                self._group_of[seller] = block
-                for b in buyers:
-                    self._group_of[b] = block
+                block = (seller, tuple(buyers))
+                for i in (seller,) + block[1]:
+                    if i in self._group_of:
+                        raise ValueError("fast path requires disjoint resale groups")
+                    self._group_of[i] = block
+                self._blocks.append(block)
         self._cells_cache: dict = {}
+        self._stages: dict = {}
 
     def _actions(self, overrides: Optional[Mapping[int, Action]]):
         acts = list(self.game.base_actions)
@@ -118,21 +143,34 @@ class ConstantActionEvaluator:
             self._cells_cache[key] = dist.cells(bps)
         return self._cells_cache[key]
 
-    def _group_tensor(self, block, acts, outcome):
-        """Scalars, weights, per-agent traded quantities and transfers over the
-        tensor of the group's random dimensions."""
+    def _group_stage(self, block, acts, outcome):
+        """The resale stage of `block` under the auction `outcome`."""
         seller, buyers = block
         price = acts[seller].seller_price
-        price = NO_OFFER if price is None else price
-        rand = [i for i in (seller,) + buyers if self.market.agents[i].random]
+        return self._stage(block, tuple(outcome.alloc[i] for i in (seller,) + buyers),
+                           NO_OFFER if price is None else price,
+                           tuple(acts[b].buyer_threshold for b in buyers))
+
+    def _alone_stage(self, agent: int, outcome):
+        """The stage of a random agent outside every resale group."""
+        return self._stage((agent, ()), (outcome.alloc[agent],), NO_OFFER, ())
+
+    def _stage(self, block, alloc, price, thresholds) -> _ResaleStage:
+        """The resale stage of `block` for one auction allocation of its
+        members, seller price and buyer thresholds; integrated once per
+        distinct key."""
+        key = (block, alloc, price, thresholds)
+        if key in self._stages:
+            return self._stages[key]
+        seller, buyers = block
+        members = (seller,) + buyers
+        cut_of = {b: price if thr is None else max(price, thr)
+                  for b, thr in zip(buyers, thresholds)}
+        rand = [i for i in members if self.market.agents[i].random]
         axes = []
         for i in rand:
-            thr = acts[i].buyer_threshold
-            cut = None
-            if i in buyers and not math.isinf(price):
-                cut = price if thr is None else max(price, thr)
-            nodes, weights = self._cells(i, cut)
-            axes.append((nodes, weights))
+            cut = cut_of[i] if i in cut_of and not math.isinf(price) else None
+            axes.append(self._cells(i, cut))
         if axes:
             grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
             wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
@@ -144,65 +182,61 @@ class ConstantActionEvaluator:
             scalars, weights = {}, np.ones(1)
         size = weights.size
         zero = np.zeros(size)
-        bought = {i: zero.copy() for i in (seller,) + buyers}
-        transfers = {i: zero.copy() for i in (seller,) + buyers}
+        held = dict(zip(members, alloc))
+        bought = {i: zero.copy() for i in members}
+        transfers = {i: zero.copy() for i in members}
         if not math.isinf(price):
-            stock = np.full(size, float(outcome.alloc[seller]))
+            stock = np.full(size, float(held[seller]))
             for b in buyers:
-                model = self.market.agents[b]
-                thr = acts[b].buyer_threshold
-                cut = price if thr is None else max(price, thr)
                 s = scalars.get(b, zero)
-                want = model.count_ge_vec(cut, s) - outcome.alloc[b]
+                want = self.market.agents[b].count_ge_vec(cut_of[b], s) - held[b]
                 q = np.clip(want, 0.0, stock)
                 bought[b] = q
                 transfers[b] = q * price
                 transfers[seller] = transfers[seller] - q * price
                 stock = stock - q
             bought[seller] = -sum(bought[b] for b in buyers)
-        return scalars, weights, bought, transfers
+        holdings = {i: held[i] + bought[i] for i in members}
+        stage = self._stages[key] = _ResaleStage(weights, scalars, holdings, transfers)
+        return stage
+
+    def _values(self, stage: _ResaleStage, i: int) -> np.ndarray:
+        """Member i's value of its post-resale holdings in each cell."""
+        if i not in stage.vals:
+            stage.vals[i] = self.market.agents[i].value_vec(
+                stage.holdings[i], stage.scalars.get(i, np.zeros(stage.weights.size)))
+        return stage.vals[i]
 
     def expected_utility(self, agent: int,
                          overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
         outcome = self._auction(acts)
         model = self.market.agents[agent]
-        if agent not in self._group_of:
-            if model.random:
-                nodes, weights = self._cells(agent, None)
-                vals = model.value_vec(np.full(nodes.shape, outcome.alloc[agent]),
-                                       nodes)
-                return float(vals @ weights) - outcome.payments[agent]
-            return model.realize().value(outcome.alloc[agent]) - outcome.payments[agent]
-        block = self._group_of[agent]
-        scalars, weights, bought, transfers = self._group_tensor(block, acts, outcome)
-        s = scalars.get(agent, np.zeros(weights.size))
-        holdings = outcome.alloc[agent] + bought[agent]
-        vals = model.value_vec(holdings, s)
-        u = vals - outcome.payments[agent] - transfers[agent]
-        return float(u @ weights)
+        if agent in self._group_of:
+            stage = self._group_stage(self._group_of[agent], acts, outcome)
+            u = (self._values(stage, agent) - outcome.payments[agent]
+                 - stage.transfers[agent])
+            return float(u @ stage.weights)
+        if model.random:
+            stage = self._alone_stage(agent, outcome)
+            return (float(self._values(stage, agent) @ stage.weights)
+                    - outcome.payments[agent])
+        return model.realize().value(outcome.alloc[agent]) - outcome.payments[agent]
 
     def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
         outcome = self._auction(acts)
         total = 0.0
-        seen = set()
-        for block in {id(b): b for b in self._group_of.values()}.values():
-            seller, buyers = block
-            scalars, weights, bought, _ = self._group_tensor(block, acts, outcome)
-            for i in (seller,) + buyers:
-                seen.add(i)
-                model = self.market.agents[i]
-                s = scalars.get(i, np.zeros(weights.size))
-                vals = model.value_vec(outcome.alloc[i] + bought[i], s)
-                total += float(vals @ weights)
+        for block in self._blocks:
+            stage = self._group_stage(block, acts, outcome)
+            for i in stage.holdings:  # seller first, then buyers in order
+                total += float(self._values(stage, i) @ stage.weights)
         for i, model in enumerate(self.market.agents):
-            if i in seen:
+            if i in self._group_of:
                 continue
             if model.random:
-                nodes, weights = self._cells(i, None)
-                total += float(model.value_vec(
-                    np.full(nodes.shape, outcome.alloc[i]), nodes) @ weights)
+                stage = self._alone_stage(i, outcome)
+                total += float(self._values(stage, i) @ stage.weights)
             else:
                 total += model.realize().value(outcome.alloc[i])
         return total
@@ -279,11 +313,17 @@ def default_deviation_grid(m: int, role: str) -> DeviationGrid:
 
 @dataclass(frozen=True)
 class GapResult:
+    """Best deviation gain of one agent over a deviation grid.
+
+    `integration_error` is None: no error estimate is computed. The
+    interval-moment rule integrates the piecewise-multilinear constant-action
+    integrand exactly, so the only error is floating-point rounding."""
+
     gap: float
     witness: Action
     equilibrium_utility: float
     n_deviations: int
-    integration_error: float
+    integration_error: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -313,8 +353,7 @@ def best_response_gap(game: CombinedGame, agent: int,
         u = ev.expected_utility(agent, {agent: dev})
         if u > best:
             best, witness = u, dev
-    scale = max(1.0, abs(base), abs(best))
-    return GapResult(best - base, witness, base, len(devs), 1e-12 * scale)
+    return GapResult(best - base, witness, base, len(devs))
 
 
 def verify_bne(game: CombinedGame,
@@ -586,7 +625,8 @@ def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
     # the pairs (v0, v1) of consecutive uniforms from one stream
     u = np.random.default_rng(seed).random(2 * samples)
     v0, v1 = dist.quantile(u[0::2]), dist.quantile(u[1::2])
-    ties = np.abs(v0 - v1) < 1e-12
+    scale = np.maximum(1.0, np.maximum(np.abs(v0), np.abs(v1)))
+    ties = np.abs(v0 - v1) < 1e-12 * scale
     # agent 0 wins ties
     winner0 = b(v0) >= b(v1)
     eff = int(np.sum(~ties & (winner0 == (v0 > v1))))
@@ -672,7 +712,7 @@ def best_response_dynamics(game: TabularGame, inits: Sequence[tuple],
                     if a == current:
                         continue
                     u = game.utility(i, profile[:i] + (a,) + profile[i + 1:])
-                    if u > best_u + 1e-12:
+                    if u > best_u + 1e-12 * max(1.0, abs(best_u)):
                         best_u, best_a = u, a
                 if best_a != current:
                     profile = profile[:i] + (best_a,) + profile[i + 1:]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -82,6 +83,33 @@ def test_single_item_auctions():
     assert ap.payments == (0.4, 0.9, 0.1)
     tie = first_price_single([0.5, 0.5])
     assert tie.alloc.counts == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bid_vector_rejects_nan_and_infinite_bids(bad):
+    with pytest.raises(ValueError):
+        BidVector([bad], 2)
+    with pytest.raises(ValueError):
+        BidVector([3.0, bad], 2)
+    with pytest.raises(ValueError):
+        BidVector.from_runs([(bad, 1)], 2)
+    with pytest.raises(ValueError):
+        BidVector.from_runs([(3.0, 1), (bad, 1)], 2)
+
+
+@pytest.mark.parametrize("tiebreak", [(0, 0), (1, 2), (0,), (0, 1, 2)])
+def test_tiebreak_must_be_a_permutation(tiebreak):
+    bids = [BidVector([1.0], 2), BidVector([1.0, 1.0], 2)]
+    for clear in (lambda: uniform_price(bids, 2, tiebreak=tiebreak),
+                  lambda: uniform_price(bids, 2, reserve=0.5, tiebreak=tiebreak),
+                  lambda: discriminatory(bids, 2, tiebreak=tiebreak),
+                  lambda: first_price_single([0.5, 0.5], tiebreak),
+                  lambda: all_pay_single([0.5, 0.5], tiebreak)):
+        with pytest.raises(ValueError):
+            clear()
+    # a permutation is accepted and decides the tie
+    assert first_price_single([0.5, 0.5], (1, 0)).alloc.counts == (0, 1)
+    assert all_pay_single([0.5, 0.5], [1, 0]).alloc.counts == (0, 1)
 
 
 def test_posted_price_sell_truthful_and_override():

@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aftermarkets.aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
 from aftermarkets.auctions import BidVector
 from aftermarkets.combined import (Mechanism, MonteCarlo, Quadrature, Strategy,
                                    expected_optimal_welfare, expected_outcome,
                                    play)
-from aftermarkets.equilibrium import scripted_lower_bound_equilibrium
+from aftermarkets.equilibrium import (default_deviation_grid,
+                                      scripted_lower_bound_equilibrium)
 from aftermarkets.valuations import lower_bound_market, sample_profile
 
 PROTO = SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT
@@ -87,6 +91,65 @@ def test_fast_path_cross_check():
     assert ev.expected_welfare() == pytest.approx(res.welfare, rel=1e-12)
     for i in range(3):
         assert ev.expected_utility(i) == pytest.approx(res.utilities[i], rel=1e-12)
+
+
+ROLES = ("regular", "bulk", "speculator")
+
+
+@pytest.fixture(scope="module")
+def warm_evaluators():
+    """One evaluator per m, kept across examples so that its resale memo is
+    warm; each starts from a slice of every role's deviation grid."""
+    evaluators = {}
+
+    def get(game):
+        m = game.market.m
+        if m not in evaluators:
+            ev = evaluators[m] = game.evaluator()
+            for agent, role in enumerate(ROLES):
+                for dev in default_deviation_grid(m, role).deviations(m)[::25]:
+                    ev.expected_utility(agent, {agent: dev})
+                    ev.expected_welfare({agent: dev})
+        return evaluators[m]
+
+    return get
+
+
+def effective_cuts(actions):
+    """1.0 and every resale purchase cutoff of the scripted profile (seller C
+    posts to buyers A and B): the integrand's breakpoints."""
+    price = actions[2].seller_price
+    cuts = {1.0}
+    if price is not None and math.isfinite(price):
+        cuts |= {price if a.buyer_threshold is None else max(price, a.buyer_threshold)
+                 for a in actions[:2]}
+    return tuple(sorted(cuts))
+
+
+@given(st.integers(4, 40), st.sampled_from((0, 1, 2)), st.data())
+@settings(max_examples=50, deadline=None)
+def test_fast_path_randomized_cross_check(warm_evaluators, m, agent, data):
+    """A warm evaluator returns exactly what a fresh one does, and both agree
+    with play() integrated exactly over the same profile."""
+    game = scripted_lower_bound_equilibrium(m)
+    devs = default_deviation_grid(m, ROLES[agent]).deviations(m)
+    # bid deviations outnumber the aftermarket ones a hundred to one
+    dev = data.draw(st.sampled_from([d for d in devs if d.bid is not None])
+                    | st.sampled_from([d for d in devs if d.bid is None]))
+    overrides = {agent: dev}
+    warm, fresh = warm_evaluators(game), game.evaluator()
+    u = warm.expected_utility(agent, overrides)
+    w = warm.expected_welfare(overrides)
+    assert u == fresh.expected_utility(agent, overrides)
+    assert w == fresh.expected_welfare(overrides)
+    actions = list(game.base_actions)
+    actions[agent] = dev.merged_into(actions[agent])
+    merged = replace(game, base_actions=tuple(actions))
+    res = expected_outcome(merged.market, merged.mechanism, PROTO, merged.resale,
+                           merged.strategies(),
+                           Quadrature(subdivide=1, breakpoints=effective_cuts(actions)))
+    assert u == pytest.approx(res.utilities[agent], rel=1e-10)
+    assert w == pytest.approx(res.welfare, rel=1e-10)
 
 
 def test_posted_primary_mechanism():

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aftermarkets.aftermarket import ResaleSpec
 from aftermarkets.auctions import BidVector
 from aftermarkets.distributions import Uniform, lower_bound_z_distribution
 from aftermarkets.equilibrium import (Action, CombinedTabularGame,
@@ -54,6 +56,20 @@ def test_verify_bne_scripted_profile():
     assert report.verdict
     assert all(g.n_deviations >= 1000 for g in report.gaps)
     assert report.max_gap <= 1e-6
+
+
+def test_gap_reports_no_error_estimate():
+    # the interval-moment rule is exact here; no estimate is computed
+    game = scripted_lower_bound_equilibrium(10)
+    gap = best_response_gap(game, 2, DeviationGrid(seller_prices=(0.5, 1.0)))
+    assert gap.integration_error is None
+
+
+def test_evaluator_rejects_overlapping_resale_groups():
+    game = scripted_lower_bound_equilibrium(10)
+    overlapping = replace(game, resale=ResaleSpec(((2, (0, 1)), (1, (0,)))))
+    with pytest.raises(ValueError):
+        overlapping.evaluator()
 
 
 def test_verify_bne_flags_non_equilibrium():
@@ -155,6 +171,31 @@ def test_brd_detects_cycle_in_matching_pennies():
     res = best_response_dynamics(MatchingPennies(), [("H", "H"), ("T", "H")])
     assert res.fixed_points == ()
     assert res.n_cycles == 2
+
+
+class OneUlpApart(TabularGame):
+    """Agent 0's second action beats its first by one ulp near 1e5; agent 1
+    has a single action."""
+
+    n_agents = 2
+    low = 1e5
+    high = float(np.nextafter(1e5, np.inf))
+
+    def action_set(self, agent):
+        return ["a", "b"] if agent == 0 else ["x"]
+
+    def utility(self, agent, actions):
+        if agent == 1:
+            return 0.0
+        return self.low if actions[0] == "a" else self.high
+
+
+def test_brd_margin_is_relative():
+    # one ulp at 1e5 is a rounding tie, not an improvement: no switch
+    res = best_response_dynamics(OneUlpApart(), [("a", "x")])
+    assert res.fixed_points == (("a", "x"),)
+    assert res.iterations == (1,)
+    assert res.n_cycles == 0
 
 
 def test_brd_converges_on_combined_game():
