@@ -34,8 +34,8 @@ from .equilibrium import (Action, BneReport, BrdResult, CombinedGame,
                           weak_dominance_witnesses)
 from .smoothness import (ONE_MINUS_INV_E, OPT_OUT, CheckDomain,
                          CombinedSingleItemGame, FiniteDist, LiftedAction,
-                         MultiUnitDiscriminatory, MultiUnitUniformPrice,
-                         RoundAction, SingleItemAllPay, SingleItemFirstPrice,
+                         MultiUnitDiscriminatory, RoundAction,
+                         SingleItemAllPay, SingleItemFirstPrice,
                          SmoothableGame, SmoothnessCertificate,
                          SmoothnessReport, check_semi_smooth, check_smooth,
                          discriminatory_deviation,

@@ -1,11 +1,16 @@
 """Primary mechanisms: uniform-price (optional reserve), discriminatory,
-single-item first-price and all-pay, and the sequential posted-price sale."""
+single-item first-price and all-pay, and the sequential posted-price sale.
+Next to the discriminatory and first-price clearings are kernels that clear
+one agent's many alternative bids at once against fixed opponents, under the
+same tie rules."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .allocation import Allocation
 from .valuations import MarginalValuation
@@ -88,9 +93,11 @@ class AuctionOutcome:
         return sum(self.payments)
 
 
-def _tiebreak_priorities(tiebreak: Sequence[int], n: int) -> list[int]:
-    """Per-agent tie priorities (lower wins); `tiebreak` must be a permutation
-    of range(n)."""
+def _tiebreak_priorities(tiebreak: Optional[Sequence[int]], n: int) -> list[int]:
+    """Per-agent tie priorities (lower wins): the agent index when `tiebreak`
+    is None, else `tiebreak`, which must be a permutation of range(n)."""
+    if tiebreak is None:
+        return list(range(n))
     prio = list(tiebreak)
     if sorted(prio) != list(range(n)):
         raise ValueError("tiebreak must be a permutation of range(n)")
@@ -102,8 +109,7 @@ def _sorted_entries(bids: Sequence[BidVector], m: int, reserve: Optional[float],
     """All marginal bid entries surviving the reserve, sorted by
     (bid desc, agent priority asc, unit asc). Implicit zeros included when no
     reserve filters them."""
-    prio = (list(range(len(bids))) if tiebreak is None
-            else _tiebreak_priorities(tiebreak, len(bids)))
+    prio = _tiebreak_priorities(tiebreak, len(bids))
     entries = []
     for i, bv in enumerate(bids):
         start = 0
@@ -168,13 +174,99 @@ def discriminatory(bids: Sequence[BidVector], m: int,
                           winning_bid_totals=tuple(bid_totals))
 
 
+class BidBatch:
+    """BidVectors as arrays, for clearing one agent's alternative bids at
+    once: per-unit bids with the implicit zeros (`units`, padded to the
+    widest vector), a mask of the real units, and the explicit runs
+    (`run_bids`, `run_counts`, padded with empty runs)."""
+
+    __slots__ = ("units", "real", "run_bids", "run_counts")
+
+    def __init__(self, bids: Sequence[BidVector]):
+        width = max((bv.m for bv in bids), default=0)
+        n_runs = max((len(bv.runs) for bv in bids), default=0)
+        self.units = np.zeros((len(bids), width))
+        self.real = np.zeros((len(bids), width), dtype=bool)
+        self.run_bids = np.zeros((len(bids), n_runs))
+        self.run_counts = np.zeros((len(bids), n_runs), dtype=np.int64)
+        for a, bv in enumerate(bids):
+            start = 0
+            for r, (b, c) in enumerate(bv.runs):
+                self.units[a, start:start + c] = b
+                self.run_bids[a, r] = b
+                self.run_counts[a, r] = c
+                start += c
+            self.real[a, :bv.m] = True
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+
+def discriminatory_units_won(bids: Sequence[BidVector], agent: int,
+                             batch: BidBatch, m: int,
+                             tiebreak: Optional[Sequence[int]] = None):
+    """Units won and payments of `agent` for every bid vector in `batch`, the
+    other bids fixed, as discriminatory() clears them. The agent's unit j is
+    won iff (other agents' units ranked above it) + j < m; a unit ranks above
+    a bid d if its bid exceeds d, or equals d with a lower priority, and the
+    implicit zero bids count, as in _sorted_entries. Won units form a prefix,
+    and the payment adds bid * units won run by run, as _allocate does.
+    Returns two arrays: unit counts and payments."""
+    prio = _tiebreak_priorities(tiebreak, len(bids))
+    ahead, behind = [], []  # other agents' units that win / lose a tie
+    for i, bv in enumerate(bids):
+        if i == agent:
+            continue
+        units = ahead if prio[i] < prio[agent] else behind
+        for b, c in bv.runs:
+            units.extend([b] * c)
+        units.extend([0.0] * (bv.m - sum(c for _, c in bv.runs)))
+    ahead, behind = np.sort(ahead), np.sort(behind)
+    d = batch.units
+    above = (len(ahead) - np.searchsorted(ahead, d, side="left")
+             + len(behind) - np.searchsorted(behind, d, side="right"))
+    won = batch.real & (above + np.arange(d.shape[1]) < m)
+    counts = won.sum(axis=1)
+    payments = np.zeros(len(batch))
+    start = np.zeros(len(batch), dtype=np.int64)
+    for r in range(batch.run_bids.shape[1]):
+        take = np.clip(counts - start, 0, batch.run_counts[:, r])
+        payments = payments + batch.run_bids[:, r] * take
+        start = start + batch.run_counts[:, r]
+    return counts, payments
+
+
+def _first_price_winner(bids: Sequence[float], prio: Sequence[int],
+                        bidders: Sequence[int]) -> int:
+    """The highest bid among `bidders` wins; ties go to the lowest
+    priority."""
+    return min(bidders, key=lambda i: (-bids[i], prio[i]))
+
+
+def first_price_deviation_wins(bids: Sequence[float], agent: int, deviations,
+                               tiebreak: Optional[Sequence[int]] = None):
+    """Whether `agent` wins the single item with each bid in the array
+    `deviations`, the other bids fixed, under the rule of first_price_single:
+    a deviation d wins iff d > B, or d == B and the agent's priority beats
+    the rival's, where the rival is the best other bidder (bid B). Returns
+    (mask, rival); the rival wins whenever the agent loses, and is None when
+    no one else bids."""
+    prio = _tiebreak_priorities(tiebreak, len(bids))
+    d = np.asarray(deviations, dtype=float)
+    others = [i for i in range(len(bids)) if i != agent]
+    if not others:
+        return np.ones(d.shape, dtype=bool), None
+    rival = _first_price_winner(bids, prio, others)
+    b = bids[rival]
+    return (d > b) | ((d == b) & (prio[agent] < prio[rival])), rival
+
+
 def first_price_single(bids: Sequence[float],
                        tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
     """Single item: highest bid wins (ties to lowest priority index), winner
     pays her bid."""
-    prio = (list(range(len(bids))) if tiebreak is None
-            else _tiebreak_priorities(tiebreak, len(bids)))
-    winner = min(range(len(bids)), key=lambda i: (-bids[i], prio[i]))
+    prio = _tiebreak_priorities(tiebreak, len(bids))
+    winner = _first_price_winner(bids, prio, range(len(bids)))
     counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
     payments = tuple(bids[winner] if i == winner else 0.0 for i in range(len(bids)))
     return AuctionOutcome(Allocation(counts), payments)
@@ -183,9 +275,8 @@ def first_price_single(bids: Sequence[float],
 def all_pay_single(bids: Sequence[float],
                    tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
     """Single item: highest bid wins; every agent pays her own bid."""
-    prio = (list(range(len(bids))) if tiebreak is None
-            else _tiebreak_priorities(tiebreak, len(bids)))
-    winner = min(range(len(bids)), key=lambda i: (-bids[i], prio[i]))
+    prio = _tiebreak_priorities(tiebreak, len(bids))
+    winner = _first_price_winner(bids, prio, range(len(bids)))
     counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
     return AuctionOutcome(Allocation(counts), tuple(float(b) for b in bids))
 

@@ -226,7 +226,10 @@ def cmd_smooth_audit(opts: dict, seed: int, out: Optional[str],
     game = SingleItemFirstPrice(len(values))
     domain = CheckDomain((values,), tuple(bids for _ in values))
     report = check_smooth(game, cert, domain)
+    # the most the discretized deviation can lose against the continuum
+    bound = ONE_MINUS_INV_E * max(values) / int(opts["resolution"])
     row = {"lam": lam, "mu": mu, "min_slack": report.min_slack,
+           "discretization_bound": bound,
            "profiles_checked": report.n_profiles_checked,
            "poa_bound": poa_bound(lam, mu), "ok": report.passes(tol)}
     comment = (f"# config_hash={_config_hash('smooth-audit', opts, seed)} "

@@ -9,19 +9,25 @@ A game is (lambda, mu)-smooth if for every valuation profile v there are
     sum_i E[u_i(a*_i(v), a_{-i}; v)] >= lambda * OPT(v) - mu * Rev(a)
 for every action profile a. Semi-smoothness restricts a*_i to depend on v_i
 only. Certificates are checked on finite domains: the reported slack is the
-minimum of LHS - lambda*OPT + mu*Rev over the domain.
+minimum of LHS - lambda*OPT + mu*Rev over the domain. Each expected
+deviation utility is computed once per (agent, value profile, opponents'
+actions) key, by one array-valued `deviation_utilities` call over every atom
+of the deviation.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .allocation import opt_allocation
-from .auctions import (BidVector, all_pay_single, discriminatory,
+from .auctions import (BidBatch, BidVector, all_pay_single, discriminatory,
+                       discriminatory_units_won, first_price_deviation_wins,
                        first_price_single, uniform_price)
 from .valuations import MarginalValuation
 
@@ -56,21 +62,23 @@ class FiniteDist:
 class SmoothnessCertificate:
     """(lam, mu) plus a deviation generator. A generator of arity
     (agent, value_profile) certifies smoothness; arity (agent, own_value)
-    certifies semi-smoothness (the deviation cannot see opponents' values)."""
+    certifies semi-smoothness (the deviation cannot see opponents' values).
+    The arity is checked once, at construction."""
 
     lam: float
     mu: float
     generator: Callable[..., FiniteDist]
     name: str = ""
+    semi: bool = field(init=False, repr=False)
 
-    @property
-    def semi(self) -> bool:
+    def __post_init__(self):
         params = [p for p in inspect.signature(self.generator).parameters.values()
                   if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-        if len(params) not in (2,):
+        if len(params) != 2:
             raise ValueError("generator must take (agent, value_profile) or "
                              "(agent, own_value)")
-        return params[1].name in ("own_value", "own_valuation", "value", "valuation")
+        object.__setattr__(self, "semi", params[1].name in (
+            "own_value", "own_valuation", "value", "valuation"))
 
     def deviation(self, agent: int, values: tuple) -> FiniteDist:
         if self.semi:
@@ -83,7 +91,13 @@ class SmoothnessCertificate:
 
 class SmoothableGame:
     """Complete-information normal form: utilities and designer revenue for a
-    (value profile, action profile) pair, plus the optimal welfare."""
+    (value profile, action profile) pair, plus the optimal welfare.
+
+    `deviation_utilities` gives one agent's utility for each atom of a
+    deviation while the others' actions stay fixed. The base class calls
+    `utilities_and_revenue` once per atom, so a game defined elsewhere needs
+    only the two methods above; the games of this module clear all atoms at
+    once and must return exactly what the base class would."""
 
     n_agents: int
 
@@ -92,6 +106,19 @@ class SmoothableGame:
 
     def opt_welfare(self, values: tuple) -> float:
         raise NotImplementedError
+
+    def deviation_atoms(self, support: Sequence):
+        """The deviation actions `support` in the form deviation_utilities
+        takes; check_smooth converts each deviation once per value profile."""
+        return tuple(support)
+
+    def deviation_utilities(self, values: tuple, actions: tuple, agent: int,
+                            atoms) -> np.ndarray:
+        """Utility of `agent` playing each atom (as made by deviation_atoms)
+        against the others' entries of `actions`."""
+        head, tail = actions[:agent], actions[agent + 1:]
+        return np.array([self.utilities_and_revenue(values, head + (d,) + tail)[0][agent]
+                         for d in atoms], dtype=float)
 
 
 class SingleItemFirstPrice(SmoothableGame):
@@ -107,6 +134,14 @@ class SingleItemFirstPrice(SmoothableGame):
     def opt_welfare(self, values):
         return max(values)
 
+    def deviation_atoms(self, support):
+        return np.array(support, dtype=float)
+
+    def deviation_utilities(self, values, actions, agent, atoms):
+        wins, _ = first_price_deviation_wins(actions, agent, atoms)
+        v = values[agent]
+        return np.where(wins, v * 1 - atoms, v * 0 - 0.0)
+
 
 class SingleItemAllPay(SmoothableGame):
     def __init__(self, n_agents: int):
@@ -120,6 +155,14 @@ class SingleItemAllPay(SmoothableGame):
 
     def opt_welfare(self, values):
         return max(values)
+
+    def deviation_atoms(self, support):
+        return np.array(support, dtype=float)
+
+    def deviation_utilities(self, values, actions, agent, atoms):
+        wins, _ = first_price_deviation_wins(actions, agent, atoms)
+        v = values[agent]
+        return np.where(wins, v * 1, v * 0) - atoms
 
 
 class MultiUnitDiscriminatory(SmoothableGame):
@@ -138,23 +181,15 @@ class MultiUnitDiscriminatory(SmoothableGame):
     def opt_welfare(self, values):
         return opt_allocation(values, self.m)[1]
 
+    def deviation_atoms(self, support):
+        return BidBatch(support)
 
-class MultiUnitUniformPrice(SmoothableGame):
-    """Values are MarginalValuations, actions are BidVectors."""
-
-    def __init__(self, n_agents: int, m: int, reserve: Optional[float] = None):
-        self.n_agents = n_agents
-        self.m = m
-        self.reserve = reserve
-
-    def utilities_and_revenue(self, values, actions):
-        out = uniform_price(list(actions), self.m, self.reserve)
-        utils = tuple(values[i].value(out.alloc[i]) - out.payments[i]
-                      for i in range(self.n_agents))
-        return utils, out.revenue
-
-    def opt_welfare(self, values):
-        return opt_allocation(values, self.m)[1]
+    def deviation_utilities(self, values, actions, agent, atoms):
+        counts, payments = discriminatory_units_won(actions, agent, atoms, self.m)
+        own = values[agent]
+        worth = np.array([own.value(k) for k in range(atoms.units.shape[1] + 1)],
+                         dtype=float)
+        return worth[counts] - payments
 
 
 # -- the combined (auction + aftermarket) lift -----------------------------
@@ -182,6 +217,20 @@ class LiftedAction:
     rounds: tuple = ()
 
 
+class _CombinedAtoms(NamedTuple):
+    """Deviation atoms of the combined game: auction bids, and the index of
+    each atom's aftermarket plan (its round actions) into `plans`, one
+    representative atom per distinct plan."""
+
+    bids: np.ndarray
+    plan: np.ndarray
+    plans: tuple
+
+
+def _auction_bid(action):
+    return action.auction if isinstance(action, LiftedAction) else action
+
+
 class CombinedSingleItemGame(SmoothableGame):
     """Single-item first-price auction followed by `rounds` winner-led posted
     resale rounds. Designer revenue is the auction revenue; resale transfers
@@ -197,9 +246,16 @@ class CombinedSingleItemGame(SmoothableGame):
         return action.rounds[r]
 
     def utilities_and_revenue(self, values, actions):
-        bids = [a.auction if isinstance(a, LiftedAction) else a for a in actions]
-        out = first_price_single(list(bids))
-        holder = max(range(self.n_agents), key=lambda i: out.alloc[i])
+        out = first_price_single([_auction_bid(a) for a in actions])
+        holder, transfers = self._resale(values, actions, out.alloc.counts.index(1))
+        utils = tuple(values[i] * (1 if i == holder else 0)
+                      - out.payments[i] - transfers[i]
+                      for i in range(self.n_agents))
+        return utils, out.revenue
+
+    def _resale(self, values, actions, holder: int):
+        """The resale rounds from the auction winner `holder`: the final
+        holder and each agent's net transfer."""
         transfers = [0.0] * self.n_agents
         for r in range(self.rounds):
             sell = self._round_action(actions[holder], r)
@@ -219,13 +275,42 @@ class CombinedSingleItemGame(SmoothableGame):
                     transfers[holder] -= price
                     holder = b
                     break
-        utils = tuple(values[i] * (1 if i == holder else 0)
-                      - out.payments[i] - transfers[i]
-                      for i in range(self.n_agents))
-        return utils, out.revenue
+        return holder, transfers
 
     def opt_welfare(self, values):
         return max(values)
+
+    def deviation_atoms(self, support):
+        index: dict = {}
+        plans = []
+        plan = []
+        for a in support:
+            key = tuple(self._round_action(a, r) for r in range(self.rounds))
+            if key not in index:
+                index[key] = len(plans)
+                plans.append(a)
+            plan.append(index[key])
+        return _CombinedAtoms(np.array([_auction_bid(a) for a in support], dtype=float),
+                              np.array(plan, dtype=np.int64), tuple(plans))
+
+    def deviation_utilities(self, values, actions, agent, atoms):
+        """The auction sees a deviation only through win or lose, so the
+        resale rounds run once per (auction winner, distinct plan)."""
+        wins, rival = first_price_deviation_wins(
+            [_auction_bid(a) for a in actions], agent, atoms.bids)
+        v = values[agent]
+        out = np.empty(len(atoms.bids))
+        for k, rep in enumerate(atoms.plans):
+            trial = actions[:agent] + (rep,) + actions[agent + 1:]
+            for won in (True, False):
+                sel = (atoms.plan == k) & (wins == won)
+                if not sel.any():
+                    continue
+                holder, transfers = self._resale(values, trial,
+                                                 agent if won else rival)
+                paid = atoms.bids[sel] if won else 0.0
+                out[sel] = (v * (1 if holder == agent else 0) - paid) - transfers[agent]
+        return out
 
 
 def lift_certificate_to_combined(cert: SmoothnessCertificate) -> SmoothnessCertificate:
@@ -256,7 +341,14 @@ def fpa_deviation(own_value: float, resolution: int = 200) -> FiniteDist:
     """Discretized single-item first-price deviation certifying
     (1 - 1/e, 1): support y_k = (1-1/e) v k/res with the telescoping masses
     ln((v - y_k)/(v - y_{k+1})); in the continuum E[(v - y) 1{y > B}] =
-    (1-1/e) v - B for any opponent bid B below the support top."""
+    (1-1/e) v - B for any opponent bid B below the support top.
+
+    Discretization bound: each cell's mass sits at its lower end, which
+    earns more when it wins and loses only in the one cell that holds B (or
+    starts at B and loses the tie). So for every opponent bid the deviation
+    loses at most (1-1/e) v / resolution against the continuum, and a
+    (1-1/e, 1) check has slack >= -(1-1/e) max(v) / resolution: -3.16e-4 for
+    max(v) = 1 at resolution 2000."""
     v = float(own_value)
     if v <= 0.0:
         return FiniteDist.point(0.0)
@@ -321,12 +413,18 @@ class CheckDomain:
 
 @dataclass(frozen=True)
 class SmoothnessReport:
+    """The minimum slack and where it occurs. `n_deviation_keys` counts the
+    expected deviation utilities computed (one per agent, value profile and
+    opponents' actions) and `n_deviation_atoms` the atoms they summed."""
+
     min_slack: float
     worst_values: tuple
     worst_actions: tuple
     n_profiles_checked: int
     lam: float
     mu: float
+    n_deviation_keys: int
+    n_deviation_atoms: int
 
     def passes(self, tol: float = 0.0) -> bool:
         return self.min_slack >= -tol
@@ -335,25 +433,31 @@ class SmoothnessReport:
 def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
                  domain: CheckDomain) -> SmoothnessReport:
     """Minimum certificate slack over the domain. Expected deviation
-    utilities are cached per (agent, value profile, opponents' actions)."""
+    utilities are cached per (agent, value profile, opponents' actions); each
+    is one deviation_utilities call over all atoms, summed in atom order
+    (np.cumsum adds sequentially, as FiniteDist.expect does)."""
     min_slack = math.inf
     worst = ((), ())
-    checked = 0
-    for vi, values in enumerate(domain.value_profiles):
-        devs = [cert.deviation(i, values) for i in range(game.n_agents)]
+    checked = n_keys = n_atoms = 0
+    for values in domain.value_profiles:
+        devs = []
+        for i in range(game.n_agents):
+            dist = cert.deviation(i, values)
+            devs.append((game.deviation_atoms([a for a, _ in dist.atoms]),
+                         np.array([p for _, p in dist.atoms], dtype=float)))
         opt = game.opt_welfare(values)
         cache: dict = {}
         for actions in domain.action_profiles():
             _, rev = game.utilities_and_revenue(values, actions)
             lhs = 0.0
             for i in range(game.n_agents):
-                others = actions[:i] + actions[i + 1:]
-                key = (i, others)
+                key = (i, actions[:i] + actions[i + 1:])
                 if key not in cache:
-                    def u_dev(d, i=i, actions=actions):
-                        trial = actions[:i] + (d,) + actions[i + 1:]
-                        return game.utilities_and_revenue(values, trial)[0][i]
-                    cache[key] = devs[i].expect(u_dev)
+                    atoms, probs = devs[i]
+                    utils = game.deviation_utilities(values, actions, i, atoms)
+                    cache[key] = float(np.cumsum(probs * utils)[-1])
+                    n_keys += 1
+                    n_atoms += len(probs)
                 lhs += cache[key]
             slack = lhs - cert.lam * opt + cert.mu * rev
             checked += 1
@@ -361,7 +465,7 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
                 min_slack = slack
                 worst = (values, actions)
     return SmoothnessReport(min_slack, worst[0], worst[1], checked,
-                            cert.lam, cert.mu)
+                            cert.lam, cert.mu, n_keys, n_atoms)
 
 
 def check_semi_smooth(game: SmoothableGame, cert: SmoothnessCertificate,

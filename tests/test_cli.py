@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -74,6 +75,15 @@ def test_smooth_audit_pass_and_fail(capsys):
     code, out, _ = run_cli(["smooth-audit", "--tol", "1e-3"], capsys)
     assert code == 0
     assert parse_csv(out)[0]["ok"] == "True"
+
+
+def test_smooth_audit_reports_discretization_bound(capsys):
+    # at the defaults the slack sits just below 0, within the bound
+    code, out, _ = run_cli(["smooth-audit", "--tol", "1e-3"], capsys)
+    row = parse_csv(out)[0]
+    bound = float(row["discretization_bound"])
+    assert bound == pytest.approx((1.0 - math.exp(-1.0)) / 2000, rel=1e-12)
+    assert -bound <= float(row["min_slack"]) < 0.0
 
 
 def test_smooth_audit_violation_exits_2(tmp_path, capsys):

@@ -1,13 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aftermarkets.auctions import BidVector
+from aftermarkets.auctions import (BidBatch, BidVector, discriminatory,
+                                   discriminatory_units_won,
+                                   first_price_deviation_wins,
+                                   first_price_single)
 from aftermarkets.smoothness import (ONE_MINUS_INV_E, OPT_OUT, CheckDomain,
                                      CombinedSingleItemGame, FiniteDist,
                                      LiftedAction, MultiUnitDiscriminatory,
                                      RoundAction, SingleItemAllPay,
-                                     SingleItemFirstPrice,
+                                     SingleItemFirstPrice, SmoothableGame,
                                      SmoothnessCertificate, check_semi_smooth,
                                      check_smooth, discriminatory_deviation,
                                      discriminatory_deviation_generator,
@@ -167,3 +172,139 @@ def test_finite_dist_validation():
     d = FiniteDist(((2.0, 0.25), (4.0, 0.75)))
     assert d.expect(lambda x: x) == pytest.approx(3.5)
     assert d.map(lambda x: 2 * x).atoms == ((4.0, 0.25), (8.0, 0.75))
+
+
+def test_generator_arity_checked_at_construction():
+    def gen(agent, own_value, resolution):
+        return FiniteDist.point(0.0)
+    with pytest.raises(ValueError):
+        SmoothnessCertificate(0.5, 1.0, gen)
+
+
+def test_report_counts_deviation_keys_and_atoms():
+    # 3 value profiles x 2 agents x 11 opponent bids, 2000 atoms each
+    dom = CheckDomain(((1.0, 0.5), (1.0, 0.1), (0.7, 0.7)), (BID_GRID, BID_GRID))
+    rep = check_smooth(SingleItemFirstPrice(2), fpa_cert(2000), dom)
+    assert rep.n_profiles_checked == 3 * 11 * 11
+    assert rep.n_deviation_keys == 66
+    assert rep.n_deviation_atoms == 66 * 2000
+
+
+@pytest.mark.parametrize("resolution", (50, 200, 2000))
+def test_fpa_slack_within_discretization_bound(resolution):
+    cert = fpa_cert(resolution)
+    domains = [((1.0, 0.5), BID_GRID), ((0.7, 0.7), BID_GRID),
+               ((1.0, 0.0), BID_GRID), ((1.0, 0.4), BID_GRID),
+               ((1.0, 0.1), (0.6,)), ((1.0, 0.5, 0.2), BID_GRID[:6])]
+    for values, bids in domains:
+        dom = CheckDomain((values,), (bids,) * len(values))
+        rep = check_smooth(SingleItemFirstPrice(len(values)), cert, dom)
+        assert rep.min_slack >= -ONE_MINUS_INV_E * max(values) / resolution - 1e-12
+
+
+# -- batched deviation utilities against the per-atom reference ------------
+
+GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+BIDS = st.one_of(st.sampled_from(GRID), st.floats(0.0, 1.5))
+VALUES = st.one_of(st.sampled_from(GRID + (2.0,)), st.floats(0.0, 2.0))
+
+
+def assert_matches_reference(game, values, actions, agent, support):
+    fast = game.deviation_utilities(values, actions, agent,
+                                    game.deviation_atoms(support))
+    ref = SmoothableGame.deviation_utilities(game, values, actions, agent,
+                                             tuple(support))
+    assert fast.dtype == ref.dtype and fast.shape == ref.shape
+    assert fast.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_single_item_deviation_utilities_match_reference(data):
+    n = data.draw(st.integers(1, 4))
+    kind = data.draw(st.sampled_from((SingleItemFirstPrice, SingleItemAllPay)))
+    game = kind(n)
+    values = tuple(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
+    actions = tuple(data.draw(st.lists(BIDS, min_size=n, max_size=n)))
+    support = data.draw(st.lists(BIDS, min_size=1, max_size=20))
+    agent = data.draw(st.integers(0, n - 1))
+    assert_matches_reference(game, values, actions, agent, support)
+
+
+@st.composite
+def bid_vectors(draw, m):
+    bids = sorted(draw(st.lists(BIDS, max_size=m)), reverse=True)
+    return BidVector(bids, draw(st.integers(len(bids), m)))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_discriminatory_deviation_utilities_match_reference(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 6))
+    game = MultiUnitDiscriminatory(n, m)
+    values = tuple(
+        MarginalValuation(sorted(data.draw(st.lists(VALUES, max_size=m + 1)),
+                                 reverse=True))
+        for _ in range(n))
+    actions = tuple(data.draw(bid_vectors(m)) for _ in range(n))
+    support = data.draw(st.lists(bid_vectors(m), min_size=1, max_size=12))
+    agent = data.draw(st.integers(0, n - 1))
+    assert_matches_reference(game, values, actions, agent, support)
+
+
+def round_actions():
+    prices = st.sampled_from(GRID + (math.inf,))
+    return st.one_of(st.just(OPT_OUT),
+                     st.builds(RoundAction, prices,
+                               st.one_of(st.none(), st.sampled_from(GRID))))
+
+
+def lifted_actions(rounds):
+    return st.one_of(BIDS, st.builds(
+        LiftedAction, BIDS,
+        st.lists(round_actions(), max_size=rounds + 1).map(tuple)))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_combined_deviation_utilities_match_reference(data):
+    n = data.draw(st.integers(1, 4))
+    rounds = data.draw(st.integers(1, 3))
+    game = CombinedSingleItemGame(n, rounds)
+    values = tuple(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
+    actions = tuple(data.draw(lifted_actions(rounds)) for _ in range(n))
+    support = data.draw(st.lists(lifted_actions(rounds), min_size=1, max_size=12))
+    agent = data.draw(st.integers(0, n - 1))
+    assert_matches_reference(game, values, actions, agent, support)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_first_price_deviation_wins_matches_clearing(data):
+    n = data.draw(st.integers(1, 4))
+    tiebreak = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+    bids = data.draw(st.lists(BIDS, min_size=n, max_size=n))
+    devs = data.draw(st.lists(BIDS, min_size=1, max_size=20))
+    agent = data.draw(st.integers(0, n - 1))
+    wins, rival = first_price_deviation_wins(bids, agent, devs, tiebreak)
+    for d, won in zip(devs, wins):
+        out = first_price_single(bids[:agent] + [d] + bids[agent + 1:], tiebreak)
+        assert out.alloc[agent] == won
+        assert won or out.alloc[rival] == 1
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_discriminatory_units_won_matches_clearing(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 6))
+    tiebreak = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+    bids = [data.draw(bid_vectors(m)) for _ in range(n)]
+    support = data.draw(st.lists(bid_vectors(m), min_size=1, max_size=12))
+    agent = data.draw(st.integers(0, n - 1))
+    counts, payments = discriminatory_units_won(bids, agent, BidBatch(support),
+                                                m, tiebreak)
+    for bv, count, paid in zip(support, counts, payments):
+        out = discriminatory(bids[:agent] + [bv] + bids[agent + 1:], m, tiebreak)
+        assert (out.alloc[agent], out.payments[agent]) == (count, paid)
