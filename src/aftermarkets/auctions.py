@@ -93,11 +93,9 @@ class AuctionOutcome:
         return sum(self.payments)
 
 
-def _tiebreak_priorities(tiebreak: Optional[Sequence[int]], n: int) -> list[int]:
-    """Per-agent tie priorities (lower wins): the agent index when `tiebreak`
-    is None, else `tiebreak`, which must be a permutation of range(n)."""
-    if tiebreak is None:
-        return list(range(n))
+def _tiebreak_priorities(tiebreak: Sequence[int], n: int) -> list[int]:
+    """Per-agent tie priorities (lower wins); `tiebreak` must be a permutation
+    of range(n)."""
     prio = list(tiebreak)
     if sorted(prio) != list(range(n)):
         raise ValueError("tiebreak must be a permutation of range(n)")
@@ -109,7 +107,8 @@ def _sorted_entries(bids: Sequence[BidVector], m: int, reserve: Optional[float],
     """All marginal bid entries surviving the reserve, sorted by
     (bid desc, agent priority asc, unit asc). Implicit zeros included when no
     reserve filters them."""
-    prio = _tiebreak_priorities(tiebreak, len(bids))
+    prio = (list(range(len(bids))) if tiebreak is None
+            else _tiebreak_priorities(tiebreak, len(bids)))
     entries = []
     for i, bv in enumerate(bids):
         start = 0
@@ -203,21 +202,20 @@ class BidBatch:
 
 
 def discriminatory_units_won(bids: Sequence[BidVector], agent: int,
-                             batch: BidBatch, m: int,
-                             tiebreak: Optional[Sequence[int]] = None):
+                             batch: BidBatch, m: int):
     """Units won and payments of `agent` for every bid vector in `batch`, the
     other bids fixed, as discriminatory() clears them. The agent's unit j is
     won iff (other agents' units ranked above it) + j < m; a unit ranks above
-    a bid d if its bid exceeds d, or equals d with a lower priority, and the
-    implicit zero bids count, as in _sorted_entries. Won units form a prefix,
-    and the payment adds bid * units won run by run, as _allocate does.
+    a bid d if its bid exceeds d, or equals d from a lower agent index, and
+    the implicit zero bids count, as in _sorted_entries. Won units form a
+    prefix, and the payment adds bid * units won run by run, as _allocate
+    does.
     Returns two arrays: unit counts and payments."""
-    prio = _tiebreak_priorities(tiebreak, len(bids))
     ahead, behind = [], []  # other agents' units that win / lose a tie
     for i, bv in enumerate(bids):
         if i == agent:
             continue
-        units = ahead if prio[i] < prio[agent] else behind
+        units = ahead if i < agent else behind
         for b, c in bv.runs:
             units.extend([b] * c)
         units.extend([0.0] * (bv.m - sum(c for _, c in bv.runs)))
@@ -243,29 +241,28 @@ def _first_price_winner(bids: Sequence[float], prio: Sequence[int],
     return min(bidders, key=lambda i: (-bids[i], prio[i]))
 
 
-def first_price_deviation_wins(bids: Sequence[float], agent: int, deviations,
-                               tiebreak: Optional[Sequence[int]] = None):
+def first_price_deviation_wins(bids: Sequence[float], agent: int, deviations):
     """Whether `agent` wins the single item with each bid in the array
     `deviations`, the other bids fixed, under the rule of first_price_single:
-    a deviation d wins iff d > B, or d == B and the agent's priority beats
+    a deviation d wins iff d > B, or d == B and the agent's index is below
     the rival's, where the rival is the best other bidder (bid B). Returns
     (mask, rival); the rival wins whenever the agent loses, and is None when
     no one else bids."""
-    prio = _tiebreak_priorities(tiebreak, len(bids))
     d = np.asarray(deviations, dtype=float)
     others = [i for i in range(len(bids)) if i != agent]
     if not others:
         return np.ones(d.shape, dtype=bool), None
-    rival = _first_price_winner(bids, prio, others)
+    rival = _first_price_winner(bids, range(len(bids)), others)
     b = bids[rival]
-    return (d > b) | ((d == b) & (prio[agent] < prio[rival])), rival
+    return (d > b) | ((d == b) & (agent < rival)), rival
 
 
 def first_price_single(bids: Sequence[float],
                        tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
     """Single item: highest bid wins (ties to lowest priority index), winner
     pays her bid."""
-    prio = _tiebreak_priorities(tiebreak, len(bids))
+    prio = (list(range(len(bids))) if tiebreak is None
+            else _tiebreak_priorities(tiebreak, len(bids)))
     winner = _first_price_winner(bids, prio, range(len(bids)))
     counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
     payments = tuple(bids[winner] if i == winner else 0.0 for i in range(len(bids)))
@@ -275,7 +272,8 @@ def first_price_single(bids: Sequence[float],
 def all_pay_single(bids: Sequence[float],
                    tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
     """Single item: highest bid wins; every agent pays her own bid."""
-    prio = _tiebreak_priorities(tiebreak, len(bids))
+    prio = (list(range(len(bids))) if tiebreak is None
+            else _tiebreak_priorities(tiebreak, len(bids)))
     winner = _first_price_winner(bids, prio, range(len(bids)))
     counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
     return AuctionOutcome(Allocation(counts), tuple(float(b) for b in bids))

@@ -34,6 +34,13 @@ from .valuations import MarginalValuation
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
 
+def _expectation(probs: np.ndarray, utils: np.ndarray) -> float:
+    """The expectation sum(p * u), added in atom order by the built-in sum
+    of Python floats (compensated from Python 3.12 on). np.sum and np.dot
+    add pairwise and would change the last bits."""
+    return sum((probs * utils).tolist())
+
+
 @dataclass(frozen=True)
 class FiniteDist:
     """Finite-support distribution over actions: ((action, prob), ...)."""
@@ -52,7 +59,8 @@ class FiniteDist:
         return cls(((action, 1.0),))
 
     def expect(self, fn: Callable[[object], float]) -> float:
-        return sum(p * fn(a) for a, p in self.atoms)
+        return _expectation(np.array([p for _, p in self.atoms], dtype=float),
+                            np.array([fn(a) for a, _ in self.atoms], dtype=float))
 
     def map(self, fn: Callable[[object], object]) -> "FiniteDist":
         return FiniteDist(tuple((fn(a), p) for a, p in self.atoms))
@@ -96,8 +104,9 @@ class SmoothableGame:
     `deviation_utilities` gives one agent's utility for each atom of a
     deviation while the others' actions stay fixed. The base class calls
     `utilities_and_revenue` once per atom, so a game defined elsewhere needs
-    only the two methods above; the games of this module clear all atoms at
-    once and must return exactly what the base class would."""
+    only the two methods above. The first-price, discriminatory and combined
+    games clear all atoms at once and must return exactly what the base class
+    would."""
 
     n_agents: int
 
@@ -155,14 +164,6 @@ class SingleItemAllPay(SmoothableGame):
 
     def opt_welfare(self, values):
         return max(values)
-
-    def deviation_atoms(self, support):
-        return np.array(support, dtype=float)
-
-    def deviation_utilities(self, values, actions, agent, atoms):
-        wins, _ = first_price_deviation_wins(actions, agent, atoms)
-        v = values[agent]
-        return np.where(wins, v * 1, v * 0) - atoms
 
 
 class MultiUnitDiscriminatory(SmoothableGame):
@@ -434,8 +435,8 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
                  domain: CheckDomain) -> SmoothnessReport:
     """Minimum certificate slack over the domain. Expected deviation
     utilities are cached per (agent, value profile, opponents' actions); each
-    is one deviation_utilities call over all atoms, summed in atom order
-    (np.cumsum adds sequentially, as FiniteDist.expect does)."""
+    is one deviation_utilities call over all atoms, summed as
+    FiniteDist.expect sums."""
     min_slack = math.inf
     worst = ((), ())
     checked = n_keys = n_atoms = 0
@@ -455,7 +456,7 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
                 if key not in cache:
                     atoms, probs = devs[i]
                     utils = game.deviation_utilities(values, actions, i, atoms)
-                    cache[key] = float(np.cumsum(probs * utils)[-1])
+                    cache[key] = _expectation(probs, utils)
                     n_keys += 1
                     n_atoms += len(probs)
                 lhs += cache[key]
