@@ -6,8 +6,7 @@ from .aftermarket import (NO_OFFER, NeverBuy, Observation, ResaleSpec,
                           SignalProtocol, ThresholdBuyer, apply_signal,
                           check_weak_budget_balance, opt_out_outcome,
                           run_posted_resale)
-from .allocation import (Allocation, brute_force_opt, opt_allocation,
-                         per_unit_avg_welfare, welfare)
+from .allocation import Allocation, brute_force_opt, opt_allocation, welfare
 from .auctions import (AuctionOutcome, BidVector, all_pay_single,
                        discriminatory, first_price_single, posted_price_sell,
                        uniform_price)
@@ -19,8 +18,8 @@ from .combined import (CombinedOutcome, ExpectedOutcome, Mechanism, MonteCarlo,
                        Quadrature, Strategy, expected_optimal_welfare,
                        expected_outcome, play, profile_nodes)
 from .distributions import (Atom, EqualRevenueCapped, PiecewiseCdf, PointMass,
-                            Uniform, UnitDistribution, cdf_eval,
-                            expected_scalar, lower_bound_z_distribution,
+                            Uniform, UnitDistribution,
+                            lower_bound_z_distribution,
                             speculative_buyer_value_distribution)
 from .equilibrium import (Action, BneReport, BrdResult, CombinedGame,
                           CombinedTabularGame, ConstantActionEvaluator,

@@ -107,7 +107,7 @@ def run_posted_resale(initial: Allocation, spec: ResaleSpec,
     transfers = [0.0] * len(counts)
     for seller, buyers in spec.resolved_groups(initial):
         price = seller_prices.get(seller, NO_OFFER)
-        if price < 0:
+        if not price >= 0:  # also rejects NaN; inf means no offer
             raise ValueError("seller price must be nonnegative")
         if math.isinf(price):
             continue

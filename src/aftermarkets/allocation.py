@@ -35,6 +35,20 @@ def welfare(profile: Sequence[MarginalValuation], alloc: Allocation):
     return sum(v.value(x) for v, x in zip(profile, alloc.counts))
 
 
+def _ranked_runs(profile: Sequence[MarginalValuation]) -> list[tuple]:
+    """Every positive marginal run as (value, agent, start_unit, count), in
+    greedy order: value desc, then (agent asc, unit asc)."""
+    entries = []
+    for i, v in enumerate(profile):
+        start = 0
+        for val, cnt in v.runs:
+            if val > 0:
+                entries.append((val, i, start, cnt))
+            start += cnt
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    return entries
+
+
 def opt_allocation(profile: Sequence[MarginalValuation], k: int):
     """Greedy welfare maximum with at most k units: allocate the k globally
     largest positive marginals, ties broken by (agent asc, unit asc).
@@ -44,18 +58,10 @@ def opt_allocation(profile: Sequence[MarginalValuation], k: int):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    entries = []  # (value, agent, start_unit, count)
-    for i, v in enumerate(profile):
-        start = 0
-        for val, cnt in v.runs:
-            if val > 0:
-                entries.append((val, i, start, cnt))
-            start += cnt
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
     counts = [0] * len(profile)
     total = 0
     left = k
-    for val, i, _, cnt in entries:
+    for val, i, _, cnt in _ranked_runs(profile):
         if left == 0:
             break
         take = min(cnt, left)
@@ -63,6 +69,25 @@ def opt_allocation(profile: Sequence[MarginalValuation], k: int):
         total += val * take
         left -= take
     return Allocation(tuple(counts)), total
+
+
+def opt_welfares(profile: Sequence[MarginalValuation], m: int) -> list:
+    """[OPT(v; j) for j in 0..m] from one greedy pass. Each entry makes the
+    additions of `opt_allocation(profile, j)` in the same order (whole runs
+    as value * count, then value * take), so it equals that welfare
+    exactly."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    out = [0]
+    total = 0
+    for val, _, _, cnt in _ranked_runs(profile):
+        for take in range(1, min(cnt, m + 1 - len(out)) + 1):
+            out.append(total + val * take)
+        if len(out) > m:
+            break
+        total += val * cnt
+    out.extend([total] * (m + 1 - len(out)))
+    return out
 
 
 def brute_force_opt(profile: Sequence[MarginalValuation], k: int,
@@ -108,11 +133,3 @@ def _feasible_count(caps: list[int], k: int) -> int:
             new[s] = run
         dp = new
     return sum(dp)
-
-
-def per_unit_avg_welfare(profile: Sequence[MarginalValuation], m: int):
-    """w^v = OPT(v; m) / m."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    _, opt = opt_allocation(profile, m)
-    return opt / m

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import Allocation
-from .valuations import MarginalValuation
+from .valuations import MarginalValuation, _merge_runs
 
 
 class BidVector:
@@ -23,23 +23,9 @@ class BidVector:
     __slots__ = ("runs", "m")
 
     def __init__(self, marginals: Sequence[float], m: Optional[int] = None):
-        runs = []
-        prev = None
-        for b in marginals:
-            if not 0.0 <= b < math.inf:
-                raise ValueError("bids must be finite and nonnegative")
-            if prev is not None and b > prev:
-                raise ValueError("marginal bids must be non-increasing")
-            if runs and runs[-1][0] == b:
-                runs[-1][1] += 1
-            else:
-                runs.append([b, 1])
-            prev = b
-        total = sum(c for _, c in runs)
-        self.m = total if m is None else m
-        if total > self.m:
-            raise ValueError("more bids than units")
-        self.runs = tuple((b, c) for b, c in runs if b > 0)
+        runs = [(b, 1) for b in marginals]
+        obj = self.from_runs(runs, len(runs) if m is None else m)
+        self.runs, self.m = obj.runs, obj.m
 
     @classmethod
     def flat(cls, level: float, count: int, m: int) -> "BidVector":
@@ -47,27 +33,18 @@ class BidVector:
 
     @classmethod
     def from_runs(cls, runs: Sequence[tuple[float, int]], m: int) -> "BidVector":
-        obj = cls.__new__(cls)
-        merged = []
-        prev = None
         total = 0
-        for b, c in runs:
-            if c < 0 or not 0.0 <= b < math.inf:
-                raise ValueError("invalid bid run")
-            if c == 0:
-                continue
-            if prev is not None and b > prev:
-                raise ValueError("marginal bids must be non-increasing")
-            prev = b
+        positive = []
+        for b, c in _merge_runs(runs):
+            if not b < math.inf:  # NaN or inf; negatives are already rejected
+                raise ValueError("bids must be finite and nonnegative")
             total += c
             if b > 0:
-                if merged and merged[-1][0] == b:
-                    merged[-1] = (b, merged[-1][1] + c)
-                else:
-                    merged.append((b, c))
+                positive.append((b, c))
         if total > m:
             raise ValueError("more bids than units")
-        obj.runs = tuple(merged)
+        obj = cls.__new__(cls)
+        obj.runs = tuple(positive)
         obj.m = m
         return obj
 

@@ -18,21 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .allocation import opt_allocation
+from .allocation import opt_allocation, opt_welfares
 from .combined import Integration, Mechanism, Quadrature, expected_optimal_welfare
 from .valuations import MarginalValuation, MarketModel
 
 
 def realization_price(profile: Sequence[MarginalValuation], m: int):
     """w^v = OPT(v; m) / m; exact (a Fraction) for Fraction-valued profiles."""
+    return _per_unit(opt_allocation(profile, m)[1], m)
+
+
+def _per_unit(opt, m: int):
+    """opt / m; a Fraction when opt is an int or a Fraction."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    _, opt = opt_allocation(profile, m)
-    if isinstance(opt, int):
-        return Fraction(opt, m)
-    if isinstance(opt, Fraction):
-        return opt / m
-    return opt / m
+    return Fraction(opt, m) if isinstance(opt, int) else opt / m
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ def check_balanced_conditions(profile: Sequence[MarginalValuation], m: int,
     """Verify both balancedness inequalities for every k in 0..m. Defaults to
     the realization price and (1, 1); exact arithmetic when the inputs are
     exact."""
-    p = realization_price(profile, m) if price is None else price
-    opts = [opt_allocation(profile, j)[1] for j in range(m + 1)]
+    opts = opt_welfares(profile, m)
+    p = _per_unit(opts[m], m) if price is None else price
     worst_k = 0
     min_cover = None
     min_left = None

@@ -331,15 +331,3 @@ def speculative_buyer_value_distribution(eps: float, H: float) -> PiecewiseCdf:
                       pdf=lambda v: 1.0 / (v * v),
                       ppf=lambda u: 1.0 / (1.0 - u))
     return PiecewiseCdf((seg,), (Atom(0.0, 1.0 - eps), Atom(hi, eps / H)))
-
-
-def cdf_eval(dist: UnitDistribution, x: float) -> float:
-    """P[Z <= x]."""
-    return dist.cdf(x)
-
-
-def expected_scalar(dist: UnitDistribution, tol: float = 1e-10) -> float:
-    """E[Z] by adaptive quadrature of the survival function."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return dist.mean(tol)

@@ -7,18 +7,23 @@ Verification uses a constant-action fast path: when every strategy is a fixed
 (bid, aftermarket action) pair, the auction clears once per deviation. The
 aftermarket is integrated exactly over each resale group's <= 2 scalar random
 dimensions with the interval-moment rule, once per distinct group allocation
-and aftermarket action rather than once per deviation.
+and aftermarket action rather than once per deviation. Each quadrature cell
+realizes the group's valuations and trades through `run_posted_resale`, the
+same rule `play()` uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .aftermarket import NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer
+from .aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer,
+                          run_posted_resale)
+from .allocation import Allocation
 from .auctions import BidVector
 from .combined import Mechanism, Strategy, _run_auction
 from .distributions import UnitDistribution
@@ -73,19 +78,17 @@ class CombinedGame:
         return ConstantActionEvaluator(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ResaleStage:
     """One resale group's aftermarket over the tensor of its random
-    dimensions: the cell weights and, per member (seller first), the scalar
-    draws, post-resale holdings and resale transfers. `vals` keeps each
-    member's value of its holdings once it has been asked for. Every later
-    call with the same key reads these arrays, so none is written in place."""
+    dimensions: the cell weights and, per member (seller first), its value
+    of its post-resale holdings and its resale transfer in each cell. Every
+    later call with the same key reads these arrays, so none is written in
+    place."""
 
     weights: np.ndarray
-    scalars: dict
-    holdings: dict
+    vals: dict
     transfers: dict
-    vals: dict = field(default_factory=dict)
 
 
 class ConstantActionEvaluator:
@@ -158,7 +161,7 @@ class ConstantActionEvaluator:
     def _stage(self, block, alloc, price, thresholds) -> _ResaleStage:
         """The resale stage of `block` for one auction allocation of its
         members, seller price and buyer thresholds; integrated once per
-        distinct key."""
+        distinct key, one `run_posted_resale` per cell."""
         key = (block, alloc, price, thresholds)
         if key in self._stages:
             return self._stages[key]
@@ -169,43 +172,28 @@ class ConstantActionEvaluator:
         rand = [i for i in members if self.market.agents[i].random]
         axes = []
         for i in rand:
-            cut = cut_of[i] if i in cut_of and not math.isinf(price) else None
-            axes.append(self._cells(i, cut))
-        if axes:
-            grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-            wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-            scalars = {i: g.ravel() for i, g in zip(rand, grids)}
-            weights = np.ones(grids[0].size)
-            for wg in wgrids:
-                weights = weights * wg.ravel()
-        else:
-            scalars, weights = {}, np.ones(1)
-        size = weights.size
-        zero = np.zeros(size)
-        held = dict(zip(members, alloc))
-        bought = {i: zero.copy() for i in members}
-        transfers = {i: zero.copy() for i in members}
-        if not math.isinf(price):
-            stock = np.full(size, float(held[seller]))
-            for b in buyers:
-                s = scalars.get(b, zero)
-                want = self.market.agents[b].count_ge_vec(cut_of[b], s) - held[b]
-                q = np.clip(want, 0.0, stock)
-                bought[b] = q
-                transfers[b] = q * price
-                transfers[seller] = transfers[seller] - q * price
-                stock = stock - q
-            bought[seller] = -sum(bought[b] for b in buyers)
-        holdings = {i: held[i] + bought[i] for i in members}
-        stage = self._stages[key] = _ResaleStage(weights, scalars, holdings, transfers)
+            cells = self._cells(i, None if math.isinf(price) else cut_of.get(i))
+            axes.append(zip(cells[0].tolist(), cells[1].tolist()))
+        # members are indexed 0 (seller), 1.. (buyers) within the group
+        initial, spec = Allocation(alloc), ResaleSpec.single(0, range(1, len(members)))
+        policies = {j: ThresholdBuyer(thr) for j, thr in enumerate(thresholds, 1)}
+        weights, vals, transfers = [], [[] for _ in members], [[] for _ in members]
+        for cell in product(*axes):  # one (scalar, weight) per random member
+            scalars = {i: x for i, (x, _) in zip(rand, cell)}
+            weight = 1.0
+            for _, w in cell:
+                weight *= w
+            profile = [self.market.agents[i].realize(scalars.get(i)) for i in members]
+            trade = run_posted_resale(initial, spec, {0: price}, policies, profile)
+            weights.append(weight)
+            for j, v in enumerate(profile):
+                vals[j].append(v.value(trade.final_alloc[j]))
+                transfers[j].append(trade.transfers[j])
+        stage = self._stages[key] = _ResaleStage(
+            np.array(weights),
+            {i: np.array(v, dtype=float) for i, v in zip(members, vals)},
+            {i: np.array(t, dtype=float) for i, t in zip(members, transfers)})
         return stage
-
-    def _values(self, stage: _ResaleStage, i: int) -> np.ndarray:
-        """Member i's value of its post-resale holdings in each cell."""
-        if i not in stage.vals:
-            stage.vals[i] = self.market.agents[i].value_vec(
-                stage.holdings[i], stage.scalars.get(i, np.zeros(stage.weights.size)))
-        return stage.vals[i]
 
     def expected_utility(self, agent: int,
                          overrides: Optional[Mapping[int, Action]] = None) -> float:
@@ -214,12 +202,12 @@ class ConstantActionEvaluator:
         model = self.market.agents[agent]
         if agent in self._group_of:
             stage = self._group_stage(self._group_of[agent], acts, outcome)
-            u = (self._values(stage, agent) - outcome.payments[agent]
+            u = (stage.vals[agent] - outcome.payments[agent]
                  - stage.transfers[agent])
             return float(u @ stage.weights)
         if model.random:
             stage = self._alone_stage(agent, outcome)
-            return (float(self._values(stage, agent) @ stage.weights)
+            return (float(stage.vals[agent] @ stage.weights)
                     - outcome.payments[agent])
         return model.realize().value(outcome.alloc[agent]) - outcome.payments[agent]
 
@@ -229,14 +217,14 @@ class ConstantActionEvaluator:
         total = 0.0
         for block in self._blocks:
             stage = self._group_stage(block, acts, outcome)
-            for i in stage.holdings:  # seller first, then buyers in order
-                total += float(self._values(stage, i) @ stage.weights)
+            for i in stage.vals:  # seller first, then buyers in order
+                total += float(stage.vals[i] @ stage.weights)
         for i, model in enumerate(self.market.agents):
             if i in self._group_of:
                 continue
             if model.random:
                 stage = self._alone_stage(i, outcome)
-                total += float(self._values(stage, i) @ stage.weights)
+                total += float(stage.vals[i] @ stage.weights)
             else:
                 total += model.realize().value(outcome.alloc[i])
         return total

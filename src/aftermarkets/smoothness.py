@@ -25,7 +25,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .allocation import opt_allocation
+from .aftermarket import (NeverBuy, ResaleSpec, ThresholdBuyer,
+                          run_posted_resale)
+from .allocation import Allocation, opt_allocation
 from .auctions import (BidBatch, BidVector, all_pay_single, discriminatory,
                        discriminatory_units_won, first_price_deviation_wins,
                        first_price_single, uniform_price)
@@ -255,28 +257,23 @@ class CombinedSingleItemGame(SmoothableGame):
         return utils, out.revenue
 
     def _resale(self, values, actions, holder: int):
-        """The resale rounds from the auction winner `holder`: the final
-        holder and each agent's net transfer."""
+        """The resale rounds from the auction winner `holder`, each one
+        `run_posted_resale`: the final holder and each agent's net transfer."""
+        profile = [MarginalValuation([v]) for v in values]
+        alloc = Allocation(tuple(int(i == holder) for i in range(self.n_agents)))
         transfers = [0.0] * self.n_agents
         for r in range(self.rounds):
-            sell = self._round_action(actions[holder], r)
-            if sell is OPT_OUT or math.isinf(sell.seller_price):
-                continue
-            price = sell.seller_price
-            for b in range(self.n_agents):
-                if b == holder:
-                    continue
-                buy = self._round_action(actions[b], r)
-                if buy is OPT_OUT:
-                    continue
-                cut = price if buy.buyer_threshold is None else max(
-                    price, buy.buyer_threshold)
-                if values[b] >= cut:
-                    transfers[b] += price
-                    transfers[holder] -= price
-                    holder = b
-                    break
-        return holder, transfers
+            plan = [self._round_action(a, r) for a in actions]
+            prices = {i: a.seller_price for i, a in enumerate(plan)
+                      if a is not OPT_OUT}
+            policies = {i: NeverBuy() if a is OPT_OUT
+                        else ThresholdBuyer(a.buyer_threshold)
+                        for i, a in enumerate(plan)}
+            trade = run_posted_resale(alloc, ResaleSpec.winner_resale(), prices,
+                                      policies, profile)
+            alloc = trade.final_alloc
+            transfers = [t + d for t, d in zip(transfers, trade.transfers)]
+        return alloc.counts.index(1), transfers
 
     def opt_welfare(self, values):
         return max(values)

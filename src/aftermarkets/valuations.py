@@ -13,6 +13,28 @@ from .distributions import (PointMass, UnitDistribution, Uniform,
                             speculative_buyer_value_distribution)
 
 
+def _merge_runs(runs: Sequence[tuple]) -> list[tuple]:
+    """Validated (value, count) runs: nonnegative counts and values, values
+    non-increasing, zero counts skipped and equal neighbours merged."""
+    merged = []
+    for v, c in runs:
+        if c < 0:
+            raise ValueError("run count must be nonnegative")
+        if c == 0:
+            continue
+        if v < 0:
+            raise ValueError("marginal values must be nonnegative")
+        if merged:
+            last, count = merged[-1]
+            if v > last:
+                raise ValueError("marginals must be non-increasing")
+            if v == last:
+                merged[-1] = (v, count + c)
+                continue
+        merged.append((v, c))
+    return merged
+
+
 class MarginalValuation:
     """Non-increasing per-unit marginal values, stored as (value, count) runs.
 
@@ -24,40 +46,12 @@ class MarginalValuation:
     __slots__ = ("runs",)
 
     def __init__(self, marginals: Sequence):
-        runs = []
-        prev = None
-        for v in marginals:
-            if v < 0:
-                raise ValueError("marginal values must be nonnegative")
-            if prev is not None and v > prev:
-                raise ValueError("marginals must be non-increasing")
-            if runs and runs[-1][0] == v:
-                runs[-1][1] += 1
-            else:
-                runs.append([v, 1])
-            prev = v
-        self.runs = tuple((v, c) for v, c in runs)
+        self.runs = self.from_runs([(v, 1) for v in marginals]).runs
 
     @classmethod
     def from_runs(cls, runs: Sequence[tuple]) -> "MarginalValuation":
         obj = cls.__new__(cls)
-        merged = []
-        prev = None
-        for v, c in runs:
-            if c < 0:
-                raise ValueError("run count must be nonnegative")
-            if c == 0:
-                continue
-            if v < 0:
-                raise ValueError("marginal values must be nonnegative")
-            if prev is not None and v > prev:
-                raise ValueError("marginals must be non-increasing")
-            if merged and merged[-1][0] == v:
-                merged[-1] = (v, merged[-1][1] + c)
-            else:
-                merged.append((v, c))
-            prev = v
-        obj.runs = tuple(merged)
+        obj.runs = tuple(_merge_runs(runs))
         return obj
 
     @property
@@ -147,28 +141,6 @@ class HeadTailModel:
                 raise ValueError("model requires a scalar draw")
             runs.append((scalar, self.tail_count))
         return MarginalValuation.from_runs(runs)
-
-    # vectorized helpers used by the expectation fast path ------------------
-
-    def count_ge_vec(self, threshold: float, scalars: np.ndarray) -> np.ndarray:
-        base = sum(1 for v in self.head if v >= threshold)
-        out = np.full_like(scalars, base, dtype=float)
-        if self.tail_count > 0:
-            out += self.tail_count * (scalars >= threshold)
-        return out
-
-    def value_vec(self, k: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        total = np.zeros(np.broadcast(k, scalars).shape)
-        used = np.zeros_like(total)
-        for v in self.head:
-            take = np.clip(k - used, 0.0, 1.0)
-            total += v * take
-            used += take
-        if self.tail_count > 0:
-            take = np.clip(k - used, 0.0, self.tail_count)
-            total += scalars * take
-        return total
 
 
 @dataclass(frozen=True)

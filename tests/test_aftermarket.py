@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from aftermarkets.aftermarket import (NO_OFFER, NeverBuy, ResaleSpec,
                                       opt_out_outcome, run_posted_resale)
 from aftermarkets.allocation import Allocation
 from aftermarkets.auctions import BidVector, uniform_price
-from aftermarkets.valuations import MarginalValuation
+from aftermarkets.combined import play
+from aftermarkets.equilibrium import scripted_lower_bound_equilibrium
+from aftermarkets.valuations import MarginalValuation, sample_profile
 
 
 def random_setting(rng):
@@ -91,9 +94,20 @@ def test_opt_out_outcome():
 
 def test_negative_price_rejected():
     vals = [MarginalValuation([]), MarginalValuation([1.0])]
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            run_posted_resale(Allocation((1, 0)), ResaleSpec.single(0, (1,)),
+                              {0: bad}, {}, vals)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_play_rejects_bad_seller_price(bad):
+    game = scripted_lower_bound_equilibrium(10)
+    strategies = list(game.strategies())
+    strategies[2] = replace(strategies[2], seller_price=bad)
     with pytest.raises(ValueError):
-        run_posted_resale(Allocation((1, 0)), ResaleSpec.single(0, (1,)),
-                          {0: -0.5}, {}, vals)
+        play(game.market, game.mechanism, game.protocol, game.resale, strategies,
+             sample_profile(game.market, 0))
 
 
 @given(st.integers(0, 10_000))

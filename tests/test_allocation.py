@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftermarkets.allocation import (Allocation, brute_force_opt,
-                                     opt_allocation, per_unit_avg_welfare,
-                                     welfare)
+                                     opt_allocation, opt_welfares, welfare)
+from aftermarkets.balanced import realization_price
 from aftermarkets.valuations import MarginalValuation
 
 
@@ -74,7 +74,26 @@ def test_exact_fraction_arithmetic():
             MarginalValuation([Fraction(3, 2)])]
     _, opt = opt_allocation(prof, 2)
     assert opt == Fraction(5, 3) + Fraction(3, 2)
-    assert per_unit_avg_welfare(prof, 2) == (Fraction(5, 3) + Fraction(3, 2)) / 2
+    assert realization_price(prof, 2) == (Fraction(5, 3) + Fraction(3, 2)) / 2
+
+
+FRACTIONS = st.builds(Fraction, st.integers(0, 24), st.integers(1, 9))
+FLOATS = st.one_of(st.sampled_from((0.0, 0.1, 0.3, 1.0)), st.floats(0.0, 5.0))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_opt_welfares_equal_opt_allocation_exactly(data):
+    values = data.draw(st.sampled_from((FRACTIONS, FLOATS)))
+    prof = [MarginalValuation(sorted(data.draw(st.lists(values, max_size=5)),
+                                     reverse=True))
+            for _ in range(data.draw(st.integers(0, 5)))]
+    m = data.draw(st.integers(0, 12))
+    opts = opt_welfares(prof, m)
+    assert len(opts) == m + 1
+    for j, opt in enumerate(opts):
+        ref = opt_allocation(prof, j)[1]
+        assert opt == ref and type(opt) is type(ref)
 
 
 def test_brute_force_guard():

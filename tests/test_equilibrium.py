@@ -72,6 +72,16 @@ def test_evaluator_rejects_overlapping_resale_groups():
         overlapping.evaluator()
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_evaluator_rejects_bad_seller_price(bad):
+    # at a price of -1 the speculator would pay buyers to take units
+    ev = scripted_lower_bound_equilibrium(10).evaluator()
+    with pytest.raises(ValueError):
+        ev.expected_utility(2, {2: Action(seller_price=bad)})
+    with pytest.raises(ValueError):
+        ev.expected_welfare({2: Action(seller_price=bad)})
+
+
 def test_verify_bne_flags_non_equilibrium():
     # price the resale at 0.2: raising it is profitable, so the profile fails
     m = 10

@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,3 +324,62 @@ def test_discriminatory_units_won_matches_clearing(data):
     for bv, count, paid in zip(support, counts, payments):
         out = discriminatory(bids[:agent] + [bv] + bids[agent + 1:], m)
         assert (out.alloc[agent], out.payments[agent]) == (count, paid)
+
+
+def reference_utilities(game, values, actions):
+    """The combined game's original hand-written resale loop, kept as a
+    reference for its rounds of `run_posted_resale`."""
+    def round_action(action, r):
+        if not isinstance(action, LiftedAction) or r >= len(action.rounds):
+            return OPT_OUT
+        return action.rounds[r]
+
+    out = first_price_single([a.auction if isinstance(a, LiftedAction) else a
+                              for a in actions])
+    holder = out.alloc.counts.index(1)
+    transfers = [0.0] * game.n_agents
+    for r in range(game.rounds):
+        sell = round_action(actions[holder], r)
+        if sell is OPT_OUT or math.isinf(sell.seller_price):
+            continue
+        price = sell.seller_price
+        for b in range(game.n_agents):
+            if b == holder:
+                continue
+            buy = round_action(actions[b], r)
+            if buy is OPT_OUT:
+                continue
+            cut = price if buy.buyer_threshold is None else max(
+                price, buy.buyer_threshold)
+            if values[b] >= cut:
+                transfers[b] += price
+                transfers[holder] -= price
+                holder = b
+                break
+    utils = tuple(values[i] * (1 if i == holder else 0)
+                  - out.payments[i] - transfers[i]
+                  for i in range(game.n_agents))
+    return utils, out.revenue
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_combined_resale_matches_reference_loop(data):
+    n = data.draw(st.integers(1, 4))
+    rounds = data.draw(st.integers(1, 3))
+    game = CombinedSingleItemGame(n, rounds)
+    values = tuple(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
+    actions = tuple(data.draw(lifted_actions(rounds)) for _ in range(n))
+    utils, revenue = game.utilities_and_revenue(values, actions)
+    ref_utils, ref_revenue = reference_utilities(game, values, actions)
+    assert np.array(utils).tobytes() == np.array(ref_utils).tobytes()
+    assert revenue == ref_revenue
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan])
+def test_combined_resale_rejects_bad_seller_price(bad):
+    game = CombinedSingleItemGame(2, rounds=1)
+    actions = (LiftedAction(0.6, (RoundAction(bad),)),
+               LiftedAction(0.2, (RoundAction(),)))
+    with pytest.raises(ValueError):
+        game.utilities_and_revenue((1.0, 0.5), actions)

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aftermarkets.auctions import BidVector
 from aftermarkets.distributions import Uniform
 from aftermarkets.valuations import (ZERO_VALUATION, HeadTailModel,
                                      MarginalValuation, grouped_market,
@@ -32,6 +32,21 @@ def test_marginal_valuation_rejects_increasing():
         MarginalValuation.from_runs(((1.0, 1), (2.0, 1)))
 
 
+def test_bids_and_marginals_share_run_validation():
+    runs = ((2.0, 1), (2.0, 2), (1.0, 0), (1.0, 1), (0.0, 1))
+    assert MarginalValuation.from_runs(runs).runs == ((2.0, 3), (1.0, 1), (0.0, 1))
+    assert MarginalValuation([2.0, 2.0, 2.0, 1.0, 0.0]).runs == \
+        MarginalValuation.from_runs(runs).runs
+    # bids keep their zero-run drop and their unit count
+    assert BidVector.from_runs(runs, 6).runs == ((2.0, 3), (1.0, 1))
+    assert BidVector([2.0, 2.0, 2.0, 1.0, 0.0]).m == 5
+    for bad in (((1.0, -1),), ((-1.0, 1),), ((1.0, 1), (2.0, 1))):
+        with pytest.raises(ValueError):
+            MarginalValuation.from_runs(bad)
+        with pytest.raises(ValueError):
+            BidVector.from_runs(bad, 5)
+
+
 def test_fraction_support():
     v = MarginalValuation([Fraction(3, 2), Fraction(1, 3)])
     assert v.value(2) == Fraction(11, 6)
@@ -42,15 +57,14 @@ def test_zero_valuation():
     assert ZERO_VALUATION.count_ge(0.1) == 0
 
 
-def test_head_tail_realize_and_vectorized_agree():
+def test_head_tail_realize():
     model = HeadTailModel(head=(2.0,), tail_count=3, dist=Uniform(0.0, 1.0))
     for s in (0.0, 0.4, 1.0):
         v = model.realize(s)
         for k in range(6):
-            assert model.value_vec(np.array([k]), np.array([s]))[0] == \
-                pytest.approx(v.value(k))
+            assert v.value(k) == (2.0 if k else 0.0) + s * min(max(k - 1, 0), 3)
         for t in (0.2, 0.5, 2.0):
-            assert model.count_ge_vec(t, np.array([s]))[0] == v.count_ge(t)
+            assert v.count_ge(t) == (2.0 >= t) + 3 * (s >= t)
 
 
 def test_head_tail_rejects_tail_above_head():
