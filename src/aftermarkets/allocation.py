@@ -37,7 +37,9 @@ def welfare(profile: Sequence[MarginalValuation], alloc: Allocation):
 
 def _ranked_runs(profile: Sequence[MarginalValuation]) -> list[tuple]:
     """Every positive marginal run as (value, agent, start_unit, count), in
-    greedy order: value desc, then (agent asc, unit asc)."""
+    greedy order: value desc, then (agent asc, unit asc). This is the one tie
+    order of the package: the auctions rank BidVectors (whose runs have the
+    same shape) with it too."""
     entries = []
     for i, v in enumerate(profile):
         start = 0

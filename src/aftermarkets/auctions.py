@@ -1,8 +1,9 @@
 """Primary mechanisms: uniform-price (optional reserve), discriminatory,
 single-item first-price and all-pay, and the sequential posted-price sale.
 Next to the discriminatory and first-price clearings are kernels that clear
-one agent's many alternative bids at once against fixed opponents, under the
-same tie rules."""
+one agent's many alternative bids at once against fixed opponents. Every
+clearing and kernel breaks ties one way: higher bid first, then lower agent
+index, then lower unit."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import Allocation
+from .allocation import Allocation, _ranked_runs
 from .valuations import MarginalValuation, _merge_runs
 
 
@@ -36,7 +37,7 @@ class BidVector:
         total = 0
         positive = []
         for b, c in _merge_runs(runs):
-            if not b < math.inf:  # NaN or inf; negatives are already rejected
+            if b == math.inf:  # NaN and negatives are already rejected
                 raise ValueError("bids must be finite and nonnegative")
             total += c
             if b > 0:
@@ -63,40 +64,26 @@ class AuctionOutcome:
     alloc: Allocation
     payments: tuple[float, ...]
     clearing_price: Optional[float] = None
-    winning_bid_totals: tuple[float, ...] = ()
 
     @property
     def revenue(self) -> float:
         return sum(self.payments)
 
 
-def _tiebreak_priorities(tiebreak: Sequence[int], n: int) -> list[int]:
-    """Per-agent tie priorities (lower wins); `tiebreak` must be a permutation
-    of range(n)."""
-    prio = list(tiebreak)
-    if sorted(prio) != list(range(n)):
-        raise ValueError("tiebreak must be a permutation of range(n)")
-    return prio
-
-
-def _sorted_entries(bids: Sequence[BidVector], m: int, reserve: Optional[float],
-                    tiebreak: Optional[Sequence[int]]):
-    """All marginal bid entries surviving the reserve, sorted by
-    (bid desc, agent priority asc, unit asc). Implicit zeros included when no
-    reserve filters them."""
-    prio = (list(range(len(bids))) if tiebreak is None
-            else _tiebreak_priorities(tiebreak, len(bids)))
-    entries = []
+def _sorted_entries(bids: Sequence[BidVector], reserve: Optional[float]):
+    """All marginal bid runs surviving the reserve as (bid, agent, start_unit,
+    count), in the greedy order of `_ranked_runs` (bid desc, agent asc, unit
+    asc). Every BidVector run is positive, so with no positive reserve all
+    runs survive and each agent's implicit zeros follow, in agent order."""
+    entries = _ranked_runs(bids)
+    if reserve is not None and reserve > 0:
+        return [e for e in entries if e[0] >= reserve]
     for i, bv in enumerate(bids):
         start = 0
-        for b, c in bv.runs:
-            if reserve is None or b >= reserve:
-                entries.append((b, prio[i], i, start, c))
+        for _, c in bv.runs:
             start += c
-        zeros = bv.m - start
-        if zeros > 0 and (reserve is None or reserve <= 0):
-            entries.append((0.0, prio[i], i, start, zeros))
-    entries.sort(key=lambda e: (-e[0], e[1], e[3]))
+        if bv.m > start:
+            entries.append((0.0, i, start, bv.m - start))
     return entries
 
 
@@ -108,7 +95,7 @@ def _allocate(entries, m: int, n: int):
     bid_totals = [0.0] * n
     left = m
     next_losing = 0.0
-    for b, _, i, _, c in entries:
+    for b, i, _, c in entries:
         if left == 0:
             next_losing = b
             break
@@ -123,31 +110,24 @@ def _allocate(entries, m: int, n: int):
 
 
 def uniform_price(bids: Sequence[BidVector], m: int,
-                  reserve: Optional[float] = None,
-                  tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
+                  reserve: Optional[float] = None) -> AuctionOutcome:
     """Marginal bids strictly below the reserve are removed; the m highest
     surviving marginals win; every winner pays
     max(reserve, highest surviving losing marginal) per unit."""
-    entries = _sorted_entries(bids, m, reserve, tiebreak)
-    counts, bid_totals, next_losing = _allocate(entries, m, len(bids))
+    counts, _, next_losing = _allocate(_sorted_entries(bids, reserve), m, len(bids))
     sold = sum(counts)
     price = next_losing
     if reserve is not None and sold > 0:
         price = max(price, reserve)
     payments = tuple(price * c for c in counts)
-    return AuctionOutcome(Allocation(tuple(counts)), payments, clearing_price=price,
-                          winning_bid_totals=tuple(bid_totals))
+    return AuctionOutcome(Allocation(tuple(counts)), payments, clearing_price=price)
 
 
-def discriminatory(bids: Sequence[BidVector], m: int,
-                   tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
+def discriminatory(bids: Sequence[BidVector], m: int) -> AuctionOutcome:
     """Same allocation as uniform_price without reserve; each winner pays the
     sum of her own winning marginal bids."""
-    entries = _sorted_entries(bids, m, None, tiebreak)
-    counts, bid_totals, _ = _allocate(entries, m, len(bids))
-    return AuctionOutcome(Allocation(tuple(counts)), tuple(bid_totals),
-                          clearing_price=None,
-                          winning_bid_totals=tuple(bid_totals))
+    counts, bid_totals, _ = _allocate(_sorted_entries(bids, None), m, len(bids))
+    return AuctionOutcome(Allocation(tuple(counts)), tuple(bid_totals))
 
 
 class BidBatch:
@@ -211,11 +191,9 @@ def discriminatory_units_won(bids: Sequence[BidVector], agent: int,
     return counts, payments
 
 
-def _first_price_winner(bids: Sequence[float], prio: Sequence[int],
-                        bidders: Sequence[int]) -> int:
-    """The highest bid among `bidders` wins; ties go to the lowest
-    priority."""
-    return min(bidders, key=lambda i: (-bids[i], prio[i]))
+def _first_price_winner(bids: Sequence[float], bidders: Sequence[int]) -> int:
+    """The highest bid among `bidders` wins; ties go to the lowest index."""
+    return min(bidders, key=lambda i: (-bids[i], i))
 
 
 def first_price_deviation_wins(bids: Sequence[float], agent: int, deviations):
@@ -229,31 +207,27 @@ def first_price_deviation_wins(bids: Sequence[float], agent: int, deviations):
     others = [i for i in range(len(bids)) if i != agent]
     if not others:
         return np.ones(d.shape, dtype=bool), None
-    rival = _first_price_winner(bids, range(len(bids)), others)
+    rival = _first_price_winner(bids, others)
     b = bids[rival]
     return (d > b) | ((d == b) & (agent < rival)), rival
 
 
-def first_price_single(bids: Sequence[float],
-                       tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
-    """Single item: highest bid wins (ties to lowest priority index), winner
-    pays her bid."""
-    prio = (list(range(len(bids))) if tiebreak is None
-            else _tiebreak_priorities(tiebreak, len(bids)))
-    winner = _first_price_winner(bids, prio, range(len(bids)))
+def first_price_single(bids: Sequence[float]) -> AuctionOutcome:
+    """Single item: the highest bid wins, ties going to the lowest agent
+    index (the one tie rule of every clearing here); the winner pays her
+    bid."""
+    if not all(0 <= b < math.inf for b in bids):
+        raise ValueError("bids must be finite and nonnegative")
+    winner = _first_price_winner(bids, range(len(bids)))
     counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
     payments = tuple(bids[winner] if i == winner else 0.0 for i in range(len(bids)))
     return AuctionOutcome(Allocation(counts), payments)
 
 
-def all_pay_single(bids: Sequence[float],
-                   tiebreak: Optional[Sequence[int]] = None) -> AuctionOutcome:
-    """Single item: highest bid wins; every agent pays her own bid."""
-    prio = (list(range(len(bids))) if tiebreak is None
-            else _tiebreak_priorities(tiebreak, len(bids)))
-    winner = _first_price_winner(bids, prio, range(len(bids)))
-    counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
-    return AuctionOutcome(Allocation(counts), tuple(float(b) for b in bids))
+def all_pay_single(bids: Sequence[float]) -> AuctionOutcome:
+    """Single item: the winner of first_price_single wins; every agent pays
+    her own bid."""
+    return AuctionOutcome(first_price_single(bids).alloc, tuple(float(b) for b in bids))
 
 
 def posted_price_sell(unit_price: float, order: Sequence[int],

@@ -28,7 +28,6 @@ class Mechanism:
     reserve: Optional[float] = None
     posted_price: Optional[float] = None
     posted_order: Optional[tuple[int, ...]] = None
-    tiebreak: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
@@ -62,10 +61,6 @@ class Strategy:
             return self.seller_price(valuation, obs)
         return self.seller_price
 
-    @property
-    def value_independent(self) -> bool:
-        return not callable(self.bid) and not callable(self.seller_price)
-
 
 @dataclass(frozen=True)
 class CombinedOutcome:
@@ -83,15 +78,15 @@ def _run_auction(mechanism: Mechanism, bids: Sequence[BidVector], m: int,
                  profile: Sequence[MarginalValuation],
                  strategies: Sequence[Strategy]) -> AuctionOutcome:
     if mechanism.kind == "uniform":
-        return uniform_price(bids, m, mechanism.reserve, mechanism.tiebreak)
+        return uniform_price(bids, m, mechanism.reserve)
     if mechanism.kind == "discriminatory":
-        return discriminatory(bids, m, mechanism.tiebreak)
+        return discriminatory(bids, m)
     if mechanism.kind == "first_price":
         flat = [b.runs[0][0] if b.runs else 0.0 for b in bids]
-        return first_price_single(flat, mechanism.tiebreak)
+        return first_price_single(flat)
     if mechanism.kind == "all_pay":
         flat = [b.runs[0][0] if b.runs else 0.0 for b in bids]
-        return all_pay_single(flat, mechanism.tiebreak)
+        return all_pay_single(flat)
     order = mechanism.posted_order or tuple(range(len(profile)))
     quantities = [None] * len(profile)
     for i, s in enumerate(strategies):
@@ -103,8 +98,7 @@ def _run_auction(mechanism: Mechanism, bids: Sequence[BidVector], m: int,
 
 def play(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
          resale: Optional[ResaleSpec], strategies: Sequence[Strategy],
-         profile: Sequence[MarginalValuation],
-         seed: Optional[int] = None) -> CombinedOutcome:
+         profile: Sequence[MarginalValuation]) -> CombinedOutcome:
     """One pass of the combined market: bids, auction, signals, aftermarket,
     utilities u_i = v_i(final x_i) - auction payment - transfer."""
     if len(strategies) != len(profile):

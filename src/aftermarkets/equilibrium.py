@@ -112,6 +112,8 @@ class ConstantActionEvaluator:
         # group lookup: agent -> (seller, ordered buyers)
         self._group_of: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._blocks: list[tuple[int, tuple[int, ...]]] = []
+        if game.mechanism.kind == "posted":
+            raise ValueError("fast path requires an auction, not a posted mechanism")
         if game.resale is not None:
             if game.resale.winner_led:
                 raise ValueError("fast path requires fixed resale groups")
@@ -228,10 +230,6 @@ class ConstantActionEvaluator:
             else:
                 total += model.realize().value(outcome.alloc[i])
         return total
-
-    def expected_revenue(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
-        acts = self._actions(overrides)
-        return self._auction(acts).revenue
 
 
 # -- deviation grids and BNE reports ---------------------------------------

@@ -22,7 +22,7 @@ def _merge_runs(runs: Sequence[tuple]) -> list[tuple]:
             raise ValueError("run count must be nonnegative")
         if c == 0:
             continue
-        if v < 0:
+        if not v >= 0:  # negative or NaN
             raise ValueError("marginal values must be nonnegative")
         if merged:
             last, count = merged[-1]
@@ -145,7 +145,7 @@ class HeadTailModel:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """m identical units and one valuation model per agent (independent prior)."""
+    """m identical units and one valuation model per agent, drawn independently."""
 
     m: int
     agents: tuple[HeadTailModel, ...]

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aftermarkets.auctions import (BidVector, all_pay_single, discriminatory,
+from aftermarkets.allocation import opt_allocation
+from aftermarkets.auctions import (BidBatch, BidVector, all_pay_single,
+                                   discriminatory, discriminatory_units_won,
+                                   first_price_deviation_wins,
                                    first_price_single, posted_price_sell,
                                    uniform_price)
 from aftermarkets.valuations import MarginalValuation
@@ -58,15 +61,6 @@ def test_uniform_price_reserve():
     assert out2.alloc.counts in ((1, 1), (2, 0))
 
 
-def test_uniform_price_tiebreak_priority():
-    bids = [BidVector([1.0], 2), BidVector([1.0, 1.0], 2)]
-    out = uniform_price(bids, 2)
-    # agent 0 has priority on the tie: one unit each
-    assert out.alloc.counts == (1, 1)
-    out2 = uniform_price(bids, 2, tiebreak=(1, 0))
-    assert out2.alloc.counts == (0, 2)
-
-
 def test_discriminatory_pay_as_bid():
     bids = [BidVector([5.0, 4.0], 3), BidVector([3.0], 3), BidVector([2.0], 3)]
     out = discriminatory(bids, 3)
@@ -97,19 +91,42 @@ def test_bid_vector_rejects_nan_and_infinite_bids(bad):
         BidVector.from_runs([(3.0, 1), (bad, 1)], 2)
 
 
-@pytest.mark.parametrize("tiebreak", [(0, 0), (1, 2), (0,), (0, 1, 2)])
-def test_tiebreak_must_be_a_permutation(tiebreak):
-    bids = [BidVector([1.0], 2), BidVector([1.0, 1.0], 2)]
-    for clear in (lambda: uniform_price(bids, 2, tiebreak=tiebreak),
-                  lambda: uniform_price(bids, 2, reserve=0.5, tiebreak=tiebreak),
-                  lambda: discriminatory(bids, 2, tiebreak=tiebreak),
-                  lambda: first_price_single([0.5, 0.5], tiebreak),
-                  lambda: all_pay_single([0.5, 0.5], tiebreak)):
-        with pytest.raises(ValueError):
-            clear()
-    # a permutation is accepted and decides the tie
-    assert first_price_single([0.5, 0.5], (1, 0)).alloc.counts == (0, 1)
-    assert all_pay_single([0.5, 0.5], [1, 0]).alloc.counts == (0, 1)
+@pytest.mark.parametrize("bids", [[math.nan, 0.5], [-1.0, -2.0], [math.inf, 0.5],
+                                  [0.5, -0.1]])
+def test_single_item_rejects_invalid_bids(bids):
+    for clear in (first_price_single, all_pay_single):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            clear(bids)
+
+
+# Agent 1 bids two units and the others one, all at 0.5: with m = 2 the
+# lower indices take one unit each, in every clearing and in the optimum.
+TIES = [BidVector([0.5], 2), BidVector([0.5, 0.5], 2), BidVector([0.5], 2)]
+
+
+@pytest.mark.parametrize("clear, expected", [
+    pytest.param(lambda: uniform_price(TIES, 2).alloc.counts, (1, 1, 0),
+                 id="uniform"),
+    pytest.param(lambda: uniform_price(TIES, 2, reserve=0.5).alloc.counts,
+                 (1, 1, 0), id="uniform-reserve"),
+    pytest.param(lambda: discriminatory(TIES, 2).alloc.counts, (1, 1, 0),
+                 id="discriminatory"),
+    pytest.param(lambda: tuple(
+        int(discriminatory_units_won(TIES, a, BidBatch([TIES[a]]), 2)[0][0])
+        for a in range(3)), (1, 1, 0), id="discriminatory-kernel"),
+    pytest.param(lambda: opt_allocation(
+        [MarginalValuation.from_runs(bv.runs) for bv in TIES], 2)[0].counts,
+        (1, 1, 0), id="opt"),
+    pytest.param(lambda: first_price_single([0.5] * 3).alloc.counts, (1, 0, 0),
+                 id="first-price"),
+    pytest.param(lambda: all_pay_single([0.5] * 3).alloc.counts, (1, 0, 0),
+                 id="all-pay"),
+    pytest.param(lambda: tuple(
+        int(first_price_deviation_wins([0.5] * 3, a, [0.5])[0][0])
+        for a in range(3)), (1, 0, 0), id="first-price-kernel"),
+])
+def test_equal_bids_go_to_lower_index(clear, expected):
+    assert clear() == expected
 
 
 def test_posted_price_sell_truthful_and_override():

@@ -6,6 +6,7 @@ import pytest
 
 from aftermarkets.aftermarket import ResaleSpec
 from aftermarkets.auctions import BidVector
+from aftermarkets.combined import Mechanism
 from aftermarkets.distributions import Uniform, lower_bound_z_distribution
 from aftermarkets.equilibrium import (Action, CombinedTabularGame,
                                       DeviationGrid, TabularGame,
@@ -70,6 +71,13 @@ def test_evaluator_rejects_overlapping_resale_groups():
     overlapping = replace(game, resale=ResaleSpec(((2, (0, 1)), (1, (0,)))))
     with pytest.raises(ValueError):
         overlapping.evaluator()
+
+
+def test_evaluator_rejects_posted_mechanism():
+    game = scripted_lower_bound_equilibrium(10)
+    posted = replace(game, mechanism=Mechanism("posted", posted_price=1.0))
+    with pytest.raises(ValueError):
+        posted.evaluator()
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan])

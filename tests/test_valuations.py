@@ -47,6 +47,19 @@ def test_bids_and_marginals_share_run_validation():
             BidVector.from_runs(bad, 5)
 
 
+def test_nan_marginals_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        MarginalValuation([1.0, nan, 2.0])
+    with pytest.raises(ValueError):
+        MarginalValuation([nan])
+    with pytest.raises(ValueError):
+        MarginalValuation.from_runs([(2.0, 1), (nan, 3)])
+    model = HeadTailModel(head=(2.0,), tail_count=3, dist=Uniform(0.0, 1.0))
+    with pytest.raises(ValueError):
+        model.realize(nan)
+
+
 def test_fraction_support():
     v = MarginalValuation([Fraction(3, 2), Fraction(1, 3)])
     assert v.value(2) == Fraction(11, 6)
