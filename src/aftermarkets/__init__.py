@@ -42,7 +42,8 @@ from .smoothness import (ONE_MINUS_INV_E, OPT_OUT, CheckDomain,
                          fpa_deviation_generator, lift_certificate_to_combined,
                          poa_bound, uniform_price_overbidding_probe)
 from .valuations import (ZERO_VALUATION, HeadTailModel, MarginalValuation,
-                         MarketModel, grouped_market, lower_bound_market,
+                         MarketModel, cell_profiles, draw_values,
+                         grouped_market, lower_bound_market,
                          posted_fails_market, sample_profile,
                          symmetric_fpa_market)
 

@@ -4,7 +4,7 @@ per-group, or winner-led), and the trade-mechanism axioms as checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 

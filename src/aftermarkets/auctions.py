@@ -113,7 +113,10 @@ def uniform_price(bids: Sequence[BidVector], m: int,
                   reserve: Optional[float] = None) -> AuctionOutcome:
     """Marginal bids strictly below the reserve are removed; the m highest
     surviving marginals win; every winner pays
-    max(reserve, highest surviving losing marginal) per unit."""
+    max(reserve, highest surviving losing marginal) per unit. An infinite
+    reserve sells nothing; a NaN reserve is rejected."""
+    if reserve is not None and math.isnan(reserve):
+        raise ValueError("reserve must not be NaN")
     counts, _, next_losing = _allocate(_sorted_entries(bids, reserve), m, len(bids))
     sold = sum(counts)
     price = next_losing
@@ -237,8 +240,8 @@ def posted_price_sell(unit_price: float, order: Sequence[int],
     while the marginal value is >= the price (indifference buys), capped by
     remaining supply. `quantities` optionally overrides a buyer's demand
     (strategic purchases, e.g. speculation)."""
-    if unit_price < 0:
-        raise ValueError("price must be nonnegative")
+    if not 0 <= unit_price < math.inf:  # negative, infinite or NaN
+        raise ValueError("price must be finite and nonnegative")
     n = len(valuations)
     counts = [0] * n
     payments = [0.0] * n

@@ -15,9 +15,7 @@ import configparser
 import csv
 import hashlib
 import json
-import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
@@ -31,7 +29,7 @@ from .equilibrium import (default_deviation_grid, scripted_grouped_equilibrium,
 from .smoothness import (ONE_MINUS_INV_E, CheckDomain, SingleItemFirstPrice,
                          SmoothnessCertificate, check_smooth,
                          fpa_deviation_generator, poa_bound)
-from .valuations import posted_fails_market
+from .valuations import lower_bound_market, posted_fails_market
 
 DEFAULTS = {
     "lower-bound-sweep": {"ms": "10,100,10000"},
@@ -92,7 +90,7 @@ def _fail(record: dict) -> int:
     return 2
 
 
-# -- per-command workers (top-level for process pools) ---------------------
+# -- commands --------------------------------------------------------------
 
 
 def _lower_bound_row(m: int) -> dict:
@@ -106,30 +104,23 @@ def _lower_bound_row(m: int) -> dict:
             "speculator_utility": ev.expected_utility(2)}
 
 
-def _grouped_row(args: tuple[int, float]) -> dict:
-    m, gamma = args
+def _grouped_row(m: int, gamma: float) -> dict:
     game = scripted_grouped_equilibrium(m, gamma)
     ev = game.evaluator()
     eq_welfare = ev.expected_welfare()
     k = len(game.market.groups)
     r = m // k
     # per-group optimum; groups are independent and identical
-    sub = scripted_lower_bound_equilibrium(r)
-    opt = k * expected_optimal_welfare(sub.market, Quadrature(subdivide=1,
-                                                              breakpoints=(1.0,)))
+    opt = k * expected_optimal_welfare(lower_bound_market(r),
+                                       Quadrature(subdivide=1, breakpoints=(1.0,)))
     return {"m": m, "gamma": gamma, "groups": k, "group_size": r,
             "eq_welfare": eq_welfare, "opt_welfare": opt,
             "ratio": opt / eq_welfare}
 
 
 def cmd_lower_bound_sweep(opts: dict, seed: int, out: Optional[str],
-                          workers: int, tol: float) -> int:
-    ms = _ints(opts["ms"])
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_lower_bound_row, ms))
-    else:
-        rows = [_lower_bound_row(m) for m in ms]
+                          tol: float) -> int:
+    rows = [_lower_bound_row(m) for m in _ints(opts["ms"])]
     comment = (f"# config_hash={_config_hash('lower-bound-sweep', opts, seed)} "
                f"seed={seed} grid=ms:{opts['ms']}")
     _write_csv(out, comment, list(rows[0].keys()), rows)
@@ -137,15 +128,9 @@ def cmd_lower_bound_sweep(opts: dict, seed: int, out: Optional[str],
 
 
 def cmd_grouped_sweep(opts: dict, seed: int, out: Optional[str],
-                      workers: int, tol: float) -> int:
+                      tol: float) -> int:
     m = int(opts["m"])
-    gammas = _floats(opts["gammas"])
-    args = [(m, g) for g in gammas]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grouped_row, args))
-    else:
-        rows = [_grouped_row(a) for a in args]
+    rows = [_grouped_row(m, g) for g in _floats(opts["gammas"])]
     comment = (f"# config_hash={_config_hash('grouped-sweep', opts, seed)} "
                f"seed={seed} grid=gammas:{opts['gammas']}")
     _write_csv(out, comment, list(rows[0].keys()), rows)
@@ -182,7 +167,7 @@ def posted_fails_summary(eps: float, H: float) -> dict:
 
 
 def cmd_posted_fails(opts: dict, seed: int, out: Optional[str],
-                     workers: int, tol: float) -> int:
+                     tol: float) -> int:
     row = posted_fails_summary(float(opts["eps"]), float(opts["h"]))
     comment = (f"# config_hash={_config_hash('posted-fails', opts, seed)} "
                f"seed={seed} grid=single")
@@ -196,7 +181,7 @@ def cmd_posted_fails(opts: dict, seed: int, out: Optional[str],
 
 
 def cmd_balanced_fix(opts: dict, seed: int, out: Optional[str],
-                     workers: int, tol: float) -> int:
+                     tol: float) -> int:
     m = int(opts["m"])
     base = scripted_lower_bound_equilibrium(m)
     quad = Quadrature(subdivide=1, breakpoints=(1.0,))
@@ -217,7 +202,7 @@ def cmd_balanced_fix(opts: dict, seed: int, out: Optional[str],
 
 
 def cmd_smooth_audit(opts: dict, seed: int, out: Optional[str],
-                     workers: int, tol: float) -> int:
+                     tol: float) -> int:
     lam, mu = float(opts["lam"]), float(opts["mu"])
     values = tuple(_floats(opts["values"]))
     bids = tuple(_floats(opts["bids"]))
@@ -243,7 +228,7 @@ def cmd_smooth_audit(opts: dict, seed: int, out: Optional[str],
 
 
 def cmd_verify_eq(opts: dict, seed: int, out: Optional[str],
-                  workers: int, tol: float) -> int:
+                  tol: float) -> int:
     m = int(opts["m"])
     reserve = float(opts["reserve"]) if opts["reserve"].strip() else None
     game = scripted_lower_bound_equilibrium(m, reserve=reserve)
@@ -266,7 +251,7 @@ def cmd_verify_eq(opts: dict, seed: int, out: Optional[str],
 
 
 def cmd_symmetric_fpa(opts: dict, seed: int, out: Optional[str],
-                      workers: int, tol: float) -> int:
+                      tol: float) -> int:
     dist = Uniform(float(opts["lo"]), float(opts["hi"]))
     report = symmetric_fpa_check(dist, samples=int(opts["samples"]), seed=seed)
     row = {"gap": report.gap, "efficiency": report.efficiency,
@@ -304,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="INI file with a [%s] section" % name)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="CSV output path (stdout)")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--tol", type=float, default=1e-6)
     return parser
 
@@ -313,12 +297,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _load_config(args.command, args.config)
-    except SystemExit:
-        raise
     except Exception as exc:  # malformed config file
         return _fail({"error": "bad config", "detail": str(exc)})
-    return COMMANDS[args.command](opts, args.seed, args.out, args.workers,
-                                  args.tol)
+    return COMMANDS[args.command](opts, args.seed, args.out, args.tol)
 
 
 if __name__ == "__main__":

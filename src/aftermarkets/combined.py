@@ -1,11 +1,10 @@
 """The two-stage game engine: auction, signaling, aftermarket, and utility
-accounting; exact tensor quadrature or Monte Carlo expectations."""
+accounting; tensor quadrature or Monte Carlo expectations."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -17,7 +16,8 @@ from .allocation import Allocation, opt_allocation, welfare
 from .auctions import (AuctionOutcome, BidVector, all_pay_single,
                        discriminatory, first_price_single, posted_price_sell,
                        uniform_price)
-from .valuations import MarginalValuation, MarketModel
+from .valuations import (MarginalValuation, MarketModel, _realizer,
+                         cell_profiles, draw_values)
 
 MECHANISM_KINDS = ("uniform", "discriminatory", "first_price", "all_pay", "posted")
 
@@ -34,6 +34,10 @@ class Mechanism:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.kind == "posted" and self.posted_price is None:
             raise ValueError("posted mechanism needs a price")
+        if self.reserve is not None and math.isnan(self.reserve):
+            raise ValueError("reserve must not be NaN")
+        if self.posted_price is not None and not 0 <= self.posted_price < math.inf:
+            raise ValueError("posted price must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -136,10 +140,14 @@ class MonteCarlo:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Exact tensor interval-moment rule over the market's scalar random
-    dimensions; `breakpoints` are extra cut points (decision thresholds),
-    `subdivide` refines each cell for integrands that are not piecewise
-    multilinear."""
+    """Tensor interval-moment rule over the market's scalar random
+    dimensions (`cell_profiles`); `breakpoints` are extra cut points
+    (decision thresholds), `subdivide` refines each cell.
+
+    The rule is exact only for integrands that are multilinear on each cell.
+    E[OPT] of the speculation market is not: its max(a2, z) term kinks on
+    the diagonal a2 = z inside the cell z in [1, 1 + w], a2 in [1, 1.5],
+    w = 1/(2m), so the rule misses E[(z - a2)^+] = w^3/3."""
 
     subdivide: int = 4
     breakpoints: tuple[float, ...] = ()
@@ -157,37 +165,19 @@ class ExpectedOutcome:
 
 
 def profile_nodes(market: MarketModel, integration: Integration):
-    """Yield (profile, weight) pairs covering the market's randomness."""
-    dims = market.random_dims()
-    fixed = [a.realize() if not a.random else None for a in market.agents]
+    """Yield (profile, weight) pairs covering the market's randomness: the
+    rows of `draw_values` or the cells of `cell_profiles`."""
     if isinstance(integration, MonteCarlo):
-        # row j is draw j: one uniform per random agent, in stream order,
-        # mapped through that agent's quantile
-        draws = np.random.default_rng(integration.seed).random((integration.n,
-                                                                len(dims)))
-        for k, i in enumerate(dims):
-            draws[:, k] = market.agents[i].dist.quantile(draws[:, k])
-        w = 1.0 / integration.n
-        for row in draws.tolist():
-            profile = list(fixed)
-            for i, x in zip(dims, row):
-                profile[i] = market.agents[i].realize(x)
-            yield profile, w
+        realize, w = _realizer(market.agents), 1.0 / integration.n
+        for row in draw_values(market, integration.n, integration.seed).tolist():
+            yield realize(row), w
         return
+    dims = market.random_dims()
     if len(dims) > 2:
         raise ValueError("quadrature limited to <= 2 scalar random dimensions")
-    axes = []
-    for i in dims:
-        nodes, weights = market.agents[i].dist.cells(integration.breakpoints,
-                                                     integration.subdivide)
-        axes.append(list(zip(nodes, weights)))
-    for combo in product(*axes):
-        profile = list(fixed)
-        w = 1.0
-        for i, (node, weight) in zip(dims, combo):
-            profile[i] = market.agents[i].realize(float(node))
-            w *= weight
-        yield profile, w
+    yield from cell_profiles(market.agents, [
+        market.agents[i].dist.cells(integration.breakpoints, integration.subdivide)
+        for i in dims])
 
 
 def expected_outcome(market: MarketModel, mechanism: Mechanism,

@@ -4,19 +4,20 @@ curves and the Myerson payment identity, the symmetric first-price efficiency
 check, and best-response dynamics.
 
 Verification uses a constant-action fast path: when every strategy is a fixed
-(bid, aftermarket action) pair, the auction clears once per deviation. The
-aftermarket is integrated exactly over each resale group's <= 2 scalar random
-dimensions with the interval-moment rule, once per distinct group allocation
-and aftermarket action rather than once per deviation. Each quadrature cell
-realizes the group's valuations and trades through `run_posted_resale`, the
-same rule `play()` uses.
+(bid, aftermarket action) pair, the auction clears once per deviation. Every
+agent belongs to exactly one block: its resale group, or itself alone when it
+is in none. A block's aftermarket is integrated exactly over its <= 2 scalar
+random dimensions with the interval-moment cells of `cell_profiles`, once per
+distinct block allocation and aftermarket action rather than once per
+deviation. Each cell trades through `run_posted_resale`, the same rule
+`play()` uses. The first-price check draws its value pairs with
+`draw_values`, the Monte Carlo rule of `expected_outcome`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -27,8 +28,9 @@ from .allocation import Allocation
 from .auctions import BidVector
 from .combined import Mechanism, Strategy, _run_auction
 from .distributions import UnitDistribution
-from .valuations import (HeadTailModel, MarketModel, grouped_market,
-                         lower_bound_market)
+from .valuations import (MarketModel, cell_profiles, draw_values,
+                         grouped_market, lower_bound_market,
+                         symmetric_fpa_market)
 
 
 # -- actions and games -----------------------------------------------------
@@ -80,11 +82,10 @@ class CombinedGame:
 
 @dataclass(frozen=True)
 class _ResaleStage:
-    """One resale group's aftermarket over the tensor of its random
-    dimensions: the cell weights and, per member (seller first), its value
-    of its post-resale holdings and its resale transfer in each cell. Every
-    later call with the same key reads these arrays, so none is written in
-    place."""
+    """One block's aftermarket over the tensor of its random dimensions: the
+    cell weights and, per member (seller first), its value of its post-resale
+    holdings and its resale transfer in each cell. Every later call with the
+    same key reads these arrays, so none is written in place."""
 
     weights: np.ndarray
     vals: dict
@@ -95,12 +96,13 @@ class ConstantActionEvaluator:
     """Exact expected utilities/welfare for constant-action profiles.
 
     The auction outcome is deterministic, so randomness only enters through
-    each resale group's scalar draws; utilities are piecewise multilinear in
-    those scalars with breakpoints at the effective purchase cutoffs, which
-    the interval-moment cells integrate exactly.
+    the scalar draws of each block: a resale group, or an agent outside
+    every group, alone. Utilities are piecewise multilinear in a block's
+    scalars with breakpoints at the effective purchase cutoffs, which the
+    interval-moment cells integrate exactly.
 
-    The auction clears on every call, but the resale stage depends only on
-    the group's auction allocation, the seller's price and the buyers'
+    The auction clears on every call, but a block's stage depends only on
+    its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
     evaluator's lifetime; auction payments are subtracted afterwards.
     """
@@ -109,21 +111,22 @@ class ConstantActionEvaluator:
         self.game = game
         self.market = game.market
         self.m = game.market.m
-        # group lookup: agent -> (seller, ordered buyers)
-        self._group_of: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self._blocks: list[tuple[int, tuple[int, ...]]] = []
         if game.mechanism.kind == "posted":
             raise ValueError("fast path requires an auction, not a posted mechanism")
+        groups = ()
         if game.resale is not None:
             if game.resale.winner_led:
                 raise ValueError("fast path requires fixed resale groups")
-            for seller, buyers in game.resale.groups:
-                block = (seller, tuple(buyers))
-                for i in (seller,) + block[1]:
-                    if i in self._group_of:
-                        raise ValueError("fast path requires disjoint resale groups")
-                    self._group_of[i] = block
-                self._blocks.append(block)
+            groups = game.resale.groups
+        # (seller, ordered buyers): the resale groups in spec order, then
+        # (i, ()) for each agent outside them, in agent order
+        self._blocks = [(seller, tuple(buyers)) for seller, buyers in groups]
+        grouped = [i for seller, buyers in self._blocks for i in (seller,) + buyers]
+        if len(set(grouped)) < len(grouped):
+            raise ValueError("fast path requires disjoint resale groups")
+        self._blocks += [(i, ()) for i in range(self.market.n) if i not in grouped]
+        self._block_of = {i: block for block in self._blocks
+                          for i in (block[0],) + block[1]}
         self._cells_cache: dict = {}
         self._stages: dict = {}
 
@@ -148,44 +151,31 @@ class ConstantActionEvaluator:
             self._cells_cache[key] = dist.cells(bps)
         return self._cells_cache[key]
 
-    def _group_stage(self, block, acts, outcome):
-        """The resale stage of `block` under the auction `outcome`."""
+    def _stage(self, block, acts, outcome) -> _ResaleStage:
+        """The resale stage of `block` under the auction `outcome`; a block
+        without buyers never makes an offer. Integrated once per distinct
+        (block, members' allocation, price, thresholds), one
+        `run_posted_resale` per cell."""
         seller, buyers = block
+        members = (seller,) + buyers
         price = acts[seller].seller_price
-        return self._stage(block, tuple(outcome.alloc[i] for i in (seller,) + buyers),
-                           NO_OFFER if price is None else price,
-                           tuple(acts[b].buyer_threshold for b in buyers))
-
-    def _alone_stage(self, agent: int, outcome):
-        """The stage of a random agent outside every resale group."""
-        return self._stage((agent, ()), (outcome.alloc[agent],), NO_OFFER, ())
-
-    def _stage(self, block, alloc, price, thresholds) -> _ResaleStage:
-        """The resale stage of `block` for one auction allocation of its
-        members, seller price and buyer thresholds; integrated once per
-        distinct key, one `run_posted_resale` per cell."""
+        if price is None or not buyers:
+            price = NO_OFFER
+        thresholds = tuple(acts[b].buyer_threshold for b in buyers)
+        alloc = tuple(outcome.alloc[i] for i in members)
         key = (block, alloc, price, thresholds)
         if key in self._stages:
             return self._stages[key]
-        seller, buyers = block
-        members = (seller,) + buyers
         cut_of = {b: price if thr is None else max(price, thr)
                   for b, thr in zip(buyers, thresholds)}
-        rand = [i for i in members if self.market.agents[i].random]
-        axes = []
-        for i in rand:
-            cells = self._cells(i, None if math.isinf(price) else cut_of.get(i))
-            axes.append(zip(cells[0].tolist(), cells[1].tolist()))
+        models = [self.market.agents[i] for i in members]
+        cells = [self._cells(i, None if math.isinf(price) else cut_of.get(i))
+                 for i, model in zip(members, models) if model.random]
         # members are indexed 0 (seller), 1.. (buyers) within the group
         initial, spec = Allocation(alloc), ResaleSpec.single(0, range(1, len(members)))
         policies = {j: ThresholdBuyer(thr) for j, thr in enumerate(thresholds, 1)}
         weights, vals, transfers = [], [[] for _ in members], [[] for _ in members]
-        for cell in product(*axes):  # one (scalar, weight) per random member
-            scalars = {i: x for i, (x, _) in zip(rand, cell)}
-            weight = 1.0
-            for _, w in cell:
-                weight *= w
-            profile = [self.market.agents[i].realize(scalars.get(i)) for i in members]
+        for profile, weight in cell_profiles(models, cells):
             trade = run_posted_resale(initial, spec, {0: price}, policies, profile)
             weights.append(weight)
             for j, v in enumerate(profile):
@@ -201,34 +191,18 @@ class ConstantActionEvaluator:
                          overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
         outcome = self._auction(acts)
-        model = self.market.agents[agent]
-        if agent in self._group_of:
-            stage = self._group_stage(self._group_of[agent], acts, outcome)
-            u = (stage.vals[agent] - outcome.payments[agent]
-                 - stage.transfers[agent])
-            return float(u @ stage.weights)
-        if model.random:
-            stage = self._alone_stage(agent, outcome)
-            return (float(stage.vals[agent] @ stage.weights)
-                    - outcome.payments[agent])
-        return model.realize().value(outcome.alloc[agent]) - outcome.payments[agent]
+        stage = self._stage(self._block_of[agent], acts, outcome)
+        u = stage.vals[agent] - outcome.payments[agent] - stage.transfers[agent]
+        return float(u @ stage.weights)
 
     def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
         outcome = self._auction(acts)
         total = 0.0
         for block in self._blocks:
-            stage = self._group_stage(block, acts, outcome)
+            stage = self._stage(block, acts, outcome)
             for i in stage.vals:  # seller first, then buyers in order
                 total += float(stage.vals[i] @ stage.weights)
-        for i, model in enumerate(self.market.agents):
-            if i in self._group_of:
-                continue
-            if model.random:
-                stage = self._alone_stage(i, outcome)
-                total += float(stage.vals[i] @ stage.weights)
-            else:
-                total += model.realize().value(outcome.alloc[i])
         return total
 
 
@@ -608,9 +582,7 @@ def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
     best = np.max((values[:, None] - bids[None, :]) * win[None, value_points:], axis=1)
     gap = float(np.max(best - on_path))
 
-    # the pairs (v0, v1) of consecutive uniforms from one stream
-    u = np.random.default_rng(seed).random(2 * samples)
-    v0, v1 = dist.quantile(u[0::2]), dist.quantile(u[1::2])
+    v0, v1 = draw_values(symmetric_fpa_market(dist), samples, seed).T
     scale = np.maximum(1.0, np.maximum(np.abs(v0), np.abs(v1)))
     ties = np.abs(v0 - v1) < 1e-12 * scale
     # agent 0 wins ties

@@ -1,14 +1,17 @@
 """Agent valuations (non-increasing marginals, run-length encoded), valuation
-models driven by one scalar draw, and the market presets used throughout."""
+models driven by one scalar draw, the market presets used throughout, and the
+two rules by which every expectation over valuations draws them: Monte Carlo
+rows (`draw_values`) and tensor quadrature cells (`cell_profiles`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import (PointMass, UnitDistribution, Uniform,
+from .distributions import (UnitDistribution, Uniform,
                             lower_bound_z_distribution,
                             speculative_buyer_value_distribution)
 
@@ -212,13 +215,45 @@ def symmetric_fpa_market(dist: UnitDistribution) -> MarketModel:
     return MarketModel(m=1, agents=(buyer, buyer), name="symmetric_fpa")
 
 
+def draw_values(model: MarketModel, n: int, seed: int) -> np.ndarray:
+    """The (n x random agents) Monte Carlo draws of `model`: row j is draw j,
+    one uniform per random agent in agent order from one `default_rng(seed)`
+    stream, mapped through that agent's quantile."""
+    dims = model.random_dims()
+    draws = np.random.default_rng(seed).random((n, len(dims)))
+    for k, i in enumerate(dims):
+        draws[:, k] = model.agents[i].dist.quantile(draws[:, k])
+    return draws
+
+
+def _realizer(models: Sequence[HeadTailModel]):
+    """The map from one scalar per random model, in model order, to the
+    profile of `models`; the non-random models are realized once, here."""
+    fixed = [None if a.random else a.realize() for a in models]
+    dims = [i for i, a in enumerate(models) if a.random]
+
+    def realize(scalars) -> list[MarginalValuation]:
+        profile = list(fixed)
+        for i, x in zip(dims, scalars):
+            profile[i] = models[i].realize(x)
+        return profile
+    return realize
+
+
 def sample_profile(model: MarketModel, seed: int) -> list[MarginalValuation]:
-    """One independent inverse-CDF draw per agent; deterministic given seed."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for agent in model.agents:
-        if agent.random:
-            out.append(agent.realize(float(agent.dist.quantile(float(rng.random())))))
-        else:
-            out.append(agent.realize())
-    return out
+    """The first profile of the Monte Carlo stream `draw_values(model, ., seed)`."""
+    return _realizer(model.agents)(draw_values(model, 1, seed)[0].tolist())
+
+
+def cell_profiles(models: Sequence[HeadTailModel], cells: Sequence[tuple]):
+    """Yield (profile, weight) for every cell of the tensor product of the
+    random models' `(nodes, weights)` pairs, `cells` holding one pair per
+    random model in model order. A cell's weight is the product of its
+    nodes' weights, multiplied in model order from 1.0."""
+    realize = _realizer(models)
+    axes = [zip(nodes.tolist(), weights.tolist()) for nodes, weights in cells]
+    for cell in product(*axes):
+        weight = 1.0
+        for _, w in cell:
+            weight *= w
+        yield realize([x for x, _ in cell]), weight

@@ -11,6 +11,7 @@ from aftermarkets.auctions import (BidBatch, BidVector, all_pay_single,
                                    first_price_deviation_wins,
                                    first_price_single, posted_price_sell,
                                    uniform_price)
+from aftermarkets.combined import Mechanism
 from aftermarkets.valuations import MarginalValuation
 
 
@@ -137,6 +138,26 @@ def test_posted_price_sell_truthful_and_override():
     # override: agent 0 buys two units strategically
     out2 = posted_price_sell(1.5, (0, 1), vals, 3, quantities=[2, None])
     assert out2.alloc.counts == (2, 1)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: uniform_price(TIES, 2, reserve=math.nan), id="nan-reserve"),
+    pytest.param(lambda: Mechanism("uniform", reserve=math.nan),
+                 id="mechanism-nan-reserve"),
+    *(pytest.param(lambda p=p: posted_price_sell(p, (0,), [MarginalValuation([2.0])], 1),
+                   id=f"posted-{p}") for p in (-1.0, math.inf, math.nan)),
+    *(pytest.param(lambda p=p: Mechanism("posted", posted_price=p),
+                   id=f"mechanism-posted-{p}") for p in (-1.0, math.inf, math.nan)),
+])
+def test_bad_prices_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_infinite_reserve_sells_nothing():
+    out = uniform_price(TIES, 2, reserve=math.inf)
+    assert out.alloc.counts == (0, 0, 0)
+    assert out.payments == (0.0, 0.0, 0.0)
 
 
 @given(st.integers(0, 10_000))

@@ -47,8 +47,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         main(["lower-bound-sweep", "--config", str(cfg)])
 
 
-def test_grouped_sweep_with_workers(capsys):
-    code, out, _ = run_cli(["grouped-sweep", "--workers", "2"], capsys)
+def test_grouped_sweep(capsys):
+    code, out, _ = run_cli(["grouped-sweep"], capsys)
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 3

@@ -10,10 +10,12 @@ from aftermarkets.aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
 from aftermarkets.auctions import BidVector
 from aftermarkets.combined import (Mechanism, MonteCarlo, Quadrature, Strategy,
                                    expected_optimal_welfare, expected_outcome,
-                                   play)
+                                   play, profile_nodes)
 from aftermarkets.equilibrium import (default_deviation_grid,
                                       scripted_lower_bound_equilibrium)
-from aftermarkets.valuations import lower_bound_market, sample_profile
+from aftermarkets.distributions import Uniform
+from aftermarkets.valuations import (lower_bound_market, posted_fails_market,
+                                     sample_profile, symmetric_fpa_market)
 
 PROTO = SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT
 
@@ -150,6 +152,34 @@ def test_fast_path_randomized_cross_check(warm_evaluators, m, agent, data):
                            Quadrature(subdivide=1, breakpoints=effective_cuts(actions)))
     assert u == pytest.approx(res.utilities[agent], rel=1e-10)
     assert w == pytest.approx(res.welfare, rel=1e-10)
+
+
+@pytest.mark.parametrize("resale", [None, ResaleSpec.single(2, (1,))],
+                         ids=["no-resale", "random-agent-outside-group"])
+@pytest.mark.parametrize("m", [10, 100])
+def test_evaluator_agents_outside_resale_groups(m, resale):
+    """An agent outside every resale group, random or not, is a block of its
+    own, and the evaluator agrees with play() integrated exactly."""
+    game = replace(scripted_lower_bound_equilibrium(m), resale=resale)
+    ev = game.evaluator()
+    res = expected_outcome(game.market, game.mechanism, PROTO, game.resale,
+                           game.strategies(),
+                           Quadrature(subdivide=1,
+                                      breakpoints=effective_cuts(game.base_actions)))
+    for i in range(3):
+        assert ev.expected_utility(i) == pytest.approx(res.utilities[i], rel=1e-12)
+    assert ev.expected_welfare() == pytest.approx(res.welfare, rel=1e-12)
+
+
+@pytest.mark.parametrize("market", [lower_bound_market(10),
+                                    posted_fails_market(0.01, 1000.0),
+                                    symmetric_fpa_market(Uniform(0.0, 1.0))],
+                         ids=lambda mk: mk.name)
+def test_sample_profile_is_first_monte_carlo_profile(market):
+    for seed in range(10):
+        profile, weight = next(profile_nodes(market, MonteCarlo(1, seed)))
+        assert weight == 1.0
+        assert profile == sample_profile(market, seed)
 
 
 def test_posted_primary_mechanism():

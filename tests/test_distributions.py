@@ -76,11 +76,14 @@ def test_speculative_buyer_distribution():
 
 
 def test_cells_integrate_linear_functions_exactly():
-    for d in (Uniform(1.0, 1.5), lower_bound_z_distribution(10),
-              EqualRevenueCapped(50.0)):
+    m, H = 10, 50.0
+    for d, closed in ((Uniform(1.0, 1.5), 1.25),
+                      (lower_bound_z_distribution(m),
+                       math.log(2 * m) / (2 * m - 1) + 1.0 / (8 * m * m)),
+                      (EqualRevenueCapped(H), 1.0 + math.log(H))):
         nodes, weights = d.cells(())
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert float(nodes @ weights) == pytest.approx(d.mean(), rel=1e-9)
+        assert float(nodes @ weights) == pytest.approx(closed, rel=1e-9)
 
 
 def test_cells_with_breakpoint_split_piecewise_linear():
