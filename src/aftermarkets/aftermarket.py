@@ -29,11 +29,9 @@ def apply_signal(protocol: SignalProtocol, outcome: AuctionOutcome,
                  bids: Optional[Sequence[BidVector]] = None) -> list[Observation]:
     """Per-agent observation: the full allocation and own payment; PublicBids
     additionally reveals every bid vector."""
-    out = []
-    for i in range(len(outcome.alloc)):
-        extra = tuple(bids) if protocol is SignalProtocol.PUBLIC_BIDS else None
-        out.append(Observation(outcome.alloc, outcome.payments[i], extra))
-    return out
+    extra = tuple(bids) if protocol is SignalProtocol.PUBLIC_BIDS else None
+    return [Observation(outcome.alloc, outcome.payments[i], extra)
+            for i in range(len(outcome.alloc))]
 
 
 @dataclass(frozen=True)

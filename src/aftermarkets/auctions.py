@@ -1,9 +1,10 @@
 """Primary mechanisms: uniform-price (optional reserve), discriminatory,
 single-item first-price and all-pay, and the sequential posted-price sale.
-Next to the discriminatory and first-price clearings are kernels that clear
-one agent's many alternative bids at once against fixed opponents. Every
-clearing and kernel breaks ties one way: higher bid first, then lower agent
-index, then lower unit."""
+Next to the uniform-price, discriminatory and first-price clearings are
+kernels (`uniform_price_deviations`, `discriminatory_units_won`,
+`first_price_deviation_wins`) that clear one agent's many alternative bids
+at once against fixed opponents. Every clearing and kernel breaks ties one
+way: higher bid first, then lower agent index, then lower unit."""
 
 from __future__ import annotations
 
@@ -109,14 +110,18 @@ def _allocate(entries, m: int, n: int):
     return counts, bid_totals, next_losing
 
 
+def _check_reserve(reserve: Optional[float]) -> None:
+    if reserve is not None and math.isnan(reserve):
+        raise ValueError("reserve must not be NaN")
+
+
 def uniform_price(bids: Sequence[BidVector], m: int,
                   reserve: Optional[float] = None) -> AuctionOutcome:
     """Marginal bids strictly below the reserve are removed; the m highest
     surviving marginals win; every winner pays
     max(reserve, highest surviving losing marginal) per unit. An infinite
     reserve sells nothing; a NaN reserve is rejected."""
-    if reserve is not None and math.isnan(reserve):
-        raise ValueError("reserve must not be NaN")
+    _check_reserve(reserve)
     counts, _, next_losing = _allocate(_sorted_entries(bids, reserve), m, len(bids))
     sold = sum(counts)
     price = next_losing
@@ -131,6 +136,81 @@ def discriminatory(bids: Sequence[BidVector], m: int) -> AuctionOutcome:
     sum of her own winning marginal bids."""
     counts, bid_totals, _ = _allocate(_sorted_entries(bids, None), m, len(bids))
     return AuctionOutcome(Allocation(tuple(counts)), tuple(bid_totals))
+
+
+def _ranked_ends(entries):
+    """Bids and cumulative unit counts of ranked entries, with a 0 in front
+    of the counts: `ends[j]` units rank above entry j."""
+    bids = np.array([e[0] for e in entries], dtype=float)
+    ends = np.zeros(len(entries) + 1, dtype=np.int64)
+    np.cumsum([e[3] for e in entries], out=ends[1:])
+    return bids, ends
+
+
+def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
+                             deviations: Sequence[BidVector], m: int,
+                             reserve: Optional[float] = None,
+                             members: Sequence[int] = ()):
+    """Units won by `agent`, the clearing price and the counts of `members`
+    for every bid vector in `deviations`, the other bids fixed, as
+    uniform_price() clears them.
+
+    The opponents' surviving runs are ranked once, by _sorted_entries. A run
+    r of the agent (bid b, first unit s, c units; the implicit zeros are a
+    run at bid 0 unless a positive reserve removes them) sees
+    above = (opponent units bid >= b from lower indices) + (units bid > b
+    from higher ones), and wins clip(m - above - s, 0, c) units; the agent
+    wins k units in all. Of sold = min(m, surviving units) the opponents win
+    the top sold - k of their own ranking. With more than m units surviving,
+    the price is the (m+1)-th marginal: the larger of the agent's unit k and
+    the opponents' unit m - k, whichever exists; otherwise 0. If anything
+    sells it is raised to the reserve.
+    Returns three arrays: units won, prices, and the counts of `members`
+    (one column per member, in order)."""
+    _check_reserve(reserve)
+    entries = [e for e in _sorted_entries(bids, reserve) if e[1] != agent]
+    opp_bids, opp_ends = _ranked_ends(entries)
+    ahead_bids, ahead_ends = _ranked_ends([e for e in entries if e[1] < agent])
+    behind_bids, behind_ends = _ranked_ends([e for e in entries if e[1] > agent])
+    n_runs = max((len(bv.runs) for bv in deviations), default=0) + 1
+    run_bids = np.zeros((len(deviations), n_runs))
+    run_counts = np.zeros((len(deviations), n_runs), dtype=np.int64)
+    for a, bv in enumerate(deviations):
+        start = 0
+        for r, (b, c) in enumerate(bv.runs):
+            run_bids[a, r] = b
+            run_counts[a, r] = c
+            start += c
+        run_counts[a, len(bv.runs)] = bv.m - start  # implicit zeros, bid 0
+    if reserve is not None:
+        run_counts[run_bids < reserve] = 0
+    run_ends = np.cumsum(run_counts, axis=1)
+    run_starts = run_ends - run_counts
+    # bids are descending, so negate them for searchsorted
+    above = (ahead_ends[np.searchsorted(-ahead_bids, -run_bids, side="right")]
+             + behind_ends[np.searchsorted(-behind_bids, -run_bids, side="left")])
+    k = np.clip(m - above - run_starts, 0, run_counts).sum(axis=1)
+    surviving = opp_ends[-1] + run_ends[:, -1]
+    sold = np.minimum(m, surviving)
+    # the (m+1)-th marginal: the agent's unit k or the opponents' unit m - k
+    in_run = (run_starts <= k[:, None]) & (k[:, None] < run_ends)
+    own_next = np.max(np.where(in_run, run_bids, -math.inf), axis=1)
+    opp_next = np.append(opp_bids, -math.inf)[
+        np.searchsorted(opp_ends[1:], m - k, side="right")]
+    price = np.where(surviving > m, np.maximum(own_next, opp_next), 0.0)
+    if reserve is not None:
+        price = np.where((sold > 0) & (reserve > price), reserve, price)
+    opp_won = sold - k
+    counts = np.zeros((len(deviations), len(members)), dtype=np.int64)
+    for col, i in enumerate(members):
+        if i == agent:
+            counts[:, col] = k
+            continue
+        own = [j for j, e in enumerate(entries) if e[1] == i]
+        starts = opp_ends[own]
+        sizes = np.array([entries[j][3] for j in own], dtype=np.int64)
+        counts[:, col] = np.clip(opp_won[:, None] - starts, 0, sizes).sum(axis=1)
+    return k, price, counts
 
 
 class BidBatch:

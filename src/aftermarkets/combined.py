@@ -13,9 +13,9 @@ from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
                           ThresholdBuyer, apply_signal, opt_out_outcome,
                           run_posted_resale)
 from .allocation import Allocation, opt_allocation, welfare
-from .auctions import (AuctionOutcome, BidVector, all_pay_single,
-                       discriminatory, first_price_single, posted_price_sell,
-                       uniform_price)
+from .auctions import (AuctionOutcome, BidVector, _check_reserve,
+                       all_pay_single, discriminatory, first_price_single,
+                       posted_price_sell, uniform_price)
 from .valuations import (MarginalValuation, MarketModel, _realizer,
                          cell_profiles, draw_values)
 
@@ -34,8 +34,7 @@ class Mechanism:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.kind == "posted" and self.posted_price is None:
             raise ValueError("posted mechanism needs a price")
-        if self.reserve is not None and math.isnan(self.reserve):
-            raise ValueError("reserve must not be NaN")
+        _check_reserve(self.reserve)
         if self.posted_price is not None and not 0 <= self.posted_price < math.inf:
             raise ValueError("posted price must be finite and nonnegative")
 
@@ -59,11 +58,6 @@ class Strategy:
         if callable(self.bid):
             return self.bid(valuation)
         return self.bid
-
-    def price_for(self, valuation: MarginalValuation, obs: Observation) -> float:
-        if callable(self.seller_price):
-            return self.seller_price(valuation, obs)
-        return self.seller_price
 
 
 @dataclass(frozen=True)
@@ -110,14 +104,17 @@ def play(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
     m = market.m
     bids = [s.bid_for(v, m) for s, v in zip(strategies, profile)]
     outcome = _run_auction(mechanism, bids, m, profile, strategies)
-    signals = apply_signal(protocol, outcome, bids)
     if resale is None:
         trade = opt_out_outcome(outcome.alloc)
     else:
-        prices = {}
+        prices, signals = {}, None
         for seller, _ in resale.resolved_groups(outcome.alloc):
-            prices[seller] = strategies[seller].price_for(profile[seller],
-                                                          signals[seller])
+            price = strategies[seller].seller_price
+            if callable(price):  # signals are built only for a price that reads them
+                if signals is None:
+                    signals = apply_signal(protocol, outcome, bids)
+                price = price(profile[seller], signals[seller])
+            prices[seller] = price
         policies = {i: s.buyer for i, s in enumerate(strategies)}
         trade = run_posted_resale(outcome.alloc, resale, prices, policies, profile)
     utilities = tuple(
@@ -188,14 +185,12 @@ def expected_outcome(market: MarketModel, mechanism: Mechanism,
     n = market.n
     wel = rev = wel2 = 0.0
     utils = np.zeros(n)
-    count = 0
     for profile, w in profile_nodes(market, integration):
         out = play(market, mechanism, protocol, resale, strategies, profile)
         wel += w * out.welfare
         wel2 += w * out.welfare ** 2
         rev += w * out.revenue
         utils += w * np.asarray(out.utilities)
-        count += 1
     stderr = None
     if isinstance(integration, MonteCarlo):
         var = max(wel2 - wel * wel, 0.0)

@@ -4,10 +4,12 @@ curves and the Myerson payment identity, the symmetric first-price efficiency
 check, and best-response dynamics.
 
 Verification uses a constant-action fast path: when every strategy is a fixed
-(bid, aftermarket action) pair, the auction clears once per deviation. Every
-agent belongs to exactly one block: its resale group, or itself alone when it
-is in none. A block's aftermarket is integrated exactly over its <= 2 scalar
-random dimensions with the interval-moment cells of `cell_profiles`, once per
+(bid, aftermarket action) pair, a best-response gap under the uniform-price
+auction makes one batched clearing (`uniform_price_deviations`) of all the
+agent's bid deviations against opponents ranked once. Every agent belongs to
+exactly one block: its resale group, or itself alone when it is in none. A
+block's aftermarket is integrated exactly over its <= 2 scalar random
+dimensions with the interval-moment cells of `cell_profiles`, once per
 distinct block allocation and aftermarket action rather than once per
 deviation. Each cell trades through `run_posted_resale`, the same rule
 `play()` uses. The first-price check draws its value pairs with
@@ -25,7 +27,7 @@ import numpy as np
 from .aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer,
                           run_posted_resale)
 from .allocation import Allocation
-from .auctions import BidVector
+from .auctions import BidVector, uniform_price_deviations
 from .combined import Mechanism, Strategy, _run_auction
 from .distributions import UnitDistribution
 from .valuations import (MarketModel, cell_profiles, draw_values,
@@ -101,8 +103,10 @@ class ConstantActionEvaluator:
     scalars with breakpoints at the effective purchase cutoffs, which the
     interval-moment cells integrate exactly.
 
-    The auction clears on every call, but a block's stage depends only on
-    its members' auction allocation, the seller's price and the buyers'
+    `expected_utility` clears the auction on every call; `expected_utilities`
+    makes one batched clearing per gap for all of an agent's bid-only
+    deviations under the uniform-price auction. A block's stage depends only
+    on its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
     evaluator's lifetime; auction payments are subtracted afterwards.
     """
@@ -137,11 +141,13 @@ class ConstantActionEvaluator:
                 acts[i] = dev.merged_into(acts[i])
         return acts
 
-    def _auction(self, acts):
-        bids = [a.bid if a.bid is not None else BidVector.from_runs((), self.m)
+    def _bids(self, acts) -> list[BidVector]:
+        return [a.bid if a.bid is not None else BidVector.from_runs((), self.m)
                 for a in acts]
-        mech = self.game.mechanism
-        return _run_auction(mech, bids, self.m, [None] * len(bids), [])
+
+    def _auction(self, acts):
+        bids = self._bids(acts)
+        return _run_auction(self.game.mechanism, bids, self.m, [None] * len(bids), [])
 
     def _cells(self, agent: int, cut: Optional[float]):
         key = (agent, cut)
@@ -151,18 +157,17 @@ class ConstantActionEvaluator:
             self._cells_cache[key] = dist.cells(bps)
         return self._cells_cache[key]
 
-    def _stage(self, block, acts, outcome) -> _ResaleStage:
-        """The resale stage of `block` under the auction `outcome`; a block
-        without buyers never makes an offer. Integrated once per distinct
-        (block, members' allocation, price, thresholds), one
-        `run_posted_resale` per cell."""
+    def _stage(self, block, acts, alloc: tuple[int, ...]) -> _ResaleStage:
+        """The resale stage of `block` when the auction gives its members
+        (seller first) the units `alloc`; a block without buyers never makes
+        an offer. Integrated once per distinct (block, alloc, price,
+        thresholds), one `run_posted_resale` per cell."""
         seller, buyers = block
         members = (seller,) + buyers
         price = acts[seller].seller_price
         if price is None or not buyers:
             price = NO_OFFER
         thresholds = tuple(acts[b].buyer_threshold for b in buyers)
-        alloc = tuple(outcome.alloc[i] for i in members)
         key = (block, alloc, price, thresholds)
         if key in self._stages:
             return self._stages[key]
@@ -187,20 +192,66 @@ class ConstantActionEvaluator:
             {i: np.array(t, dtype=float) for i, t in zip(members, transfers)})
         return stage
 
+    def _outcome_stage(self, block, acts, outcome) -> _ResaleStage:
+        seller, buyers = block
+        return self._stage(block, acts,
+                           tuple(outcome.alloc[i] for i in (seller,) + buyers))
+
+    @staticmethod
+    def _utility(stage: _ResaleStage, agent: int, payment: float) -> float:
+        u = stage.vals[agent] - payment - stage.transfers[agent]
+        return float(u @ stage.weights)
+
     def expected_utility(self, agent: int,
                          overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
         outcome = self._auction(acts)
-        stage = self._stage(self._block_of[agent], acts, outcome)
-        u = stage.vals[agent] - outcome.payments[agent] - stage.transfers[agent]
-        return float(u @ stage.weights)
+        stage = self._outcome_stage(self._block_of[agent], acts, outcome)
+        return self._utility(stage, agent, outcome.payments[agent])
+
+    def expected_utilities(self, agent: int,
+                           deviations: Sequence[Action]) -> list[float]:
+        """[expected_utility(agent, {agent: d}) for d in deviations], the
+        other agents on their base actions. Under the uniform-price auction
+        the bid-only deviations clear in one `uniform_price_deviations` call,
+        and each distinct (block allocation, payment) pair looks its stage up
+        and computes its utility once. A deviation that changes a price or
+        threshold, and every deviation under another mechanism, takes
+        `expected_utility`."""
+        out: list = [None] * len(deviations)
+        batch = []
+        for j, dev in enumerate(deviations):
+            if (self.game.mechanism.kind == "uniform" and dev.seller_price is None
+                    and dev.buyer_threshold is None):
+                batch.append(j)
+            else:
+                out[j] = self.expected_utility(agent, {agent: dev})
+        if not batch:
+            return out
+        acts = self._actions(None)
+        block = self._block_of[agent]
+        seller, buyers = block
+        # a deviation without a bid keeps the base bid
+        own_bids = self._bids([acts[agent] if deviations[j].bid is None
+                               else deviations[j] for j in batch])
+        k, price, counts = uniform_price_deviations(
+            self._bids(acts), agent, own_bids, self.m,
+            self.game.mechanism.reserve, (seller,) + buyers)
+        utils: dict = {}
+        for j, alloc, payment in zip(batch, counts.tolist(), (price * k).tolist()):
+            key = (tuple(alloc), payment)
+            if key not in utils:
+                utils[key] = self._utility(self._stage(block, acts, key[0]),
+                                           agent, payment)
+            out[j] = utils[key]
+        return out
 
     def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
         outcome = self._auction(acts)
         total = 0.0
         for block in self._blocks:
-            stage = self._stage(block, acts, outcome)
+            stage = self._outcome_stage(block, acts, outcome)
             for i in stage.vals:  # seller first, then buyers in order
                 total += float(stage.vals[i] @ stage.weights)
         return total
@@ -309,8 +360,7 @@ def best_response_gap(game: CombinedGame, agent: int,
     base = ev.expected_utility(agent)
     best, witness = -math.inf, Action(label="on-path")
     devs = grid.deviations(game.market.m)
-    for dev in devs:
-        u = ev.expected_utility(agent, {agent: dev})
+    for dev, u in zip(devs, ev.expected_utilities(agent, devs)):
         if u > best:
             best, witness = u, dev
     return GapResult(best - base, witness, base, len(devs))

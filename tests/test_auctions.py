@@ -10,7 +10,7 @@ from aftermarkets.auctions import (BidBatch, BidVector, all_pay_single,
                                    discriminatory, discriminatory_units_won,
                                    first_price_deviation_wins,
                                    first_price_single, posted_price_sell,
-                                   uniform_price)
+                                   uniform_price, uniform_price_deviations)
 from aftermarkets.combined import Mechanism
 from aftermarkets.valuations import MarginalValuation
 
@@ -115,6 +115,9 @@ TIES = [BidVector([0.5], 2), BidVector([0.5, 0.5], 2), BidVector([0.5], 2)]
     pytest.param(lambda: tuple(
         int(discriminatory_units_won(TIES, a, BidBatch([TIES[a]]), 2)[0][0])
         for a in range(3)), (1, 1, 0), id="discriminatory-kernel"),
+    pytest.param(lambda: tuple(
+        int(uniform_price_deviations(TIES, a, [TIES[a]], 2)[0][0])
+        for a in range(3)), (1, 1, 0), id="uniform-kernel"),
     pytest.param(lambda: opt_allocation(
         [MarginalValuation.from_runs(bv.runs) for bv in TIES], 2)[0].counts,
         (1, 1, 0), id="opt"),
@@ -142,6 +145,8 @@ def test_posted_price_sell_truthful_and_override():
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: uniform_price(TIES, 2, reserve=math.nan), id="nan-reserve"),
+    pytest.param(lambda: uniform_price_deviations(TIES, 0, [TIES[0]], 2, math.nan),
+                 id="kernel-nan-reserve"),
     pytest.param(lambda: Mechanism("uniform", reserve=math.nan),
                  id="mechanism-nan-reserve"),
     *(pytest.param(lambda p=p: posted_price_sell(p, (0,), [MarginalValuation([2.0])], 1),
@@ -203,3 +208,40 @@ def test_reserve_monotone_in_sold_units(seed, reserve):
     low = uniform_price(bids, m, reserve=reserve)
     high = uniform_price(bids, m, reserve=reserve + 0.5)
     assert high.alloc.total <= low.alloc.total
+
+
+GRID_BIDS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5])
+
+
+@st.composite
+def grid_bid_vector(draw, m):
+    """A bid vector on the 0.25 grid: repeated levels tie, and zero levels
+    leave implicit zero bids."""
+    marginals = draw(st.lists(GRID_BIDS, max_size=m))
+    return BidVector(sorted(marginals, reverse=True), m)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_uniform_kernel_matches_uniform_price(data):
+    """Every deviation cleared by the kernel gets exactly what uniform_price
+    gives the same bids: every count, the price and every payment."""
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 4))
+    bids = [data.draw(grid_bid_vector(m)) for _ in range(n)]
+    agent = data.draw(st.integers(0, n - 1))
+    deviations = data.draw(st.lists(grid_bid_vector(m), min_size=1, max_size=6))
+    reserve = data.draw(st.sampled_from(
+        [None, 0.0, -0.5, 0.75, 0.6, 1.75, math.inf]))
+    members = tuple(range(n))
+    k, price, counts = uniform_price_deviations(bids, agent, deviations, m,
+                                                reserve, members)
+    for d, dev in enumerate(deviations):
+        out = uniform_price(bids[:agent] + [dev] + bids[agent + 1:], m, reserve)
+        assert int(k[d]) == out.alloc[agent]
+        assert tuple(counts[d].tolist()) == out.alloc.counts
+        assert float(price[d]).hex() == float(out.clearing_price).hex()
+        payments = price[d] * counts[d]
+        assert [float(p).hex() for p in payments] == [p.hex() for p in out.payments]
+        assert counts[d].sum() <= m
+        assert (payments >= 0).all()

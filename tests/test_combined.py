@@ -199,3 +199,32 @@ def test_mechanism_validation():
         Mechanism("vickrey")
     with pytest.raises(ValueError):
         Mechanism("posted")
+
+
+@pytest.mark.parametrize("protocol", list(SignalProtocol))
+def test_play_callable_seller_price_reads_signals(protocol):
+    """A callable resale price sees the auction allocation, its own payment
+    and, under PUBLIC_BIDS, every bid; play() builds these signals only for
+    such a price."""
+    m = 10
+    market, mech, resale, strategies = scripted(m)
+    seen = []
+
+    def price(valuation, obs):
+        seen.append(obs)
+        return 1.0 if obs.alloc[2] == m - 2 and obs.own_payment == 0.0 else 0.5
+
+    reading = list(strategies)
+    reading[2] = replace(strategies[2], seller_price=price)
+    profile = [market.agents[0].realize(1.25), market.agents[1].realize(1.2),
+               market.agents[2].realize()]
+    out = play(market, mech, protocol, resale, reading, profile)
+    assert out == play(market, mech, protocol, resale, strategies, profile)
+    assert len(seen) == 1
+    obs = seen[0]
+    assert obs.alloc == out.auction_alloc
+    assert obs.own_payment == out.auction_payments[2]
+    if protocol is SignalProtocol.PUBLIC_BIDS:
+        assert obs.bids == tuple(s.bid for s in strategies)
+    else:
+        assert obs.bids is None

@@ -1,8 +1,11 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aftermarkets.aftermarket import ResaleSpec
 from aftermarkets.auctions import BidVector
@@ -238,3 +241,67 @@ def test_deviation_grid_includes_on_path():
     devs = grid.deviations(100)
     assert devs[0].label == "on-path"
     assert len(devs) >= 1000
+
+
+def mixed_deviations(m, rng):
+    """Bid-only deviations (the on-path no-op among them), price-only,
+    threshold-only and bid-plus-price deviations, in random order."""
+    levels = (0.0, 0.5, 1.0, 1.0 + 1.0 / (2 * m), 2.0, 2.4)
+    devs = [Action(label="on-path")]
+    devs += [Action(bid=BidVector.flat(level, count, m))
+             for level in levels for count in (1, 2, m - 2, m)]
+    devs += [Action(bid=BidVector.from_runs(((2.0, 1), (level, count)), m))
+             for level in levels if level <= 2.0 for count in (1, m - 3)]
+    devs += [Action(seller_price=p) for p in (0.5, 1.0, math.inf)]
+    devs += [Action(buyer_threshold=t) for t in (0.9, 1.1)]
+    devs += [Action(bid=BidVector.flat(1.0, m - 2, m), seller_price=p)
+             for p in (0.9, 1.0)]
+    rng.shuffle(devs)
+    return devs
+
+
+def assert_batched_utilities_exact(game, agents, rng):
+    m = game.market.m
+    ev = game.evaluator()
+    for agent in agents:
+        devs = mixed_deviations(m, rng)
+        batched = ev.expected_utilities(agent, devs)
+        single = [game.evaluator().expected_utility(agent, {agent: d}) for d in devs]
+        assert [u.hex() for u in batched] == [u.hex() for u in single]
+
+
+@given(st.integers(4, 40), st.sampled_from([None, 0.03, 0.5, 1.0]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_expected_utilities_match_expected_utility(m, reserve, rng):
+    """The batched utilities equal the per-deviation ones bit for bit."""
+    game = scripted_lower_bound_equilibrium(m, reserve=reserve)
+    assert_batched_utilities_exact(game, range(3), rng)
+
+
+def test_expected_utilities_grouped_market():
+    game = scripted_grouped_equilibrium(40, 0.25)
+    assert_batched_utilities_exact(game, (0, 1, 2, 4, 11), random.Random(3))
+
+
+def test_expected_utilities_discriminatory_fallback():
+    game = replace(scripted_lower_bound_equilibrium(12),
+                   mechanism=Mechanism("discriminatory"))
+    assert_batched_utilities_exact(game, range(3), random.Random(5))
+
+
+@pytest.mark.parametrize("reserve, agent, role", [
+    (None, 0, "regular"), (0.5, 2, "speculator"), (1.0, 1, "bulk")])
+def test_gap_witness_is_first_best_deviation(reserve, agent, role):
+    """Of equally good deviations the gap reports the first in grid order."""
+    m = 10
+    game = scripted_lower_bound_equilibrium(m, reserve=reserve)
+    grid = default_deviation_grid(m, role)
+    devs = grid.deviations(m)
+    ev = game.evaluator()
+    utils = [ev.expected_utility(agent, {agent: d}) for d in devs]
+    best = max(utils)
+    assert utils.count(best) > 1  # later deviations tie with the witness
+    gap = best_response_gap(game, agent, grid)
+    assert gap.witness == devs[utils.index(best)]
+    assert gap.gap == best - ev.expected_utility(agent)
