@@ -256,6 +256,7 @@ def cmd_symmetric_fpa(opts: dict, seed: int, out: Optional[str],
     report = symmetric_fpa_check(dist, samples=int(opts["samples"]), seed=seed)
     row = {"gap": report.gap, "efficiency": report.efficiency,
            "max_payment_residual": report.max_payment_residual,
+           "bid_table_error": report.bid_table_error,
            "samples": report.n_samples}
     comment = (f"# config_hash={_config_hash('symmetric-fpa', opts, seed)} "
                f"seed={seed} grid=samples:{opts['samples']}")
@@ -263,7 +264,8 @@ def cmd_symmetric_fpa(opts: dict, seed: int, out: Optional[str],
     eps = tol if tol > 0 else 1e-6
     if not report.passes(max(eps, 1e-9)):
         return _fail({"error": "symmetric bid profile failed the check",
-                      "gap": report.gap, "efficiency": report.efficiency})
+                      "gap": report.gap, "efficiency": report.efficiency,
+                      "max_payment_residual": report.max_payment_residual})
     return 0
 
 

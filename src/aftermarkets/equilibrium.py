@@ -13,7 +13,8 @@ dimensions with the interval-moment cells of `cell_profiles`, once per
 distinct block allocation and aftermarket action rather than once per
 deviation. Each cell trades through `run_posted_resale`, the same rule
 `play()` uses. The first-price check draws its value pairs with
-`draw_values`, the Monte Carlo rule of `expected_outcome`.
+`draw_values`, the Monte Carlo rule of `expected_outcome`, and evaluates the
+exact bid once per check, on a table it then interpolates.
 """
 
 from __future__ import annotations
@@ -596,15 +597,47 @@ def symmetric_fpa_bid(dist: UnitDistribution, v):
     return np.divide(dist.partial_mean(lo, v), mass, out=out, where=mass > 0.0)[()]
 
 
+# nodes per kink piece of the tabulated symmetric first-price bid, evenly
+# spaced in value and again in probability
+BID_TABLE_POINTS = 1024
+
+
+def _bid_table_nodes(dist: UnitDistribution) -> np.ndarray:
+    """Per kink piece [a, c] of `dist`: N + 1 values evenly spaced on [a, c]
+    and the quantiles of N + 1 probabilities evenly spaced over [F(a), F(c)],
+    N = BID_TABLE_POINTS; sorted and unique."""
+    parts = []
+    for a, c in zip(dist.kinks, dist.kinks[1:]):
+        parts.append(np.linspace(a, c, BID_TABLE_POINTS + 1))
+        u = np.linspace(*dist.cdf(np.array([a, c])), BID_TABLE_POINTS + 1)
+        parts.append(np.clip(dist.quantile(u[u < 1.0]), a, c))
+    return np.unique(np.concatenate(parts))
+
+
+def _tabulated_fpa_bid(dist: UnitDistribution):
+    """The interpolant b-hat of `symmetric_fpa_bid` on `_bid_table_nodes`, and
+    its measured error: the largest |b-hat - b| over the cell midpoints."""
+    nodes = _bid_table_nodes(dist)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    exact = symmetric_fpa_bid(dist, np.concatenate((nodes, mids)))
+
+    def b_hat(v):
+        return np.interp(v, nodes, exact[:nodes.size])
+
+    return b_hat, float(np.max(np.abs(b_hat(mids) - exact[nodes.size:])))
+
+
 @dataclass(frozen=True)
 class SymmetricFpaReport:
     gap: float
     efficiency: float
     max_payment_residual: float
     n_samples: int
+    bid_table_error: float
 
     def passes(self, eps: float) -> bool:
-        return self.gap <= eps and self.efficiency >= 0.999
+        return (self.gap <= eps and self.efficiency >= 0.999
+                and self.max_payment_residual <= 1e-6)
 
 
 def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
@@ -612,15 +645,24 @@ def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
                         seed: int = 0) -> SymmetricFpaReport:
     """Check that (b, b) with b(v) = E[V'|V'<v] is an (approximate) BNE of the
     first-price combined market whose ex-post-IR resale never trades on path,
-    and that the final allocation is efficient on sampled profiles."""
+    and that the final allocation is efficient on sampled profiles.
+
+    b is evaluated exactly once per check, on a table: per kink piece of
+    `dist`, N + 1 values evenly spaced in value plus the quantiles of N + 1
+    probabilities evenly spaced over the piece (N = BID_TABLE_POINTS). Every
+    use of b in the check (on-path bids, b(hi), the deviation win
+    probabilities, the efficiency sample and the interim curves) plays the
+    piecewise-linear interpolant b-hat, which is exact where b is linear
+    (Uniform). `bid_table_error` is the largest |b-hat - b| over the table's
+    cell midpoints, with b exact; the payment residual carries it too."""
     if dist.atoms():
         raise ValueError("requires an atomless distribution")
+    if min(value_points, bid_points, samples) < 1:
+        raise ValueError("value_points, bid_points and samples must be >= 1")
     lo, hi = dist.support
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("requires bounded support")
-
-    def b(v):
-        return symmetric_fpa_bid(dist, v)
+    b, table_error = _tabulated_fpa_bid(dist)
 
     values = np.linspace(lo, hi, value_points)
     bids = np.linspace(lo, b(hi), bid_points)
@@ -643,7 +685,8 @@ def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
     grid = np.linspace(lo + 1e-9 if lo == 0 else lo, hi, value_points)
     _, _, residuals = interim_curves((dist, dist), (b, b), 0, grid)
     return SymmetricFpaReport(gap, eff / counted if counted else 1.0,
-                              float(np.max(np.abs(residuals))), samples)
+                              float(np.max(np.abs(residuals))), samples,
+                              table_error)
 
 
 # -- best-response dynamics ------------------------------------------------

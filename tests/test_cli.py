@@ -114,6 +114,7 @@ def test_symmetric_fpa(tmp_path, capsys):
     row = parse_csv(out)[0]
     assert float(row["gap"]) <= 1e-6
     assert float(row["efficiency"]) >= 0.999
+    assert float(row["bid_table_error"]) <= 1e-6
 
 
 def test_seed_changes_hash_only(capsys):

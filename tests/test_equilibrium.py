@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from aftermarkets.aftermarket import ResaleSpec
 from aftermarkets.auctions import BidVector
 from aftermarkets.combined import Mechanism
-from aftermarkets.distributions import Uniform, lower_bound_z_distribution
+from aftermarkets.distributions import (PiecewiseCdf, SegmentSpec, Uniform,
+                                        lower_bound_z_distribution)
 from aftermarkets.equilibrium import (Action, CombinedTabularGame,
-                                      DeviationGrid, TabularGame,
+                                      DeviationGrid, SymmetricFpaReport,
+                                      TabularGame, _bid_table_nodes,
+                                      _tabulated_fpa_bid,
                                       best_response_dynamics,
                                       best_response_gap,
                                       default_deviation_grid,
@@ -162,12 +165,74 @@ def test_symmetric_fpa_residual_across_cdf_kink():
     # the CDF of z kinks at 1, inside the support
     report = symmetric_fpa_check(lower_bound_z_distribution(10), 11, 101, 2000)
     assert report.max_payment_residual <= 1e-6
+    assert report.bid_table_error <= 1e-6
 
 
 def test_symmetric_fpa_far_from_zero():
     report = symmetric_fpa_check(Uniform(1e5, 1e5 + 1.0), 11, 101, 2000)
     assert report.max_payment_residual <= 1e-6
     assert report.gap <= 1e-9
+
+
+def _square_cdf():
+    """F(x) = x^2 on [0, 1], with the base class's quad-backed partial_mean."""
+    return PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=lambda x: x * x,
+                                     pdf=lambda x: 2.0 * x, ppf=math.sqrt),))
+
+
+def _cosine_cdf():
+    """F(x) = (1 - cos(pi x)) / 2 on [0, 1]; no ppf, so quantiles use brentq."""
+    return PiecewiseCdf((SegmentSpec(
+        0.0, 1.0, cdf=lambda x: (1.0 - math.cos(math.pi * x)) / 2.0,
+        pdf=lambda x: math.pi / 2.0 * math.sin(math.pi * x)),))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lower_bound_z_distribution(10),
+    lambda: lower_bound_z_distribution(100),
+    _square_cdf, lambda: Uniform(0.0, 1.0), _cosine_cdf,
+], ids=["z10", "z100", "square", "uniform", "cosine"])
+def test_bid_table_error_bounds_random_points(make):
+    dist = make()
+    b_hat, error = _tabulated_fpa_bid(dist)
+    assert error <= 1e-6
+    lo, hi = dist.support
+    rng = np.random.default_rng(17)
+    # half spread in value, half in probability (z's mass sits near 0)
+    points = np.concatenate((rng.uniform(lo, hi, 500),
+                             dist.quantile(rng.random(500))))
+    worst = np.max(np.abs(b_hat(points) - symmetric_fpa_bid(dist, points)))
+    assert worst <= 2.0 * error + 1e-15
+
+
+def test_bid_table_bounds_partial_mean_points(monkeypatch):
+    dist = _square_cdf()
+    sizes = []
+    exact = PiecewiseCdf.partial_mean
+
+    def counted(self, a, b, tol=1e-12):
+        sizes.append(np.size(b))
+        return exact(self, a, b, tol)
+
+    monkeypatch.setattr(PiecewiseCdf, "partial_mean", counted)
+    report = symmetric_fpa_check(dist, 5, 21, 500, seed=1)
+    # the table and its cell midpoints, in one call
+    assert sizes == [2 * _bid_table_nodes(dist).size - 1]
+    assert report.passes(1e-6)
+
+
+@pytest.mark.parametrize("sizes", [(0, 401, 20), (21, 0, 20), (21, 401, 0),
+                                   (21, 401, -5)],
+                         ids=["value_points", "bid_points", "samples", "negative"])
+def test_symmetric_fpa_rejects_bad_sizes(sizes):
+    with pytest.raises(ValueError, match=">= 1"):
+        symmetric_fpa_check(Uniform(0.0, 1.0), *sizes)
+
+
+def test_symmetric_fpa_passes_requires_residual():
+    report = SymmetricFpaReport(0.0, 1.0, 2e-6, 10, 0.0)
+    assert not report.passes(1e-6)
+    assert replace(report, max_payment_residual=1e-6).passes(1e-6)
 
 
 def test_symmetric_fpa_cli_defaults_uniform():
