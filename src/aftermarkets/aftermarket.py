@@ -46,9 +46,13 @@ NO_OFFER = math.inf
 @dataclass(frozen=True)
 class ThresholdBuyer:
     """Dominant resale policy: buy another unit while its marginal value is >=
-    the posted price (and >= the optional extra threshold)."""
+    the posted price (and >= the optional extra threshold, never NaN)."""
 
     threshold: Optional[float] = None
+
+    def __post_init__(self):
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("buyer threshold must not be NaN")
 
     def quantity(self, valuation: MarginalValuation, holding: int, price: float,
                  stock: int) -> int:
@@ -57,6 +61,9 @@ class ThresholdBuyer:
             return 0
         want = valuation.count_ge(cut) - holding
         return max(0, min(want, stock))
+
+
+_TRUTHFUL_BUYER = ThresholdBuyer()
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,7 @@ def run_posted_resale(initial: Allocation, spec: ResaleSpec,
         for b in buyers:
             if stock == 0:
                 break
-            policy = buyer_policies.get(b, ThresholdBuyer())
+            policy = buyer_policies.get(b, _TRUTHFUL_BUYER)
             q = policy.quantity(valuations[b], counts[b], price, stock)
             q = max(0, min(q, stock))
             counts[b] += q

@@ -3,8 +3,10 @@ single-item first-price and all-pay, and the sequential posted-price sale.
 Next to the uniform-price, discriminatory and first-price clearings are
 kernels (`uniform_price_deviations`, `discriminatory_units_won`,
 `first_price_deviation_wins`) that clear one agent's many alternative bids
-at once against fixed opponents. Every clearing and kernel breaks ties one
-way: higher bid first, then lower agent index, then lower unit."""
+at once against fixed opponents. Both multi-unit kernels take the bids as
+one run-encoded `BidBatch`, and the discriminatory one reads its units won
+off the uniform one. Every clearing and kernel breaks ties one way: higher
+bid first, then lower agent index, then lower unit."""
 
 from __future__ import annotations
 
@@ -147,13 +149,74 @@ def _ranked_ends(entries):
     return bids, ends
 
 
+class BidBatch:
+    """Bid vectors as run arrays, for clearing one agent's alternative bids
+    at once. Row j bids `run_bids[j, r]` on `run_counts[j, r]` units: its
+    positive runs in order, then empty (0.0, 0) runs as padding; then come
+    its `tail[j]` implicit zero bids. The constructor takes the rows as
+    valid; `of` builds them from BidVectors, and `vector(j)` validates row j
+    as it rebuilds it."""
+
+    __slots__ = ("run_bids", "run_counts", "tail")
+
+    def __init__(self, run_bids: np.ndarray, run_counts: np.ndarray,
+                 tail: np.ndarray):
+        self.run_bids = run_bids
+        self.run_counts = run_counts
+        self.tail = tail
+
+    @classmethod
+    def of(cls, bids: Sequence[BidVector]) -> "BidBatch":
+        n_runs = max((len(bv.runs) for bv in bids), default=0)
+        run_bids = np.zeros((len(bids), n_runs))
+        run_counts = np.zeros((len(bids), n_runs), dtype=np.int64)
+        for a, bv in enumerate(bids):
+            for r, (b, c) in enumerate(bv.runs):
+                run_bids[a, r] = b
+                run_counts[a, r] = c
+        units = np.array([bv.m for bv in bids], dtype=np.int64)
+        return cls(run_bids, run_counts, units - run_counts.sum(axis=1))
+
+    def __len__(self) -> int:
+        return len(self.run_bids)
+
+    def vector(self, j: int) -> BidVector:
+        counts = self.run_counts[j].tolist()
+        return BidVector.from_runs(tuple(zip(self.run_bids[j].tolist(), counts)),
+                                   sum(counts) + int(self.tail[j]))
+
+
+def _deviation_units(entries, agent: int, batch: BidBatch, m: int,
+                     reserve: Optional[float]):
+    """The runs of every row of `batch` against the opponents' ranked
+    surviving `entries`, as uniform_price_deviations describes them: the
+    run bids, with the implicit zeros as a last run at bid 0, the runs'
+    first and end units (runs below a reserve are empty), and the units k
+    each row wins."""
+    ahead_bids, ahead_ends = _ranked_ends([e for e in entries if e[1] < agent])
+    behind_bids, behind_ends = _ranked_ends([e for e in entries if e[1] > agent])
+    run_bids = np.concatenate((batch.run_bids, np.zeros((len(batch), 1))), axis=1)
+    run_counts = np.concatenate((batch.run_counts, batch.tail[:, None]), axis=1)
+    if reserve is not None:
+        run_counts[run_bids < reserve] = 0
+    run_ends = np.cumsum(run_counts, axis=1)
+    run_starts = run_ends - run_counts
+    # bids are descending, so negate them for searchsorted
+    above = (ahead_ends[np.searchsorted(-ahead_bids, -run_bids, side="right")]
+             + behind_ends[np.searchsorted(-behind_bids, -run_bids, side="left")])
+    # clip(m - above - s, 0, c); np.clip is slower on the small batches
+    # of the smoothness checks
+    k = np.minimum(np.maximum(m - above - run_starts, 0), run_counts).sum(axis=1)
+    return run_bids, run_starts, run_ends, k
+
+
 def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
-                             deviations: Sequence[BidVector], m: int,
+                             batch: BidBatch, m: int,
                              reserve: Optional[float] = None,
                              members: Sequence[int] = ()):
     """Units won by `agent`, the clearing price and the counts of `members`
-    for every bid vector in `deviations`, the other bids fixed, as
-    uniform_price() clears them.
+    for every row of `batch`, the other bids fixed, as uniform_price()
+    clears them.
 
     The opponents' surviving runs are ranked once, by _sorted_entries. A run
     r of the agent (bid b, first unit s, c units; the implicit zeros are a
@@ -170,26 +233,8 @@ def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
     _check_reserve(reserve)
     entries = [e for e in _sorted_entries(bids, reserve) if e[1] != agent]
     opp_bids, opp_ends = _ranked_ends(entries)
-    ahead_bids, ahead_ends = _ranked_ends([e for e in entries if e[1] < agent])
-    behind_bids, behind_ends = _ranked_ends([e for e in entries if e[1] > agent])
-    n_runs = max((len(bv.runs) for bv in deviations), default=0) + 1
-    run_bids = np.zeros((len(deviations), n_runs))
-    run_counts = np.zeros((len(deviations), n_runs), dtype=np.int64)
-    for a, bv in enumerate(deviations):
-        start = 0
-        for r, (b, c) in enumerate(bv.runs):
-            run_bids[a, r] = b
-            run_counts[a, r] = c
-            start += c
-        run_counts[a, len(bv.runs)] = bv.m - start  # implicit zeros, bid 0
-    if reserve is not None:
-        run_counts[run_bids < reserve] = 0
-    run_ends = np.cumsum(run_counts, axis=1)
-    run_starts = run_ends - run_counts
-    # bids are descending, so negate them for searchsorted
-    above = (ahead_ends[np.searchsorted(-ahead_bids, -run_bids, side="right")]
-             + behind_ends[np.searchsorted(-behind_bids, -run_bids, side="left")])
-    k = np.clip(m - above - run_starts, 0, run_counts).sum(axis=1)
+    run_bids, run_starts, run_ends, k = _deviation_units(entries, agent, batch, m,
+                                                         reserve)
     surviving = opp_ends[-1] + run_ends[:, -1]
     sold = np.minimum(m, surviving)
     # the (m+1)-th marginal: the agent's unit k or the opponents' unit m - k
@@ -201,7 +246,7 @@ def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
     if reserve is not None:
         price = np.where((sold > 0) & (reserve > price), reserve, price)
     opp_won = sold - k
-    counts = np.zeros((len(deviations), len(members)), dtype=np.int64)
+    counts = np.zeros((len(batch), len(members)), dtype=np.int64)
     for col, i in enumerate(members):
         if i == agent:
             counts[:, col] = k
@@ -213,64 +258,21 @@ def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
     return k, price, counts
 
 
-class BidBatch:
-    """BidVectors as arrays, for clearing one agent's alternative bids at
-    once: per-unit bids with the implicit zeros (`units`, padded to the
-    widest vector), a mask of the real units, and the explicit runs
-    (`run_bids`, `run_counts`, padded with empty runs)."""
-
-    __slots__ = ("units", "real", "run_bids", "run_counts")
-
-    def __init__(self, bids: Sequence[BidVector]):
-        width = max((bv.m for bv in bids), default=0)
-        n_runs = max((len(bv.runs) for bv in bids), default=0)
-        self.units = np.zeros((len(bids), width))
-        self.real = np.zeros((len(bids), width), dtype=bool)
-        self.run_bids = np.zeros((len(bids), n_runs))
-        self.run_counts = np.zeros((len(bids), n_runs), dtype=np.int64)
-        for a, bv in enumerate(bids):
-            start = 0
-            for r, (b, c) in enumerate(bv.runs):
-                self.units[a, start:start + c] = b
-                self.run_bids[a, r] = b
-                self.run_counts[a, r] = c
-                start += c
-            self.real[a, :bv.m] = True
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-
 def discriminatory_units_won(bids: Sequence[BidVector], agent: int,
                              batch: BidBatch, m: int):
-    """Units won and payments of `agent` for every bid vector in `batch`, the
-    other bids fixed, as discriminatory() clears them. The agent's unit j is
-    won iff (other agents' units ranked above it) + j < m; a unit ranks above
-    a bid d if its bid exceeds d, or equals d from a lower agent index, and
-    the implicit zero bids count, as in _sorted_entries. Won units form a
-    prefix, and the payment adds bid * units won run by run, as _allocate
-    does.
+    """Units won and payments of `agent` for every row of `batch`, the other
+    bids fixed, as discriminatory() clears them. The discriminatory
+    allocation is uniform_price()'s without a reserve, so the units won are
+    the k of uniform_price_deviations; won units form a prefix, and the
+    payment adds bid * units won run by run, as _allocate does.
     Returns two arrays: unit counts and payments."""
-    ahead, behind = [], []  # other agents' units that win / lose a tie
-    for i, bv in enumerate(bids):
-        if i == agent:
-            continue
-        units = ahead if i < agent else behind
-        for b, c in bv.runs:
-            units.extend([b] * c)
-        units.extend([0.0] * (bv.m - sum(c for _, c in bv.runs)))
-    ahead, behind = np.sort(ahead), np.sort(behind)
-    d = batch.units
-    above = (len(ahead) - np.searchsorted(ahead, d, side="left")
-             + len(behind) - np.searchsorted(behind, d, side="right"))
-    won = batch.real & (above + np.arange(d.shape[1]) < m)
-    counts = won.sum(axis=1)
+    entries = [e for e in _sorted_entries(bids, None) if e[1] != agent]
+    _, run_starts, _, counts = _deviation_units(entries, agent, batch, m, None)
+    take = np.minimum(np.maximum(counts[:, None] - run_starts[:, :-1], 0),
+                      batch.run_counts)
     payments = np.zeros(len(batch))
-    start = np.zeros(len(batch), dtype=np.int64)
-    for r in range(batch.run_bids.shape[1]):
-        take = np.clip(counts - start, 0, batch.run_counts[:, r])
-        payments = payments + batch.run_bids[:, r] * take
-        start = start + batch.run_counts[:, r]
+    for r in range(take.shape[1]):
+        payments = payments + batch.run_bids[:, r] * take[:, r]
     return counts, payments
 
 

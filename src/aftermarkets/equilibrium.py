@@ -4,9 +4,11 @@ curves and the Myerson payment identity, the symmetric first-price efficiency
 check, and best-response dynamics.
 
 Verification uses a constant-action fast path: when every strategy is a fixed
-(bid, aftermarket action) pair, a best-response gap under the uniform-price
-auction makes one batched clearing (`uniform_price_deviations`) of all the
-agent's bid deviations against opponents ranked once. Every agent belongs to
+(bid, aftermarket action) pair, a best-response gap takes its grid's bid
+deviations as one run-encoded `BidBatch`, which `DeviationGrid.bid_batch`
+enumerates with numpy, and under the uniform-price auction clears them all
+in one `uniform_price_deviations` call against opponents ranked once; an
+`Action` is built only for the reported witness. Every agent belongs to
 exactly one block: its resale group, or itself alone when it is in none. A
 block's aftermarket is integrated exactly over its <= 2 scalar random
 dimensions with the interval-moment cells of `cell_profiles`, once per
@@ -28,7 +30,7 @@ import numpy as np
 from .aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer,
                           run_posted_resale)
 from .allocation import Allocation
-from .auctions import BidVector, uniform_price_deviations
+from .auctions import BidBatch, BidVector, uniform_price_deviations
 from .combined import Mechanism, Strategy, _run_auction
 from .distributions import UnitDistribution
 from .valuations import (MarketModel, cell_profiles, draw_values,
@@ -95,6 +97,22 @@ class _ResaleStage:
     transfers: dict
 
 
+def _distinct_rows(columns: Sequence[np.ndarray]):
+    """The rows of equal-length columns, grouped: the index of the first
+    occurrence of each distinct row, and per row the position of its group
+    in that list. Ordered by one stable sort, not by hashing."""
+    order = np.lexsort(columns[::-1])
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)  # as the row before
+    for col in columns:
+        ranked = col[order]
+        same &= ranked[1:] == ranked[:-1]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ~same
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 class ConstantActionEvaluator:
     """Exact expected utilities/welfare for constant-action profiles.
 
@@ -104,9 +122,9 @@ class ConstantActionEvaluator:
     scalars with breakpoints at the effective purchase cutoffs, which the
     interval-moment cells integrate exactly.
 
-    `expected_utility` clears the auction on every call; `expected_utilities`
-    makes one batched clearing per gap for all of an agent's bid-only
-    deviations under the uniform-price auction. A block's stage depends only
+    `expected_utility` clears the auction on every call; `bid_utilities`
+    makes one batched clearing for a whole `BidBatch` of an agent's bids
+    under the uniform-price auction. A block's stage depends only
     on its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
     evaluator's lifetime; auction payments are subtracted afterwards.
@@ -172,14 +190,15 @@ class ConstantActionEvaluator:
         key = (block, alloc, price, thresholds)
         if key in self._stages:
             return self._stages[key]
+        # members are indexed 0 (seller), 1.. (buyers) within the group; a
+        # NaN threshold raises here, before any cell is cut at it
+        policies = {j: ThresholdBuyer(thr) for j, thr in enumerate(thresholds, 1)}
         cut_of = {b: price if thr is None else max(price, thr)
                   for b, thr in zip(buyers, thresholds)}
         models = [self.market.agents[i] for i in members]
         cells = [self._cells(i, None if math.isinf(price) else cut_of.get(i))
                  for i, model in zip(members, models) if model.random]
-        # members are indexed 0 (seller), 1.. (buyers) within the group
         initial, spec = Allocation(alloc), ResaleSpec.single(0, range(1, len(members)))
-        policies = {j: ThresholdBuyer(thr) for j, thr in enumerate(thresholds, 1)}
         weights, vals, transfers = [], [[] for _ in members], [[] for _ in members]
         for profile, weight in cell_profiles(models, cells):
             trade = run_posted_resale(initial, spec, {0: price}, policies, profile)
@@ -210,41 +229,50 @@ class ConstantActionEvaluator:
         stage = self._outcome_stage(self._block_of[agent], acts, outcome)
         return self._utility(stage, agent, outcome.payments[agent])
 
-    def expected_utilities(self, agent: int,
-                           deviations: Sequence[Action]) -> list[float]:
-        """[expected_utility(agent, {agent: d}) for d in deviations], the
-        other agents on their base actions. Under the uniform-price auction
-        the bid-only deviations clear in one `uniform_price_deviations` call,
-        and each distinct (block allocation, payment) pair looks its stage up
-        and computes its utility once. A deviation that changes a price or
-        threshold, and every deviation under another mechanism, takes
-        `expected_utility`."""
-        out: list = [None] * len(deviations)
-        batch = []
-        for j, dev in enumerate(deviations):
-            if (self.game.mechanism.kind == "uniform" and dev.seller_price is None
-                    and dev.buyer_threshold is None):
-                batch.append(j)
-            else:
-                out[j] = self.expected_utility(agent, {agent: dev})
-        if not batch:
-            return out
+    def bid_utilities(self, agent: int, batch: BidBatch) -> np.ndarray:
+        """expected_utility(agent, {agent: Action(bid=batch.vector(j))}) for
+        every row j, everything else on the base actions. Under the
+        uniform-price auction the rows clear in one `uniform_price_deviations`
+        call, and each distinct (block allocation, payment) row looks its
+        stage up and computes its utility once; under another mechanism each
+        row takes `expected_utility`."""
+        if self.game.mechanism.kind != "uniform":
+            return np.array([
+                self.expected_utility(agent, {agent: Action(bid=batch.vector(j))})
+                for j in range(len(batch))], dtype=float)
         acts = self._actions(None)
         block = self._block_of[agent]
         seller, buyers = block
-        # a deviation without a bid keeps the base bid
-        own_bids = self._bids([acts[agent] if deviations[j].bid is None
-                               else deviations[j] for j in batch])
         k, price, counts = uniform_price_deviations(
-            self._bids(acts), agent, own_bids, self.m,
+            self._bids(acts), agent, batch, self.m,
             self.game.mechanism.reserve, (seller,) + buyers)
-        utils: dict = {}
-        for j, alloc, payment in zip(batch, counts.tolist(), (price * k).tolist()):
-            key = (tuple(alloc), payment)
-            if key not in utils:
-                utils[key] = self._utility(self._stage(block, acts, key[0]),
-                                           agent, payment)
-            out[j] = utils[key]
+        payments = price * k
+        first, inverse = _distinct_rows([*counts.T, payments])
+        utils = np.array([
+            self._utility(self._stage(block, acts, tuple(counts[j].tolist())),
+                          agent, float(payments[j]))
+            for j in first.tolist()])
+        return utils[inverse]
+
+    def expected_utilities(self, agent: int,
+                           deviations: Sequence[Action]) -> list[float]:
+        """[expected_utility(agent, {agent: d}) for d in deviations], the
+        other agents on their base actions. The bid-only deviations (a
+        deviation without a bid keeps the base bid) go to `bid_utilities` as
+        one `BidBatch`; a deviation that changes a price or threshold takes
+        `expected_utility`."""
+        out: list = [None] * len(deviations)
+        rows = []
+        for j, dev in enumerate(deviations):
+            if dev.seller_price is None and dev.buyer_threshold is None:
+                rows.append(j)
+            else:
+                out[j] = self.expected_utility(agent, {agent: dev})
+        base = self.game.base_actions[agent]
+        bids = self._bids([base if deviations[j].bid is None else deviations[j]
+                           for j in rows])
+        for j, u in zip(rows, self.bid_utilities(agent, BidBatch.of(bids)).tolist()):
+            out[j] = u
         return out
 
     def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
@@ -265,7 +293,8 @@ class ConstantActionEvaluator:
 class DeviationGrid:
     """Finite deviation set: flat (level x count) bid grids, optionally also
     prefixed by fixed head runs, plus aftermarket grids (seller prices, buyer
-    thresholds). Always includes the on-path no-op."""
+    thresholds). Always includes the on-path no-op. NaN thresholds and NaN
+    or negative prices are rejected."""
 
     bid_levels: tuple[float, ...] = ()
     bid_counts: tuple[int, ...] = ()
@@ -273,30 +302,75 @@ class DeviationGrid:
     seller_prices: tuple[float, ...] = ()
     buyer_thresholds: tuple[float, ...] = ()
 
-    def deviations(self, m: int) -> list[Action]:
-        out = [Action(label="on-path")]
-        seen = set()
+    def __post_init__(self):
+        if not all(p >= 0 for p in self.seller_prices):  # negative or NaN
+            raise ValueError("seller prices must be nonnegative")
+        if any(math.isnan(t) for t in self.buyer_thresholds):
+            raise ValueError("buyer thresholds must not be NaN")
+
+    def _bid_rows(self, m: int) -> tuple[BidBatch, np.ndarray]:
+        """The distinct bid deviations for m units, in grid order, and per
+        row the (level index, count index, head flag) it first came from.
+        Each level crosses each count (level-major) as a flat bid of at most
+        m units, then, after the head runs, if the level is at most every
+        head value and the head leaves the units. Each level, count and the
+        head is validated once, by `BidVector.from_runs`."""
         head_units = sum(c for _, c in self.head)
-        head_min = min((v for v, _ in self.head), default=math.inf)
+        head = BidVector.from_runs(self.head, head_units)
         for level in self.bid_levels:
-            for count in self.bid_counts:
-                for use_head in (False, True) if self.head else (False,):
-                    if use_head and (level > head_min or count > m - head_units):
-                        continue
-                    if not use_head and count > m:
-                        continue
-                    runs = (self.head if use_head else ()) + ((level, count),)
-                    bv = BidVector.from_runs(runs, m)
-                    if bv not in seen:
-                        seen.add(bv)
-                        out.append(Action(bid=bv,
-                                          label=f"bid{'+head' if use_head else ''} "
-                                                f"{level}x{count}"))
-        for p in self.seller_prices:
-            out.append(Action(seller_price=p, label=f"price {p}"))
-        for t in self.buyer_thresholds:
-            out.append(Action(buyer_threshold=t, label=f"threshold {t}"))
-        return out
+            BidVector.flat(level, 1, 1)  # NaN, negative or infinite
+        for count in self.bid_counts:
+            BidVector.flat(0.0, count, count)  # negative
+        head_min = min((v for v, _ in self.head), default=math.inf)
+        origin = np.indices((len(self.bid_levels), len(self.bid_counts),
+                             2 if self.head else 1)).reshape(3, -1).T
+        level = np.array(self.bid_levels, dtype=float)[origin[:, 0]]
+        count = np.array(self.bid_counts, dtype=np.int64)[origin[:, 1]]
+        use_head = origin[:, 2] == 1
+        keep = np.where(use_head, ~(level > head_min) & (count <= m - head_units),
+                        count <= m)
+        origin, level, count, use_head = (origin[keep], level[keep], count[keep],
+                                          use_head[keep])
+        # each row's runs as BidVector.from_runs merges them: the head's
+        # positive runs, then the level unless it is empty, merged into the
+        # head's last run when equal to it
+        n_head = len(head.runs)
+        run_bids = np.zeros((len(level), n_head + 1))
+        run_counts = np.zeros((len(level), n_head + 1), dtype=np.int64)
+        col = np.where(use_head, n_head, 0)
+        if n_head:
+            run_bids[use_head, :n_head] = [b for b, _ in head.runs]
+            run_counts[use_head, :n_head] = [c for _, c in head.runs]
+            col[use_head & (level == head.runs[-1][0])] = n_head - 1
+        live = np.flatnonzero((level > 0) & (count > 0))
+        run_bids[live, col[live]] = level[live]
+        run_counts[live, col[live]] += count[live]
+        rows = np.sort(_distinct_rows([*run_bids.T, *run_counts.T])[0])
+        run_bids, run_counts = run_bids[rows], run_counts[rows]
+        return BidBatch(run_bids, run_counts, m - run_counts.sum(axis=1)), origin[rows]
+
+    def bid_batch(self, m: int) -> BidBatch:
+        """The grid's distinct bid deviations for m units, in grid order."""
+        return self._bid_rows(m)[0]
+
+    def _bid_action(self, batch: BidBatch, origin: np.ndarray, j: int) -> Action:
+        level, count, use_head = origin[j].tolist()
+        return Action(bid=batch.vector(j),
+                      label=f"bid{'+head' if use_head else ''} "
+                            f"{self.bid_levels[level]}x{self.bid_counts[count]}")
+
+    def _aftermarket_deviations(self) -> list[Action]:
+        return ([Action(seller_price=p, label=f"price {p}") for p in self.seller_prices]
+                + [Action(buyer_threshold=t, label=f"threshold {t}")
+                   for t in self.buyer_thresholds])
+
+    def deviations(self, m: int) -> list[Action]:
+        """The on-path no-op, the bid deviations of `bid_batch(m)`, then the
+        seller prices and buyer thresholds."""
+        batch, origin = self._bid_rows(m)
+        return ([Action(label="on-path")]
+                + [self._bid_action(batch, origin, j) for j in range(len(batch))]
+                + self._aftermarket_deviations())
 
     def describe(self) -> str:
         return (f"levels={len(self.bid_levels)} counts={len(self.bid_counts)} "
@@ -356,15 +430,25 @@ class BneReport:
 def best_response_gap(game: CombinedGame, agent: int,
                       grid: DeviationGrid) -> GapResult:
     """Max over grid deviations of (deviation expected utility - equilibrium
-    expected utility), with the best deviation as witness."""
+    expected utility), with the first best deviation in grid order as
+    witness. The on-path no-op scores the base utility, the grid's bid rows
+    score in one `bid_utilities` call, and each price and threshold takes
+    `expected_utility`."""
     ev = game.evaluator()
     base = ev.expected_utility(agent)
-    best, witness = -math.inf, Action(label="on-path")
-    devs = grid.deviations(game.market.m)
-    for dev, u in zip(devs, ev.expected_utilities(agent, devs)):
+    best, witness = base, Action(label="on-path")
+    batch, origin = grid._bid_rows(game.market.m)
+    if len(batch):
+        utils = ev.bid_utilities(agent, batch)
+        j = int(np.argmax(utils))
+        if utils[j] > best:
+            best, witness = float(utils[j]), grid._bid_action(batch, origin, j)
+    aftermarket = grid._aftermarket_deviations()
+    for dev in aftermarket:
+        u = ev.expected_utility(agent, {agent: dev})
         if u > best:
             best, witness = u, dev
-    return GapResult(best - base, witness, base, len(devs))
+    return GapResult(best - base, witness, base, 1 + len(batch) + len(aftermarket))
 
 
 def verify_bne(game: CombinedGame,

@@ -185,13 +185,12 @@ class MultiUnitDiscriminatory(SmoothableGame):
         return opt_allocation(values, self.m)[1]
 
     def deviation_atoms(self, support):
-        return BidBatch(support)
+        return BidBatch.of(support)
 
     def deviation_utilities(self, values, actions, agent, atoms):
         counts, payments = discriminatory_units_won(actions, agent, atoms, self.m)
         own = values[agent]
-        worth = np.array([own.value(k) for k in range(atoms.units.shape[1] + 1)],
-                         dtype=float)
+        worth = np.array([own.value(k) for k in range(self.m + 1)], dtype=float)
         return worth[counts] - payments
 
 

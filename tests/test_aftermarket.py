@@ -54,6 +54,12 @@ def test_threshold_buyer_dominant_policy():
     assert NeverBuy().quantity(v, 0, 0.1, 5) == 0
 
 
+def test_threshold_buyer_rejects_nan():
+    # max(price, nan) is price, so a NaN threshold would buy like None
+    with pytest.raises(ValueError):
+        ThresholdBuyer(math.nan)
+
+
 def test_posted_resale_sequential_order():
     vals = [MarginalValuation([2.0]), MarginalValuation([2.0, 2.0]),
             MarginalValuation([])]

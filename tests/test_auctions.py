@@ -113,10 +113,10 @@ TIES = [BidVector([0.5], 2), BidVector([0.5, 0.5], 2), BidVector([0.5], 2)]
     pytest.param(lambda: discriminatory(TIES, 2).alloc.counts, (1, 1, 0),
                  id="discriminatory"),
     pytest.param(lambda: tuple(
-        int(discriminatory_units_won(TIES, a, BidBatch([TIES[a]]), 2)[0][0])
+        int(discriminatory_units_won(TIES, a, BidBatch.of([TIES[a]]), 2)[0][0])
         for a in range(3)), (1, 1, 0), id="discriminatory-kernel"),
     pytest.param(lambda: tuple(
-        int(uniform_price_deviations(TIES, a, [TIES[a]], 2)[0][0])
+        int(uniform_price_deviations(TIES, a, BidBatch.of([TIES[a]]), 2)[0][0])
         for a in range(3)), (1, 1, 0), id="uniform-kernel"),
     pytest.param(lambda: opt_allocation(
         [MarginalValuation.from_runs(bv.runs) for bv in TIES], 2)[0].counts,
@@ -145,7 +145,8 @@ def test_posted_price_sell_truthful_and_override():
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: uniform_price(TIES, 2, reserve=math.nan), id="nan-reserve"),
-    pytest.param(lambda: uniform_price_deviations(TIES, 0, [TIES[0]], 2, math.nan),
+    pytest.param(lambda: uniform_price_deviations(TIES, 0, BidBatch.of([TIES[0]]), 2,
+                                                  math.nan),
                  id="kernel-nan-reserve"),
     pytest.param(lambda: Mechanism("uniform", reserve=math.nan),
                  id="mechanism-nan-reserve"),
@@ -234,8 +235,8 @@ def test_uniform_kernel_matches_uniform_price(data):
     reserve = data.draw(st.sampled_from(
         [None, 0.0, -0.5, 0.75, 0.6, 1.75, math.inf]))
     members = tuple(range(n))
-    k, price, counts = uniform_price_deviations(bids, agent, deviations, m,
-                                                reserve, members)
+    k, price, counts = uniform_price_deviations(
+        bids, agent, BidBatch.of(deviations), m, reserve, members)
     for d, dev in enumerate(deviations):
         out = uniform_price(bids[:agent] + [dev] + bids[agent + 1:], m, reserve)
         assert int(k[d]) == out.alloc[agent]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftermarkets.aftermarket import ResaleSpec
-from aftermarkets.auctions import BidVector
+from aftermarkets.auctions import BidBatch, BidVector
 from aftermarkets.combined import Mechanism
 from aftermarkets.distributions import (PiecewiseCdf, SegmentSpec, Uniform,
                                         lower_bound_z_distribution)
@@ -94,6 +94,26 @@ def test_evaluator_rejects_bad_seller_price(bad):
         ev.expected_utility(2, {2: Action(seller_price=bad)})
     with pytest.raises(ValueError):
         ev.expected_welfare({2: Action(seller_price=bad)})
+
+
+def test_evaluator_rejects_nan_threshold():
+    ev = scripted_lower_bound_equilibrium(10).evaluator()
+    with pytest.raises(ValueError):
+        ev.expected_utility(0, {0: Action(buyer_threshold=math.nan)})
+    with pytest.raises(ValueError):
+        ev.expected_welfare({1: Action(buyer_threshold=math.nan)})
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(lambda: DeviationGrid(buyer_thresholds=(1.0, math.nan)),
+                 id="nan-threshold"),
+    pytest.param(lambda: DeviationGrid(seller_prices=(1.0, math.nan)),
+                 id="nan-price"),
+    pytest.param(lambda: DeviationGrid(seller_prices=(-0.5,)), id="negative-price"),
+])
+def test_deviation_grid_rejects_bad_aftermarket_values(grid):
+    with pytest.raises(ValueError):
+        grid()
 
 
 def test_verify_bne_flags_non_equilibrium():
@@ -308,6 +328,91 @@ def test_deviation_grid_includes_on_path():
     assert len(devs) >= 1000
 
 
+def reference_bid_deviations(grid, m):
+    """The grid's bid deviations as the original hand loop enumerated them,
+    kept as a reference for `DeviationGrid.bid_batch`: (label, bid) pairs in
+    grid order, each distinct bid once."""
+    out, seen = [], set()
+    head_units = sum(c for _, c in grid.head)
+    head_min = min((v for v, _ in grid.head), default=math.inf)
+    for level in grid.bid_levels:
+        for count in grid.bid_counts:
+            for use_head in (False, True) if grid.head else (False,):
+                if use_head and (level > head_min or count > m - head_units):
+                    continue
+                if not use_head and count > m:
+                    continue
+                runs = (grid.head if use_head else ()) + ((level, count),)
+                bv = BidVector.from_runs(runs, m)
+                if bv not in seen:
+                    seen.add(bv)
+                    out.append((f"bid{'+head' if use_head else ''} {level}x{count}", bv))
+    return out
+
+
+GRID_LEVELS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+@st.composite
+def deviation_grids(draw):
+    """A unit count and a grid whose levels include 0, the head's last value
+    and values above it, and whose counts include 0 and values above
+    m - head units; the head has 0-2 runs, zero values and counts allowed."""
+    m = draw(st.integers(1, 30))
+    values = sorted(draw(st.lists(st.sampled_from(GRID_LEVELS), max_size=2)),
+                    reverse=True)
+    head = tuple((v, draw(st.integers(0, 3))) for v in values)
+    levels = draw(st.lists(st.sampled_from(GRID_LEVELS + tuple(values)), max_size=8))
+    counts = draw(st.lists(st.integers(0, m + 3), max_size=8))
+    return m, DeviationGrid(tuple(levels), tuple(counts), head=head)
+
+
+@given(deviation_grids())
+@settings(max_examples=300, deadline=None)
+def test_bid_batch_matches_reference_enumeration(case):
+    m, grid = case
+    expected = reference_bid_deviations(grid, m)
+    batch = grid.bid_batch(m)
+    assert [batch.vector(j) for j in range(len(batch))] == [bv for _, bv in expected]
+    devs = grid.deviations(m)
+    assert devs[0].label == "on-path"
+    assert [(d.label, d.bid) for d in devs[1:len(expected) + 1]] == expected
+    assert len(devs) == 1 + len(expected)
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(DeviationGrid((math.nan,), (1,)), id="nan-level"),
+    pytest.param(DeviationGrid((-1.0,), (1,)), id="negative-level"),
+    pytest.param(DeviationGrid((math.inf,), (1,)), id="infinite-level"),
+    pytest.param(DeviationGrid((1.0,), (-1,)), id="negative-count"),
+    pytest.param(DeviationGrid((1.0,), (1,), head=((1.0, 1), (2.0, 1))),
+                 id="increasing-head"),
+])
+def test_bid_batch_rejects_bad_bids(grid):
+    with pytest.raises(ValueError):
+        grid.bid_batch(5)
+
+
+def test_default_grid_labels_and_bids_unchanged():
+    for m in (10, 100, 10_000):
+        for role in ("regular", "speculator"):
+            grid = default_deviation_grid(m, role)
+            expected = reference_bid_deviations(grid, m)
+            devs = grid.deviations(m)
+            assert [(d.label, d.bid) for d in devs[1:len(expected) + 1]] == expected
+            assert [d.label for d in devs[len(expected) + 1:]] == (
+                [f"price {p}" for p in grid.seller_prices]
+                + [f"threshold {t}" for t in grid.buyer_thresholds])
+
+
+def test_bid_batch_is_run_encoded():
+    """The 2,263 bids of the m = 1000 regular grid take D x runs arrays, not
+    the 20.4 MB of dense per-unit arrays."""
+    batch = default_deviation_grid(1000, "regular").bid_batch(1000)
+    assert len(batch) == 2263
+    assert batch.run_bids.nbytes + batch.run_counts.nbytes + batch.tail.nbytes < 1e6
+
+
 def mixed_deviations(m, rng):
     """Bid-only deviations (the on-path no-op among them), price-only,
     threshold-only and bid-plus-price deviations, in random order."""
@@ -333,6 +438,12 @@ def assert_batched_utilities_exact(game, agents, rng):
         batched = ev.expected_utilities(agent, devs)
         single = [game.evaluator().expected_utility(agent, {agent: d}) for d in devs]
         assert [u.hex() for u in batched] == [u.hex() for u in single]
+        bids = [d.bid for d in devs if d.bid is not None
+                and d.seller_price is None and d.buyer_threshold is None]
+        rows = ev.bid_utilities(agent, BidBatch.of(bids)).tolist()
+        assert [u.hex() for u in rows] == [
+            game.evaluator().expected_utility(agent, {agent: Action(bid=bv)}).hex()
+            for bv in bids]
 
 
 @given(st.integers(4, 40), st.sampled_from([None, 0.03, 0.5, 1.0]),
@@ -367,6 +478,9 @@ def test_gap_witness_is_first_best_deviation(reserve, agent, role):
     utils = [ev.expected_utility(agent, {agent: d}) for d in devs]
     best = max(utils)
     assert utils.count(best) > 1  # later deviations tie with the witness
+    batch = grid.bid_batch(m)
+    assert [u.hex() for u in ev.bid_utilities(agent, batch).tolist()] == [
+        u.hex() for u in utils[1:len(batch) + 1]]
     gap = best_response_gap(game, agent, grid)
     assert gap.witness == devs[utils.index(best)]
     assert gap.gap == best - ev.expected_utility(agent)

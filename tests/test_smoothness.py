@@ -320,7 +320,7 @@ def test_discriminatory_units_won_matches_clearing(data):
     bids = [data.draw(bid_vectors(m)) for _ in range(n)]
     support = data.draw(st.lists(bid_vectors(m), min_size=1, max_size=12))
     agent = data.draw(st.integers(0, n - 1))
-    counts, payments = discriminatory_units_won(bids, agent, BidBatch(support), m)
+    counts, payments = discriminatory_units_won(bids, agent, BidBatch.of(support), m)
     for bv, count, paid in zip(support, counts, payments):
         out = discriminatory(bids[:agent] + [bv] + bids[agent + 1:], m)
         assert (out.alloc[agent], out.payments[agent]) == (count, paid)
