@@ -42,9 +42,9 @@ from .smoothness import (ONE_MINUS_INV_E, OPT_OUT, CheckDomain,
                          fpa_deviation_generator, lift_certificate_to_combined,
                          poa_bound, uniform_price_overbidding_probe)
 from .valuations import (ZERO_VALUATION, HeadTailModel, MarginalValuation,
-                         MarketModel, cell_profiles, draw_values,
+                         MarketModel, ValuationBatch, cell_nodes, draw_values,
                          grouped_market, lower_bound_market,
-                         posted_fails_market, sample_profile,
+                         posted_fails_market, realize_batch, sample_profile,
                          symmetric_fpa_market)
 
 __version__ = "0.1.0"

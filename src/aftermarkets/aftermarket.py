@@ -8,9 +8,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .allocation import Allocation
 from .auctions import AuctionOutcome, BidVector
-from .valuations import MarginalValuation
+from .valuations import MarginalValuation, ValuationBatch
 
 
 class SignalProtocol(Enum):
@@ -34,10 +36,13 @@ def apply_signal(protocol: SignalProtocol, outcome: AuctionOutcome,
             for i in range(len(outcome.alloc))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeOutcome:
-    final_alloc: Allocation
-    transfers: tuple[float, ...]  # positive = pays
+    """The resale of a batch of K value profiles among n agents: the final
+    holdings (K x n integers) and the transfers (K x n, positive = pays)."""
+
+    final_alloc: np.ndarray
+    transfers: np.ndarray
 
 
 NO_OFFER = math.inf
@@ -56,11 +61,17 @@ class ThresholdBuyer:
 
     def quantity(self, valuation: MarginalValuation, holding: int, price: float,
                  stock: int) -> int:
-        cut = price if self.threshold is None else max(price, self.threshold)
-        if math.isinf(cut):
-            return 0
-        want = valuation.count_ge(cut) - holding
-        return max(0, min(want, stock))
+        return int(self.quantities(ValuationBatch.of([valuation]), np.array([holding]),
+                                   price, np.array([stock]))[0])
+
+    def quantities(self, valuations: ValuationBatch, holding, price,
+                   stock) -> np.ndarray:
+        """`quantity` for every row of `valuations`: the price is a float or
+        an array of one per row, and the holding and stock have one entry per
+        row."""
+        cut = price if self.threshold is None else np.maximum(price, self.threshold)
+        want = np.where(cut < math.inf, valuations.count_ge(cut) - holding, 0)
+        return np.maximum(0, np.minimum(want, stock))
 
 
 _TRUTHFUL_BUYER = ThresholdBuyer()
@@ -70,6 +81,9 @@ _TRUTHFUL_BUYER = ThresholdBuyer()
 class NeverBuy:
     def quantity(self, valuation, holding, price, stock) -> int:
         return 0
+
+    def quantities(self, valuations, holding, price, stock) -> np.ndarray:
+        return np.zeros(len(valuations), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -101,41 +115,89 @@ class ResaleSpec:
         return ((holder, buyers),)
 
 
-def run_posted_resale(initial: Allocation, spec: ResaleSpec,
-                      seller_prices: Mapping[int, float],
+def run_posted_resale(initial: np.ndarray, spec: ResaleSpec,
+                      seller_prices: Mapping[int, object],
                       buyer_policies: Mapping[int, object],
-                      valuations: Sequence[MarginalValuation]) -> TradeOutcome:
-    """Each seller offers her whole holding at her posted per-unit price;
-    buyers visit in order and purchase while marginal value covers the price.
-    Transfers sum to zero by construction."""
-    counts = list(initial.counts)
-    transfers = [0.0] * len(counts)
-    for seller, buyers in spec.resolved_groups(initial):
+                      valuations: Sequence[ValuationBatch], m: int) -> TradeOutcome:
+    """Posted resale over a batch of K value profiles: `initial` holds the
+    K x n auction allocations (rows may differ) and `valuations` one batch
+    of K rows per agent; a single profile is a batch of one.
+
+    In each group the seller offers her whole holding at her posted
+    per-unit price, a float or one per row (inf: no offer); buyers visit in
+    order and purchase while marginal value covers the price. ThresholdBuyer
+    and NeverBuy buy as array operations; any other policy's `quantity`
+    runs row by row. Winner-led groups are resolved per distinct initial
+    row. Transfers sum to zero by construction. Raises ValueError for a
+    negative or NaN price of a seller, or for a row that holds a negative
+    count or sells more than m units."""
+    initial = np.asarray(initial, dtype=np.int64)
+    if initial.size and (np.minimum.reduce(initial, axis=None) < 0
+                         or np.maximum.reduce(initial.sum(axis=1)) > m):
+        raise ValueError("initial holdings must be nonnegative and sell at most m units")
+    counts = initial.copy()
+    transfers = np.zeros(counts.shape)
+    if not spec.winner_led:
+        _resell(spec.groups, counts, transfers, seller_prices, buyer_policies,
+                valuations)
+        return TradeOutcome(counts, transfers)
+    distinct, inverse = np.unique(initial, axis=0, return_inverse=True)
+    for g, row in enumerate(distinct):
+        groups = spec.resolved_groups(Allocation(tuple(row.tolist())))
+        rows = np.flatnonzero(inverse.reshape(-1) == g)
+        sub_counts, sub_transfers = counts[rows], transfers[rows]
+        _resell(groups, sub_counts, sub_transfers,
+                {i: p[rows] if np.ndim(p) else p for i, p in seller_prices.items()},
+                buyer_policies, [v.take(rows) for v in valuations])
+        counts[rows], transfers[rows] = sub_counts, sub_transfers
+    return TradeOutcome(counts, transfers)
+
+
+def _resell(groups, counts: np.ndarray, transfers: np.ndarray,
+            seller_prices: Mapping[int, object], buyer_policies: Mapping[int, object],
+            valuations: Sequence[ValuationBatch]) -> None:
+    """The trades of `groups` on every row, in place."""
+    for seller, buyers in groups:
         price = seller_prices.get(seller, NO_OFFER)
-        if not price >= 0:  # also rejects NaN; inf means no offer
+        per_row = np.ndim(price) > 0
+        if per_row:
+            price = np.asarray(price, dtype=float)
+        if not ((price >= 0).all() if per_row else price >= 0):  # also NaN
             raise ValueError("seller price must be nonnegative")
-        if math.isinf(price):
+        if per_row:  # inf means no offer
+            offered = price < math.inf
+            stock = np.where(offered, counts[:, seller], 0)
+            paid = np.where(offered, price, 0.0)
+        elif price < math.inf:
+            stock, paid = counts[:, seller].copy(), price
+        else:
             continue
-        stock = counts[seller]
         for b in buyers:
-            if stock == 0:
-                break
             policy = buyer_policies.get(b, _TRUTHFUL_BUYER)
-            q = policy.quantity(valuations[b], counts[b], price, stock)
-            q = max(0, min(q, stock))
-            counts[b] += q
-            counts[seller] -= q
-            transfers[b] += q * price
-            transfers[seller] -= q * price
-            stock -= q
-    return TradeOutcome(Allocation(tuple(counts)), tuple(transfers))
+            if isinstance(policy, (ThresholdBuyer, NeverBuy)):
+                q = policy.quantities(valuations[b], counts[:, b], price, stock)
+            else:
+                q = np.array([
+                    policy.quantity(valuations[b].valuation(j), h, p, s) if s > 0 else 0
+                    for j, (h, p, s) in enumerate(zip(
+                        counts[:, b].tolist(),
+                        np.broadcast_to(price, stock.shape).tolist(),
+                        stock.tolist()))], dtype=np.int64)
+                q = np.maximum(0, np.minimum(q, stock))
+            counts[:, b] += q
+            counts[:, seller] -= q
+            paying = q * paid
+            transfers[:, b] += paying
+            transfers[:, seller] -= paying
+            stock = stock - q
 
 
-def opt_out_outcome(initial: Allocation) -> TradeOutcome:
+def opt_out_outcome(initial: np.ndarray) -> TradeOutcome:
     """The appended voluntary-participation action: keep holdings, pay nothing."""
-    return TradeOutcome(initial, tuple(0.0 for _ in initial.counts))
+    initial = np.asarray(initial, dtype=np.int64)
+    return TradeOutcome(initial, np.zeros(initial.shape))
 
 
 def check_weak_budget_balance(outcome: TradeOutcome, scale: float = 1.0) -> bool:
-    """Sum of transfers >= -tol with tol = 1e-12 * scale."""
-    return sum(outcome.transfers) >= -1e-12 * max(scale, 1.0)
+    """Every row's sum of transfers >= -tol with tol = 1e-12 * scale."""
+    return bool(np.all(outcome.transfers.sum(axis=1) >= -1e-12 * max(scale, 1.0)))

@@ -5,19 +5,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
                           ThresholdBuyer, apply_signal, opt_out_outcome,
                           run_posted_resale)
-from .allocation import Allocation, opt_allocation, welfare
+from .allocation import Allocation, opt_allocation
 from .auctions import (AuctionOutcome, BidVector, _check_reserve,
                        all_pay_single, discriminatory, first_price_single,
                        posted_price_sell, uniform_price)
-from .valuations import (MarginalValuation, MarketModel, _realizer,
-                         cell_profiles, draw_values)
+from .valuations import (MarginalValuation, MarketModel, ValuationBatch,
+                         _realizer, cell_nodes, draw_values, realize_batch)
 
 MECHANISM_KINDS = ("uniform", "discriminatory", "first_price", "all_pay", "posted")
 
@@ -98,32 +98,76 @@ def play(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
          resale: Optional[ResaleSpec], strategies: Sequence[Strategy],
          profile: Sequence[MarginalValuation]) -> CombinedOutcome:
     """One pass of the combined market: bids, auction, signals, aftermarket,
-    utilities u_i = v_i(final x_i) - auction payment - transfer."""
+    utilities u_i = v_i(final x_i) - auction payment - transfer. The
+    profile plays as a batch of one."""
     if len(strategies) != len(profile):
         raise ValueError("strategy arity does not match profile")
-    m = market.m
-    bids = [s.bid_for(v, m) for s, v in zip(strategies, profile)]
-    outcome = _run_auction(mechanism, bids, m, profile, strategies)
-    if resale is None:
-        trade = opt_out_outcome(outcome.alloc)
+    (_, outcome, trade, utilities, wel), = _play_rows(
+        market, mechanism, protocol, resale, strategies,
+        [ValuationBatch.of([v]) for v in profile], lambda: [profile])
+    return CombinedOutcome(Allocation(tuple(trade.final_alloc[0].tolist())),
+                           outcome.payments, tuple(trade.transfers[0].tolist()),
+                           tuple(utilities[0].tolist()), wel[0],
+                           outcome.revenue, outcome.alloc, outcome.clearing_price)
+
+
+def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
+               resale: Optional[ResaleSpec], strategies: Sequence[Strategy],
+               values: Sequence[ValuationBatch],
+               profiles: Callable[[], Iterable[Sequence[MarginalValuation]]]):
+    """Play every row of `values` (one batch per agent; `profiles()` yields
+    the rows as profiles). Constant bids clear once; callable bids and the
+    posted mechanism clear row by row. The rows of each distinct auction
+    outcome resell as one `run_posted_resale` batch. Yields, per distinct
+    outcome, its rows, the AuctionOutcome, the TradeOutcome of those rows,
+    their utilities (rows x agents) and their welfare: each row's values
+    added up by the built-in `sum`, as `allocation.welfare` adds them (it
+    compensates from Python 3.12 on; adding the agents' arrays would not)."""
+    m, n_rows = market.m, len(values[0])
+    # the posted sale reads no bid: there, bids are made (and, per row, kept)
+    # only for a signal that shows them to a resale price
+    reads_bids = protocol is SignalProtocol.PUBLIC_BIDS and any(
+        callable(s.seller_price) for s in strategies)
+    if mechanism.kind != "posted" and not any(callable(s.bid) for s in strategies):
+        bids = [s.bid_for(None, m) for s in strategies]
+        outcome = _run_auction(mechanism, bids, m, None, strategies)
+        groups = {None: (outcome, list(range(n_rows)))}
+        row_bids = [bids] * n_rows
     else:
-        prices, signals = {}, None
-        for seller, _ in resale.resolved_groups(outcome.alloc):
-            price = strategies[seller].seller_price
-            if callable(price):  # signals are built only for a price that reads them
-                if signals is None:
-                    signals = apply_signal(protocol, outcome, bids)
-                price = price(profile[seller], signals[seller])
-            prices[seller] = price
-        policies = {i: s.buyer for i, s in enumerate(strategies)}
-        trade = run_posted_resale(outcome.alloc, resale, prices, policies, profile)
-    utilities = tuple(
-        v.value(trade.final_alloc[i]) - outcome.payments[i] - trade.transfers[i]
-        for i, v in enumerate(profile))
-    wel = welfare(profile, trade.final_alloc)
-    return CombinedOutcome(trade.final_alloc, outcome.payments, trade.transfers,
-                           utilities, wel, outcome.revenue, outcome.alloc,
-                           outcome.clearing_price)
+        groups, row_bids = {}, []
+        for j, profile in enumerate(profiles()):
+            bids = None
+            if mechanism.kind != "posted" or reads_bids:
+                bids = [s.bid_for(v, m) for s, v in zip(strategies, profile)]
+            row_bids.append(bids if reads_bids else None)
+            outcome = _run_auction(mechanism, bids, m, profile, strategies)
+            key = (outcome.alloc.counts, outcome.payments, outcome.clearing_price)
+            groups.setdefault(key, (outcome, []))[1].append(j)
+    for outcome, rows in groups.values():
+        group = (values if len(rows) == n_rows
+                 else [v.take(np.array(rows)) for v in values])
+        initial = np.tile(np.array(outcome.alloc.counts, dtype=np.int64),
+                          (len(rows), 1))
+        if resale is None:
+            trade = opt_out_outcome(initial)
+        else:
+            prices = {}
+            for seller, _ in resale.resolved_groups(outcome.alloc):
+                price = strategies[seller].seller_price
+                if callable(price):  # signals are built only for a price that reads them
+                    price = np.array([
+                        price(group[seller].valuation(r),
+                              apply_signal(protocol, outcome, row_bids[j])[seller])
+                        for r, j in enumerate(rows)], dtype=float)
+                prices[seller] = price
+            policies = {i: s.buyer for i, s in enumerate(strategies)}
+            trade = run_posted_resale(initial, resale, prices, policies, group, m)
+        held = [v.value(trade.final_alloc[:, i]) for i, v in enumerate(group)]
+        utilities = np.column_stack([
+            x - p - trade.transfers[:, i]
+            for i, (x, p) in enumerate(zip(held, outcome.payments))])
+        yield (rows, outcome, trade, utilities,
+               [sum(row) for row in np.column_stack(held).tolist()])
 
 
 # -- expectations ----------------------------------------------------------
@@ -138,7 +182,7 @@ class MonteCarlo:
 @dataclass(frozen=True)
 class Quadrature:
     """Tensor interval-moment rule over the market's scalar random
-    dimensions (`cell_profiles`); `breakpoints` are extra cut points
+    dimensions (`cell_nodes`); `breakpoints` are extra cut points
     (decision thresholds), `subdivide` refines each cell.
 
     The rule is exact only for integrands that are multilinear on each cell.
@@ -161,36 +205,74 @@ class ExpectedOutcome:
     welfare_stderr: Optional[float] = None
 
 
+# rows per batch of `expected_outcome`: a chunk's arrays stay under 0.5 MB
+CHUNK_ROWS = 1024
+
+
+def _node_rows(market: MarketModel, integration: Integration):
+    """Yield (scalars, weights) chunks of at most CHUNK_ROWS rows covering the
+    market's randomness, with one scalar column per random agent: the rows
+    of `draw_values` or the cells of `cell_nodes`."""
+    if isinstance(integration, MonteCarlo):
+        scalars = draw_values(market, integration.n, integration.seed)
+        weights = np.full(len(scalars), 1.0 / integration.n)
+    else:
+        dims = market.random_dims()
+        if len(dims) > 2:
+            raise ValueError("quadrature limited to <= 2 scalar random dimensions")
+        scalars, weights = cell_nodes([
+            market.agents[i].dist.cells(integration.breakpoints, integration.subdivide)
+            for i in dims])
+    for start in range(0, len(scalars), CHUNK_ROWS):
+        yield scalars[start:start + CHUNK_ROWS], weights[start:start + CHUNK_ROWS]
+
+
 def profile_nodes(market: MarketModel, integration: Integration):
     """Yield (profile, weight) pairs covering the market's randomness: the
-    rows of `draw_values` or the cells of `cell_profiles`."""
-    if isinstance(integration, MonteCarlo):
-        realize, w = _realizer(market.agents), 1.0 / integration.n
-        for row in draw_values(market, integration.n, integration.seed).tolist():
+    rows of `draw_values` or the cells of `cell_nodes`."""
+    realize = _realizer(market.agents)
+    for scalars, weights in _node_rows(market, integration):
+        for row, w in zip(scalars.tolist(), weights.tolist()):
             yield realize(row), w
-        return
-    dims = market.random_dims()
-    if len(dims) > 2:
-        raise ValueError("quadrature limited to <= 2 scalar random dimensions")
-    yield from cell_profiles(market.agents, [
-        market.agents[i].dist.cells(integration.breakpoints, integration.subdivide)
-        for i in dims])
+
+
+def _running_total(total, terms: np.ndarray):
+    """total + terms[0] + terms[1] + ..., added one at a time along axis 0."""
+    return np.cumsum(np.concatenate((np.asarray(total)[None], terms)), axis=0)[-1]
 
 
 def expected_outcome(market: MarketModel, mechanism: Mechanism,
                      protocol: SignalProtocol, resale: Optional[ResaleSpec],
                      strategies: Sequence[Strategy],
                      integration: Integration) -> ExpectedOutcome:
-    """Expected welfare, utilities and revenue of play() over valuation draws."""
-    n = market.n
+    """Expected welfare, utilities and revenue of play() over valuation
+    draws. The rows of `draw_values` (or the quadrature cells) play in
+    chunks of at most CHUNK_ROWS as batches (`_play_rows`), and the running
+    totals add the rows one at a time in row order, so they equal a play()
+    loop over `profile_nodes` bit for bit."""
+    if len(strategies) != market.n:
+        raise ValueError("strategy arity does not match profile")
     wel = rev = wel2 = 0.0
-    utils = np.zeros(n)
-    for profile, w in profile_nodes(market, integration):
-        out = play(market, mechanism, protocol, resale, strategies, profile)
-        wel += w * out.welfare
-        wel2 += w * out.welfare ** 2
-        rev += w * out.revenue
-        utils += w * np.asarray(out.utilities)
+    utils = np.zeros(market.n)
+    realize = _realizer(market.agents)
+    for scalars, weights in _node_rows(market, integration):
+        values = realize_batch(market.agents, scalars)
+        row_wel = np.empty(len(scalars))
+        row_rev = np.empty(len(scalars))
+        row_utils = np.empty((len(scalars), market.n))
+        for idx, outcome, _, utilities, welfare in _play_rows(
+                market, mechanism, protocol, resale, strategies, values,
+                lambda: map(realize, scalars.tolist())):
+            row_wel[idx] = welfare
+            row_rev[idx] = outcome.revenue
+            row_utils[idx] = utilities
+        # Python's x ** 2 (libm pow), as the play() loop squared; numpy
+        # squares by x * x, which may round differently
+        squares = np.array([x ** 2 for x in row_wel.tolist()])
+        wel = float(_running_total(wel, weights * row_wel))
+        wel2 = float(_running_total(wel2, weights * squares))
+        rev = float(_running_total(rev, weights * row_rev))
+        utils = _running_total(utils, weights[:, None] * row_utils)
     stderr = None
     if isinstance(integration, MonteCarlo):
         var = max(wel2 - wel * wel, 0.0)

@@ -11,12 +11,15 @@ in one `uniform_price_deviations` call against opponents ranked once; an
 `Action` is built only for the reported witness. Every agent belongs to
 exactly one block: its resale group, or itself alone when it is in none. A
 block's aftermarket is integrated exactly over its <= 2 scalar random
-dimensions with the interval-moment cells of `cell_profiles`, once per
-distinct block allocation and aftermarket action rather than once per
-deviation. Each cell trades through `run_posted_resale`, the same rule
-`play()` uses. The first-price check draws its value pairs with
-`draw_values`, the Monte Carlo rule of `expected_outcome`, and evaluates the
-exact bid once per check, on a table it then interpolates.
+dimensions with the interval-moment cells of `cell_nodes`, once per distinct
+block allocation and aftermarket action rather than once per deviation. The
+stages a call needs resell together: one array-valued `run_posted_resale`
+call, the rule `play()` and `expected_outcome` use too, takes every
+(allocation, seller price, cell) triple as a row, so a gap's bid deviations
+take one resale call and its price deviations another. The first-price check
+draws its value pairs with `draw_values`, the Monte Carlo rule of
+`expected_outcome`, and evaluates the exact bid once per check, on a table
+it then interpolates.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ import numpy as np
 
 from .aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer,
                           run_posted_resale)
-from .allocation import Allocation
 from .auctions import BidBatch, BidVector, uniform_price_deviations
 from .combined import Mechanism, Strategy, _run_auction
 from .distributions import UnitDistribution
-from .valuations import (MarketModel, cell_profiles, draw_values,
-                         grouped_market, lower_bound_market,
+from .valuations import (MarketModel, ValuationBatch, cell_nodes, draw_values,
+                         grouped_market, lower_bound_market, realize_batch,
                          symmetric_fpa_market)
 
 
@@ -89,8 +91,9 @@ class CombinedGame:
 class _ResaleStage:
     """One block's aftermarket over the tensor of its random dimensions: the
     cell weights and, per member (seller first), its value of its post-resale
-    holdings and its resale transfer in each cell. Every later call with the
-    same key reads these arrays, so none is written in place."""
+    holdings and its resale transfer in each cell. The arrays are views of
+    the rows of one batched `run_posted_resale` call. Every later call with
+    the same key reads them, so none is written in place."""
 
     weights: np.ndarray
     vals: dict
@@ -124,10 +127,12 @@ class ConstantActionEvaluator:
 
     `expected_utility` clears the auction on every call; `bid_utilities`
     makes one batched clearing for a whole `BidBatch` of an agent's bids
-    under the uniform-price auction. A block's stage depends only
+    under the uniform-price auction, and `price_utilities` one clearing for
+    a list of the agent's resale prices. A block's stage depends only
     on its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
-    evaluator's lifetime; auction payments are subtracted afterwards.
+    evaluator's lifetime, as are the block's cells per (price, thresholds);
+    auction payments are subtracted afterwards.
     """
 
     def __init__(self, game: CombinedGame):
@@ -151,7 +156,8 @@ class ConstantActionEvaluator:
         self._block_of = {i: block for block in self._blocks
                           for i in (block[0],) + block[1]}
         self._cells_cache: dict = {}
-        self._stages: dict = {}
+        self._cell_batches: dict = {}
+        self._stage_cache: dict = {}
 
     def _actions(self, overrides: Optional[Mapping[int, Action]]):
         acts = list(self.game.base_actions)
@@ -176,46 +182,72 @@ class ConstantActionEvaluator:
             self._cells_cache[key] = dist.cells(bps)
         return self._cells_cache[key]
 
-    def _stage(self, block, acts, alloc: tuple[int, ...]) -> _ResaleStage:
-        """The resale stage of `block` when the auction gives its members
-        (seller first) the units `alloc`; a block without buyers never makes
-        an offer. Integrated once per distinct (block, alloc, price,
-        thresholds), one `run_posted_resale` per cell."""
+    def _cell_batch(self, block, price, thresholds):
+        """The resale terms of `block` at (price, thresholds) and its cells:
+        the buyer policies, the members' valuations in every cell and the
+        cell weights, made once per key. A NaN threshold raises here, before
+        any cell is cut at it."""
+        key = (block, price, thresholds)
+        if key not in self._cell_batches:
+            seller, buyers = block
+            members = (seller,) + buyers
+            # members are indexed 0 (seller), 1.. (buyers) within the group
+            policies = {j: ThresholdBuyer(thr) for j, thr in enumerate(thresholds, 1)}
+            cut_of = {b: price if thr is None else max(price, thr)
+                      for b, thr in zip(buyers, thresholds)}
+            models = [self.market.agents[i] for i in members]
+            scalars, weights = cell_nodes([
+                self._cells(i, None if math.isinf(price) else cut_of.get(i))
+                for i, model in zip(members, models) if model.random])
+            self._cell_batches[key] = (ResaleSpec.single(0, range(1, len(members))),
+                                       policies, realize_batch(models, scalars),
+                                       weights)
+        return self._cell_batches[key]
+
+    @staticmethod
+    def _terms(block, acts) -> tuple:
+        """The seller's price and the buyers' thresholds in `block`; a block
+        without buyers never makes an offer."""
         seller, buyers = block
-        members = (seller,) + buyers
         price = acts[seller].seller_price
         if price is None or not buyers:
             price = NO_OFFER
-        thresholds = tuple(acts[b].buyer_threshold for b in buyers)
-        key = (block, alloc, price, thresholds)
-        if key in self._stages:
-            return self._stages[key]
-        # members are indexed 0 (seller), 1.. (buyers) within the group; a
-        # NaN threshold raises here, before any cell is cut at it
-        policies = {j: ThresholdBuyer(thr) for j, thr in enumerate(thresholds, 1)}
-        cut_of = {b: price if thr is None else max(price, thr)
-                  for b, thr in zip(buyers, thresholds)}
-        models = [self.market.agents[i] for i in members]
-        cells = [self._cells(i, None if math.isinf(price) else cut_of.get(i))
-                 for i, model in zip(members, models) if model.random]
-        initial, spec = Allocation(alloc), ResaleSpec.single(0, range(1, len(members)))
-        weights, vals, transfers = [], [[] for _ in members], [[] for _ in members]
-        for profile, weight in cell_profiles(models, cells):
-            trade = run_posted_resale(initial, spec, {0: price}, policies, profile)
-            weights.append(weight)
-            for j, v in enumerate(profile):
-                vals[j].append(v.value(trade.final_alloc[j]))
-                transfers[j].append(trade.transfers[j])
-        stage = self._stages[key] = _ResaleStage(
-            np.array(weights),
-            {i: np.array(v, dtype=float) for i, v in zip(members, vals)},
-            {i: np.array(t, dtype=float) for i, t in zip(members, transfers)})
-        return stage
+        return price, tuple(acts[b].buyer_threshold for b in buyers)
+
+    def _stages(self, block, keys: Sequence[tuple]) -> list[_ResaleStage]:
+        """The resale stages of `block` for each key (alloc, price,
+        thresholds): the auction gives the members (seller first) the units
+        `alloc`, and `_terms` are (price, thresholds). Each distinct key is
+        integrated once: the keys not yet cached that share their thresholds
+        resell together, in one `run_posted_resale` call whose rows are
+        their (key, cell) pairs, with a price per row."""
+        todo = [key for key in dict.fromkeys(keys)
+                if (block,) + key not in self._stage_cache]
+        members = (block[0],) + block[1]
+        for thresholds in dict.fromkeys(key[2] for key in todo):
+            group = [key for key in todo if key[2] == thresholds]
+            allocs, prices, _ = zip(*group)
+            specs, policies, cell_values, cell_weights = zip(*[
+                self._cell_batch(block, price, thresholds) for price in prices])
+            sizes = [len(w) for w in cell_weights]
+            values = [ValuationBatch.concat([v[j] for v in cell_values])
+                      for j in range(len(members))]
+            trade = run_posted_resale(
+                np.repeat(np.array(allocs, dtype=np.int64), sizes, axis=0), specs[0],
+                {0: prices[0] if len(set(prices)) == 1 else np.repeat(prices, sizes)},
+                policies[0], values, self.m)
+            held = [v.value(trade.final_alloc[:, j]) for j, v in enumerate(values)]
+            ends = np.cumsum(sizes).tolist()
+            for key, weights, end in zip(group, cell_weights, ends):
+                rows = slice(end - len(weights), end)
+                self._stage_cache[(block,) + key] = _ResaleStage(
+                    weights, {i: held[j][rows] for j, i in enumerate(members)},
+                    {i: trade.transfers[rows, j] for j, i in enumerate(members)})
+        return [self._stage_cache[(block,) + key] for key in keys]
 
     def _outcome_stage(self, block, acts, outcome) -> _ResaleStage:
-        seller, buyers = block
-        return self._stage(block, acts,
-                           tuple(outcome.alloc[i] for i in (seller,) + buyers))
+        alloc = tuple(outcome.alloc[i] for i in (block[0],) + block[1])
+        return self._stages(block, [(alloc,) + self._terms(block, acts)])[0]
 
     @staticmethod
     def _utility(stage: _ResaleStage, agent: int, payment: float) -> float:
@@ -233,47 +265,49 @@ class ConstantActionEvaluator:
         """expected_utility(agent, {agent: Action(bid=batch.vector(j))}) for
         every row j, everything else on the base actions. Under the
         uniform-price auction the rows clear in one `uniform_price_deviations`
-        call, and each distinct (block allocation, payment) row looks its
-        stage up and computes its utility once; under another mechanism each
-        row takes `expected_utility`."""
-        if self.game.mechanism.kind != "uniform":
-            return np.array([
-                self.expected_utility(agent, {agent: Action(bid=batch.vector(j))})
-                for j in range(len(batch))], dtype=float)
+        call; under another mechanism each row clears on its own. The
+        distinct block allocations not yet integrated resell in one `_stages`
+        call, and each distinct (block allocation, payment) row computes its
+        utility once."""
         acts = self._actions(None)
         block = self._block_of[agent]
-        seller, buyers = block
-        k, price, counts = uniform_price_deviations(
-            self._bids(acts), agent, batch, self.m,
-            self.game.mechanism.reserve, (seller,) + buyers)
-        payments = price * k
+        members = (block[0],) + block[1]
+        if self.game.mechanism.kind == "uniform":
+            k, price, counts = uniform_price_deviations(
+                self._bids(acts), agent, batch, self.m,
+                self.game.mechanism.reserve, members)
+            payments = price * k
+        else:
+            outcomes = [self._auction(acts[:agent] + [Action(bid=batch.vector(j))
+                                                      .merged_into(acts[agent])]
+                                      + acts[agent + 1:])
+                        for j in range(len(batch))]
+            counts = np.array([[o.alloc[i] for i in members] for o in outcomes],
+                              dtype=np.int64).reshape(len(batch), len(members))
+            payments = np.array([o.payments[agent] for o in outcomes], dtype=float)
         first, inverse = _distinct_rows([*counts.T, payments])
-        utils = np.array([
-            self._utility(self._stage(block, acts, tuple(counts[j].tolist())),
-                          agent, float(payments[j]))
-            for j in first.tolist()])
+        terms = self._terms(block, acts)
+        stages = self._stages(block, [(tuple(counts[j].tolist()),) + terms
+                                      for j in first.tolist()])
+        utils = np.array([self._utility(stage, agent, float(payments[j]))
+                          for stage, j in zip(stages, first.tolist())])
         return utils[inverse]
 
-    def expected_utilities(self, agent: int,
-                           deviations: Sequence[Action]) -> list[float]:
-        """[expected_utility(agent, {agent: d}) for d in deviations], the
-        other agents on their base actions. The bid-only deviations (a
-        deviation without a bid keeps the base bid) go to `bid_utilities` as
-        one `BidBatch`; a deviation that changes a price or threshold takes
-        `expected_utility`."""
-        out: list = [None] * len(deviations)
-        rows = []
-        for j, dev in enumerate(deviations):
-            if dev.seller_price is None and dev.buyer_threshold is None:
-                rows.append(j)
-            else:
-                out[j] = self.expected_utility(agent, {agent: dev})
-        base = self.game.base_actions[agent]
-        bids = self._bids([base if deviations[j].bid is None else deviations[j]
-                           for j in rows])
-        for j, u in zip(rows, self.bid_utilities(agent, BidBatch.of(bids)).tolist()):
-            out[j] = u
-        return out
+    def price_utilities(self, agent: int, prices: Sequence[float]) -> np.ndarray:
+        """expected_utility(agent, {agent: Action(seller_price=p)}) for every
+        p, everything else on the base actions. A price leaves the bids, so
+        the auction clears once; the stages of all the prices resell in one
+        `_stages` call."""
+        acts = self._actions(None)
+        outcome = self._auction(acts)
+        block = self._block_of[agent]
+        alloc = tuple(outcome.alloc[i] for i in (block[0],) + block[1])
+        keys = []
+        for p in prices:
+            acts[agent] = Action(seller_price=p).merged_into(self.game.base_actions[agent])
+            keys.append((alloc,) + self._terms(block, acts))
+        return np.array([self._utility(stage, agent, outcome.payments[agent])
+                         for stage in self._stages(block, keys)], dtype=float)
 
     def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
@@ -432,8 +466,8 @@ def best_response_gap(game: CombinedGame, agent: int,
     """Max over grid deviations of (deviation expected utility - equilibrium
     expected utility), with the first best deviation in grid order as
     witness. The on-path no-op scores the base utility, the grid's bid rows
-    score in one `bid_utilities` call, and each price and threshold takes
-    `expected_utility`."""
+    score in one `bid_utilities` call, its prices in one `price_utilities`
+    call, and each threshold takes `expected_utility`."""
     ev = game.evaluator()
     base = ev.expected_utility(agent)
     best, witness = base, Action(label="on-path")
@@ -444,8 +478,10 @@ def best_response_gap(game: CombinedGame, agent: int,
         if utils[j] > best:
             best, witness = float(utils[j]), grid._bid_action(batch, origin, j)
     aftermarket = grid._aftermarket_deviations()
+    price_utils = iter(ev.price_utilities(agent, grid.seller_prices).tolist())
     for dev in aftermarket:
-        u = ev.expected_utility(agent, {agent: dev})
+        u = (next(price_utils) if dev.buyer_threshold is None
+             else ev.expected_utility(agent, {agent: dev}))
         if u > best:
             best, witness = u, dev
     return GapResult(best - base, witness, base, 1 + len(batch) + len(aftermarket))

@@ -27,11 +27,11 @@ import numpy as np
 
 from .aftermarket import (NeverBuy, ResaleSpec, ThresholdBuyer,
                           run_posted_resale)
-from .allocation import Allocation, opt_allocation
+from .allocation import opt_allocation
 from .auctions import (BidBatch, BidVector, all_pay_single, discriminatory,
                        discriminatory_units_won, first_price_deviation_wins,
                        first_price_single, uniform_price)
-from .valuations import MarginalValuation
+from .valuations import MarginalValuation, ValuationBatch
 
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
@@ -258,8 +258,8 @@ class CombinedSingleItemGame(SmoothableGame):
     def _resale(self, values, actions, holder: int):
         """The resale rounds from the auction winner `holder`, each one
         `run_posted_resale`: the final holder and each agent's net transfer."""
-        profile = [MarginalValuation([v]) for v in values]
-        alloc = Allocation(tuple(int(i == holder) for i in range(self.n_agents)))
+        profile = [ValuationBatch.of([MarginalValuation([v])]) for v in values]
+        alloc = np.array([[int(i == holder) for i in range(self.n_agents)]])
         transfers = [0.0] * self.n_agents
         for r in range(self.rounds):
             plan = [self._round_action(a, r) for a in actions]
@@ -269,10 +269,10 @@ class CombinedSingleItemGame(SmoothableGame):
                         else ThresholdBuyer(a.buyer_threshold)
                         for i, a in enumerate(plan)}
             trade = run_posted_resale(alloc, ResaleSpec.winner_resale(), prices,
-                                      policies, profile)
+                                      policies, profile, 1)
             alloc = trade.final_alloc
-            transfers = [t + d for t, d in zip(transfers, trade.transfers)]
-        return alloc.counts.index(1), transfers
+            transfers = [t + d for t, d in zip(transfers, trade.transfers[0].tolist())]
+        return alloc[0].tolist().index(1), transfers
 
     def opt_welfare(self, values):
         return max(values)

@@ -1,12 +1,13 @@
 """Agent valuations (non-increasing marginals, run-length encoded), valuation
-models driven by one scalar draw, the market presets used throughout, and the
-two rules by which every expectation over valuations draws them: Monte Carlo
-rows (`draw_values`) and tensor quadrature cells (`cell_profiles`)."""
+models driven by one scalar draw, run batches of valuations for array-valued
+play, the market presets used throughout, and the two rules by which every
+expectation over valuations draws them: Monte Carlo rows (`draw_values`) and
+tensor quadrature cells (`cell_nodes`)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,6 +111,73 @@ class MarginalValuation:
 ZERO_VALUATION = MarginalValuation.from_runs(())
 
 
+class ValuationBatch:
+    """Valuations as run arrays, the valuation twin of `BidBatch`. Row j has
+    marginal value `run_values[j, r]` on `run_counts[j, r]` units: its runs in
+    order, then empty (0.0, 0) runs as padding; units beyond them are worth
+    0. The constructor takes the rows as valid; `of` builds them from
+    MarginalValuations, `HeadTailModel.batch` from a column of scalar draws,
+    and `valuation(j)` rebuilds row j."""
+
+    __slots__ = ("run_values", "run_counts")
+
+    def __init__(self, run_values: np.ndarray, run_counts: np.ndarray):
+        self.run_values = run_values
+        self.run_counts = run_counts
+
+    @classmethod
+    def of(cls, valuations: Sequence[MarginalValuation]) -> "ValuationBatch":
+        n_runs = max((len(v.runs) for v in valuations), default=0)
+        run_values = np.zeros((len(valuations), n_runs))
+        run_counts = np.zeros((len(valuations), n_runs), dtype=np.int64)
+        for j, v in enumerate(valuations):
+            for r, (x, c) in enumerate(v.runs):
+                run_values[j, r] = x
+                run_counts[j, r] = c
+        return cls(run_values, run_counts)
+
+    @classmethod
+    def concat(cls, batches: Sequence["ValuationBatch"]) -> "ValuationBatch":
+        """The rows of `batches` in order; they must have as many runs."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(np.concatenate([b.run_values for b in batches]),
+                   np.concatenate([b.run_counts for b in batches]))
+
+    def __len__(self) -> int:
+        return len(self.run_values)
+
+    def take(self, rows: np.ndarray) -> "ValuationBatch":
+        return ValuationBatch(self.run_values[rows], self.run_counts[rows])
+
+    def valuation(self, j: int) -> MarginalValuation:
+        return MarginalValuation.from_runs(tuple(zip(self.run_values[j].tolist(),
+                                                     self.run_counts[j].tolist())))
+
+    def count_ge(self, cut) -> np.ndarray:
+        """Per row, the number of explicit marginals >= `cut`, a scalar or
+        an array of one cut per row."""
+        if isinstance(cut, np.ndarray):
+            cut = cut[:, None]
+        return np.where(self.run_values >= cut, self.run_counts, 0).sum(axis=1)
+
+    def value(self, k: np.ndarray) -> np.ndarray:
+        """Per row j, the total value of holding k[j] >= 0 units, added up
+        run by run as MarginalValuation.value adds it, so bit for bit equal."""
+        n_runs = self.run_values.shape[1]
+        if not n_runs:
+            return np.zeros(len(self))
+        left = np.asarray(k, dtype=np.int64)
+        for r in range(n_runs):
+            take = np.minimum(self.run_counts[:, r], left)
+            # 0 + x is x: the first run's product starts the running total
+            part = self.run_values[:, r] * take
+            total = part if r == 0 else total + part
+            if r + 1 < n_runs:
+                left = left - take
+        return total
+
+
 @dataclass(frozen=True)
 class HeadTailModel:
     """Valuation model: fixed head marginals, then `tail_count` units all equal
@@ -144,6 +212,33 @@ class HeadTailModel:
                 raise ValueError("model requires a scalar draw")
             runs.append((scalar, self.tail_count))
         return MarginalValuation.from_runs(runs)
+
+    def batch(self, scalars: np.ndarray) -> ValuationBatch:
+        """[realize(x) for x in scalars] as one batch, the runs merged as
+        `realize` merges them: a tail equal to the last head marginal joins
+        that run. A model without a random tail repeats its one valuation."""
+        head = _merge_runs([(v, 1) for v in self.head])
+        width = len(head) + self.random
+        run_values = np.empty((len(scalars), width))
+        run_counts = np.empty((len(scalars), width), dtype=np.int64)
+        if head:
+            run_values[:, :len(head)] = [v for v, _ in head]
+            run_counts[:, :len(head)] = [c for _, c in head]
+        if not self.random or not len(scalars):
+            return ValuationBatch(run_values, run_counts)
+        x = np.asarray(scalars, dtype=float)
+        last = head[-1][0] if head else math.inf
+        low, high = np.minimum.reduce(x), np.maximum.reduce(x)
+        if not (low >= 0 and high <= last):  # also rejects NaN
+            raise ValueError("tail values must be nonnegative and at most the head")
+        run_values[:, -1] = x
+        run_counts[:, -1] = self.tail_count
+        if head and high == last:
+            merged = x == last
+            run_values[merged, -1] = 0.0
+            run_counts[merged, -1] = 0
+            run_counts[merged, -2] += self.tail_count
+        return ValuationBatch(run_values, run_counts)
 
 
 @dataclass(frozen=True)
@@ -245,15 +340,29 @@ def sample_profile(model: MarketModel, seed: int) -> list[MarginalValuation]:
     return _realizer(model.agents)(draw_values(model, 1, seed)[0].tolist())
 
 
-def cell_profiles(models: Sequence[HeadTailModel], cells: Sequence[tuple]):
-    """Yield (profile, weight) for every cell of the tensor product of the
-    random models' `(nodes, weights)` pairs, `cells` holding one pair per
-    random model in model order. A cell's weight is the product of its
-    nodes' weights, multiplied in model order from 1.0."""
-    realize = _realizer(models)
-    axes = [zip(nodes.tolist(), weights.tolist()) for nodes, weights in cells]
-    for cell in product(*axes):
-        weight = 1.0
-        for _, w in cell:
-            weight *= w
-        yield realize([x for x, _ in cell]), weight
+def realize_batch(models: Sequence[HeadTailModel],
+                  scalars: np.ndarray) -> list[ValuationBatch]:
+    """The profiles of `models` at every row of `scalars` (rows x random
+    models, in model order), as one `HeadTailModel.batch` per model: the
+    batch twin of `_realizer`."""
+    columns = iter(np.asarray(scalars, dtype=float).T)
+    rows = np.zeros(len(scalars))
+    return [a.batch(next(columns) if a.random else rows) for a in models]
+
+
+def cell_nodes(cells: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor product of the random models' `(nodes, weights)` pairs,
+    `cells` holding one pair per random model in model order, the first
+    model varying slowest: a (cells x random models) array of nodes and
+    each cell's weight, the product of its nodes' weights multiplied in
+    model order from 1.0."""
+    n_cells = math.prod(len(w) for _, w in cells)
+    scalars, weights = np.empty((n_cells, len(cells))), np.ones(n_cells)
+    inner = n_cells
+    for col, (nodes, w) in enumerate(cells if n_cells else ()):
+        inner //= len(w)  # cells per node of this model
+        at = np.arange(n_cells) // inner % len(w)
+        scalars[:, col] = nodes[at]
+        # 1.0 * w is w: the first model's weights start the product
+        weights = w[at] if col == 0 else weights * w[at]
+    return scalars, weights

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from aftermarkets.allocation import Allocation
 from aftermarkets.auctions import BidVector, uniform_price
 from aftermarkets.combined import play
 from aftermarkets.equilibrium import scripted_lower_bound_equilibrium
-from aftermarkets.valuations import MarginalValuation, sample_profile
+from aftermarkets.valuations import (MarginalValuation, ValuationBatch,
+                                     sample_profile)
 
 
 def random_setting(rng):
@@ -29,6 +31,15 @@ def random_setting(rng):
     buyers = tuple(i for i in range(n) if i != seller)
     price = round(rng.uniform(0.1, 3.0), 2)
     return vals, Allocation(counts), seller, buyers, price
+
+
+def resell(initial, spec, prices, policies, vals, m=None):
+    """run_posted_resale on the single profile `vals` as a batch of one:
+    the final holdings and the transfers as tuples."""
+    m = initial.total if m is None else m
+    out = run_posted_resale(np.array([initial.counts]), spec, prices, policies,
+                            [ValuationBatch.of([v]) for v in vals], m)
+    return tuple(out.final_alloc[0].tolist()), tuple(out.transfers[0].tolist())
 
 
 def test_signal_protocols():
@@ -65,23 +76,22 @@ def test_posted_resale_sequential_order():
             MarginalValuation([])]
     initial = Allocation((0, 0, 2))
     spec = ResaleSpec.single(2, (0, 1))
-    out = run_posted_resale(initial, spec, {2: 1.0}, {}, vals)
-    assert out.final_alloc.counts == (1, 1, 0)
-    assert out.transfers == (1.0, 1.0, -2.0)
-    assert sum(out.transfers) == 0.0
+    final, transfers = resell(initial, spec, {2: 1.0}, {}, vals)
+    assert final == (1, 1, 0)
+    assert transfers == (1.0, 1.0, -2.0)
+    assert sum(transfers) == 0.0
     # reversed visiting order: agent 1 takes both units
-    out2 = run_posted_resale(initial, ResaleSpec.single(2, (1, 0)),
-                             {2: 1.0}, {}, vals)
-    assert out2.final_alloc.counts == (0, 2, 0)
+    final2, _ = resell(initial, ResaleSpec.single(2, (1, 0)), {2: 1.0}, {}, vals)
+    assert final2 == (0, 2, 0)
 
 
 def test_no_offer_keeps_allocation():
     vals = [MarginalValuation([2.0]), MarginalValuation([])]
     initial = Allocation((0, 2))
-    out = run_posted_resale(initial, ResaleSpec.single(1, (0,)),
-                            {1: NO_OFFER}, {}, vals)
-    assert out.final_alloc.counts == initial.counts
-    assert out.transfers == (0.0, 0.0)
+    final, transfers = resell(initial, ResaleSpec.single(1, (0,)),
+                              {1: NO_OFFER}, {}, vals)
+    assert final == initial.counts
+    assert transfers == (0.0, 0.0)
 
 
 def test_winner_led_resale():
@@ -93,17 +103,30 @@ def test_winner_led_resale():
 
 
 def test_opt_out_outcome():
-    out = opt_out_outcome(Allocation((1, 2)))
-    assert out.final_alloc.counts == (1, 2)
-    assert out.transfers == (0.0, 0.0)
+    out = opt_out_outcome(np.array([(1, 2)]))
+    assert out.final_alloc.tolist() == [[1, 2]]
+    assert out.transfers.tolist() == [[0.0, 0.0]]
 
 
 def test_negative_price_rejected():
     vals = [MarginalValuation([]), MarginalValuation([1.0])]
     for bad in (-0.5, math.nan):
         with pytest.raises(ValueError):
-            run_posted_resale(Allocation((1, 0)), ResaleSpec.single(0, (1,)),
-                              {0: bad}, {}, vals)
+            resell(Allocation((1, 0)), ResaleSpec.single(0, (1,)), {0: bad}, {}, vals)
+
+
+def test_resale_rejects_overselling():
+    """An initial row that sells more than the m units is rejected at the
+    resale boundary, in a batch as for a single profile."""
+    vals = [MarginalValuation([1.0]), MarginalValuation([2.0])]
+    spec = ResaleSpec.single(0, (1,))
+    with pytest.raises(ValueError):
+        resell(Allocation((2, 0)), spec, {0: 1.0}, {}, vals, m=1)
+    batch = [ValuationBatch.of([v, v]) for v in vals]
+    with pytest.raises(ValueError):
+        run_posted_resale(np.array([(1, 0), (2, 0)]), spec, {0: 1.0}, {}, batch, 1)
+    assert resell(Allocation((1, 0)), spec, {0: 1.0}, {}, vals, m=1) == (
+        (0, 1), (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan])
@@ -122,24 +145,26 @@ def test_resale_invariants(seed):
     rng = random.Random(seed)
     vals, initial, seller, buyers, price = random_setting(rng)
     spec = ResaleSpec.single(seller, buyers)
-    out = run_posted_resale(initial, spec, {seller: price}, {}, vals)
-    # strong budget balance and conservation of units
-    assert sum(out.transfers) == pytest.approx(0.0, abs=1e-12)
+    out = run_posted_resale(np.array([initial.counts]), spec, {seller: price}, {},
+                            [ValuationBatch.of([v]) for v in vals], initial.total)
     assert check_weak_budget_balance(out, scale=price * 10)
-    assert out.final_alloc.total == initial.total
+    final, transfers = out.final_alloc[0].tolist(), out.transfers[0].tolist()
+    # strong budget balance and conservation of units
+    assert sum(transfers) == pytest.approx(0.0, abs=1e-12)
+    assert sum(final) == initial.total
     # voluntary participation: the dominant buyer policy never loses utility
     for i in range(len(vals)):
-        gain = (vals[i].value(out.final_alloc[i]) - vals[i].value(initial[i])
-                - out.transfers[i])
+        gain = (vals[i].value(final[i]) - vals[i].value(initial[i])
+                - transfers[i])
         if i != seller:
             assert gain >= -1e-12
     # seller revenue is nonnegative
-    assert out.transfers[seller] <= 1e-12
+    assert transfers[seller] <= 1e-12
     # trade weakly increases welfare when buyers value units above the
     # seller's (zero beyond her own use) marginal value only if price <= value;
     # with the dominant policy every purchased unit has value >= price
     for i in buyers:
-        bought = out.final_alloc[i] - initial[i]
+        bought = final[i] - initial[i]
         if bought > 0:
             assert vals[i].value(initial[i] + bought) - vals[i].value(initial[i]) \
                 >= bought * price - 1e-9

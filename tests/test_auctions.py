@@ -188,6 +188,33 @@ def test_uniform_price_invariants(seed):
     assert out.revenue == pytest.approx(price * out.alloc.total)
 
 
+@given(st.integers(0, 10_000), st.sampled_from(["uniform", "reserve", "discriminatory",
+                                                "posted", "posted-override"]))
+@settings(max_examples=400, deadline=None)
+def test_auction_invariants(seed, kind):
+    """Every clearing sells at most m units and charges no negative payment;
+    a uniform-price winner pays exactly the clearing price per unit."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 8)
+    bids = random_bids(rng, rng.randint(1, 4), m)
+    if kind in ("uniform", "reserve"):
+        reserve = round(rng.uniform(0.0, 3.0), 2) if kind == "reserve" else None
+        out = uniform_price(bids, m, reserve)
+        assert out.payments == tuple(out.clearing_price * c for c in out.alloc.counts)
+    elif kind == "discriminatory":
+        out = discriminatory(bids, m)
+    else:
+        vals = [MarginalValuation.from_runs(bv.runs) for bv in bids]
+        quantities = None
+        if kind == "posted-override":  # strategic demand beyond the supply
+            quantities = [rng.choice((None, rng.randint(0, 2 * m))) for _ in vals]
+        out = posted_price_sell(round(rng.uniform(0.0, 3.0), 2),
+                                rng.sample(range(len(vals)), len(vals)), vals, m,
+                                quantities)
+    assert out.alloc.total <= m
+    assert all(p >= 0 for p in out.payments)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=300, deadline=None)
 def test_discriminatory_revenue_dominates_uniform(seed):

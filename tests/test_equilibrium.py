@@ -431,36 +431,49 @@ def mixed_deviations(m, rng):
 
 
 def assert_batched_utilities_exact(game, agents, rng):
+    """bid_utilities and price_utilities equal a fresh evaluator's
+    expected_utility bit for bit on every bid-only (the on-path no-op keeps
+    the base bid) and price-only deviation, on an evaluator warmed by the
+    other deviations, both while its stages are integrated and once they are
+    cached."""
     m = game.market.m
     ev = game.evaluator()
     for agent in agents:
         devs = mixed_deviations(m, rng)
-        batched = ev.expected_utilities(agent, devs)
         single = [game.evaluator().expected_utility(agent, {agent: d}) for d in devs]
-        assert [u.hex() for u in batched] == [u.hex() for u in single]
-        bids = [d.bid for d in devs if d.bid is not None
-                and d.seller_price is None and d.buyer_threshold is None]
-        rows = ev.bid_utilities(agent, BidBatch.of(bids)).tolist()
-        assert [u.hex() for u in rows] == [
-            game.evaluator().expected_utility(agent, {agent: Action(bid=bv)}).hex()
-            for bv in bids]
+        rows = [j for j, d in enumerate(devs)
+                if d.seller_price is None and d.buyer_threshold is None]
+        for j, d in enumerate(devs):
+            if j not in rows:
+                assert ev.expected_utility(agent, {agent: d}).hex() == single[j].hex()
+        base = game.base_actions[agent]
+        batch = BidBatch.of([(base if devs[j].bid is None else devs[j]).bid
+                             for j in rows])
+        priced = [j for j, d in enumerate(devs) if d.bid is None
+                  and d.buyer_threshold is None and d.seller_price is not None]
+        for _ in range(2):
+            assert [u.hex() for u in ev.bid_utilities(agent, batch).tolist()] == [
+                single[j].hex() for j in rows]
+            prices = [devs[j].seller_price for j in priced]
+            assert [u.hex() for u in ev.price_utilities(agent, prices).tolist()] == [
+                single[j].hex() for j in priced]
 
 
 @given(st.integers(4, 40), st.sampled_from([None, 0.03, 0.5, 1.0]),
        st.randoms(use_true_random=False))
 @settings(max_examples=25, deadline=None)
-def test_expected_utilities_match_expected_utility(m, reserve, rng):
+def test_bid_utilities_match_expected_utility(m, reserve, rng):
     """The batched utilities equal the per-deviation ones bit for bit."""
     game = scripted_lower_bound_equilibrium(m, reserve=reserve)
     assert_batched_utilities_exact(game, range(3), rng)
 
 
-def test_expected_utilities_grouped_market():
+def test_bid_utilities_grouped_market():
     game = scripted_grouped_equilibrium(40, 0.25)
     assert_batched_utilities_exact(game, (0, 1, 2, 4, 11), random.Random(3))
 
 
-def test_expected_utilities_discriminatory_fallback():
+def test_bid_utilities_discriminatory():
     game = replace(scripted_lower_bound_equilibrium(12),
                    mechanism=Mechanism("discriminatory"))
     assert_batched_utilities_exact(game, range(3), random.Random(5))
