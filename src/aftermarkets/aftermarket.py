@@ -51,12 +51,15 @@ NO_OFFER = math.inf
 @dataclass(frozen=True)
 class ThresholdBuyer:
     """Dominant resale policy: buy another unit while its marginal value is >=
-    the posted price (and >= the optional extra threshold, never NaN)."""
+    the posted price (and >= the optional extra threshold, never NaN). In a
+    batch the threshold may be an array of one per row."""
 
     threshold: Optional[float] = None
 
     def __post_init__(self):
-        if self.threshold is not None and math.isnan(self.threshold):
+        t = self.threshold
+        if t is not None and (np.isnan(t).any() if isinstance(t, np.ndarray)
+                              else math.isnan(t)):
             raise ValueError("buyer threshold must not be NaN")
 
     def quantity(self, valuation: MarginalValuation, holding: int, price: float,

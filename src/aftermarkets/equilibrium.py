@@ -15,8 +15,10 @@ dimensions with the interval-moment cells of `cell_nodes`, once per distinct
 block allocation and aftermarket action rather than once per deviation. The
 stages a call needs resell together: one array-valued `run_posted_resale`
 call, the rule `play()` and `expected_outcome` use too, takes every
-(allocation, seller price, cell) triple as a row, so a gap's bid deviations
-take one resale call and its price deviations another. The first-price check
+(allocation, seller price, buyer thresholds, cell) row, so a gap's bid
+deviations take one resale call and its price and threshold deviations
+another, and best-response dynamics and the dominance witnesses ask for
+their stages a list at a time. The first-price check
 draws its value pairs with `draw_values`, the Monte Carlo rule of
 `expected_outcome`, and evaluates the exact bid once per check, on a table
 it then interpolates.
@@ -125,10 +127,11 @@ class ConstantActionEvaluator:
     scalars with breakpoints at the effective purchase cutoffs, which the
     interval-moment cells integrate exactly.
 
-    `expected_utility` clears the auction on every call; `bid_utilities`
+    `utilities` scores a list of profiles for one agent: the profiles that
+    keep every base bid share one clearing, and the stages of all of them
+    resell together; `expected_utility` is a list of one. `bid_utilities`
     makes one batched clearing for a whole `BidBatch` of an agent's bids
-    under the uniform-price auction, and `price_utilities` one clearing for
-    a list of the agent's resale prices. A block's stage depends only
+    under the uniform-price auction. A block's stage depends only
     on its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
     evaluator's lifetime, as are the block's cells per (price, thresholds);
@@ -170,8 +173,7 @@ class ConstantActionEvaluator:
         return [a.bid if a.bid is not None else BidVector.from_runs((), self.m)
                 for a in acts]
 
-    def _auction(self, acts):
-        bids = self._bids(acts)
+    def _auction(self, bids: Sequence[BidVector]):
         return _run_auction(self.game.mechanism, bids, self.m, [None] * len(bids), [])
 
     def _cells(self, agent: int, cut: Optional[float]):
@@ -183,25 +185,18 @@ class ConstantActionEvaluator:
         return self._cells_cache[key]
 
     def _cell_batch(self, block, price, thresholds):
-        """The resale terms of `block` at (price, thresholds) and its cells:
-        the buyer policies, the members' valuations in every cell and the
-        cell weights, made once per key. A NaN threshold raises here, before
-        any cell is cut at it."""
+        """The members' valuations in every cell of `block` at (price,
+        thresholds) and the cell weights, made once per key."""
         key = (block, price, thresholds)
         if key not in self._cell_batches:
-            seller, buyers = block
-            members = (seller,) + buyers
-            # members are indexed 0 (seller), 1.. (buyers) within the group
-            policies = {j: ThresholdBuyer(thr) for j, thr in enumerate(thresholds, 1)}
+            members = (block[0],) + block[1]
             cut_of = {b: price if thr is None else max(price, thr)
-                      for b, thr in zip(buyers, thresholds)}
+                      for b, thr in zip(block[1], thresholds)}
             models = [self.market.agents[i] for i in members]
             scalars, weights = cell_nodes([
                 self._cells(i, None if math.isinf(price) else cut_of.get(i))
                 for i, model in zip(members, models) if model.random])
-            self._cell_batches[key] = (ResaleSpec.single(0, range(1, len(members))),
-                                       policies, realize_batch(models, scalars),
-                                       weights)
+            self._cell_batches[key] = (realize_batch(models, scalars), weights)
         return self._cell_batches[key]
 
     @staticmethod
@@ -218,36 +213,44 @@ class ConstantActionEvaluator:
         """The resale stages of `block` for each key (alloc, price,
         thresholds): the auction gives the members (seller first) the units
         `alloc`, and `_terms` are (price, thresholds). Each distinct key is
-        integrated once: the keys not yet cached that share their thresholds
-        resell together, in one `run_posted_resale` call whose rows are
-        their (key, cell) pairs, with a price per row."""
+        integrated once: the keys not yet cached resell together, in one
+        `run_posted_resale` call whose rows are their (key, cell) pairs, with
+        a price and the buyers' thresholds per row. A NaN threshold raises
+        ValueError."""
         todo = [key for key in dict.fromkeys(keys)
                 if (block,) + key not in self._stage_cache]
-        members = (block[0],) + block[1]
-        for thresholds in dict.fromkeys(key[2] for key in todo):
-            group = [key for key in todo if key[2] == thresholds]
-            allocs, prices, _ = zip(*group)
-            specs, policies, cell_values, cell_weights = zip(*[
-                self._cell_batch(block, price, thresholds) for price in prices])
+        if todo:
+            members = (block[0],) + block[1]
+            allocs, prices, thresholds = zip(*todo)
+            cell_values, cell_weights = zip(*[self._cell_batch(block, *key[1:])
+                                              for key in todo])
             sizes = [len(w) for w in cell_weights]
             values = [ValuationBatch.concat([v[j] for v in cell_values])
                       for j in range(len(members))]
+            # members are indexed 0 (seller), 1.. (buyers) within the group; a
+            # buyer whose threshold differs between keys gets one per row,
+            # -inf for none (max(price, -inf) is the price)
+            policies = {j: ThresholdBuyer(column[0] if len(set(column)) == 1 else
+                                          np.repeat([-math.inf if t is None else t
+                                                     for t in column], sizes))
+                        for j, column in enumerate(zip(*thresholds), 1)}
             trade = run_posted_resale(
-                np.repeat(np.array(allocs, dtype=np.int64), sizes, axis=0), specs[0],
+                np.repeat(np.array(allocs, dtype=np.int64), sizes, axis=0),
+                ResaleSpec.single(0, range(1, len(members))),
                 {0: prices[0] if len(set(prices)) == 1 else np.repeat(prices, sizes)},
-                policies[0], values, self.m)
+                policies, values, self.m)
             held = [v.value(trade.final_alloc[:, j]) for j, v in enumerate(values)]
             ends = np.cumsum(sizes).tolist()
-            for key, weights, end in zip(group, cell_weights, ends):
+            for key, weights, end in zip(todo, cell_weights, ends):
                 rows = slice(end - len(weights), end)
                 self._stage_cache[(block,) + key] = _ResaleStage(
                     weights, {i: held[j][rows] for j, i in enumerate(members)},
                     {i: trade.transfers[rows, j] for j, i in enumerate(members)})
         return [self._stage_cache[(block,) + key] for key in keys]
 
-    def _outcome_stage(self, block, acts, outcome) -> _ResaleStage:
+    def _key(self, block, acts, outcome) -> tuple:
         alloc = tuple(outcome.alloc[i] for i in (block[0],) + block[1])
-        return self._stages(block, [(alloc,) + self._terms(block, acts)])[0]
+        return (alloc,) + self._terms(block, acts)
 
     @staticmethod
     def _utility(stage: _ResaleStage, agent: int, payment: float) -> float:
@@ -256,10 +259,28 @@ class ConstantActionEvaluator:
 
     def expected_utility(self, agent: int,
                          overrides: Optional[Mapping[int, Action]] = None) -> float:
-        acts = self._actions(overrides)
-        outcome = self._auction(acts)
-        stage = self._outcome_stage(self._block_of[agent], acts, outcome)
-        return self._utility(stage, agent, outcome.payments[agent])
+        return float(self.utilities(agent, [overrides])[0])
+
+    def utilities(self, agent: int,
+                  profiles: Sequence[Optional[Mapping[int, Action]]]) -> np.ndarray:
+        """expected_utility(agent, overrides) for every overrides in
+        `profiles`. The profiles that keep every base bid clear the auction
+        once, and the stages of all the profiles resell in one `_stages`
+        call."""
+        block = self._block_of[agent]
+        base, keys, payments = None, [], []
+        for overrides in profiles:
+            acts = self._actions(overrides)
+            if overrides and any(a.bid is not None for a in overrides.values()):
+                outcome = self._auction(self._bids(acts))
+            else:
+                if base is None:
+                    base = self._auction(self._bids(acts))
+                outcome = base
+            keys.append(self._key(block, acts, outcome))
+            payments.append(outcome.payments[agent])
+        return np.array([self._utility(stage, agent, payment) for stage, payment
+                         in zip(self._stages(block, keys), payments)], dtype=float)
 
     def bid_utilities(self, agent: int, batch: BidBatch) -> np.ndarray:
         """expected_utility(agent, {agent: Action(bid=batch.vector(j))}) for
@@ -270,17 +291,15 @@ class ConstantActionEvaluator:
         call, and each distinct (block allocation, payment) row computes its
         utility once."""
         acts = self._actions(None)
+        bids = self._bids(acts)
         block = self._block_of[agent]
         members = (block[0],) + block[1]
         if self.game.mechanism.kind == "uniform":
             k, price, counts = uniform_price_deviations(
-                self._bids(acts), agent, batch, self.m,
-                self.game.mechanism.reserve, members)
+                bids, agent, batch, self.m, self.game.mechanism.reserve, members)
             payments = price * k
         else:
-            outcomes = [self._auction(acts[:agent] + [Action(bid=batch.vector(j))
-                                                      .merged_into(acts[agent])]
-                                      + acts[agent + 1:])
+            outcomes = [self._auction(bids[:agent] + [batch.vector(j)] + bids[agent + 1:])
                         for j in range(len(batch))]
             counts = np.array([[o.alloc[i] for i in members] for o in outcomes],
                               dtype=np.int64).reshape(len(batch), len(members))
@@ -293,28 +312,12 @@ class ConstantActionEvaluator:
                           for stage, j in zip(stages, first.tolist())])
         return utils[inverse]
 
-    def price_utilities(self, agent: int, prices: Sequence[float]) -> np.ndarray:
-        """expected_utility(agent, {agent: Action(seller_price=p)}) for every
-        p, everything else on the base actions. A price leaves the bids, so
-        the auction clears once; the stages of all the prices resell in one
-        `_stages` call."""
-        acts = self._actions(None)
-        outcome = self._auction(acts)
-        block = self._block_of[agent]
-        alloc = tuple(outcome.alloc[i] for i in (block[0],) + block[1])
-        keys = []
-        for p in prices:
-            acts[agent] = Action(seller_price=p).merged_into(self.game.base_actions[agent])
-            keys.append((alloc,) + self._terms(block, acts))
-        return np.array([self._utility(stage, agent, outcome.payments[agent])
-                         for stage in self._stages(block, keys)], dtype=float)
-
     def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
-        outcome = self._auction(acts)
+        outcome = self._auction(self._bids(acts))
         total = 0.0
         for block in self._blocks:
-            stage = self._outcome_stage(block, acts, outcome)
+            stage = self._stages(block, [self._key(block, acts, outcome)])[0]
             for i in stage.vals:  # seller first, then buyers in order
                 total += float(stage.vals[i] @ stage.weights)
         return total
@@ -466,8 +469,8 @@ def best_response_gap(game: CombinedGame, agent: int,
     """Max over grid deviations of (deviation expected utility - equilibrium
     expected utility), with the first best deviation in grid order as
     witness. The on-path no-op scores the base utility, the grid's bid rows
-    score in one `bid_utilities` call, its prices in one `price_utilities`
-    call, and each threshold takes `expected_utility`."""
+    score in one `bid_utilities` call, and its prices and thresholds in one
+    `utilities` call."""
     ev = game.evaluator()
     base = ev.expected_utility(agent)
     best, witness = base, Action(label="on-path")
@@ -478,10 +481,8 @@ def best_response_gap(game: CombinedGame, agent: int,
         if utils[j] > best:
             best, witness = float(utils[j]), grid._bid_action(batch, origin, j)
     aftermarket = grid._aftermarket_deviations()
-    price_utils = iter(ev.price_utilities(agent, grid.seller_prices).tolist())
-    for dev in aftermarket:
-        u = (next(price_utils) if dev.buyer_threshold is None
-             else ev.expected_utility(agent, {agent: dev}))
+    utils = ev.utilities(agent, [{agent: dev} for dev in aftermarket]).tolist()
+    for dev, u in zip(aftermarket, utils):
         if u > best:
             best, witness = u, dev
     return GapResult(best - base, witness, base, 1 + len(batch) + len(aftermarket))
@@ -562,19 +563,24 @@ class DominanceReport:
 def weak_dominance_witnesses(game: CombinedGame, agent: int, alternative: Action,
                              witnesses: Sequence[Mapping[int, Action]],
                              labels: Optional[Sequence[str]] = None,
-                             strict_margin: float = 1e-9) -> DominanceReport:
+                             strict_margin: float = 1e-9,
+                             evaluator: Optional[ConstantActionEvaluator] = None
+                             ) -> DominanceReport:
     """Compare the scripted action against `alternative` on each witness
     opponent profile: the alternative does not weakly dominate the scripted
-    action if the scripted one is strictly better somewhere and never worse."""
-    ev = game.evaluator()
+    action if the scripted one is strictly better somewhere and never worse.
+    The utilities are scored in one `utilities` call of `evaluator`, by
+    default a new evaluator of `game`."""
+    profiles = []
+    for wit in witnesses:
+        overrides = dict(wit)
+        overrides.pop(agent, None)
+        profiles += [overrides, {**overrides, agent: alternative}]
+    utils = (evaluator or game.evaluator()).utilities(agent, profiles).tolist()
     rows = []
     strict = False
     never_worse = True
-    for j, wit in enumerate(witnesses):
-        overrides = dict(wit)
-        overrides.pop(agent, None)
-        u_script = ev.expected_utility(agent, overrides)
-        u_alt = ev.expected_utility(agent, {**overrides, agent: alternative})
+    for j, (u_script, u_alt) in enumerate(zip(utils[::2], utils[1::2])):
         label = labels[j] if labels else f"witness{j}"
         rows.append(WitnessRow(label, u_script, u_alt))
         if u_script > u_alt + strict_margin:
@@ -629,11 +635,12 @@ def dominance_witness_suite(game: CombinedGame):
 
 
 def run_dominance_suite(game: CombinedGame) -> list[tuple[str, DominanceReport]]:
-    out = []
-    for label, agent, alt, wits in dominance_witness_suite(game):
-        out.append((label, weak_dominance_witnesses(game, agent, alt, wits,
-                                                    labels=[label])))
-    return out
+    """Every case of `dominance_witness_suite`, all scored on one evaluator,
+    so a block's cells are cut once per distinct cut."""
+    ev = game.evaluator()
+    return [(label, weak_dominance_witnesses(game, agent, alt, wits, labels=[label],
+                                             evaluator=ev))
+            for label, agent, alt, wits in dominance_witness_suite(game)]
 
 
 # -- single-item interim curves and the symmetric first-price check --------
@@ -825,6 +832,9 @@ class TabularGame:
     def utility(self, agent: int, actions: tuple) -> float:
         raise NotImplementedError
 
+    def utilities(self, agent: int, profiles: Sequence[tuple]) -> list[float]:
+        return [self.utility(agent, actions) for actions in profiles]
+
 
 class CombinedTabularGame(TabularGame):
     """Constant-action combined market restricted to finite action sets."""
@@ -843,11 +853,16 @@ class CombinedTabularGame(TabularGame):
         return self._sets[agent]
 
     def utility(self, agent: int, actions: tuple) -> float:
-        key = (agent, actions)
-        if key not in self._cache:
-            overrides = {i: a for i, a in enumerate(actions)}
-            self._cache[key] = self._ev.expected_utility(agent, overrides)
-        return self._cache[key]
+        return self.utilities(agent, [actions])[0]
+
+    def utilities(self, agent: int, profiles: Sequence[tuple]) -> list[float]:
+        """utility(agent, actions) for every actions in `profiles`; those not
+        yet cached are scored in one `ConstantActionEvaluator.utilities` call."""
+        todo = [a for a in profiles if (agent, a) not in self._cache]
+        if todo:
+            utils = self._ev.utilities(agent, [dict(enumerate(a)) for a in todo])
+            self._cache.update(zip([(agent, a) for a in todo], utils.tolist()))
+        return [self._cache[(agent, a)] for a in profiles]
 
     def expected_welfare(self, actions: tuple) -> float:
         return self._ev.expected_welfare({i: a for i, a in enumerate(actions)})
@@ -877,12 +892,11 @@ def best_response_dynamics(game: TabularGame, inits: Sequence[tuple],
             changed = False
             for i in range(game.n_agents):
                 current = profile[i]
-                best_u = game.utility(i, profile)
-                best_a = current
-                for a in game.action_set(i):
-                    if a == current:
-                        continue
-                    u = game.utility(i, profile[:i] + (a,) + profile[i + 1:])
+                others = [a for a in game.action_set(i) if a != current]
+                utils = game.utilities(i, [profile] + [profile[:i] + (a,) + profile[i + 1:]
+                                                       for a in others])
+                best_u, best_a = utils[0], current
+                for a, u in zip(others, utils[1:]):
                     if u > best_u + 1e-12 * max(1.0, abs(best_u)):
                         best_u, best_a = u, a
                 if best_a != current:

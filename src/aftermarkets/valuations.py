@@ -214,30 +214,27 @@ class HeadTailModel:
         return MarginalValuation.from_runs(runs)
 
     def batch(self, scalars: np.ndarray) -> ValuationBatch:
-        """[realize(x) for x in scalars] as one batch, the runs merged as
-        `realize` merges them: a tail equal to the last head marginal joins
-        that run. A model without a random tail repeats its one valuation."""
-        head = _merge_runs([(v, 1) for v in self.head])
-        width = len(head) + self.random
-        run_values = np.empty((len(scalars), width))
-        run_counts = np.empty((len(scalars), width), dtype=np.int64)
-        if head:
-            run_values[:, :len(head)] = [v for v, _ in head]
-            run_counts[:, :len(head)] = [c for _, c in head]
-        if not self.random or not len(scalars):
-            return ValuationBatch(run_values, run_counts)
+        """[realize(x) for x in scalars] as one batch, built from the runs
+        `realize` gives the smallest and the largest draw: it checks their
+        range, and merges a tail equal to the last head marginal into that
+        run, which only the largest draw can reach. The draws equal to the
+        largest take its runs; every other draw takes the smallest draw's
+        runs with its own value on the tail run. A model without a random
+        tail repeats its one valuation."""
         x = np.asarray(scalars, dtype=float)
-        last = head[-1][0] if head else math.inf
-        low, high = np.minimum.reduce(x), np.maximum.reduce(x)
-        if not (low >= 0 and high <= last):  # also rejects NaN
-            raise ValueError("tail values must be nonnegative and at most the head")
-        run_values[:, -1] = x
-        run_counts[:, -1] = self.tail_count
-        if head and high == last:
-            merged = x == last
-            run_values[merged, -1] = 0.0
-            run_counts[merged, -1] = 0
-            run_counts[merged, -2] += self.tail_count
+        if self.random and len(x):
+            low, high = np.minimum.reduce(x), np.maximum.reduce(x)
+            runs, top_runs = self.realize(float(low)).runs, self.realize(float(high)).runs
+        else:
+            runs = top_runs = self.realize(0.0 if self.random else None).runs
+        run_values = np.empty((len(x), len(runs)))
+        run_counts = np.empty((len(x), len(runs)), dtype=np.int64)
+        run_values[:], run_counts[:] = zip(*runs) if runs else ((), ())
+        if self.random:
+            run_values[:, -1] = x
+        if len(top_runs) < len(runs):  # the largest draws' tail was merged
+            top = x == high
+            run_values[top], run_counts[top] = zip(*top_runs, (0.0, 0))
         return ValuationBatch(run_values, run_counts)
 
 

@@ -69,6 +69,8 @@ def test_threshold_buyer_rejects_nan():
     # max(price, nan) is price, so a NaN threshold would buy like None
     with pytest.raises(ValueError):
         ThresholdBuyer(math.nan)
+    with pytest.raises(ValueError):  # one threshold per row of a batch
+        ThresholdBuyer(np.array([1.0, math.nan]))
 
 
 def test_posted_resale_sequential_order():

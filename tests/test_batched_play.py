@@ -339,8 +339,8 @@ def cuts_of(game):
 def test_evaluator_matches_cell_reference(rng):
     """Each stage, integrated in one batched kernel call for all its
     allocations and prices, equals the cell-by-cell reference bit for bit;
-    so do the utilities, the batched bid and price utilities and the
-    welfare."""
+    so do the utilities, the batched bid utilities, the batched utilities of
+    price and threshold deviations and the welfare."""
     game = random_game(rng)
     ev = game.evaluator()
     acts = list(game.base_actions)
@@ -353,13 +353,16 @@ def test_evaluator_matches_cell_reference(rng):
             dev = acts[:agent] + [Action(bid=bv).merged_into(acts[agent])] + acts[agent + 1:]
             expected.append(reference_utility(game, agent, dev))
         assert hexes(rows) == hexes(expected)
-        prices = [rng.choice((math.inf, round(rng.uniform(0.0, 4.0), 1)))
-                  for _ in range(rng.randint(1, 6))]
+        devs = [Action(seller_price=rng.choice((None, math.inf,
+                                                round(rng.uniform(0.0, 4.0), 1))),
+                       buyer_threshold=rng.choice((None, math.inf,
+                                                   round(rng.uniform(0.0, 3.0), 1))))
+                for _ in range(rng.randint(1, 6))]
         expected = []
-        for p in prices:
-            dev = acts[:agent] + [Action(seller_price=p).merged_into(acts[agent])] + acts[agent + 1:]
+        for d in devs:
+            dev = acts[:agent] + [d.merged_into(acts[agent])] + acts[agent + 1:]
             expected.append(reference_utility(game, agent, dev))
-        assert hexes(ev.price_utilities(agent, prices)) == hexes(expected)
+        assert hexes(ev.utilities(agent, [{agent: d} for d in devs])) == hexes(expected)
     assert ev.expected_welfare().hex() == reference_welfare(game, acts).hex()
 
 
@@ -519,6 +522,17 @@ def test_head_tail_batch_merges_like_realize():
         tail.batch(np.array([2.5]))
     with pytest.raises(ValueError):
         tail.batch(np.array([math.nan]))
+    with pytest.raises(ValueError):
+        tail.batch(np.array([0.5, -0.5]))
+    # a merged row beside an unmerged one: 0.1 * 6, not 0.1 + 0.1 * 5
+    mixed = HeadTailModel(head=(0.1,), tail_count=5, dist=Uniform(0.0, 0.1))
+    batch = mixed.batch(np.array([0.1, 0.05, 0.1]))
+    assert batch.value(np.full(3, 7)).tolist() == [
+        mixed.realize(x).value(7) for x in (0.1, 0.05, 0.1)]
+    assert len(tail.batch(np.array([]))) == 0
+    fixed = HeadTailModel(head=(3.0, 3.0, 1.0))
+    batch = fixed.batch(np.zeros(3))
+    assert [batch.valuation(j) for j in range(3)] == [fixed.realize()] * 3
 
 
 def test_valuation_batch_round_trips():

@@ -19,11 +19,12 @@ from aftermarkets.equilibrium import (Action, CombinedTabularGame,
                                       best_response_dynamics,
                                       best_response_gap,
                                       default_deviation_grid,
+                                      dominance_witness_suite,
                                       interim_curves, run_dominance_suite,
                                       scripted_grouped_equilibrium,
                                       scripted_lower_bound_equilibrium,
                                       symmetric_fpa_bid, symmetric_fpa_check,
-                                      verify_bne)
+                                      verify_bne, weak_dominance_witnesses)
 
 
 def test_scripted_profile_closed_forms():
@@ -321,6 +322,39 @@ def test_brd_converges_on_combined_game():
         assert tab.expected_welfare(fp) > 0
 
 
+def test_tabular_utilities_match_fresh_evaluators():
+    """The dynamics' batched utilities equal a fresh evaluator's
+    expected_utility bit for bit, cached or not, with a reserve so that the
+    prices and the buyers' thresholds both matter."""
+    m = 10
+    game = scripted_lower_bound_equilibrium(m, reserve=0.3)
+    acts_ab = [Action(bid=BidVector.flat(l, c, m), buyer_threshold=t)
+               for l in (0.0, 1.0, 2.0) for c in (1, 2) for t in (None, 1.2)]
+    acts_c = [Action(bid=BidVector.flat(l, c, m), seller_price=p)
+              for l in (0.5, 1.0) for c in (m - 3, m - 2) for p in (0.5, 1.0, math.inf)]
+    tab = CombinedTabularGame(game, [acts_ab, acts_ab, acts_c])
+    rng = random.Random(3)
+    for agent in range(3):
+        profiles = [tuple(rng.choice(s) for s in (acts_ab, acts_ab, acts_c))
+                    for _ in range(12)]
+        profiles += profiles[:3]  # repeats within one call
+        expected = [game.evaluator().expected_utility(agent, dict(enumerate(p))).hex()
+                    for p in profiles]
+        for _ in range(2):
+            assert [u.hex() for u in tab.utilities(agent, profiles)] == expected
+        assert [tab.utility(agent, p).hex() for p in profiles] == expected
+
+
+def test_dominance_suite_shares_one_evaluator_exactly():
+    """run_dominance_suite's shared evaluator gives every row a fresh
+    evaluator per case gives."""
+    for m, reserve in ((10, None), (100, 0.5)):
+        game = scripted_lower_bound_equilibrium(m, reserve=reserve)
+        fresh = [(label, weak_dominance_witnesses(game, agent, alt, wits, labels=[label]))
+                 for label, agent, alt, wits in dominance_witness_suite(game)]
+        assert run_dominance_suite(game) == fresh
+
+
 def test_deviation_grid_includes_on_path():
     grid = default_deviation_grid(100, "speculator")
     devs = grid.deviations(100)
@@ -431,32 +465,29 @@ def mixed_deviations(m, rng):
 
 
 def assert_batched_utilities_exact(game, agents, rng):
-    """bid_utilities and price_utilities equal a fresh evaluator's
-    expected_utility bit for bit on every bid-only (the on-path no-op keeps
-    the base bid) and price-only deviation, on an evaluator warmed by the
-    other deviations, both while its stages are integrated and once they are
-    cached."""
-    m = game.market.m
+    """bid_utilities on the bid-only deviations (the on-path no-op keeps the
+    base bid) and utilities on the others equal a fresh evaluator's
+    expected_utility bit for bit, on one evaluator shared by all agents,
+    both while its stages are integrated and once they are cached; so does
+    the shared evaluator's expected_utility afterwards."""
     ev = game.evaluator()
     for agent in agents:
-        devs = mixed_deviations(m, rng)
+        devs = mixed_deviations(game.market.m, rng)
         single = [game.evaluator().expected_utility(agent, {agent: d}) for d in devs]
         rows = [j for j, d in enumerate(devs)
                 if d.seller_price is None and d.buyer_threshold is None]
-        for j, d in enumerate(devs):
-            if j not in rows:
-                assert ev.expected_utility(agent, {agent: d}).hex() == single[j].hex()
+        others = [j for j in range(len(devs)) if j not in rows]
         base = game.base_actions[agent]
         batch = BidBatch.of([(base if devs[j].bid is None else devs[j]).bid
                              for j in rows])
-        priced = [j for j, d in enumerate(devs) if d.bid is None
-                  and d.buyer_threshold is None and d.seller_price is not None]
         for _ in range(2):
             assert [u.hex() for u in ev.bid_utilities(agent, batch).tolist()] == [
                 single[j].hex() for j in rows]
-            prices = [devs[j].seller_price for j in priced]
-            assert [u.hex() for u in ev.price_utilities(agent, prices).tolist()] == [
-                single[j].hex() for j in priced]
+            profiles = [{agent: devs[j]} for j in others]
+            assert [u.hex() for u in ev.utilities(agent, profiles).tolist()] == [
+                single[j].hex() for j in others]
+        for j, d in enumerate(devs):
+            assert ev.expected_utility(agent, {agent: d}).hex() == single[j].hex()
 
 
 @given(st.integers(4, 40), st.sampled_from([None, 0.03, 0.5, 1.0]),
