@@ -2,14 +2,13 @@
 expectations, equilibrium verification, smoothness certificates, and balanced
 pricing."""
 
-from .aftermarket import (NO_OFFER, NeverBuy, Observation, ResaleSpec,
-                          SignalProtocol, ThresholdBuyer, apply_signal,
+from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
+                          ThresholdBuyer, apply_signal,
                           check_weak_budget_balance, opt_out_outcome,
                           run_posted_resale)
 from .allocation import Allocation, brute_force_opt, opt_allocation, welfare
 from .auctions import (AuctionOutcome, BidVector, all_pay_single,
-                       discriminatory, first_price_single, posted_price_sell,
-                       uniform_price)
+                       discriminatory, first_price_single, uniform_price)
 from .balanced import (BalancednessReport, WelfareAudit, balanced_reserve,
                        check_balanced_conditions, noisy_reserve,
                        perturbed_guarantee, realization_price, static_price,

@@ -1,5 +1,6 @@
 """Post-auction trade: signaling, take-it-or-leave-it posted resale (global,
-per-group, or winner-led), and the trade-mechanism axioms as checks."""
+per-group, or winner-led) through `_sell`, the game's one posted sale (the
+posted primary mechanism runs it too), and the trade-mechanism axioms."""
 
 from __future__ import annotations
 
@@ -51,8 +52,8 @@ NO_OFFER = math.inf
 @dataclass(frozen=True)
 class ThresholdBuyer:
     """Dominant resale policy: buy another unit while its marginal value is >=
-    the posted price (and >= the optional extra threshold, never NaN). In a
-    batch the threshold may be an array of one per row."""
+    the posted price and the optional extra threshold (never NaN; NO_OFFER
+    never buys). In a batch the threshold may be an array of one per row."""
 
     threshold: Optional[float] = None
 
@@ -78,15 +79,6 @@ class ThresholdBuyer:
 
 
 _TRUTHFUL_BUYER = ThresholdBuyer()
-
-
-@dataclass(frozen=True)
-class NeverBuy:
-    def quantity(self, valuation, holding, price, stock) -> int:
-        return 0
-
-    def quantities(self, valuations, holding, price, stock) -> np.ndarray:
-        return np.zeros(len(valuations), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -118,6 +110,22 @@ class ResaleSpec:
         return ((holder, buyers),)
 
 
+def _distinct_rows(columns: Sequence[np.ndarray]):
+    """The rows of equal-length columns, grouped: the index of the first
+    occurrence of each distinct row, and per row the position of its group
+    in that list. Ordered by one stable sort, not by hashing."""
+    order = np.lexsort(columns[::-1])
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)  # as the row before
+    for col in columns:
+        ranked = col[order]
+        same &= ranked[1:] == ranked[:-1]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ~same
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def run_posted_resale(initial: np.ndarray, spec: ResaleSpec,
                       seller_prices: Mapping[int, object],
                       buyer_policies: Mapping[int, object],
@@ -127,13 +135,11 @@ def run_posted_resale(initial: np.ndarray, spec: ResaleSpec,
     of K rows per agent; a single profile is a batch of one.
 
     In each group the seller offers her whole holding at her posted
-    per-unit price, a float or one per row (inf: no offer); buyers visit in
-    order and purchase while marginal value covers the price. ThresholdBuyer
-    and NeverBuy buy as array operations; any other policy's `quantity`
-    runs row by row. Winner-led groups are resolved per distinct initial
-    row. Transfers sum to zero by construction. Raises ValueError for a
-    negative or NaN price of a seller, or for a row that holds a negative
-    count or sells more than m units."""
+    per-unit price, a float or one per row (inf: no offer), in one `_sell`.
+    Winner-led groups are resolved per distinct initial row. Transfers sum
+    to zero by construction. Raises ValueError for a negative or NaN price
+    of a seller, or for a row that holds a negative count or sells more
+    than m units."""
     initial = np.asarray(initial, dtype=np.int64)
     if initial.size and (np.minimum.reduce(initial, axis=None) < 0
                          or np.maximum.reduce(initial.sum(axis=1)) > m):
@@ -144,10 +150,10 @@ def run_posted_resale(initial: np.ndarray, spec: ResaleSpec,
         _resell(spec.groups, counts, transfers, seller_prices, buyer_policies,
                 valuations)
         return TradeOutcome(counts, transfers)
-    distinct, inverse = np.unique(initial, axis=0, return_inverse=True)
-    for g, row in enumerate(distinct):
-        groups = spec.resolved_groups(Allocation(tuple(row.tolist())))
-        rows = np.flatnonzero(inverse.reshape(-1) == g)
+    first, inverse = _distinct_rows(list(initial.T))
+    for g, j in enumerate(first.tolist()):
+        groups = spec.resolved_groups(Allocation(tuple(initial[j].tolist())))
+        rows = np.flatnonzero(inverse == g)
         sub_counts, sub_transfers = counts[rows], transfers[rows]
         _resell(groups, sub_counts, sub_transfers,
                 {i: p[rows] if np.ndim(p) else p for i, p in seller_prices.items()},
@@ -161,38 +167,45 @@ def _resell(groups, counts: np.ndarray, transfers: np.ndarray,
             valuations: Sequence[ValuationBatch]) -> None:
     """The trades of `groups` on every row, in place."""
     for seller, buyers in groups:
-        price = seller_prices.get(seller, NO_OFFER)
-        per_row = np.ndim(price) > 0
-        if per_row:
-            price = np.asarray(price, dtype=float)
-        if not ((price >= 0).all() if per_row else price >= 0):  # also NaN
+        price = np.broadcast_to(np.asarray(seller_prices.get(seller, NO_OFFER),
+                                           dtype=float), len(counts))
+        if not (price >= 0).all():  # also NaN
             raise ValueError("seller price must be nonnegative")
-        if per_row:  # inf means no offer
-            offered = price < math.inf
-            stock = np.where(offered, counts[:, seller], 0)
-            paid = np.where(offered, price, 0.0)
-        elif price < math.inf:
-            stock, paid = counts[:, seller].copy(), price
+        offered = price < math.inf  # inf: no offer, nothing to sell or pay
+        _sell(counts, transfers, np.where(offered, counts[:, seller], 0),
+              np.where(offered, price, 0.0), buyers, buyer_policies,
+              valuations, seller)
+
+
+def _sell(counts: np.ndarray, transfers: np.ndarray, stock: np.ndarray, price,
+          buyers: Sequence[int], policies: Mapping[int, object],
+          valuations: Sequence[ValuationBatch], seller: Optional[int] = None) -> None:
+    """One posted sale on every row, in place: `stock` units (one count per
+    row) at the per-unit `price` (a float or one per row). Buyers visit in
+    order, each buying its policy's demand capped by the units left; the
+    seller column, if any, gives up the units and receives the payments.
+    ThresholdBuyer buys as an array operation; any other policy's
+    `quantity(valuation, holding, price, stock)` runs on each row with
+    units left."""
+    for b in buyers:
+        policy = policies.get(b, _TRUTHFUL_BUYER)
+        if isinstance(policy, ThresholdBuyer):
+            q = policy.quantities(valuations[b], counts[:, b], price, stock)
         else:
-            continue
-        for b in buyers:
-            policy = buyer_policies.get(b, _TRUTHFUL_BUYER)
-            if isinstance(policy, (ThresholdBuyer, NeverBuy)):
-                q = policy.quantities(valuations[b], counts[:, b], price, stock)
-            else:
-                q = np.array([
-                    policy.quantity(valuations[b].valuation(j), h, p, s) if s > 0 else 0
-                    for j, (h, p, s) in enumerate(zip(
-                        counts[:, b].tolist(),
-                        np.broadcast_to(price, stock.shape).tolist(),
-                        stock.tolist()))], dtype=np.int64)
-                q = np.maximum(0, np.minimum(q, stock))
-            counts[:, b] += q
+            q = np.array([
+                policy.quantity(valuations[b].valuation(j), h, p, s) if s > 0 else 0
+                for j, (h, p, s) in enumerate(zip(
+                    counts[:, b].tolist(),
+                    np.broadcast_to(price, stock.shape).tolist(),
+                    stock.tolist()))], dtype=np.int64)
+            q = np.maximum(0, np.minimum(q, stock))
+        paying = q * price
+        counts[:, b] += q
+        transfers[:, b] += paying
+        if seller is not None:
             counts[:, seller] -= q
-            paying = q * paid
-            transfers[:, b] += paying
             transfers[:, seller] -= paying
-            stock = stock - q
+        stock = stock - q
 
 
 def opt_out_outcome(initial: np.ndarray) -> TradeOutcome:

@@ -1,5 +1,6 @@
-"""Primary mechanisms: uniform-price (optional reserve), discriminatory,
-single-item first-price and all-pay, and the sequential posted-price sale.
+"""Sealed-bid primary mechanisms: uniform-price (optional reserve),
+discriminatory, and single-item first-price and all-pay. (The posted primary
+sale clears through the resale kernel's sale, `aftermarket._sell`.)
 Next to the uniform-price, discriminatory and first-price clearings are
 kernels (`uniform_price_deviations`, `discriminatory_units_won`,
 `first_price_deviation_wins`) that clear one agent's many alternative bids
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import Allocation, _ranked_runs
-from .valuations import MarginalValuation, _merge_runs
+from .valuations import _merge_runs
 
 
 class BidVector:
@@ -313,30 +314,3 @@ def all_pay_single(bids: Sequence[float]) -> AuctionOutcome:
     """Single item: the winner of first_price_single wins; every agent pays
     her own bid."""
     return AuctionOutcome(first_price_single(bids).alloc, tuple(float(b) for b in bids))
-
-
-def posted_price_sell(unit_price: float, order: Sequence[int],
-                      valuations: Sequence[MarginalValuation], m: int,
-                      quantities: Optional[Sequence[Optional[int]]] = None) -> AuctionOutcome:
-    """Sequential posted-price sale: buyers visit in `order`; each buys units
-    while the marginal value is >= the price (indifference buys), capped by
-    remaining supply. `quantities` optionally overrides a buyer's demand
-    (strategic purchases, e.g. speculation)."""
-    if not 0 <= unit_price < math.inf:  # negative, infinite or NaN
-        raise ValueError("price must be finite and nonnegative")
-    n = len(valuations)
-    counts = [0] * n
-    payments = [0.0] * n
-    left = m
-    for i in order:
-        if left == 0:
-            break
-        want = valuations[i].count_ge(unit_price)
-        if quantities is not None and quantities[i] is not None:
-            want = quantities[i]
-        q = min(want, left)
-        counts[i] = q
-        payments[i] = q * unit_price
-        left -= q
-    return AuctionOutcome(Allocation(tuple(counts)), tuple(payments),
-                          clearing_price=unit_price)

@@ -1,5 +1,6 @@
 """The two-stage game engine: auction, signaling, aftermarket, and utility
-accounting; tensor quadrature or Monte Carlo expectations."""
+accounting; tensor quadrature or Monte Carlo expectations. The posted primary
+sale and the resale sell by one rule, `aftermarket._sell`."""
 
 from __future__ import annotations
 
@@ -10,12 +11,12 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
-                          ThresholdBuyer, apply_signal, opt_out_outcome,
-                          run_posted_resale)
+                          ThresholdBuyer, _distinct_rows, _sell, apply_signal,
+                          opt_out_outcome, run_posted_resale)
 from .allocation import Allocation, opt_allocation
 from .auctions import (AuctionOutcome, BidVector, _check_reserve,
                        all_pay_single, discriminatory, first_price_single,
-                       posted_price_sell, uniform_price)
+                       uniform_price)
 from .valuations import (MarginalValuation, MarketModel, ValuationBatch,
                          _realizer, cell_nodes, draw_values, realize_batch)
 
@@ -45,7 +46,7 @@ class Strategy:
     function of the own valuation) and an aftermarket policy (a posted resale
     price when acting as seller, a purchase threshold rule when buying).
     `posted_buy` overrides the truthful demand under a posted primary
-    mechanism (quantity as a function of valuation, price, remaining stock)."""
+    mechanism: a nonnegative integer of (valuation, price, units left)."""
 
     bid: Union[BidVector, Callable[[MarginalValuation], BidVector], None] = None
     seller_price: Union[float, Callable[[MarginalValuation, Observation], float]] = NO_OFFER
@@ -72,26 +73,35 @@ class CombinedOutcome:
     clearing_price: Optional[float] = None
 
 
-def _run_auction(mechanism: Mechanism, bids: Sequence[BidVector], m: int,
-                 profile: Sequence[MarginalValuation],
-                 strategies: Sequence[Strategy]) -> AuctionOutcome:
+def _run_auction(mechanism: Mechanism, bids: Sequence[BidVector],
+                 m: int) -> AuctionOutcome:
+    """Clear sealed bids (every kind but posted); single-item kinds read first bids."""
     if mechanism.kind == "uniform":
         return uniform_price(bids, m, mechanism.reserve)
     if mechanism.kind == "discriminatory":
         return discriminatory(bids, m)
+    flat = [b.runs[0][0] if b.runs else 0.0 for b in bids]
     if mechanism.kind == "first_price":
-        flat = [b.runs[0][0] if b.runs else 0.0 for b in bids]
         return first_price_single(flat)
-    if mechanism.kind == "all_pay":
-        flat = [b.runs[0][0] if b.runs else 0.0 for b in bids]
-        return all_pay_single(flat)
-    order = mechanism.posted_order or tuple(range(len(profile)))
-    quantities = [None] * len(profile)
-    for i, s in enumerate(strategies):
-        if s.posted_buy is not None:
-            left = m  # the engine caps by true remaining stock below
-            quantities[i] = s.posted_buy(profile[i], mechanism.posted_price, left)
-    return posted_price_sell(mechanism.posted_price, order, profile, m, quantities)
+    return all_pay_single(flat)
+
+
+def _check_single_item(mechanism: Mechanism, m: int) -> None:
+    if mechanism.kind in ("first_price", "all_pay") and m != 1:
+        raise ValueError(f"{mechanism.kind} sells a single item, not m = {m}")
+
+
+@dataclass(frozen=True)
+class _PostedDemand:
+    """A `posted_buy` rule as a buyer policy of `_sell`: it sees the units left."""
+
+    rule: Callable[[MarginalValuation, float, int], int]
+
+    def quantity(self, valuation, holding, price, stock) -> int:
+        q = self.rule(valuation, price, stock)
+        if q < 0 or q != int(q):  # the sale would truncate 1.5 to 1
+            raise ValueError("posted demand must be a nonnegative integer")
+        return q
 
 
 def play(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
@@ -116,34 +126,53 @@ def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtoc
                values: Sequence[ValuationBatch],
                profiles: Callable[[], Iterable[Sequence[MarginalValuation]]]):
     """Play every row of `values` (one batch per agent; `profiles()` yields
-    the rows as profiles). Constant bids clear once; callable bids and the
-    posted mechanism clear row by row. The rows of each distinct auction
-    outcome resell as one `run_posted_resale` batch. Yields, per distinct
-    outcome, its rows, the AuctionOutcome, the TradeOutcome of those rows,
-    their utilities (rows x agents) and their welfare: each row's values
-    added up by the built-in `sum`, as `allocation.welfare` adds them (it
-    compensates from Python 3.12 on; adding the agents' arrays would not)."""
-    m, n_rows = market.m, len(values[0])
+    the rows as profiles). Constant bids clear once, callable bids row by
+    row, and the posted mechanism sells to all rows in one `_sell`. The rows
+    of each distinct auction outcome resell as one `run_posted_resale`
+    batch. Yields, per distinct outcome, its rows, the AuctionOutcome, the
+    TradeOutcome of those rows, their utilities (rows x agents) and their
+    welfare: each row's values added up by the built-in `sum`, as
+    `allocation.welfare` adds them (it compensates from Python 3.12 on;
+    adding the agents' arrays would not). Raises ValueError for a
+    single-item kind on m != 1, or a posted order that repeats an agent or
+    names one outside the market."""
+    m, n, n_rows = market.m, len(strategies), len(values[0])
+    _check_single_item(mechanism, m)
     # the posted sale reads no bid: there, bids are made (and, per row, kept)
     # only for a signal that shows them to a resale price
     reads_bids = protocol is SignalProtocol.PUBLIC_BIDS and any(
         callable(s.seller_price) for s in strategies)
-    if mechanism.kind != "posted" and not any(callable(s.bid) for s in strategies):
-        bids = [s.bid_for(None, m) for s in strategies]
-        outcome = _run_auction(mechanism, bids, m, None, strategies)
-        groups = {None: (outcome, list(range(n_rows)))}
-        row_bids = [bids] * n_rows
-    else:
-        groups, row_bids = {}, []
-        for j, profile in enumerate(profiles()):
-            bids = None
-            if mechanism.kind != "posted" or reads_bids:
-                bids = [s.bid_for(v, m) for s, v in zip(strategies, profile)]
-            row_bids.append(bids if reads_bids else None)
-            outcome = _run_auction(mechanism, bids, m, profile, strategies)
+    per_row = mechanism.kind != "posted" and any(callable(s.bid) for s in strategies)
+    row_bids = [None] * n_rows
+    if per_row or reads_bids:
+        row_bids = [[s.bid_for(v, m) for s, v in zip(strategies, profile)]
+                    for profile in profiles()]
+    if mechanism.kind == "posted":
+        order = mechanism.posted_order or tuple(range(n))
+        if len(set(order)) < len(order) or not set(order) <= set(range(n)):
+            raise ValueError("posted order must name distinct agents of the market")
+        counts, payments = np.zeros((n_rows, n), dtype=np.int64), np.zeros((n_rows, n))
+        _sell(counts, payments, np.full(n_rows, m), mechanism.posted_price, order,
+              {i: _PostedDemand(s.posted_buy) for i, s in enumerate(strategies)
+               if s.posted_buy is not None}, values)
+        first, inverse = _distinct_rows([*counts.T, *payments.T])
+        groups = [(AuctionOutcome(Allocation(tuple(counts[j].tolist())),
+                                  tuple(payments[j].tolist()),
+                                  clearing_price=mechanism.posted_price),
+                   np.flatnonzero(inverse == g))
+                  for g, j in enumerate(first.tolist())]
+    elif per_row:
+        keyed = {}
+        for j, bids in enumerate(row_bids):
+            outcome = _run_auction(mechanism, bids, m)
             key = (outcome.alloc.counts, outcome.payments, outcome.clearing_price)
-            groups.setdefault(key, (outcome, []))[1].append(j)
-    for outcome, rows in groups.values():
+            keyed.setdefault(key, (outcome, []))[1].append(j)
+        groups = keyed.values()
+    else:
+        bids = [s.bid_for(None, m) for s in strategies]
+        groups = [(_run_auction(mechanism, bids, m), list(range(n_rows)))]
+        row_bids = [bids] * n_rows
+    for outcome, rows in groups:
         group = (values if len(rows) == n_rows
                  else [v.take(np.array(rows)) for v in values])
         initial = np.tile(np.array(outcome.alloc.counts, dtype=np.int64),

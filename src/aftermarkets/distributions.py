@@ -138,7 +138,7 @@ class UnitDistribution:
         nodes, weights = self.cells()
         return float(nodes @ weights)
 
-    def partial_mean(self, a: float, b, tol: float = 1e-12):
+    def partial_mean(self, a: float, b):
         """E[Z * 1{a <= Z < b}] of the continuous part only."""
         b = np.asarray(b, dtype=float)
         total = np.zeros(b.shape)
@@ -146,7 +146,7 @@ class UnitDistribution:
             lo, hi = max(a, s.lo), np.minimum(b, s.hi)
             live = lo < hi
             total[live] += [integrate.quad(lambda x: x * s.pdf(x), lo, float(h),
-                                           epsabs=tol, limit=200)[0]
+                                           epsabs=1e-12, limit=200)[0]
                             for h in hi[live]]
         return total[()]
 
@@ -223,7 +223,7 @@ class Uniform(UnitDistribution):
     def quantile(self, u):
         return (self.lo + _unit_interval(u) * (self.hi - self.lo))[()]
 
-    def partial_mean(self, a, b, tol: float = 1e-12):
+    def partial_mean(self, a, b):
         lo, hi = np.maximum(a, self.lo), np.minimum(b, self.hi)
         # (hi - lo)(hi + lo), not hi^2 - lo^2, which cancels far from 0
         return np.where(lo < hi, (hi - lo) * (hi + lo) / (2.0 * (self.hi - self.lo)),
@@ -259,7 +259,7 @@ class EqualRevenueCapped(UnitDistribution):
         u = _unit_interval(u)
         return np.where(u < (self.H - 1.0) / self.H, 1.0 / (1.0 - u), self.H)[()]
 
-    def partial_mean(self, a, b, tol: float = 1e-12):
+    def partial_mean(self, a, b):
         lo = np.maximum(a, 1.0)
         # log(1) = 0 where the window is empty
         return np.log(np.maximum(np.minimum(b, self.H), lo) / lo)[()]

@@ -33,9 +33,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer,
-                          run_posted_resale)
+                          _distinct_rows, run_posted_resale)
 from .auctions import BidBatch, BidVector, uniform_price_deviations
-from .combined import Mechanism, Strategy, _run_auction
+from .combined import Mechanism, Strategy, _check_single_item, _run_auction
 from .distributions import UnitDistribution
 from .valuations import (MarketModel, ValuationBatch, cell_nodes, draw_values,
                          grouped_market, lower_bound_market, realize_batch,
@@ -102,22 +102,6 @@ class _ResaleStage:
     transfers: dict
 
 
-def _distinct_rows(columns: Sequence[np.ndarray]):
-    """The rows of equal-length columns, grouped: the index of the first
-    occurrence of each distinct row, and per row the position of its group
-    in that list. Ordered by one stable sort, not by hashing."""
-    order = np.lexsort(columns[::-1])
-    same = np.ones(max(len(order) - 1, 0), dtype=bool)  # as the row before
-    for col in columns:
-        ranked = col[order]
-        same &= ranked[1:] == ranked[:-1]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = ~same
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
 class ConstantActionEvaluator:
     """Exact expected utilities/welfare for constant-action profiles.
 
@@ -144,6 +128,7 @@ class ConstantActionEvaluator:
         self.m = game.market.m
         if game.mechanism.kind == "posted":
             raise ValueError("fast path requires an auction, not a posted mechanism")
+        _check_single_item(game.mechanism, self.m)
         groups = ()
         if game.resale is not None:
             if game.resale.winner_led:
@@ -174,7 +159,7 @@ class ConstantActionEvaluator:
                 for a in acts]
 
     def _auction(self, bids: Sequence[BidVector]):
-        return _run_auction(self.game.mechanism, bids, self.m, [None] * len(bids), [])
+        return _run_auction(self.game.mechanism, bids, self.m)
 
     def _cells(self, agent: int, cut: Optional[float]):
         key = (agent, cut)
@@ -646,23 +631,24 @@ def run_dominance_suite(game: CombinedGame) -> list[tuple[str, DominanceReport]]
 # -- single-item interim curves and the symmetric first-price check --------
 
 
-def _gauss(a: float, b: float, order: int = 64):
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gauss(a: float, b: float):
+    """The 64-point Gauss-Legendre rule on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(64)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return mid + half * x, half * w
 
 
-def _gauss_split(lo: float, grid: np.ndarray, kinks: Sequence[float], order: int):
+def _gauss_split(lo: float, grid: np.ndarray, kinks: Sequence[float]):
     """Gauss rules on [lo, v] for every v in `grid`, split at the kinks inside
     (lo, v). Returns the nodes, the weights and, per node, the index of its v."""
     nodes, weights, owner = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]
     for i, v in enumerate(grid):
         ends = [lo, *(k for k in kinks if lo < k < v), v]
         for a, b in zip(ends, ends[1:]):
-            x, w = _gauss(a, b, order)
+            x, w = _gauss(a, b)
             nodes.append(x)
             weights.append(w)
-            owner.append(np.full(order, i))
+            owner.append(np.full(len(x), i))
     return np.concatenate(nodes), np.concatenate(weights), np.concatenate(owner)
 
 
@@ -683,10 +669,10 @@ def _monotone_inverse(fn: Callable[[np.ndarray], np.ndarray], target,
 
 def interim_curves(dists: Sequence[UnitDistribution],
                    bid_fns: Sequence[Callable[[np.ndarray], np.ndarray]], agent: int,
-                   value_grid: Sequence[float], mechanism: str = "first_price",
-                   quad_order: int = 64):
-    """Interim allocation and payment curves of a single-item auction under
-    monotone bid functions, plus the Myerson payment-identity residual
+                   value_grid: Sequence[float]):
+    """Interim allocation and payment curves of a single-item first-price
+    auction under monotone bid functions, plus the Myerson payment-identity
+    residual
     p(v) - p(lo) = v x(v) - lo x(lo) - int_lo^v x(z) dz.
 
     Bid functions are called with numpy arrays of values and must return
@@ -694,20 +680,18 @@ def interim_curves(dists: Sequence[UnitDistribution],
     the kinks of the agent's distribution."""
     if len(dists) != 2 or len(bid_fns) != 2:
         raise ValueError("single-item market with two agents required")
-    if mechanism not in ("first_price", "all_pay"):
-        raise ValueError("mechanism must be first_price or all_pay")
     other = 1 - agent
     lo_o, hi_o = dists[other].support
     lo, _ = dists[agent].support
     grid = np.asarray(value_grid, dtype=float)
-    nodes, wts, owner = _gauss_split(lo, grid, dists[agent].kinks, quad_order)
+    nodes, wts, owner = _gauss_split(lo, grid, dists[agent].kinks)
     # every point at once: lo, the value grid, then the quadrature nodes
     z = np.concatenate(([lo], grid, nodes))
     bids = bid_fns[agent](z)
     # the agent wins on ties only when its index is lower
     target = np.nextafter(bids, np.inf) if agent == 0 else bids
     x = dists[other].cdf(_monotone_inverse(bid_fns[other], target, lo_o, hi_o))
-    p = bids * x if mechanism == "first_price" else bids
+    p = bids * x
     n = grid.size
     xs, ps = x[1:n + 1], p[1:n + 1]
     integral = np.bincount(owner, weights=wts * x[n + 1:], minlength=n)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .aftermarket import (NeverBuy, ResaleSpec, ThresholdBuyer,
+from .aftermarket import (NO_OFFER, ResaleSpec, ThresholdBuyer,
                           run_posted_resale)
 from .allocation import opt_allocation
 from .auctions import (BidBatch, BidVector, all_pay_single, discriminatory,
@@ -265,7 +265,7 @@ class CombinedSingleItemGame(SmoothableGame):
             plan = [self._round_action(a, r) for a in actions]
             prices = {i: a.seller_price for i, a in enumerate(plan)
                       if a is not OPT_OUT}
-            policies = {i: NeverBuy() if a is OPT_OUT
+            policies = {i: ThresholdBuyer(NO_OFFER) if a is OPT_OUT
                         else ThresholdBuyer(a.buyer_threshold)
                         for i, a in enumerate(plan)}
             trade = run_posted_resale(alloc, ResaleSpec.winner_resale(), prices,

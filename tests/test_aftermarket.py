@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aftermarkets.aftermarket import (NO_OFFER, NeverBuy, ResaleSpec,
-                                      SignalProtocol, ThresholdBuyer,
-                                      apply_signal, check_weak_budget_balance,
+from aftermarkets.aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol,
+                                      ThresholdBuyer, apply_signal,
+                                      check_weak_budget_balance,
                                       opt_out_outcome, run_posted_resale)
 from aftermarkets.allocation import Allocation
 from aftermarkets.auctions import BidVector, uniform_price
@@ -62,7 +62,7 @@ def test_threshold_buyer_dominant_policy():
     assert buyer.quantity(v, holding=0, price=NO_OFFER, stock=5) == 0
     strict = ThresholdBuyer(threshold=2.5)
     assert strict.quantity(v, holding=0, price=1.5, stock=5) == 1
-    assert NeverBuy().quantity(v, 0, 0.1, 5) == 0
+    assert ThresholdBuyer(NO_OFFER).quantity(v, 0, 0.1, 5) == 0
 
 
 def test_threshold_buyer_rejects_nan():

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aftermarkets.aftermarket import SignalProtocol
 from aftermarkets.allocation import opt_allocation
-from aftermarkets.auctions import (BidBatch, BidVector, all_pay_single,
-                                   discriminatory, discriminatory_units_won,
+from aftermarkets.auctions import (AuctionOutcome, BidBatch, BidVector,
+                                   all_pay_single, discriminatory,
+                                   discriminatory_units_won,
                                    first_price_deviation_wins,
-                                   first_price_single, posted_price_sell,
-                                   uniform_price, uniform_price_deviations)
-from aftermarkets.combined import Mechanism
-from aftermarkets.valuations import MarginalValuation
+                                   first_price_single, uniform_price,
+                                   uniform_price_deviations)
+from aftermarkets.combined import Mechanism, Strategy, play
+from aftermarkets.valuations import HeadTailModel, MarginalValuation, MarketModel
 
 
 def random_bids(rng, n, m):
@@ -133,16 +135,6 @@ def test_equal_bids_go_to_lower_index(clear, expected):
     assert clear() == expected
 
 
-def test_posted_price_sell_truthful_and_override():
-    vals = [MarginalValuation([2.0, 1.0]), MarginalValuation([3.0])]
-    out = posted_price_sell(1.5, (0, 1), vals, 3)
-    assert out.alloc.counts == (1, 1)
-    assert out.payments == (1.5, 1.5)
-    # override: agent 0 buys two units strategically
-    out2 = posted_price_sell(1.5, (0, 1), vals, 3, quantities=[2, None])
-    assert out2.alloc.counts == (2, 1)
-
-
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: uniform_price(TIES, 2, reserve=math.nan), id="nan-reserve"),
     pytest.param(lambda: uniform_price_deviations(TIES, 0, BidBatch.of([TIES[0]]), 2,
@@ -150,8 +142,6 @@ def test_posted_price_sell_truthful_and_override():
                  id="kernel-nan-reserve"),
     pytest.param(lambda: Mechanism("uniform", reserve=math.nan),
                  id="mechanism-nan-reserve"),
-    *(pytest.param(lambda p=p: posted_price_sell(p, (0,), [MarginalValuation([2.0])], 1),
-                   id=f"posted-{p}") for p in (-1.0, math.inf, math.nan)),
     *(pytest.param(lambda p=p: Mechanism("posted", posted_price=p),
                    id=f"mechanism-posted-{p}") for p in (-1.0, math.inf, math.nan)),
 ])
@@ -203,14 +193,19 @@ def test_auction_invariants(seed, kind):
         assert out.payments == tuple(out.clearing_price * c for c in out.alloc.counts)
     elif kind == "discriminatory":
         out = discriminatory(bids, m)
-    else:
+    else:  # the posted sale, with the bids as values
+        market = MarketModel(m=m, agents=tuple(HeadTailModel() for _ in bids))
         vals = [MarginalValuation.from_runs(bv.runs) for bv in bids]
-        quantities = None
+        strategies = [Strategy() for _ in bids]
         if kind == "posted-override":  # strategic demand beyond the supply
-            quantities = [rng.choice((None, rng.randint(0, 2 * m))) for _ in vals]
-        out = posted_price_sell(round(rng.uniform(0.0, 3.0), 2),
-                                rng.sample(range(len(vals)), len(vals)), vals, m,
-                                quantities)
+            strategies = [Strategy(posted_buy=rng.choice((
+                None, lambda v, price, left, q=rng.randint(0, 2 * m): q)))
+                for _ in bids]
+        mechanism = Mechanism("posted", posted_price=round(rng.uniform(0.0, 3.0), 2),
+                              posted_order=tuple(rng.sample(range(len(bids)), len(bids))))
+        played = play(market, mechanism, SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT,
+                      None, strategies, vals)
+        out = AuctionOutcome(played.auction_alloc, played.auction_payments)
     assert out.alloc.total <= m
     assert all(p >= 0 for p in out.payments)
 

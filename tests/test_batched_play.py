@@ -1,11 +1,13 @@
 """The batched two-stage game against per-profile scalar references.
 
 `expected_outcome` plays chunks of value profiles as batches and resells
-each distinct auction outcome in one array-valued `run_posted_resale`; the
-constant-action evaluator integrates its stages through the same kernel, with
-(allocation, cell) rows. The references below are the per-profile loops
-they replaced: a scalar posted resale, play() on one profile, a Monte Carlo
-or tensor-cell loop over play(), and one stage integrated cell by cell.
+each distinct auction outcome in one array-valued `run_posted_resale`; a
+posted primary mechanism sells to a whole chunk through the same kernel's
+sale, and the constant-action evaluator integrates its stages through it,
+with (allocation, cell) rows. The references below are the per-profile loops
+they replaced: a scalar posted primary sale, a scalar posted resale, play()
+on one profile, a Monte Carlo or tensor-cell loop over play(), and one stage
+integrated cell by cell.
 Random `HeadTailModel` markets (n <= 4, m <= 30, at most two random
 dimensions) must match them bit for bit."""
 
@@ -18,13 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aftermarkets.aftermarket import (NO_OFFER, NeverBuy, ResaleSpec,
-                                      SignalProtocol, ThresholdBuyer,
-                                      apply_signal, run_posted_resale)
+from aftermarkets.aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol,
+                                      ThresholdBuyer, apply_signal,
+                                      run_posted_resale)
 from aftermarkets.allocation import Allocation, welfare
-from aftermarkets.auctions import BidBatch, BidVector
+from aftermarkets.auctions import AuctionOutcome, BidBatch, BidVector
 from aftermarkets.combined import (Mechanism, MonteCarlo, Quadrature, Strategy,
-                                   _run_auction, expected_outcome)
+                                   _run_auction, expected_outcome, play)
 from aftermarkets.distributions import (Atom, EqualRevenueCapped, PiecewiseCdf,
                                         PointMass, SegmentSpec, Uniform)
 from aftermarkets.equilibrium import Action, CombinedGame
@@ -36,8 +38,6 @@ from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
 
 
 def reference_demand(policy, valuation, holding, price, stock):
-    if isinstance(policy, NeverBuy):
-        return 0
     if not isinstance(policy, ThresholdBuyer):
         return max(0, min(policy.quantity(valuation, holding, price, stock), stock))
     cut = price if policy.threshold is None else max(price, policy.threshold)
@@ -67,11 +67,39 @@ def reference_resale(counts, groups, prices, policies, profile):
     return counts, transfers
 
 
+def reference_posted_sale(unit_price, order, valuations, m, rules=None):
+    """The scalar sequential posted-price sale on one profile: buyers visit
+    in `order`; each buys units while the marginal value is >= the price
+    (indifference buys), capped by the remaining supply. `rules[i]`, if
+    set, replaces buyer i's demand with rules[i](valuation, price, left)."""
+    n = len(valuations)
+    counts = [0] * n
+    payments = [0.0] * n
+    left = m
+    for i in order:
+        if left == 0:
+            break
+        want = valuations[i].count_ge(unit_price)
+        if rules is not None and rules[i] is not None:
+            want = rules[i](valuations[i], unit_price, left)
+        q = min(want, left)
+        counts[i] = q
+        payments[i] = q * unit_price
+        left -= q
+    return AuctionOutcome(Allocation(tuple(counts)), tuple(payments),
+                          clearing_price=unit_price)
+
+
 def reference_play(market, mechanism, protocol, resale, strategies, profile):
     """play() on one profile: welfare, utilities and revenue."""
     m = market.m
     bids = [s.bid_for(v, m) for s, v in zip(strategies, profile)]
-    outcome = _run_auction(mechanism, bids, m, profile, strategies)
+    if mechanism.kind == "posted":
+        outcome = reference_posted_sale(
+            mechanism.posted_price, mechanism.posted_order or range(len(profile)),
+            profile, m, [s.posted_buy for s in strategies])
+    else:
+        outcome = _run_auction(mechanism, bids, m)
     counts, transfers = list(outcome.alloc.counts), [0.0] * len(profile)
     if resale is not None:
         groups = resale.resolved_groups(outcome.alloc)
@@ -178,7 +206,7 @@ def block_of(game, agent):
 def reference_auction(game, acts):
     m = game.market.m
     bids = [a.bid if a.bid is not None else BidVector.from_runs((), m) for a in acts]
-    return _run_auction(game.mechanism, bids, m, [None] * len(bids), [])
+    return _run_auction(game.mechanism, bids, m)
 
 
 def reference_utility(game, agent, acts):
@@ -297,16 +325,19 @@ def truthful_bid(m):
 
 
 def random_strategies(rng, market):
-    """Strategies with callable bids, callable seller prices, posted-sale
-    demand overrides and NeverBuy buyers mixed in."""
+    """Strategies with callable bids, callable seller prices, buyers that
+    never buy and posted-sale demand overrides mixed in: overrides that read
+    the units left, and demand beyond the supply."""
     out = []
     for _ in range(market.n):
         bid = truthful_bid(market.m) if rng.random() < 0.5 else random_bid(rng, market.m)
         price = rng.choice((NO_OFFER, round(rng.uniform(0.0, 4.0), 1),
                             lambda v, obs: 0.5 * obs.own_payment + v.value(1)))
-        buyer = rng.choice((ThresholdBuyer(), NeverBuy(),
+        buyer = rng.choice((ThresholdBuyer(), ThresholdBuyer(NO_OFFER),
                             ThresholdBuyer(round(rng.uniform(0.0, 4.0), 1))))
-        posted_buy = rng.choice((None, lambda v, price, left: v.count_ge(price + 0.5)))
+        posted_buy = rng.choice((None, lambda v, price, left: v.count_ge(price + 0.5),
+                                 lambda v, price, left: (left + 1) // 2,
+                                 lambda v, price, left: 2 * market.m + 1))
         out.append(Strategy(bid=bid, seller_price=price, buyer=buyer,
                             posted_buy=posted_buy))
     return tuple(out)
@@ -388,12 +419,13 @@ def test_evaluator_matches_quadrature_play(rng):
 def test_expected_outcome_matches_play_loop(rng, protocol, posted):
     """expected_outcome over Monte Carlo rows and over quadrature cells
     equals the per-profile play() loop bit for bit, under constant and
-    callable bids, callable seller prices, NeverBuy buyers and the posted
-    mechanism."""
+    callable bids, callable seller prices, buyers that never buy and the
+    posted mechanism (at price 0 too, and with orders that omit agents)."""
     market = random_market(rng)
     if posted:
-        mechanism = Mechanism("posted", posted_price=round(rng.uniform(0.0, 3.0), 1),
-                              posted_order=tuple(rng.sample(range(market.n), market.n)))
+        mechanism = Mechanism(
+            "posted", posted_price=rng.choice((0.0, round(rng.uniform(0.0, 3.0), 1))),
+            posted_order=tuple(rng.sample(range(market.n), rng.randint(0, market.n))))
     else:
         mechanism = rng.choice((Mechanism("uniform"), Mechanism("discriminatory"),
                                 Mechanism("uniform", reserve=0.5)))
@@ -455,7 +487,8 @@ def test_resale_batch_rows_match_scalar_loop(rng):
                              np.array([rng.choice((NO_OFFER, round(rng.uniform(0.0, 3.0), 1)))
                                        for _ in range(rows)])))
               for i in range(n) if rng.random() < 0.8}
-    policies = {i: rng.choice((ThresholdBuyer(), NeverBuy(), HalfDemand(), Eager(),
+    policies = {i: rng.choice((ThresholdBuyer(), ThresholdBuyer(NO_OFFER),
+                               HalfDemand(), Eager(),
                                ThresholdBuyer(round(rng.uniform(0.0, 3.0), 1))))
                 for i in range(n) if rng.random() < 0.8}
     out = run_posted_resale(np.array(initial), spec, prices, policies,
@@ -542,3 +575,67 @@ def test_valuation_batch_round_trips():
     assert [batch.valuation(j) for j in range(3)] == vals
     assert batch.count_ge(2.0).tolist() == [3, 0, 0]
     assert batch.value(np.array([2, 5, 1])).tolist() == [5.0, 0.0, 1.5]
+
+
+def fixed_market(m, *heads):
+    """A market of agents with fixed marginals, and its one profile."""
+    market = MarketModel(m=m, agents=tuple(HeadTailModel(head=h) for h in heads))
+    return market, [a.realize() for a in market.agents]
+
+
+def posted_play(market, profile, order, strategies, price=1.5):
+    return play(market, Mechanism("posted", posted_price=price, posted_order=order),
+                SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT, None, strategies,
+                profile)
+
+
+def test_posted_sale_truthful_and_override():
+    """Truthful buyers take the units their values cover; a posted_buy rule
+    replaces the demand, capped by the units left; both as the scalar sale."""
+    market, profile = fixed_market(3, (2.0, 1.0), (3.0,))
+    out = posted_play(market, profile, (0, 1), (Strategy(), Strategy()))
+    assert out.auction_alloc.counts == (1, 1)
+    assert out.auction_payments == (1.5, 1.5)
+    greedy = (Strategy(posted_buy=lambda v, price, left: 2), Strategy())
+    out = posted_play(market, profile, (0, 1), greedy)
+    assert out.auction_alloc.counts == (2, 1)
+    assert out.auction_payments == (3.0, 1.5)
+    rules = [s.posted_buy for s in greedy]
+    assert reference_posted_sale(1.5, (0, 1), profile, 3, rules) == AuctionOutcome(
+        out.auction_alloc, out.auction_payments, out.clearing_price)
+
+
+def test_posted_buy_sees_units_left():
+    """Each posted_buy rule is called with the units still unsold when its
+    buyer's turn comes, not with m."""
+    seen = []
+
+    def buying(q):
+        def rule(valuation, price, left):
+            seen.append(left)
+            return q
+        return rule
+
+    market, profile = fixed_market(3, (), ())
+    out = posted_play(market, profile, (0, 1),
+                      (Strategy(posted_buy=buying(2)), Strategy(posted_buy=buying(5))))
+    assert seen == [3, 1]
+    assert out.auction_alloc.counts == (2, 1)
+
+
+@pytest.mark.parametrize("order", [(0, 0), (0, 2), (-1,)])
+def test_posted_order_names_distinct_agents_of_the_market(order):
+    """A repeated agent would buy twice (the scalar sale kept only her last
+    purchase), and an agent outside the market has no valuation."""
+    market, profile = fixed_market(2, (2.0, 2.0), ())
+    with pytest.raises(ValueError):
+        posted_play(market, profile, order,
+                    (Strategy(posted_buy=lambda v, price, left: 1), Strategy()))
+
+
+@pytest.mark.parametrize("demand", [-1, 1.5])
+def test_posted_demand_must_be_a_nonnegative_integer(demand):
+    market, profile = fixed_market(2, (2.0,), ())
+    with pytest.raises(ValueError):
+        posted_play(market, profile, (0, 1),
+                    (Strategy(posted_buy=lambda v, price, left: demand), Strategy()))

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftermarkets.aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
-from aftermarkets.auctions import BidVector
+from aftermarkets.auctions import BidVector, all_pay_single, first_price_single
+from aftermarkets.cli import posted_fails_summary
 from aftermarkets.combined import (Mechanism, MonteCarlo, Quadrature, Strategy,
                                    expected_optimal_welfare, expected_outcome,
                                    play, profile_nodes)
-from aftermarkets.equilibrium import (default_deviation_grid,
+from aftermarkets.equilibrium import (Action, CombinedGame,
+                                      default_deviation_grid,
                                       scripted_lower_bound_equilibrium)
 from aftermarkets.distributions import Uniform
 from aftermarkets.valuations import (lower_bound_market, posted_fails_market,
@@ -192,6 +194,62 @@ def test_posted_primary_mechanism():
     # only the two head marginals of 2.0 clear the posted price 1.9
     assert out.final_alloc.counts == (1, 1, 0)
     assert out.revenue == pytest.approx(2 * 1.9)
+
+
+def test_posted_outputs_pinned():
+    """The posted-fails audit row, and a Monte Carlo estimate of its scripted
+    play, to the bit."""
+    row = posted_fails_summary(0.01, 1000)
+    assert [row[k].hex() for k in ("scripted_welfare", "opt_welfare",
+                                   "balanced_welfare")] == [
+        "0x1.7fffac1d29dc7p+0", "0x1.0ce35f09f0a0ep+3", "0x1.fa18a998fffa0p+2"]
+    eps, H = 0.01, 1000.0
+    market = posted_fails_market(eps, H)
+    strategies = (Strategy(posted_buy=lambda val, price, left: 1, seller_price=H / eps),
+                  Strategy(buyer=ThresholdBuyer()))
+    mech = Mechanism("posted", posted_price=0.5 / (1.0 - eps), posted_order=(0, 1))
+    out = expected_outcome(market, mech, PROTO, ResaleSpec.single(0, (1,)),
+                           strategies, MonteCarlo(2000, 5))
+    assert out.welfare.hex() == "0x1.ff3a0a6d3e47fp-2"
+    assert [float(u).hex() for u in out.utilities] == ["-0x1.7c7aceb59a1a1p-8",
+                                                       "0x0.0p+0"]
+    assert float(out.revenue).hex() == "0x1.0295fad40a4a8p-1"
+    assert out.welfare_stderr.hex() == "0x1.acfd3c163856bp-8"
+
+
+@pytest.mark.parametrize("kind, clear", [("first_price", first_price_single),
+                                         ("all_pay", all_pay_single)])
+def test_single_item_mechanisms_clear_as_their_auctions(kind, clear):
+    """play() and the constant-action evaluator clear a single-item kind as
+    its clearing function does, ties to the lower index."""
+    market = symmetric_fpa_market(Uniform(0.0, 1.0))
+    profile = [market.agents[0].realize(0.7), market.agents[1].realize(0.6)]
+    for levels in ((0.3, 0.5), (0.4, 0.4), (0.0, 0.2)):
+        strategies = tuple(Strategy(bid=BidVector.flat(b, 1, 1)) for b in levels)
+        expected = clear(list(levels))
+        out = play(market, Mechanism(kind), PROTO, None, strategies, profile)
+        assert out.auction_alloc == expected.alloc
+        assert out.auction_payments == expected.payments
+        assert out.utilities == tuple(v.value(x) - p for v, x, p in zip(
+            profile, expected.alloc.counts, expected.payments))
+        game = CombinedGame(market, Mechanism(kind), None,
+                            tuple(Action(bid=BidVector.flat(b, 1, 1)) for b in levels))
+        ev = game.evaluator()
+        for i in range(2):  # E[v] = 1/2 on Uniform(0, 1)
+            assert ev.expected_utility(i) == pytest.approx(
+                0.5 * expected.alloc[i] - expected.payments[i], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["first_price", "all_pay"])
+def test_single_item_mechanisms_reject_many_units(kind):
+    """A single-item kind on m = 10 would sell one unit; it raises instead."""
+    game = replace(scripted_lower_bound_equilibrium(10), mechanism=Mechanism(kind))
+    profile = [a.realize(1.2) if a.random else a.realize() for a in game.market.agents]
+    with pytest.raises(ValueError):
+        play(game.market, game.mechanism, PROTO, game.resale, game.strategies(),
+             profile)
+    with pytest.raises(ValueError):
+        game.evaluator()
 
 
 def test_mechanism_validation():

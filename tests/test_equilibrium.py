@@ -231,9 +231,9 @@ def test_bid_table_bounds_partial_mean_points(monkeypatch):
     sizes = []
     exact = PiecewiseCdf.partial_mean
 
-    def counted(self, a, b, tol=1e-12):
+    def counted(self, a, b):
         sizes.append(np.size(b))
-        return exact(self, a, b, tol)
+        return exact(self, a, b)
 
     monkeypatch.setattr(PiecewiseCdf, "partial_mean", counted)
     report = symmetric_fpa_check(dist, 5, 21, 500, seed=1)
