@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import Allocation, _ranked_runs
-from .valuations import _merge_runs
+from .valuations import ValuationBatch, _merge_runs
 
 
 class BidVector:
@@ -265,16 +265,12 @@ def discriminatory_units_won(bids: Sequence[BidVector], agent: int,
     bids fixed, as discriminatory() clears them. The discriminatory
     allocation is uniform_price()'s without a reserve, so the units won are
     the k of uniform_price_deviations; won units form a prefix, and the
-    payment adds bid * units won run by run, as _allocate does.
+    payment is the value of the first k units of the row's bids, added run
+    by run as _allocate does.
     Returns two arrays: unit counts and payments."""
     entries = [e for e in _sorted_entries(bids, None) if e[1] != agent]
-    _, run_starts, _, counts = _deviation_units(entries, agent, batch, m, None)
-    take = np.minimum(np.maximum(counts[:, None] - run_starts[:, :-1], 0),
-                      batch.run_counts)
-    payments = np.zeros(len(batch))
-    for r in range(take.shape[1]):
-        payments = payments + batch.run_bids[:, r] * take[:, r]
-    return counts, payments
+    *_, counts = _deviation_units(entries, agent, batch, m, None)
+    return counts, ValuationBatch(batch.run_bids, batch.run_counts).value(counts)
 
 
 def _first_price_winner(bids: Sequence[float], bidders: Sequence[int]) -> int:

@@ -28,7 +28,7 @@ class Mechanism:
     kind: str
     reserve: Optional[float] = None
     posted_price: Optional[float] = None
-    posted_order: Optional[tuple[int, ...]] = None
+    posted_order: Optional[tuple[int, ...]] = None  # None: index order; () sells to none
 
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
@@ -148,7 +148,7 @@ def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtoc
         row_bids = [[s.bid_for(v, m) for s, v in zip(strategies, profile)]
                     for profile in profiles()]
     if mechanism.kind == "posted":
-        order = mechanism.posted_order or tuple(range(n))
+        order = range(n) if mechanism.posted_order is None else mechanism.posted_order
         if len(set(order)) < len(order) or not set(order) <= set(range(n)):
             raise ValueError("posted order must name distinct agents of the market")
         counts, payments = np.zeros((n_rows, n), dtype=np.int64), np.zeros((n_rows, n))

@@ -5,8 +5,9 @@ Every distribution decomposes into continuous segments plus explicit atoms.
 Expectations of piecewise-smooth integrands are taken with an exact
 interval-moment rule: the support is cut at segment boundaries, atoms and
 caller-supplied breakpoints, and each continuous cell contributes
-(mass, conditional mean) so that any integrand that is linear on each cell
-integrates exactly.
+(mass, conditional mean), so any integrand linear on each cell integrates
+exactly. Every preset segment states its moment in closed form; only a
+segment without one has x * pdf integrated with `quad`.
 """
 
 from __future__ import annotations
@@ -31,13 +32,20 @@ class Atom:
 
 @dataclass(frozen=True)
 class SegmentSpec:
-    """Continuous CDF piece on [lo, hi). `cdf` and `ppf` are in global coordinates."""
+    """Continuous CDF piece on [lo, hi); `cdf` and `ppf` are in global coordinates.
+    `partial_mean(a, b)` is the moment of x dF on [a, b] for lo <= a < b <= hi,
+    array-safe in `b`; without it `quad` integrates x * `pdf`, so give one."""
 
     lo: float
     hi: float
     cdf: Callable[[float], float]
-    pdf: Callable[[float], float]
+    pdf: Optional[Callable[[float], float]] = None
     ppf: Optional[Callable[[float], float]] = None  # inverse of global cdf
+    partial_mean: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.pdf is None and self.partial_mean is None:
+            raise ValueError("segment needs a partial_mean or a pdf")
 
 
 class UnitDistribution:
@@ -46,9 +54,9 @@ class UnitDistribution:
 
     `cdf`, `quantile` and `partial_mean` (in its upper limit) work elementwise
     on numpy arrays and return a numpy scalar for a scalar argument. The
-    `SegmentSpec` callables are applied one element at a time, so they may be
-    scalar-only (`ppf=math.sqrt`). Segments, support and the cumulative
-    windows are computed once per instance and cached in `__dict__`."""
+    `SegmentSpec` callables run one element at a time, so they may be scalar-only
+    (`ppf=math.sqrt`); only the moment gets an array of upper limits. Segments,
+    support and the cumulative windows are cached once per instance in `__dict__`."""
 
     def segments(self) -> Sequence[SegmentSpec]:
         raise NotImplementedError
@@ -139,12 +147,16 @@ class UnitDistribution:
         return float(nodes @ weights)
 
     def partial_mean(self, a: float, b):
-        """E[Z * 1{a <= Z < b}] of the continuous part only."""
+        """E[Z * 1{a <= Z < b}] of the continuous part only: per segment, its
+        moment on the window clipped to it, or `quad` of x * pdf."""
         b = np.asarray(b, dtype=float)
         total = np.zeros(b.shape)
         for s in self._segments:
             lo, hi = max(a, s.lo), np.minimum(b, s.hi)
             live = lo < hi
+            if s.partial_mean is not None:
+                total[live] += s.partial_mean(lo, hi[live])
+                continue
             total[live] += [integrate.quad(lambda x: x * s.pdf(x), lo, float(h),
                                            epsabs=1e-12, limit=200)[0]
                             for h in hi[live]]
@@ -194,9 +206,6 @@ class PointMass(UnitDistribution):
     def atoms(self):
         return (Atom(self.c, 1.0),)
 
-    def cdf(self, x):
-        return np.where(np.asarray(x) >= self.c, 1.0, 0.0)[()]
-
 
 @dataclass(frozen=True)
 class Uniform(UnitDistribution):
@@ -214,20 +223,15 @@ class Uniform(UnitDistribution):
         w = hi - lo
         return (SegmentSpec(lo, hi,
                             cdf=lambda x: (min(max(x, lo), hi) - lo) / w,
-                            pdf=lambda x: 1.0 / w,
-                            ppf=lambda u: lo + u * w),)
+                            ppf=lambda u: lo + u * w,
+                            # (b - a)(b + a), not b^2 - a^2, which cancels far from 0
+                            partial_mean=lambda a, b: (b - a) * (b + a) / (2.0 * w)),)
 
     def cdf(self, x):
         return ((np.clip(x, self.lo, self.hi) - self.lo) / (self.hi - self.lo))[()]
 
     def quantile(self, u):
         return (self.lo + _unit_interval(u) * (self.hi - self.lo))[()]
-
-    def partial_mean(self, a, b):
-        lo, hi = np.maximum(a, self.lo), np.minimum(b, self.hi)
-        # (hi - lo)(hi + lo), not hi^2 - lo^2, which cancels far from 0
-        return np.where(lo < hi, (hi - lo) * (hi + lo) / (2.0 * (self.hi - self.lo)),
-                        0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -244,8 +248,8 @@ class EqualRevenueCapped(UnitDistribution):
         H = self.H
         return (SegmentSpec(1.0, H,
                             cdf=lambda x: (x - 1.0) / x,
-                            pdf=lambda x: 1.0 / (x * x),
-                            ppf=lambda u: 1.0 / (1.0 - u)),)
+                            ppf=lambda u: 1.0 / (1.0 - u),
+                            partial_mean=lambda a, b: np.log(b / a)),)
 
     def atoms(self):
         return (Atom(self.H, 1.0 / self.H),)
@@ -258,11 +262,6 @@ class EqualRevenueCapped(UnitDistribution):
     def quantile(self, u):
         u = _unit_interval(u)
         return np.where(u < (self.H - 1.0) / self.H, 1.0 / (1.0 - u), self.H)[()]
-
-    def partial_mean(self, a, b):
-        lo = np.maximum(a, 1.0)
-        # log(1) = 0 where the window is empty
-        return np.log(np.maximum(np.minimum(b, self.H), lo) / lo)[()]
 
 
 @dataclass(frozen=True)
@@ -294,15 +293,20 @@ def lower_bound_z_distribution(m: int) -> PiecewiseCdf:
     if m <= 3:
         raise ValueError("requires m > 3")
     c = 2 * m - 1
-    top = 1.0 + 1.0 / (2 * m)
+
+    def moment(a, b):
+        # (ln(1 + cz) + 1/(1 + cz))/c from a to b, where 1 + cb = (1 + ca)(1 + r)
+        u = 1.0 + c * a
+        r = c * (b - a) / u
+        return (np.log1p(r) - r / ((1.0 + r) * u)) / c
+
     seg1 = SegmentSpec(0.0, 1.0,
                        cdf=lambda z: 1.0 - 1.0 / (1.0 + c * z),
-                       pdf=lambda z: c / (1.0 + c * z) ** 2,
-                       ppf=lambda u: u / (c * (1.0 - u)))
-    seg2 = SegmentSpec(1.0, top,
+                       ppf=lambda u: u / (c * (1.0 - u)), partial_mean=moment)
+    seg2 = SegmentSpec(1.0, 1.0 + 1.0 / (2 * m),
                        cdf=lambda z: z - 1.0 / (2 * m),
-                       pdf=lambda z: 1.0,
-                       ppf=lambda u: u + 1.0 / (2 * m))
+                       ppf=lambda u: u + 1.0 / (2 * m),
+                       partial_mean=lambda a, b: (b - a) * (b + a) / 2.0)
     return PiecewiseCdf((seg1, seg2))
 
 
@@ -317,6 +321,6 @@ def speculative_buyer_value_distribution(eps: float, H: float) -> PiecewiseCdf:
     lo, hi = 1.0 / eps, H / eps
     seg = SegmentSpec(lo, hi,
                       cdf=lambda v: (1.0 - eps) + eps * (1.0 - 1.0 / (eps * v)),
-                      pdf=lambda v: 1.0 / (v * v),
-                      ppf=lambda u: 1.0 / (1.0 - u))
+                      ppf=lambda u: 1.0 / (1.0 - u),
+                      partial_mean=lambda a, b: np.log(b / a))
     return PiecewiseCdf((seg,), (Atom(0.0, 1.0 - eps), Atom(hi, eps / H)))

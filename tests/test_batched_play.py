@@ -95,8 +95,9 @@ def reference_play(market, mechanism, protocol, resale, strategies, profile):
     m = market.m
     bids = [s.bid_for(v, m) for s, v in zip(strategies, profile)]
     if mechanism.kind == "posted":
+        order = mechanism.posted_order
         outcome = reference_posted_sale(
-            mechanism.posted_price, mechanism.posted_order or range(len(profile)),
+            mechanism.posted_price, range(len(profile)) if order is None else order,
             profile, m, [s.posted_buy for s in strategies])
     else:
         outcome = _run_auction(mechanism, bids, m)

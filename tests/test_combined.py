@@ -196,6 +196,28 @@ def test_posted_primary_mechanism():
     assert out.revenue == pytest.approx(2 * 1.9)
 
 
+def test_empty_posted_order_sells_to_no_one():
+    """posted_order=() visits no buyer; only None means index order."""
+    market = posted_fails_market(0.01, 1000.0)
+    profile = sample_profile(market, 1)
+    truthful = (Strategy(), Strategy())
+
+    def posted(order):
+        return Mechanism("posted", posted_price=0.5, posted_order=order)
+
+    assert play(market, posted(None), PROTO, None, truthful,
+                profile).final_alloc.counts == (1, 0)
+    out = play(market, posted(()), PROTO, None, truthful, profile)
+    assert out.final_alloc.counts == (0, 0)
+    assert out.revenue == 0.0 and out.welfare == 0.0
+    res = expected_outcome(market, posted(()), PROTO, ResaleSpec.single(0, (1,)),
+                           truthful, MonteCarlo(200, 1))
+    assert res.welfare == 0.0 and res.revenue == 0.0
+    assert tuple(res.utilities) == (0.0, 0.0)
+    assert expected_outcome(market, posted(None), PROTO, None, truthful,
+                            MonteCarlo(200, 1)).revenue > 0.0
+
+
 def test_posted_outputs_pinned():
     """The posted-fails audit row, and a Monte Carlo estimate of its scripted
     play, to the bit."""

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from aftermarkets.distributions import (Atom, EqualRevenueCapped, PointMass,
-                                        Uniform, lower_bound_z_distribution,
+from aftermarkets import distributions
+from aftermarkets.cli import _lower_bound_row, posted_fails_summary
+from aftermarkets.distributions import (Atom, EqualRevenueCapped, PiecewiseCdf,
+                                        PointMass, SegmentSpec, Uniform,
+                                        lower_bound_z_distribution,
                                         speculative_buyer_value_distribution)
+from aftermarkets.equilibrium import (default_deviation_grid,
+                                      scripted_lower_bound_equilibrium,
+                                      verify_bne)
 
 
 def test_uniform_basics():
@@ -111,3 +118,92 @@ def test_uniform_mean_off_unit_interval():
 def test_atom_validation():
     with pytest.raises(ValueError):
         Atom(1.0, -0.1)
+
+
+def _uniform_segment(lo, width):
+    d = Uniform(lo, lo + width)
+    w = d.hi - d.lo
+    return d.segments()[0], lambda x: 1.0 / w
+
+
+def _z_segment(m, k):
+    c = 2 * m - 1
+    density = (lambda z: c / (1.0 + c * z) ** 2) if k == 0 else (lambda z: 1.0)
+    return lower_bound_z_distribution(m).segments()[k], density
+
+
+# every preset segment, with its density written out here
+preset_segments = st.one_of(
+    st.builds(_uniform_segment, st.floats(-10.0, 1e5), st.floats(1e-3, 100.0)),
+    st.just(_uniform_segment(1e5, 1.0)),
+    st.builds(lambda H: (EqualRevenueCapped(H).segments()[0], lambda x: 1.0 / (x * x)),
+              st.floats(1.01, 1e4)),
+    st.builds(_z_segment, st.integers(4, 10_000), st.sampled_from((0, 1))),
+    st.builds(lambda eps, H: (speculative_buyer_value_distribution(eps, H).segments()[0],
+                              lambda v: 1.0 / (v * v)),
+              st.floats(0.01, 0.99), st.floats(1.01, 1e3)),
+)
+# fractions of the segment: two anywhere, or a tiny window at its lower end
+windows = st.one_of(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                    st.floats(1e-12, 1e-4).map(lambda t: (0.0, t)))
+
+
+@given(preset_segments, windows)
+@example(_uniform_segment(1e5, 1.0), (0.0, 1.0))
+@example(_z_segment(10_000, 0), (0.0, 1e-9))
+@example(_z_segment(4, 0), (0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_segment_moments_match_quad(seg_density, fracs):
+    """Each preset segment's closed-form moment is the integral of x * density
+    over any window inside the segment."""
+    seg, density = seg_density
+    a, b = sorted(seg.lo + f * (seg.hi - seg.lo) for f in fracs)
+    b = min(b, seg.hi)
+    assume(a < b)
+    got = float(seg.partial_mean(a, np.array([b]))[0])
+    want = integrate.quad(lambda x: x * density(x), a, b, epsabs=0.0,
+                          epsrel=1e-13, limit=200)[0]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def _square_cdf():
+    return PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=lambda x: x * x,
+                                     pdf=lambda x: 2.0 * x, ppf=math.sqrt),))
+
+
+def test_segment_needs_moment_or_pdf():
+    with pytest.raises(ValueError):
+        SegmentSpec(0.0, 1.0, cdf=lambda x: x)
+    SegmentSpec(0.0, 1.0, cdf=lambda x: x, pdf=lambda x: 1.0)
+    SegmentSpec(0.0, 1.0, cdf=lambda x: x, partial_mean=lambda a, b: (b - a) * (b + a) / 2)
+
+
+class QuadCalled(Exception):
+    pass
+
+
+def test_presets_never_reach_quad(monkeypatch):
+    """With `quad` raising, the audits over preset distributions still run:
+    only a segment without a closed-form moment integrates."""
+    def no_quad(*args, **kwargs):
+        raise QuadCalled
+
+    monkeypatch.setattr(distributions.integrate, "quad", no_quad)
+    roles = ("regular", "bulk", "speculator")
+    for m in (10, 100):
+        grids = {i: default_deviation_grid(m, r) for i, r in enumerate(roles)}
+        assert verify_bne(scripted_lower_bound_equilibrium(m), grids, eps=1e-6).verdict
+    assert posted_fails_summary(0.01, 1000.0)["ratio"] > 1.0
+    assert _lower_bound_row(10)["ratio"] > 1.0
+    rng = np.random.default_rng(5)
+    for d in (Uniform(-1.0, 3.0), Uniform(1e5, 1e5 + 1.0), EqualRevenueCapped(50.0),
+              lower_bound_z_distribution(10), lower_bound_z_distribution(10_000),
+              speculative_buyer_value_distribution(0.01, 1000.0), PointMass(2.0)):
+        lo, hi = d.support
+        for _ in range(5):
+            cuts = lo + (hi - lo) * rng.random(rng.integers(0, 6))
+            nodes, weights = d.cells(tuple(cuts.tolist()), int(rng.integers(1, 4)))
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert float(nodes @ weights) == pytest.approx(d.mean(), rel=1e-12)
+    with pytest.raises(QuadCalled):
+        _square_cdf().partial_mean(0.0, 0.5)
