@@ -4,8 +4,13 @@ Subcommands: lower-bound-sweep, grouped-sweep, posted-fails, balanced-fix,
 smooth-audit, verify-eq, symmetric-fpa. Options are read from an INI file
 (--config, one section per subcommand, unknown keys rejected) with
 per-command defaults; results are written as CSV with a provenance comment
-line. Audit commands exit with status 2 and a JSON error record on stderr
-when a guarantee is violated.
+line. Each command is a function of (opts, seed, tol) that does no I/O: it
+returns its rows, its grid label and its failure record (None when the
+guarantee holds). `main` alone writes the provenance comment
+(`# config_hash=... seed=... grid=...`) and the CSV, to --out or stdout, and
+exits with status 2 and a JSON record on stderr when a guarantee is violated
+or a config value is bad (malformed file, or a ValueError while the command
+runs; no CSV is written then).
 """
 
 from __future__ import annotations
@@ -63,20 +68,18 @@ def _config_hash(command: str, opts: dict, seed: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _floats(s: str) -> list[float]:
-    return [float(x) for x in s.split(",") if x.strip()]
+def _list(s: str, kind: type = float) -> list:
+    items = [kind(x) for x in s.split(",") if x.strip()]
+    if not items:
+        raise ValueError(f"empty list {s!r}")
+    return items
 
 
-def _ints(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x.strip()]
-
-
-def _write_csv(out: Optional[str], header_comment: str, fieldnames: list[str],
-               rows: list[dict]) -> None:
+def _write_csv(out: Optional[str], header_comment: str, rows: list[dict]) -> None:
     fh = open(out, "w", newline="") if out else sys.stdout
     try:
         fh.write(header_comment + "\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
     finally:
@@ -92,13 +95,19 @@ def _fail(record: dict) -> int:
 
 # -- commands --------------------------------------------------------------
 
+# a command's rows, grid label and failure record (None when the guarantee
+# holds); `main` writes them
+Result = tuple[list[dict], str, Optional[dict]]
+
+# the speculation market's E[OPT] rule: cells cut at 1.0, where z's segments meet
+SPECULATION_QUAD = Quadrature(subdivide=1, breakpoints=(1.0,))
+
 
 def _lower_bound_row(m: int) -> dict:
     game = scripted_lower_bound_equilibrium(m)
     ev = game.evaluator()
     eq_welfare = ev.expected_welfare()
-    opt = expected_optimal_welfare(game.market, Quadrature(subdivide=1,
-                                                           breakpoints=(1.0,)))
+    opt = expected_optimal_welfare(game.market, SPECULATION_QUAD)
     return {"m": m, "eq_welfare": eq_welfare, "opt_welfare": opt,
             "ratio": opt / eq_welfare,
             "speculator_utility": ev.expected_utility(2)}
@@ -111,30 +120,20 @@ def _grouped_row(m: int, gamma: float) -> dict:
     k = len(game.market.groups)
     r = m // k
     # per-group optimum; groups are independent and identical
-    opt = k * expected_optimal_welfare(lower_bound_market(r),
-                                       Quadrature(subdivide=1, breakpoints=(1.0,)))
+    opt = k * expected_optimal_welfare(lower_bound_market(r), SPECULATION_QUAD)
     return {"m": m, "gamma": gamma, "groups": k, "group_size": r,
             "eq_welfare": eq_welfare, "opt_welfare": opt,
             "ratio": opt / eq_welfare}
 
 
-def cmd_lower_bound_sweep(opts: dict, seed: int, out: Optional[str],
-                          tol: float) -> int:
-    rows = [_lower_bound_row(m) for m in _ints(opts["ms"])]
-    comment = (f"# config_hash={_config_hash('lower-bound-sweep', opts, seed)} "
-               f"seed={seed} grid=ms:{opts['ms']}")
-    _write_csv(out, comment, list(rows[0].keys()), rows)
-    return 0
+def cmd_lower_bound_sweep(opts: dict, seed: int, tol: float) -> Result:
+    return [_lower_bound_row(m) for m in _list(opts["ms"], int)], f"ms:{opts['ms']}", None
 
 
-def cmd_grouped_sweep(opts: dict, seed: int, out: Optional[str],
-                      tol: float) -> int:
+def cmd_grouped_sweep(opts: dict, seed: int, tol: float) -> Result:
     m = int(opts["m"])
-    rows = [_grouped_row(m, g) for g in _floats(opts["gammas"])]
-    comment = (f"# config_hash={_config_hash('grouped-sweep', opts, seed)} "
-               f"seed={seed} grid=gammas:{opts['gammas']}")
-    _write_csv(out, comment, list(rows[0].keys()), rows)
-    return 0
+    return ([_grouped_row(m, g) for g in _list(opts["gammas"])],
+            f"gammas:{opts['gammas']}", None)
 
 
 def posted_fails_summary(eps: float, H: float) -> dict:
@@ -166,46 +165,35 @@ def posted_fails_summary(eps: float, H: float) -> dict:
             "balanced_price": bal_price, "balanced_welfare": bal.welfare}
 
 
-def cmd_posted_fails(opts: dict, seed: int, out: Optional[str],
-                     tol: float) -> int:
+def cmd_posted_fails(opts: dict, seed: int, tol: float) -> Result:
     row = posted_fails_summary(float(opts["eps"]), float(opts["h"]))
-    comment = (f"# config_hash={_config_hash('posted-fails', opts, seed)} "
-               f"seed={seed} grid=single")
-    _write_csv(out, comment, list(row.keys()), [row])
     audit = welfare_guarantee_audit(row["balanced_welfare"], row["opt_welfare"],
                                     tol=tol)
-    if not audit.ok:
-        return _fail({"error": "balanced welfare guarantee violated",
-                      "welfare": audit.expected_welfare, "bound": audit.bound})
-    return 0
+    failure = None if audit.ok else {"error": "balanced welfare guarantee violated",
+                                     "welfare": audit.expected_welfare,
+                                     "bound": audit.bound}
+    return [row], "single", failure
 
 
-def cmd_balanced_fix(opts: dict, seed: int, out: Optional[str],
-                     tol: float) -> int:
+def cmd_balanced_fix(opts: dict, seed: int, tol: float) -> Result:
     m = int(opts["m"])
     base = scripted_lower_bound_equilibrium(m)
-    quad = Quadrature(subdivide=1, breakpoints=(1.0,))
-    reserve = balanced_reserve(base.market, quad)
-    opt = expected_optimal_welfare(base.market, quad)
+    reserve = balanced_reserve(base.market, SPECULATION_QUAD)
+    opt = expected_optimal_welfare(base.market, SPECULATION_QUAD)
     game = scripted_lower_bound_equilibrium(m, reserve=reserve)
     wel = game.evaluator().expected_welfare()
     audit = welfare_guarantee_audit(wel, opt, tol=tol)
     row = {"m": m, "reserve": reserve, "eq_welfare": wel, "opt_welfare": opt,
            "bound": audit.bound, "ok": audit.ok}
-    comment = (f"# config_hash={_config_hash('balanced-fix', opts, seed)} "
-               f"seed={seed} grid=single")
-    _write_csv(out, comment, list(row.keys()), [row])
-    if not audit.ok:
-        return _fail({"error": "welfare below half of expected optimum",
-                      "welfare": wel, "bound": audit.bound})
-    return 0
+    failure = None if audit.ok else {"error": "welfare below half of expected optimum",
+                                     "welfare": wel, "bound": audit.bound}
+    return [row], "single", failure
 
 
-def cmd_smooth_audit(opts: dict, seed: int, out: Optional[str],
-                     tol: float) -> int:
+def cmd_smooth_audit(opts: dict, seed: int, tol: float) -> Result:
     lam, mu = float(opts["lam"]), float(opts["mu"])
-    values = tuple(_floats(opts["values"]))
-    bids = tuple(_floats(opts["bids"]))
+    values = tuple(_list(opts["values"]))
+    bids = tuple(_list(opts["bids"]))
     cert = SmoothnessCertificate(lam, mu,
                                  fpa_deviation_generator(int(opts["resolution"])))
     game = SingleItemFirstPrice(len(values))
@@ -213,22 +201,18 @@ def cmd_smooth_audit(opts: dict, seed: int, out: Optional[str],
     report = check_smooth(game, cert, domain)
     # the most the discretized deviation can lose against the continuum
     bound = ONE_MINUS_INV_E * max(values) / int(opts["resolution"])
+    ok = report.passes(tol)
     row = {"lam": lam, "mu": mu, "min_slack": report.min_slack,
            "discretization_bound": bound,
            "profiles_checked": report.n_profiles_checked,
-           "poa_bound": poa_bound(lam, mu), "ok": report.passes(tol)}
-    comment = (f"# config_hash={_config_hash('smooth-audit', opts, seed)} "
-               f"seed={seed} grid=bids:{opts['bids']}")
-    _write_csv(out, comment, list(row.keys()), [row])
-    if not report.passes(tol):
-        return _fail({"error": "smoothness certificate violated",
-                      "min_slack": report.min_slack,
-                      "worst_actions": list(report.worst_actions)})
-    return 0
+           "poa_bound": poa_bound(lam, mu), "ok": ok}
+    failure = None if ok else {"error": "smoothness certificate violated",
+                               "min_slack": report.min_slack,
+                               "worst_actions": list(report.worst_actions)}
+    return [row], f"bids:{opts['bids']}", failure
 
 
-def cmd_verify_eq(opts: dict, seed: int, out: Optional[str],
-                  tol: float) -> int:
+def cmd_verify_eq(opts: dict, seed: int, tol: float) -> Result:
     m = int(opts["m"])
     reserve = float(opts["reserve"]) if opts["reserve"].strip() else None
     game = scripted_lower_bound_equilibrium(m, reserve=reserve)
@@ -241,32 +225,24 @@ def cmd_verify_eq(opts: dict, seed: int, out: Optional[str],
              "equilibrium_utility": g.equilibrium_utility,
              "best_deviation": g.witness.label}
             for i, g in enumerate(report.gaps)]
-    comment = (f"# config_hash={_config_hash('verify-eq', opts, seed)} "
-               f"seed={seed} grid={report.grid_description.split(';')[0]}")
-    _write_csv(out, comment, list(rows[0].keys()), rows)
-    if not report.verdict:
-        return _fail({"error": "profile is not an eps-equilibrium",
-                      "max_gap": report.max_gap, "eps": eps})
-    return 0
+    failure = None if report.verdict else {"error": "profile is not an eps-equilibrium",
+                                           "max_gap": report.max_gap, "eps": eps}
+    return rows, report.grid_description.split(";")[0], failure
 
 
-def cmd_symmetric_fpa(opts: dict, seed: int, out: Optional[str],
-                      tol: float) -> int:
+def cmd_symmetric_fpa(opts: dict, seed: int, tol: float) -> Result:
     dist = Uniform(float(opts["lo"]), float(opts["hi"]))
     report = symmetric_fpa_check(dist, samples=int(opts["samples"]), seed=seed)
     row = {"gap": report.gap, "efficiency": report.efficiency,
            "max_payment_residual": report.max_payment_residual,
            "bid_table_error": report.bid_table_error,
            "samples": report.n_samples}
-    comment = (f"# config_hash={_config_hash('symmetric-fpa', opts, seed)} "
-               f"seed={seed} grid=samples:{opts['samples']}")
-    _write_csv(out, comment, list(row.keys()), [row])
     eps = tol if tol > 0 else 1e-6
-    if not report.passes(max(eps, 1e-9)):
-        return _fail({"error": "symmetric bid profile failed the check",
-                      "gap": report.gap, "efficiency": report.efficiency,
-                      "max_payment_residual": report.max_payment_residual})
-    return 0
+    failure = None if report.passes(max(eps, 1e-9)) else {
+        "error": "symmetric bid profile failed the check",
+        "gap": report.gap, "efficiency": report.efficiency,
+        "max_payment_residual": report.max_payment_residual}
+    return [row], f"samples:{opts['samples']}", failure
 
 
 COMMANDS = {
@@ -301,7 +277,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         opts = _load_config(args.command, args.config)
     except Exception as exc:  # malformed config file
         return _fail({"error": "bad config", "detail": str(exc)})
-    return COMMANDS[args.command](opts, args.seed, args.out, args.tol)
+    try:
+        rows, grid, failure = COMMANDS[args.command](opts, args.seed, args.tol)
+    except ValueError as exc:  # a config value the command cannot use
+        return _fail({"error": "bad config", "detail": str(exc)})
+    comment = (f"# config_hash={_config_hash(args.command, opts, args.seed)} "
+               f"seed={args.seed} grid={grid}")
+    _write_csv(args.out, comment, rows)
+    return _fail(failure) if failure else 0
 
 
 if __name__ == "__main__":

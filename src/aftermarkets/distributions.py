@@ -64,11 +64,6 @@ class UnitDistribution:
     def atoms(self) -> Sequence[Atom]:
         return ()
 
-    def __getstate__(self):
-        # the caches hold SegmentSpec lambdas, which do not pickle
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("_segments", "_parts", "kinks", "support")}
-
     # -- derived interface -------------------------------------------------
 
     @cached_property

@@ -115,7 +115,8 @@ class ConstantActionEvaluator:
     keep every base bid share one clearing, and the stages of all of them
     resell together; `expected_utility` is a list of one. `bid_utilities`
     makes one batched clearing for a whole `BidBatch` of an agent's bids
-    under the uniform-price auction. A block's stage depends only
+    under the uniform-price auction, and is `utilities` of one bid override
+    per row under another mechanism. A block's stage depends only
     on its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
     evaluator's lifetime, as are the block's cells per (price, thresholds);
@@ -271,24 +272,19 @@ class ConstantActionEvaluator:
         """expected_utility(agent, {agent: Action(bid=batch.vector(j))}) for
         every row j, everything else on the base actions. Under the
         uniform-price auction the rows clear in one `uniform_price_deviations`
-        call; under another mechanism each row clears on its own. The
-        distinct block allocations not yet integrated resell in one `_stages`
-        call, and each distinct (block allocation, payment) row computes its
-        utility once."""
+        call, the distinct block allocations not yet integrated resell in one
+        `_stages` call, and each distinct (block allocation, payment) row
+        computes its utility once. Under any other mechanism this is
+        `utilities` of one bid override per row."""
+        if self.game.mechanism.kind != "uniform":
+            return self.utilities(agent, [{agent: Action(bid=batch.vector(j))}
+                                          for j in range(len(batch))])
         acts = self._actions(None)
-        bids = self._bids(acts)
         block = self._block_of[agent]
-        members = (block[0],) + block[1]
-        if self.game.mechanism.kind == "uniform":
-            k, price, counts = uniform_price_deviations(
-                bids, agent, batch, self.m, self.game.mechanism.reserve, members)
-            payments = price * k
-        else:
-            outcomes = [self._auction(bids[:agent] + [batch.vector(j)] + bids[agent + 1:])
-                        for j in range(len(batch))]
-            counts = np.array([[o.alloc[i] for i in members] for o in outcomes],
-                              dtype=np.int64).reshape(len(batch), len(members))
-            payments = np.array([o.payments[agent] for o in outcomes], dtype=float)
+        k, price, counts = uniform_price_deviations(
+            self._bids(acts), agent, batch, self.m, self.game.mechanism.reserve,
+            (block[0],) + block[1])
+        payments = price * k
         first, inverse = _distinct_rows([*counts.T, payments])
         terms = self._terms(block, acts)
         stages = self._stages(block, [(tuple(counts[j].tolist()),) + terms
@@ -423,15 +419,14 @@ def default_deviation_grid(m: int, role: str) -> DeviationGrid:
 class GapResult:
     """Best deviation gain of one agent over a deviation grid.
 
-    `integration_error` is None: no error estimate is computed. The
-    interval-moment rule integrates the piecewise-multilinear constant-action
-    integrand exactly, so the only error is floating-point rounding."""
+    The interval-moment rule integrates the piecewise-multilinear
+    constant-action integrand exactly, so the only error is floating-point
+    rounding."""
 
     gap: float
     witness: Action
     equilibrium_utility: float
     n_deviations: int
-    integration_error: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -545,10 +540,13 @@ class DominanceReport:
         return self.strictly_better_somewhere and self.never_worse
 
 
+# how far apart two witness utilities must be for one to count as better
+STRICT_MARGIN = 1e-9
+
+
 def weak_dominance_witnesses(game: CombinedGame, agent: int, alternative: Action,
                              witnesses: Sequence[Mapping[int, Action]],
                              labels: Optional[Sequence[str]] = None,
-                             strict_margin: float = 1e-9,
                              evaluator: Optional[ConstantActionEvaluator] = None
                              ) -> DominanceReport:
     """Compare the scripted action against `alternative` on each witness
@@ -568,9 +566,9 @@ def weak_dominance_witnesses(game: CombinedGame, agent: int, alternative: Action
     for j, (u_script, u_alt) in enumerate(zip(utils[::2], utils[1::2])):
         label = labels[j] if labels else f"witness{j}"
         rows.append(WitnessRow(label, u_script, u_alt))
-        if u_script > u_alt + strict_margin:
+        if u_script > u_alt + STRICT_MARGIN:
             strict = True
-        if u_script < u_alt - strict_margin:
+        if u_script < u_alt - STRICT_MARGIN:
             never_worse = False
     return DominanceReport(agent, tuple(rows), strict, never_worse)
 
@@ -860,8 +858,11 @@ class BrdResult:
     iterations: tuple[int, ...]
 
 
-def best_response_dynamics(game: TabularGame, inits: Sequence[tuple],
-                           max_iters: int = 200) -> BrdResult:
+# best-response rounds per start before a run is given up as unconverged
+BRD_MAX_ITERS = 200
+
+
+def best_response_dynamics(game: TabularGame, inits: Sequence[tuple]) -> BrdResult:
     """Iterated argmax best responses; returns the distinct fixed points and a
     cycle diagnostic for runs that revisit a profile without converging."""
     fixed: list[tuple] = []
@@ -872,7 +873,7 @@ def best_response_dynamics(game: TabularGame, inits: Sequence[tuple],
         seen = {profile}
         converged = False
         it = 0
-        for it in range(1, max_iters + 1):
+        for it in range(1, BRD_MAX_ITERS + 1):
             changed = False
             for i in range(game.n_agents):
                 current = profile[i]

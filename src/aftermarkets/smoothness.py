@@ -390,20 +390,23 @@ def discriminatory_deviation_generator(m: int, resolution: int = 200):
 # -- checking --------------------------------------------------------------
 
 
+# the most action profiles a check domain may enumerate
+MAX_ACTION_PROFILES = 200_000
+
+
 @dataclass(frozen=True)
 class CheckDomain:
     """Finite check domain: valuation profiles crossed with the product of the
-    per-agent action sets."""
+    per-agent action sets, at most MAX_ACTION_PROFILES of them."""
 
     value_profiles: tuple
     action_sets: tuple
-    max_action_profiles: int = 200_000
 
     def action_profiles(self):
         total = 1
         for s in self.action_sets:
             total *= len(s)
-        if total > self.max_action_profiles:
+        if total > MAX_ACTION_PROFILES:
             raise ValueError(f"{total} action profiles exceed the cap")
         return product(*self.action_sets)
 

@@ -47,6 +47,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         main(["lower-bound-sweep", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("command, line, detail", [
+    ("verify-eq", "m = abc", "invalid literal for int() with base 10: 'abc'"),
+    ("verify-eq", "m = 3", "requires m > 3"),
+    ("lower-bound-sweep", "ms =", "empty list ''"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, line, detail):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\n{line}\n")
+    out_path = tmp_path / "res.csv"
+    code, out, err = run_cli([command, "--config", str(cfg),
+                              "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert json.loads(err) == {"error": "bad config", "detail": detail}
+
+
 def test_grouped_sweep(capsys):
     code, out, _ = run_cli(["grouped-sweep"], capsys)
     assert code == 0

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aftermarkets import smoothness
 from aftermarkets.auctions import (BidBatch, BidVector, discriminatory,
                                    discriminatory_units_won,
                                    first_price_deviation_wins,
                                    first_price_single)
-from aftermarkets.smoothness import (ONE_MINUS_INV_E, OPT_OUT, CheckDomain,
+from aftermarkets.smoothness import (MAX_ACTION_PROFILES, ONE_MINUS_INV_E,
+                                     OPT_OUT, CheckDomain,
                                      CombinedSingleItemGame, FiniteDist,
                                      LiftedAction, MultiUnitDiscriminatory,
                                      RoundAction, SingleItemAllPay,
@@ -181,6 +183,19 @@ def test_generator_arity_checked_at_construction():
         return FiniteDist.point(0.0)
     with pytest.raises(ValueError):
         SmoothnessCertificate(0.5, 1.0, gen)
+
+
+def test_action_profile_cap_raises_before_enumerating(monkeypatch):
+    def no_product(*sets):
+        raise AssertionError("action profiles enumerated")
+    monkeypatch.setattr(smoothness, "product", no_product)
+    actions = tuple(float(b) for b in range(60))
+    with pytest.raises(ValueError, match="216000 action profiles"):
+        CheckDomain(((1.0, 0.5, 0.2),), (actions,) * 3).action_profiles()
+    monkeypatch.undo()
+    at_cap = CheckDomain(((1.0, 0.5),), (tuple(range(400)), tuple(range(500))))
+    assert 400 * 500 == MAX_ACTION_PROFILES
+    assert next(iter(at_cap.action_profiles())) == (0, 0)
 
 
 def test_report_counts_deviation_keys_and_atoms():
