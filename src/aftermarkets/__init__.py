@@ -15,7 +15,7 @@ from .balanced import (BalancednessReport, WelfareAudit, balanced_reserve,
                        uniform_with_balanced_reserve, welfare_guarantee_audit)
 from .combined import (CombinedOutcome, ExpectedOutcome, Mechanism, MonteCarlo,
                        Quadrature, Strategy, expected_optimal_welfare,
-                       expected_outcome, play, profile_nodes)
+                       expected_outcome, play)
 from .distributions import (Atom, EqualRevenueCapped, PiecewiseCdf, PointMass,
                             Uniform, UnitDistribution,
                             lower_bound_z_distribution,

@@ -6,7 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .valuations import MarginalValuation
+import numpy as np
+
+from .valuations import MarginalValuation, ValuationBatch
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,29 @@ def opt_allocation(profile: Sequence[MarginalValuation], k: int):
         total += val * take
         left -= take
     return Allocation(tuple(counts)), total
+
+
+def opt_welfare_rows(values: Sequence[ValuationBatch], k: int) -> np.ndarray:
+    """OPT(v; k) of every row of `values` (one batch per agent), equal to
+    `opt_allocation(row profile, k)[1]` bit for bit. Each row's runs, agents
+    in order, are ranked by one stable sort of their values, so equal values
+    keep (agent asc, unit asc); each run takes what the runs before it
+    leave of k, and the products are added left to right, as
+    `opt_allocation` adds them. Runs worth 0 (the padding among them) and
+    runs that take nothing add exact zeros."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    run_values = np.concatenate([v.run_values for v in values], axis=1)
+    counts = np.concatenate([v.run_counts for v in values], axis=1)
+    if not run_values.shape[1]:
+        return np.zeros(len(run_values))
+    order = np.argsort(-run_values, axis=1, kind="stable")
+    run_values = np.take_along_axis(run_values, order, axis=1)
+    counts = np.where(run_values > 0, np.take_along_axis(counts, order, axis=1), 0)
+    take = np.clip(k - (np.cumsum(counts, axis=1) - counts), 0, counts)
+    # a run that takes nothing adds 0.0, not inf * 0
+    terms = np.where(take > 0, run_values, 0.0) * take
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def opt_welfares(profile: Sequence[MarginalValuation], m: int) -> list:

@@ -256,6 +256,15 @@ COMMANDS = {
 }
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a number >= 0. argparse exits 2 on anything else,
+    a negative number or NaN included."""
+    tol = float(text)
+    if not tol >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, not {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aftermarkets",
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="INI file with a [%s] section" % name)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="CSV output path (stdout)")
-        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--tol", type=_tolerance, default=1e-6)
     return parser
 
 

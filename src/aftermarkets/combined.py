@@ -13,7 +13,7 @@ import numpy as np
 from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
                           ThresholdBuyer, _distinct_rows, _sell, apply_signal,
                           opt_out_outcome, run_posted_resale)
-from .allocation import Allocation, opt_allocation
+from .allocation import Allocation, opt_welfare_rows
 from .auctions import (AuctionOutcome, BidVector, _check_reserve,
                        all_pay_single, discriminatory, first_price_single,
                        uniform_price)
@@ -234,7 +234,8 @@ class ExpectedOutcome:
     welfare_stderr: Optional[float] = None
 
 
-# rows per batch of `expected_outcome`: a chunk's arrays stay under 0.5 MB
+# rows per batch of `expected_outcome` and `expected_optimal_welfare`: a
+# chunk's arrays stay under 0.5 MB
 CHUNK_ROWS = 1024
 
 
@@ -256,15 +257,6 @@ def _node_rows(market: MarketModel, integration: Integration):
         yield scalars[start:start + CHUNK_ROWS], weights[start:start + CHUNK_ROWS]
 
 
-def profile_nodes(market: MarketModel, integration: Integration):
-    """Yield (profile, weight) pairs covering the market's randomness: the
-    rows of `draw_values` or the cells of `cell_nodes`."""
-    realize = _realizer(market.agents)
-    for scalars, weights in _node_rows(market, integration):
-        for row, w in zip(scalars.tolist(), weights.tolist()):
-            yield realize(row), w
-
-
 def _running_total(total, terms: np.ndarray):
     """total + terms[0] + terms[1] + ..., added one at a time along axis 0."""
     return np.cumsum(np.concatenate((np.asarray(total)[None], terms)), axis=0)[-1]
@@ -278,7 +270,7 @@ def expected_outcome(market: MarketModel, mechanism: Mechanism,
     draws. The rows of `draw_values` (or the quadrature cells) play in
     chunks of at most CHUNK_ROWS as batches (`_play_rows`), and the running
     totals add the rows one at a time in row order, so they equal a play()
-    loop over `profile_nodes` bit for bit."""
+    loop over the same rows, one realized profile at a time, bit for bit."""
     if len(strategies) != market.n:
         raise ValueError("strategy arity does not match profile")
     wel = rev = wel2 = 0.0
@@ -311,9 +303,14 @@ def expected_outcome(market: MarketModel, mechanism: Mechanism,
 
 def expected_optimal_welfare(market: MarketModel,
                              integration: Integration) -> float:
-    """E[OPT(v; m)] over the market's randomness."""
+    """E[OPT(v; m)] over the market's randomness: the rows of `draw_values`
+    (or the quadrature cells) realized in chunks of at most CHUNK_ROWS as
+    run batches and scored by `opt_welfare_rows`, the weighted optima added
+    one row at a time in row order, so the total equals a loop of
+    `total += w * opt_allocation(profile, m)[1]` over the same rows bit for
+    bit."""
     total = 0.0
-    for profile, w in profile_nodes(market, integration):
-        _, opt = opt_allocation(profile, market.m)
-        total += w * opt
+    for scalars, weights in _node_rows(market, integration):
+        opts = opt_welfare_rows(realize_batch(market.agents, scalars), market.m)
+        total = float(_running_total(total, weights * opts))
     return total

@@ -250,6 +250,8 @@ class MarketModel:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
+        if not self.agents:
+            raise ValueError("a market needs at least one agent")
 
     @property
     def n(self) -> int:

@@ -4,9 +4,11 @@
 each distinct auction outcome in one array-valued `run_posted_resale`; a
 posted primary mechanism sells to a whole chunk through the same kernel's
 sale, and the constant-action evaluator integrates its stages through it,
-with (allocation, cell) rows. The references below are the per-profile loops
-they replaced: a scalar posted primary sale, a scalar posted resale, play()
-on one profile, a Monte Carlo or tensor-cell loop over play(), and one stage
+with (allocation, cell) rows. `expected_optimal_welfare` scores chunks of
+profiles with the array-valued greedy optimum `opt_welfare_rows`. The
+references below are the per-profile loops they replaced: a scalar posted
+primary sale, a scalar posted resale, play() on one profile, a Monte Carlo
+or tensor-cell loop over play() or over `opt_allocation`, and one stage
 integrated cell by cell.
 Random `HeadTailModel` markets (n <= 4, m <= 30, at most two random
 dimensions) must match them bit for bit."""
@@ -23,15 +25,20 @@ from hypothesis import strategies as st
 from aftermarkets.aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol,
                                       ThresholdBuyer, apply_signal,
                                       run_posted_resale)
-from aftermarkets.allocation import Allocation, welfare
+from aftermarkets.allocation import (Allocation, opt_allocation,
+                                     opt_welfare_rows, welfare)
 from aftermarkets.auctions import AuctionOutcome, BidBatch, BidVector
-from aftermarkets.combined import (Mechanism, MonteCarlo, Quadrature, Strategy,
-                                   _run_auction, expected_outcome, play)
+from aftermarkets.combined import (CHUNK_ROWS, Mechanism, MonteCarlo,
+                                   Quadrature, Strategy, _run_auction,
+                                   expected_optimal_welfare, expected_outcome,
+                                   play)
 from aftermarkets.distributions import (Atom, EqualRevenueCapped, PiecewiseCdf,
                                         PointMass, SegmentSpec, Uniform)
 from aftermarkets.equilibrium import Action, CombinedGame
 from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
-                                     MarketModel, ValuationBatch, draw_values)
+                                     MarketModel, ValuationBatch, draw_values,
+                                     grouped_market, lower_bound_market,
+                                     posted_fails_market)
 
 
 # -- scalar references -------------------------------------------------------
@@ -158,6 +165,14 @@ def reference_expected_outcome(market, mechanism, protocol, resale, strategies,
     if isinstance(integration, MonteCarlo):
         stderr = math.sqrt(max(wel2 - wel * wel, 0.0) / integration.n)
     return wel, tuple(utils), rev, stderr
+
+
+def reference_expected_optimum(market, integration):
+    """E[OPT] as the per-profile loop: opt_allocation on each realized row."""
+    total = 0.0
+    for scalars, w in reference_rows(market, integration):
+        total += w * opt_allocation(realize(market.agents, scalars), market.m)[1]
+    return total
 
 
 def reference_stage(game, acts, block, alloc):
@@ -522,6 +537,76 @@ def test_expected_outcome_chunks_keep_row_order():
     assert (out.welfare.hex(), hexes(out.utilities), out.welfare_stderr.hex()) == (
         wel.hex(), hexes(utils), stderr.hex())
     assert float(out.revenue).hex() == float(rev).hex()
+
+
+# values that tie across agents and whose products with small counts round
+TIE_VALUES = (0.1, 0.3, 0.7, 1 / 3, 2.2, 0.0)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_opt_welfare_rows_match_opt_allocation(rng):
+    """Every row's greedy optimum equals opt_allocation on that row's
+    profile, by float.hex: values tie across agents (runs of different
+    counts), runs worth 0, rows padded to different run counts, agents with
+    no runs in any row, and k from 0 to past every explicit marginal."""
+    n, rows = rng.randint(1, 8), rng.randint(1, 6)
+    empty = {i for i in range(n) if rng.random() < 0.2}
+    profiles = []
+    for _ in range(rows):
+        profile = []
+        for i in range(n):
+            values = set() if i in empty else {
+                rng.choice(TIE_VALUES) if rng.random() < 0.7
+                else round(rng.uniform(0.0, 3.0), 2)
+                for _ in range(rng.randint(0, 3))}
+            profile.append(MarginalValuation.from_runs(
+                [(v, rng.randint(1, 9)) for v in sorted(values, reverse=True)]))
+        profiles.append(profile)
+    batches = [ValuationBatch.of([p[i] for p in profiles]) for i in range(n)]
+    explicit = max(sum(v.n_explicit for v in p) for p in profiles)
+    for k in {0, rng.randint(0, explicit), rng.randint(0, explicit),
+              explicit + rng.randint(1, 5)}:
+        assert hexes(opt_welfare_rows(batches, k)) == hexes(
+            opt_allocation(p, k)[1] for p in profiles)
+
+
+def test_opt_welfare_rows_edges():
+    """No agents, agents without runs, infinite marginals left untaken, and
+    a negative k."""
+    assert opt_welfare_rows([ValuationBatch.of([MarginalValuation([])] * 2)],
+                            3).tolist() == [0.0, 0.0]
+    top = ValuationBatch.of([MarginalValuation([math.inf, math.inf, 1.0])])
+    assert opt_welfare_rows([top], 1).tolist() == [math.inf]
+    assert opt_welfare_rows([top], 0).tolist() == [0.0]
+    with pytest.raises(ValueError):
+        opt_welfare_rows([top], -1)
+
+
+@pytest.mark.parametrize("market, integration", [
+    (lower_bound_market(100), MonteCarlo(CHUNK_ROWS + 500, 3)),
+    (lower_bound_market(10), Quadrature()),
+    (lower_bound_market(1000), Quadrature(subdivide=1, breakpoints=(1.0,))),
+    (grouped_market(1000, 0.1), MonteCarlo(300, 4)),
+    (posted_fails_market(0.01, 1000.0), MonteCarlo(2000, 5)),
+    (posted_fails_market(0.01, 1000.0), Quadrature(subdivide=2)),
+], ids=["lower-bound-mc-chunks", "lower-bound-quad", "lower-bound-quad-1000",
+        "grouped-mc", "posted-fails-mc", "posted-fails-quad"])
+def test_expected_optimal_welfare_matches_scalar_loop(market, integration):
+    """E[OPT] over Monte Carlo rows (beyond one chunk) and quadrature cells
+    equals the per-profile opt_allocation loop bit for bit."""
+    assert expected_optimal_welfare(market, integration).hex() == float(
+        reference_expected_optimum(market, integration)).hex()
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_expected_optimal_welfare_matches_scalar_loop_on_random_markets(rng):
+    market = random_market(rng)
+    for integration in (MonteCarlo(rng.randint(1, 300), rng.randrange(100)),
+                        Quadrature(subdivide=rng.randint(1, 2))):
+        assert expected_optimal_welfare(market, integration).hex() == float(
+            reference_expected_optimum(market, integration)).hex()
 
 
 @pytest.mark.parametrize("seed", range(12))

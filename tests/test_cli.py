@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from aftermarkets.cli import main
+from aftermarkets.cli import COMMANDS, main
 
 
 def run_cli(args, capsys):
@@ -138,3 +138,21 @@ def test_seed_changes_hash_only(capsys):
     _, out2, _ = run_cli(["posted-fails", "--seed", "2"], capsys)
     assert out1.splitlines()[0] != out2.splitlines()[0]
     assert out1.splitlines()[1:] == out2.splitlines()[1:]
+
+
+@pytest.mark.parametrize("tol", ["-5", "nan", "abc"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_bad_tolerance_exits_2(capsys, command, tol):
+    """A negative, NaN or non-numeric --tol is a usage error of every
+    subcommand: argparse exits 2 before the command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", tol])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "--tol" in captured.err
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, _ = run_cli(["balanced-fix", "--tol", "0"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["ok"] == "True"

@@ -11,12 +11,13 @@ from aftermarkets.auctions import BidVector, all_pay_single, first_price_single
 from aftermarkets.cli import posted_fails_summary
 from aftermarkets.combined import (Mechanism, MonteCarlo, Quadrature, Strategy,
                                    expected_optimal_welfare, expected_outcome,
-                                   play, profile_nodes)
+                                   play)
 from aftermarkets.equilibrium import (Action, CombinedGame,
                                       default_deviation_grid,
                                       scripted_lower_bound_equilibrium)
 from aftermarkets.distributions import Uniform
-from aftermarkets.valuations import (lower_bound_market, posted_fails_market,
+from aftermarkets.valuations import (draw_values, lower_bound_market,
+                                     posted_fails_market, realize_batch,
                                      sample_profile, symmetric_fpa_market)
 
 PROTO = SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT
@@ -179,9 +180,8 @@ def test_evaluator_agents_outside_resale_groups(m, resale):
                          ids=lambda mk: mk.name)
 def test_sample_profile_is_first_monte_carlo_profile(market):
     for seed in range(10):
-        profile, weight = next(profile_nodes(market, MonteCarlo(1, seed)))
-        assert weight == 1.0
-        assert profile == sample_profile(market, seed)
+        values = realize_batch(market.agents, draw_values(market, 5, seed))
+        assert [v.valuation(0) for v in values] == sample_profile(market, seed)
 
 
 def test_posted_primary_mechanism():

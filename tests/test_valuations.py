@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from aftermarkets.auctions import BidVector
 from aftermarkets.distributions import Uniform
 from aftermarkets.valuations import (ZERO_VALUATION, HeadTailModel,
-                                     MarginalValuation, grouped_market,
+                                     MarginalValuation, MarketModel,
+                                     grouped_market,
                                      lower_bound_market, posted_fails_market,
                                      sample_profile, symmetric_fpa_market)
 
@@ -102,6 +103,15 @@ def test_grouped_market_shape():
     assert mkt.agents[1].tail_count == 9
     with pytest.raises(ValueError):
         grouped_market(100, 0.35)  # ceil(1/gamma)=3 does not divide 100
+
+
+def test_market_needs_units_and_agents():
+    """Every expectation plays or scores one batch per agent, so a market
+    without agents is rejected where it is built."""
+    with pytest.raises(ValueError):
+        MarketModel(m=0, agents=(HeadTailModel(),))
+    with pytest.raises(ValueError):
+        MarketModel(m=2, agents=())
 
 
 def test_single_item_markets():
