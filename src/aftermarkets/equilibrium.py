@@ -26,6 +26,7 @@ it then interpolates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -629,9 +630,18 @@ def run_dominance_suite(game: CombinedGame) -> list[tuple[str, DominanceReport]]
 # -- single-item interim curves and the symmetric first-price check --------
 
 
+@functools.cache
+def _legendre64() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-point Gauss-Legendre nodes and weights on [-1, 1], built on
+    first use and read-only."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss(a: float, b: float):
     """The 64-point Gauss-Legendre rule on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = _legendre64()
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return mid + half * x, half * w
 

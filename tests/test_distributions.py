@@ -10,11 +10,12 @@ from aftermarkets import distributions
 from aftermarkets.cli import _lower_bound_row, posted_fails_summary
 from aftermarkets.distributions import (Atom, EqualRevenueCapped, PiecewiseCdf,
                                         PointMass, SegmentSpec, Uniform,
+                                        _cumulative_moment,
                                         lower_bound_z_distribution,
                                         speculative_buyer_value_distribution)
 from aftermarkets.equilibrium import (default_deviation_grid,
                                       scripted_lower_bound_equilibrium,
-                                      verify_bne)
+                                      symmetric_fpa_check, verify_bne)
 
 
 def test_uniform_basics():
@@ -182,13 +183,22 @@ class QuadCalled(Exception):
     pass
 
 
+class MomentRuleCalled(Exception):
+    pass
+
+
 def test_presets_never_reach_quad(monkeypatch):
-    """With `quad` raising, the audits over preset distributions still run:
-    only a segment without a closed-form moment integrates."""
+    """With `quad` and the cumulative moment rule raising, the audits over
+    preset distributions still run: only a segment without a closed-form
+    moment integrates, and the x^2 check does so without `quad`."""
     def no_quad(*args, **kwargs):
         raise QuadCalled
 
+    def no_moment_rule(*args, **kwargs):
+        raise MomentRuleCalled
+
     monkeypatch.setattr(distributions.integrate, "quad", no_quad)
+    monkeypatch.setattr(distributions, "_cumulative_moment", no_moment_rule)
     roles = ("regular", "bulk", "speculator")
     for m in (10, 100):
         grids = {i: default_deviation_grid(m, r) for i, r in enumerate(roles)}
@@ -205,5 +215,112 @@ def test_presets_never_reach_quad(monkeypatch):
             nodes, weights = d.cells(tuple(cuts.tolist()), int(rng.integers(1, 4)))
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert float(nodes @ weights) == pytest.approx(d.mean(), rel=1e-12)
-    with pytest.raises(QuadCalled):
+    with pytest.raises(MomentRuleCalled):
         _square_cdf().partial_mean(0.0, 0.5)
+    # the x^2 segment takes every moment from the Kronrod rule (4,032 quad
+    # calls when each upper limit was integrated by quad from lo)
+    monkeypatch.setattr(distributions, "_cumulative_moment",
+                        _cumulative_moment)
+    assert symmetric_fpa_check(_square_cdf(), 5, 21, 500).passes(1e-6)
+
+
+def _singular_cdf():
+    """F(x) = sqrt(x) on [0, 1]: the density 1/(2 sqrt(x)) is unbounded at 0."""
+    return PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=math.sqrt,
+                                     pdf=lambda x: 0.5 / math.sqrt(x),
+                                     ppf=lambda u: u * u),))
+
+
+def _straddling_cdf():
+    """F(x) = (x + 1)^2 / 9 on [-1, 2]: x * pdf changes sign at 0."""
+    return PiecewiseCdf((SegmentSpec(-1.0, 2.0, cdf=lambda x: (x + 1.0) ** 2 / 9.0,
+                                     pdf=lambda x: 2.0 * (x + 1.0) / 9.0),))
+
+
+def _cosine_cdf():
+    """F(x) = (1 - cos(pi x)) / 2 on [0, 1], with a scalar-only pdf."""
+    return PiecewiseCdf((SegmentSpec(
+        0.0, 1.0, cdf=lambda x: (1.0 - math.cos(math.pi * x)) / 2.0,
+        pdf=lambda x: math.pi / 2.0 * math.sin(math.pi * x)),))
+
+
+pdf_only = {"square": _square_cdf, "cosine": _cosine_cdf,
+            "singular": _singular_cdf, "straddling": _straddling_cdf}
+
+
+# subnormal window widths put a node on the singular end, for quad too
+@pytest.mark.parametrize("name", sorted(pdf_only))
+@given(fracs=st.lists(st.floats(-0.25, 1.25, allow_subnormal=False), max_size=30),
+       repeats=st.integers(0, 5),
+       start=st.one_of(st.floats(-0.25, 0.0), st.floats(0.05, 0.9)))
+# the singular density's second gap, [2^-23, 1], is taken by quad from 0
+@example(fracs=[2.0 ** -23], repeats=0, start=0.0)
+@settings(max_examples=40, deadline=None)
+def test_cumulative_moment_matches_quad_per_limit(name, fracs, repeats, start):
+    """The cumulative Kronrod rule gives every upper limit the moment that
+    quad gives it from the window's start, whatever the limits' order,
+    repeats and position (below the window, past the segment's end). A
+    window starting just past the singular end is held to quad's own
+    tolerance instead, in the next test."""
+    d = pdf_only[name]()
+    seg = d.segments()[0]
+    width = seg.hi - seg.lo
+    a = seg.lo + start * width
+    b = np.array(fracs + fracs[:repeats] + [0.0, 1.0]) * width + seg.lo
+    got = d.partial_mean(a, b)
+    for h, g in zip(b, got):
+        lo, hi = max(a, seg.lo), min(h, seg.hi)
+        want = 0.0 if lo >= hi else integrate.quad(
+            lambda x: x * seg.pdf(x), lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        assert g == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@given(fracs=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1,
+                      max_size=30),
+       start=st.floats(0.0, 1e-3, allow_subnormal=False))
+@settings(max_examples=60, deadline=None)
+def test_near_singular_window_meets_quad_tolerance(fracs, start):
+    """Near the singular end quad itself is good only to its tolerance, so
+    the rule is held to that against the closed form (h^1.5 - a^1.5) / 3."""
+    b = np.array(fracs)
+    got = _singular_cdf().partial_mean(start, b)
+    want = (np.maximum(b, start) ** 1.5 - start ** 1.5) / 3.0
+    np.testing.assert_allclose(got, want, rtol=distributions.QUAD_EPSREL,
+                               atol=distributions.QUAD_EPSABS)
+
+
+def test_singular_density_falls_back_to_quad(monkeypatch):
+    """The gap at the singular end fails the Kronrod - Gauss check, so quad
+    integrates it; smooth densities never call quad."""
+    calls = []
+    quad = integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(distributions.integrate, "quad", counted)
+    limits = np.linspace(0.0, 1.0, 101)
+    for name in ("square", "cosine", "straddling"):
+        pdf_only[name]().partial_mean(-1.0, limits)
+    assert calls == []
+    _singular_cdf().partial_mean(0.0, limits)
+    assert (0.0, 0.01) in calls
+
+
+def test_cumulative_moment_spans_blocks_and_unbounded_gaps():
+    """Over more limits than one block, with an unbounded last gap (which
+    quad takes), every moment meets the closed form 1 - (1 + h) e^-h."""
+    d = PiecewiseCdf((SegmentSpec(0.0, math.inf, cdf=lambda x: -math.expm1(-x),
+                                  pdf=lambda x: math.exp(-x)),))
+    limits = np.append(np.linspace(40.0, 0.0, 3 * distributions.KRONROD_BLOCK),
+                       math.inf)
+    want = np.append(1.0 - (1.0 + limits[:-1]) * np.exp(-limits[:-1]), 1.0)
+    np.testing.assert_allclose(d.partial_mean(0.0, limits), want, rtol=1e-12,
+                               atol=1e-15)
+
+
+def test_square_cells_mean():
+    nodes, weights = _square_cdf().cells((0.25, 0.5), subdivide=3)
+    assert float(nodes @ weights) == pytest.approx(2.0 / 3.0, rel=1e-12, abs=1e-12)
+    assert _square_cdf().mean() == pytest.approx(2.0 / 3.0, rel=1e-12, abs=1e-12)

@@ -15,7 +15,7 @@ from aftermarkets.distributions import (PiecewiseCdf, SegmentSpec, Uniform,
 from aftermarkets.equilibrium import (Action, CombinedTabularGame,
                                       DeviationGrid, SymmetricFpaReport,
                                       TabularGame, _bid_table_nodes,
-                                      _tabulated_fpa_bid,
+                                      _legendre64, _tabulated_fpa_bid,
                                       best_response_dynamics,
                                       best_response_gap,
                                       default_deviation_grid,
@@ -197,7 +197,8 @@ def test_symmetric_fpa_far_from_zero():
 
 
 def _square_cdf():
-    """F(x) = x^2 on [0, 1], with the base class's quad-backed partial_mean."""
+    """F(x) = x^2 on [0, 1], with no closed-form moment: the base class's
+    partial_mean integrates x * pdf by its cumulative Kronrod rule."""
     return PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=lambda x: x * x,
                                      pdf=lambda x: 2.0 * x, ppf=math.sqrt),))
 
@@ -241,6 +242,26 @@ def test_bid_table_bounds_partial_mean_points(monkeypatch):
     # the table and its cell midpoints, in one call
     assert sizes == [2 * _bid_table_nodes(dist).size - 1]
     assert report.passes(1e-6)
+
+
+def test_gauss_rule_built_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    _legendre64.cache_clear()
+    for _ in range(2):
+        symmetric_fpa_check(_square_cdf(), 5, 21, 500)
+    assert calls == [64]
+    nodes, weights = _legendre64()
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 0.0
 
 
 @pytest.mark.parametrize("sizes", [(0, 401, 20), (21, 0, 20), (21, 401, 0),
