@@ -30,9 +30,9 @@ from .equilibrium import (Action, BneReport, BrdResult, CombinedGame,
                           scripted_lower_bound_equilibrium, symmetric_fpa_bid,
                           symmetric_fpa_check, verify_bne,
                           weak_dominance_witnesses)
-from .smoothness import (ONE_MINUS_INV_E, OPT_OUT, CheckDomain,
+from .smoothness import (ONE_MINUS_INV_E, OPT_OUT, AuctionGame, CheckDomain,
                          CombinedSingleItemGame, FiniteDist, LiftedAction,
-                         MultiUnitDiscriminatory, RoundAction,
+                         LiftedGame, MultiUnitDiscriminatory, RoundAction,
                          SingleItemAllPay, SingleItemFirstPrice,
                          SmoothableGame, SmoothnessCertificate,
                          SmoothnessReport, check_semi_smooth, check_smooth,

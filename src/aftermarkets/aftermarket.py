@@ -136,7 +136,8 @@ def run_posted_resale(initial: np.ndarray, spec: ResaleSpec,
 
     In each group the seller offers her whole holding at her posted
     per-unit price, a float or one per row (inf: no offer), in one `_sell`.
-    Winner-led groups are resolved per distinct initial row. Transfers sum
+    Winner-led groups are resolved per distinct initial row; the prices and
+    the ThresholdBuyer thresholds given per row follow their rows. Transfers sum
     to zero by construction. Raises ValueError for a negative or NaN price
     of a seller, or for a row that holds a negative count or sells more
     than m units."""
@@ -157,7 +158,9 @@ def run_posted_resale(initial: np.ndarray, spec: ResaleSpec,
         sub_counts, sub_transfers = counts[rows], transfers[rows]
         _resell(groups, sub_counts, sub_transfers,
                 {i: p[rows] if np.ndim(p) else p for i, p in seller_prices.items()},
-                buyer_policies, [v.take(rows) for v in valuations])
+                {i: ThresholdBuyer(p.threshold[rows]) if isinstance(p, ThresholdBuyer)
+                 and np.ndim(p.threshold) else p for i, p in buyer_policies.items()},
+                [v.take(rows) for v in valuations])
         counts[rows], transfers[rows] = sub_counts, sub_transfers
     return TradeOutcome(counts, transfers)
 

@@ -282,16 +282,14 @@ def first_price_deviation_wins(bids: Sequence[float], agent: int, deviations):
     """Whether `agent` wins the single item with each bid in the array
     `deviations`, the other bids fixed, under the rule of first_price_single:
     a deviation d wins iff d > B, or d == B and the agent's index is below
-    the rival's, where the rival is the best other bidder (bid B). Returns
-    (mask, rival); the rival wins whenever the agent loses, and is None when
-    no one else bids."""
+    the rival's, where the rival is the best other bidder (bid B)."""
     d = np.asarray(deviations, dtype=float)
     others = [i for i in range(len(bids)) if i != agent]
     if not others:
-        return np.ones(d.shape, dtype=bool), None
+        return np.ones(d.shape, dtype=bool)
     rival = _first_price_winner(bids, others)
     b = bids[rival]
-    return (d > b) | ((d == b) & (agent < rival)), rival
+    return (d > b) | ((d == b) & (agent < rival))
 
 
 def first_price_single(bids: Sequence[float]) -> AuctionOutcome:

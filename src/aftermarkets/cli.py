@@ -219,14 +219,13 @@ def cmd_verify_eq(opts: dict, seed: int, tol: float) -> Result:
     grids = {0: default_deviation_grid(m, "regular"),
              1: default_deviation_grid(m, "bulk"),
              2: default_deviation_grid(m, "speculator")}
-    eps = tol if tol > 0 else 1e-6
-    report = verify_bne(game, grids, eps=eps)
+    report = verify_bne(game, grids, eps=tol)
     rows = [{"agent": i, "gap": g.gap, "deviations": g.n_deviations,
              "equilibrium_utility": g.equilibrium_utility,
              "best_deviation": g.witness.label}
             for i, g in enumerate(report.gaps)]
     failure = None if report.verdict else {"error": "profile is not an eps-equilibrium",
-                                           "max_gap": report.max_gap, "eps": eps}
+                                           "max_gap": report.max_gap, "eps": tol}
     return rows, report.grid_description.split(";")[0], failure
 
 
@@ -237,8 +236,7 @@ def cmd_symmetric_fpa(opts: dict, seed: int, tol: float) -> Result:
            "max_payment_residual": report.max_payment_residual,
            "bid_table_error": report.bid_table_error,
            "samples": report.n_samples}
-    eps = tol if tol > 0 else 1e-6
-    failure = None if report.passes(max(eps, 1e-9)) else {
+    failure = None if report.passes(max(tol, 1e-9)) else {
         "error": "symmetric bid profile failed the check",
         "gap": report.gap, "efficiency": report.efficiency,
         "max_payment_residual": report.max_payment_residual}

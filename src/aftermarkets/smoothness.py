@@ -1,8 +1,9 @@
 """(lambda, mu)-smoothness certificates: randomized deviation generators,
-finite-domain certificate checking, the explicit first-price/discriminatory
-deviations, lifting certificates from an auction to the combined market with
-aftermarket rounds, price-of-anarchy bounds, and the uniform-price
-overbidding counterexample.
+finite-domain certificate checking, the auction games (each states only its
+clearing and its deviation kernel), their lift `LiftedGame` to the auction
+followed by winner-led resale rounds (Syrgkanis & Tardos, STOC 2013) with
+the certificate lift, the explicit first-price/discriminatory deviations,
+price-of-anarchy bounds, and the uniform-price overbidding counterexample.
 
 A game is (lambda, mu)-smooth if for every valuation profile v there are
 (possibly randomized) deviations a*_i(v) with
@@ -21,12 +22,12 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .aftermarket import (NO_OFFER, ResaleSpec, ThresholdBuyer,
-                          run_posted_resale)
+                          _distinct_rows, run_posted_resale)
 from .allocation import opt_allocation
 from .auctions import (BidBatch, BidVector, all_pay_single, discriminatory,
                        discriminatory_units_won, first_price_deviation_wins,
@@ -106,9 +107,8 @@ class SmoothableGame:
     `deviation_utilities` gives one agent's utility for each atom of a
     deviation while the others' actions stay fixed. The base class calls
     `utilities_and_revenue` once per atom, so a game defined elsewhere needs
-    only the two methods above. The first-price, discriminatory and combined
-    games clear all atoms at once and must return exactly what the base class
-    would."""
+    only the two methods above. The auction games and their lifts clear all
+    atoms at once and must return exactly what the base class would."""
 
     n_agents: int
 
@@ -132,69 +132,88 @@ class SmoothableGame:
                          for d in atoms], dtype=float)
 
 
-class SingleItemFirstPrice(SmoothableGame):
-    def __init__(self, n_agents: int):
-        self.n_agents = n_agents
-
-    def utilities_and_revenue(self, values, actions):
-        out = first_price_single(list(actions))
-        utils = tuple(values[i] * out.alloc[i] - out.payments[i]
-                      for i in range(self.n_agents))
-        return utils, out.revenue
-
-    def opt_welfare(self, values):
-        return max(values)
-
-    def deviation_atoms(self, support):
-        return np.array(support, dtype=float)
-
-    def deviation_utilities(self, values, actions, agent, atoms):
-        wins, _ = first_price_deviation_wins(actions, agent, atoms)
-        v = values[agent]
-        return np.where(wins, v * 1 - atoms, v * 0 - 0.0)
-
-
-class SingleItemAllPay(SmoothableGame):
-    def __init__(self, n_agents: int):
-        self.n_agents = n_agents
-
-    def utilities_and_revenue(self, values, actions):
-        out = all_pay_single(list(actions))
-        utils = tuple(values[i] * out.alloc[i] - out.payments[i]
-                      for i in range(self.n_agents))
-        return utils, out.revenue
-
-    def opt_welfare(self, values):
-        return max(values)
-
-
-class MultiUnitDiscriminatory(SmoothableGame):
-    """Values are MarginalValuations, actions are BidVectors."""
+class AuctionGame(SmoothableGame):
+    """A sealed-bid auction of m units, stated by two rules: `clear(bids)`
+    and `units_and_payments(bids, agent, atoms)`, the units and payment of
+    `agent` for each deviation atom as `clear` gives them. Utility is the
+    worth of the units won less the payment. Values are MarginalValuations
+    and bids BidVectors unless a subclass says otherwise."""
 
     def __init__(self, n_agents: int, m: int):
         self.n_agents = n_agents
         self.m = m
 
-    def utilities_and_revenue(self, values, actions):
-        out = discriminatory(list(actions), self.m)
-        utils = tuple(values[i].value(out.alloc[i]) - out.payments[i]
-                      for i in range(self.n_agents))
-        return utils, out.revenue
+    def valuation(self, value) -> MarginalValuation:
+        return value
+
+    def worth(self, value, units):
+        """What holding `units` units, an int or an int array, is worth."""
+        if isinstance(units, np.ndarray):
+            return np.array([value.value(k) for k in range(self.m + 1)],
+                            dtype=float)[units]
+        return value.value(units)
 
     def opt_welfare(self, values):
-        return opt_allocation(values, self.m)[1]
+        return opt_allocation([self.valuation(v) for v in values], self.m)[1]
 
     def deviation_atoms(self, support):
         return BidBatch.of(support)
 
+    def utilities_and_revenue(self, values, actions):
+        out = self.clear(list(actions))
+        utils = tuple(self.worth(values[i], out.alloc[i]) - out.payments[i]
+                      for i in range(self.n_agents))
+        return utils, out.revenue
+
     def deviation_utilities(self, values, actions, agent, atoms):
-        counts, payments = discriminatory_units_won(actions, agent, atoms, self.m)
-        own = values[agent]
-        worth = np.array([own.value(k) for k in range(self.m + 1)], dtype=float)
-        return worth[counts] - payments
+        units, payments = self.units_and_payments(actions, agent, atoms)
+        return self.worth(values[agent], units) - payments
 
 
-# -- the combined (auction + aftermarket) lift -----------------------------
+class SingleItemFirstPrice(AuctionGame):
+    """One item; values and bids are numbers."""
+
+    def __init__(self, n_agents: int):
+        super().__init__(n_agents, 1)
+
+    def clear(self, bids):
+        return first_price_single(bids)
+
+    def units_and_payments(self, bids, agent, atoms):
+        wins = first_price_deviation_wins(bids, agent, atoms)
+        return wins.astype(np.int64), np.where(wins, atoms, 0.0)
+
+    def valuation(self, value):
+        return MarginalValuation([value])
+
+    def worth(self, value, units):
+        return value * units
+
+    def deviation_atoms(self, support):
+        return np.array(support, dtype=float)
+
+
+class SingleItemAllPay(SingleItemFirstPrice):
+    """First price, except that every bidder pays its bid."""
+
+    def clear(self, bids):
+        return all_pay_single(bids)
+
+    def units_and_payments(self, bids, agent, atoms):
+        return super().units_and_payments(bids, agent, atoms)[0], atoms
+
+
+class MultiUnitDiscriminatory(AuctionGame):
+    """m units; each winner pays its winning marginal bids."""
+
+    def clear(self, bids):
+        return discriminatory(bids, self.m)
+
+    def units_and_payments(self, bids, agent, atoms):
+        return discriminatory_units_won(bids, agent, atoms, self.m)
+
+
+# -- the lift to auction + aftermarket rounds ------------------------------
 
 
 OPT_OUT = "opt-out"
@@ -219,95 +238,88 @@ class LiftedAction:
     rounds: tuple = ()
 
 
-class _CombinedAtoms(NamedTuple):
-    """Deviation atoms of the combined game: auction bids, and the index of
-    each atom's aftermarket plan (its round actions) into `plans`, one
-    representative atom per distinct plan."""
-
-    bids: np.ndarray
-    plan: np.ndarray
-    plans: tuple
-
-
-def _auction_bid(action):
+def _bid(action):
     return action.auction if isinstance(action, LiftedAction) else action
 
 
-class CombinedSingleItemGame(SmoothableGame):
-    """Single-item first-price auction followed by `rounds` winner-led posted
-    resale rounds. Designer revenue is the auction revenue; resale transfers
-    move between agents only."""
+def _offers(action, rounds: int) -> tuple:
+    """The (seller price, buyer threshold) of `action` in each of `rounds`
+    rounds. OPT_OUT, a bare bid, or a round past the action's own neither
+    offers nor buys; a threshold of None is -inf."""
+    own = action.rounds[:rounds] if isinstance(action, LiftedAction) else ()
+    return tuple((NO_OFFER, NO_OFFER) if a is OPT_OUT else (
+        a.seller_price, -math.inf if a.buyer_threshold is None else a.buyer_threshold)
+        for a in own) + ((NO_OFFER, NO_OFFER),) * (rounds - len(own))
 
-    def __init__(self, n_agents: int, rounds: int = 1):
-        self.n_agents = n_agents
+
+class LiftedGame(SmoothableGame):
+    """An auction game followed by `rounds` winner-led posted resale rounds,
+    the composition of Syrgkanis & Tardos (STOC 2013). Actions are auction
+    bids or LiftedActions. Utility is the worth of the final holding less
+    the auction payment and the resale transfers; designer revenue is the
+    auction revenue, since resale transfers move between agents only."""
+
+    def __init__(self, auction: AuctionGame, rounds: int = 1):
+        self.auction = auction
         self.rounds = rounds
-
-    def _round_action(self, action, r: int):
-        if not isinstance(action, LiftedAction) or r >= len(action.rounds):
-            return OPT_OUT
-        return action.rounds[r]
-
-    def utilities_and_revenue(self, values, actions):
-        out = first_price_single([_auction_bid(a) for a in actions])
-        holder, transfers = self._resale(values, actions, out.alloc.counts.index(1))
-        utils = tuple(values[i] * (1 if i == holder else 0)
-                      - out.payments[i] - transfers[i]
-                      for i in range(self.n_agents))
-        return utils, out.revenue
-
-    def _resale(self, values, actions, holder: int):
-        """The resale rounds from the auction winner `holder`, each one
-        `run_posted_resale`: the final holder and each agent's net transfer."""
-        profile = [ValuationBatch.of([MarginalValuation([v])]) for v in values]
-        alloc = np.array([[int(i == holder) for i in range(self.n_agents)]])
-        transfers = [0.0] * self.n_agents
-        for r in range(self.rounds):
-            plan = [self._round_action(a, r) for a in actions]
-            prices = {i: a.seller_price for i, a in enumerate(plan)
-                      if a is not OPT_OUT}
-            policies = {i: ThresholdBuyer(NO_OFFER) if a is OPT_OUT
-                        else ThresholdBuyer(a.buyer_threshold)
-                        for i, a in enumerate(plan)}
-            trade = run_posted_resale(alloc, ResaleSpec.winner_resale(), prices,
-                                      policies, profile, 1)
-            alloc = trade.final_alloc
-            transfers = [t + d for t, d in zip(transfers, trade.transfers[0].tolist())]
-        return alloc[0].tolist().index(1), transfers
+        self.n_agents = auction.n_agents
 
     def opt_welfare(self, values):
-        return max(values)
+        return self.auction.opt_welfare(values)
+
+    def utilities_and_revenue(self, values, actions):
+        out = self.auction.clear([_bid(a) for a in actions])
+        held, transfers = self._resell(values, np.array([out.alloc.counts]), [actions])
+        held, transfers = held[0].tolist(), transfers[0].tolist()
+        utils = tuple(self.auction.worth(values[i], held[i]) - out.payments[i]
+                      - transfers[i] for i in range(self.n_agents))
+        return utils, out.revenue
+
+    def _resell(self, values, alloc: np.ndarray, rows: Sequence[tuple]):
+        """The resale rounds on the K x n auction allocations `alloc`, row k
+        played by the action profile rows[k], each round one batch: the
+        final holdings and the summed transfers, K x n each."""
+        profile = [ValuationBatch.of([self.auction.valuation(v)] * len(rows))
+                   for v in values]
+        offers = np.array([[_offers(a, self.rounds) for a in row] for row in rows],
+                          dtype=float).reshape(len(rows), self.n_agents, self.rounds, 2)
+        transfers = np.zeros(alloc.shape)
+        for r in range(self.rounds):
+            trade = run_posted_resale(
+                alloc, ResaleSpec.winner_resale(), dict(enumerate(offers[:, :, r, 0].T)),
+                {i: ThresholdBuyer(t) for i, t in enumerate(offers[:, :, r, 1].T)},
+                profile, self.auction.m)
+            alloc, transfers = trade.final_alloc, transfers + trade.transfers
+        return alloc, transfers
 
     def deviation_atoms(self, support):
-        index: dict = {}
-        plans = []
-        plan = []
-        for a in support:
-            key = tuple(self._round_action(a, r) for r in range(self.rounds))
-            if key not in index:
-                index[key] = len(plans)
-                plans.append(a)
-            plan.append(index[key])
-        return _CombinedAtoms(np.array([_auction_bid(a) for a in support], dtype=float),
-                              np.array(plan, dtype=np.int64), tuple(plans))
+        plans: dict = {}
+        plan = [plans.setdefault(_offers(a, self.rounds), len(plans)) for a in support]
+        return (self.auction.deviation_atoms([_bid(a) for a in support]),
+                np.array(plan, dtype=np.int64), tuple(support))
 
     def deviation_utilities(self, values, actions, agent, atoms):
-        """The auction sees a deviation only through win or lose, so the
-        resale rounds run once per (auction winner, distinct plan)."""
-        wins, rival = first_price_deviation_wins(
-            [_auction_bid(a) for a in actions], agent, atoms.bids)
-        v = values[agent]
-        out = np.empty(len(atoms.bids))
-        for k, rep in enumerate(atoms.plans):
-            trial = actions[:agent] + (rep,) + actions[agent + 1:]
-            for won in (True, False):
-                sel = (atoms.plan == k) & (wins == won)
-                if not sel.any():
-                    continue
-                holder, transfers = self._resale(values, trial,
-                                                 agent if won else rival)
-                paid = atoms.bids[sel] if won else 0.0
-                out[sel] = (v * (1 if holder == agent else 0) - paid) - transfers[agent]
-        return out
+        """The auction's kernel gives each atom's units and payment. Under
+        the one tie rule the opponents' holdings depend only on the units
+        the deviator wins, so the atoms group by (units, plan): one clearing
+        of a representative atom gives a group's allocation, and every
+        group resells in one batch per round."""
+        bids, plan, support = atoms
+        units, payments = self.auction.units_and_payments(
+            [_bid(a) for a in actions], agent, bids)
+        first, inverse = _distinct_rows([units, plan])
+        rows = [actions[:agent] + (support[j],) + actions[agent + 1:]
+                for j in first.tolist()]
+        alloc = np.array([self.auction.clear([_bid(a) for a in row]).alloc.counts
+                          for row in rows])
+        held, transfers = self._resell(values, alloc, rows)
+        worth = self.auction.worth(values[agent], held[:, agent])
+        return (worth[inverse] - payments) - transfers[inverse, agent]
+
+
+def CombinedSingleItemGame(n_agents: int, rounds: int = 1) -> LiftedGame:
+    """The single-item first-price auction followed by `rounds` resale rounds."""
+    return LiftedGame(SingleItemFirstPrice(n_agents), rounds)
 
 
 def lift_certificate_to_combined(cert: SmoothnessCertificate) -> SmoothnessCertificate:
@@ -317,9 +329,8 @@ def lift_certificate_to_combined(cert: SmoothnessCertificate) -> SmoothnessCerti
     unchanged. Applying the lift twice appends a second opt-out round."""
 
     def wrap(action):
-        if isinstance(action, LiftedAction):
-            return LiftedAction(action.auction, action.rounds + (OPT_OUT,))
-        return LiftedAction(action, (OPT_OUT,))
+        rounds = action.rounds if isinstance(action, LiftedAction) else ()
+        return LiftedAction(_bid(action), rounds + (OPT_OUT,))
 
     if cert.semi:
         def gen(agent, own_value):
@@ -351,13 +362,9 @@ def fpa_deviation(own_value: float, resolution: int = 200) -> FiniteDist:
         return FiniteDist.point(0.0)
     top = ONE_MINUS_INV_E * v
     ys = [top * k / resolution for k in range(resolution + 1)]
-    atoms = []
-    for k in range(resolution):
-        p = math.log((v - ys[k]) / (v - ys[k + 1]))
-        atoms.append((ys[k], p))
-    total = sum(p for _, p in atoms)
-    atoms = tuple((y, p / total) for y, p in atoms)
-    return FiniteDist(atoms)
+    masses = [math.log((v - y) / (v - z)) for y, z in zip(ys, ys[1:])]
+    total = sum(masses)
+    return FiniteDist(tuple((y, p / total) for y, p in zip(ys, masses)))
 
 
 def fpa_deviation_generator(resolution: int = 200):
@@ -372,13 +379,9 @@ def discriminatory_deviation(own_valuation: MarginalValuation, m: int,
     smoothness: one shared draw u ~ U[0,1] sets the bid v_j (1 - e^{-u}) on
     every unit j, keeping marginal bids non-increasing."""
     marginals = own_valuation.marginals_list(m)
-    atoms = []
-    for k in range(resolution):
-        u = k / resolution
-        scale = 1.0 - math.exp(-u)
-        bv = BidVector([vj * scale for vj in marginals], m)
-        atoms.append((bv, 1.0 / resolution))
-    return FiniteDist(tuple(atoms))
+    scales = [1.0 - math.exp(-(k / resolution)) for k in range(resolution)]
+    return FiniteDist(tuple((BidVector([vj * scale for vj in marginals], m),
+                             1.0 / resolution) for scale in scales))
 
 
 def discriminatory_deviation_generator(m: int, resolution: int = 200):
@@ -403,9 +406,7 @@ class CheckDomain:
     action_sets: tuple
 
     def action_profiles(self):
-        total = 1
-        for s in self.action_sets:
-            total *= len(s)
+        total = math.prod(len(s) for s in self.action_sets)
         if total > MAX_ACTION_PROFILES:
             raise ValueError(f"{total} action profiles exceed the cap")
         return product(*self.action_sets)
@@ -500,8 +501,7 @@ def uniform_price_overbidding_probe(lam: float, mu: float,
         for level in (0.5, 1.0, 5.0, 10.0, 10.5, 20.0):
             for count in {1, m // 2 or 1, m}:
                 out = uniform_price([BidVector.flat(level, count, m), overbid], m)
-                u = values[0].value(out.alloc[0]) - out.payments[0]
-                best = max(best, u)
+                best = max(best, values[0].value(out.alloc[0]) - out.payments[0])
         opt = opt_allocation(values, m)[1]
         rev = uniform_price([BidVector.from_runs((), m), overbid], m).revenue
         rows.append((m, best - lam * opt + mu * rev))

@@ -26,7 +26,8 @@ from aftermarkets.equilibrium import (Action, CombinedTabularGame,
                                       symmetric_fpa_check, verify_bne)
 from aftermarkets.smoothness import (ONE_MINUS_INV_E, OPT_OUT, CheckDomain,
                                      CombinedSingleItemGame, LiftedAction,
-                                     MultiUnitDiscriminatory, RoundAction,
+                                     LiftedGame, MultiUnitDiscriminatory,
+                                     RoundAction,
                                      SingleItemFirstPrice,
                                      SmoothnessCertificate, check_semi_smooth,
                                      check_smooth,
@@ -165,8 +166,17 @@ def test_criterion_4_smoothness_certificates():
     )
     bids = tuple(BidVector.from_runs(rr, m) for rr in
                  ((), ((0.5, 1),), ((1.0, 2),), ((0.9, 1), (0.3, 2)), ((0.2, 3),)))
-    disc_ok = check_semi_smooth(disc, dcert,
-                                CheckDomain(vprofiles, (bids,) * 3)).passes(5e-3)
+    disc_rep = check_semi_smooth(disc, dcert, CheckDomain(vprofiles, (bids,) * 3))
+    disc_ok = disc_rep.passes(5e-3)
+
+    # the multi-unit lift: every bid resells at 0.4, the deviator opts out
+    t_lift = time.time()
+    resold = tuple(LiftedAction(b, (RoundAction(0.4),)) for b in bids)
+    multi_lift = check_smooth(LiftedGame(disc, 1), lift_certificate_to_combined(dcert),
+                              CheckDomain(vprofiles, (resold,) * 3))
+    t_lift = time.time() - t_lift
+    multi_lift_ok = (multi_lift.min_slack == disc_rep.min_slack
+                     and multi_lift.n_profiles_checked == 3 * 5 ** 3)
 
     bad = SmoothnessCertificate(0.99, 1.0, fpa_deviation_generator(2000))
     bad_fails = not check_smooth(fpa, bad, near).passes(1e-3)
@@ -174,11 +184,14 @@ def test_criterion_4_smoothness_certificates():
     poa_ok = (abs(poa_bound(ONE_MINUS_INV_E, 1.0) - math.e / (math.e - 1)) < 1e-12
               and abs(poa_bound(0.5, 1.0) - 2.0) < 1e-12)
     elapsed = time.time() - t0
-    ok = fpa_ok and lift_ok and disc_ok and bad_fails and poa_ok and elapsed < 300
+    ok = (fpa_ok and lift_ok and disc_ok and multi_lift_ok and bad_fails
+          and poa_ok and elapsed < 300)
     record_criterion(4, ok, f"first-price (1-1/e, 1) certificate passes, "
                             f"single/double lift to the combined market "
                             f"preserves the slack exactly, discriminatory is "
-                            f"(1-1/e, 1)-semi-smooth on n=m=3 domains, "
+                            f"(1-1/e, 1)-semi-smooth on n=m=3 domains, its "
+                            f"lift to one resale round keeps the slack "
+                            f"{multi_lift.min_slack:.6g} exactly ({t_lift:.2f}s), "
                             f"(0.99, 1) fails, PoA bounds e/(e-1) and 2, "
                             f"{elapsed:.1f}s")
     assert ok

@@ -128,7 +128,7 @@ TIES = [BidVector([0.5], 2), BidVector([0.5, 0.5], 2), BidVector([0.5], 2)]
     pytest.param(lambda: all_pay_single([0.5] * 3).alloc.counts, (1, 0, 0),
                  id="all-pay"),
     pytest.param(lambda: tuple(
-        int(first_price_deviation_wins([0.5] * 3, a, [0.5])[0][0])
+        int(first_price_deviation_wins([0.5] * 3, a, [0.5])[0])
         for a in range(3)), (1, 0, 0), id="first-price-kernel"),
 ])
 def test_equal_bids_go_to_lower_index(clear, expected):

@@ -483,9 +483,10 @@ class Eager:
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_resale_batch_rows_match_scalar_loop(rng):
-    """Rows with different initial holdings, per-row prices, winner-led or
-    fixed groups, and a policy that runs row by row: every row of one batch
-    equals the scalar loop on that row, bit for bit."""
+    """Rows with different initial holdings, per-row prices and buyer
+    thresholds, winner-led or fixed groups, and a policy that runs row by
+    row: every row of one batch equals the scalar loop on that row, bit for
+    bit."""
     n, rows = rng.randint(1, 4), rng.randint(1, 8)
     m = rng.randint(1, 12)
     profiles, initial = [], []
@@ -505,15 +506,22 @@ def test_resale_batch_rows_match_scalar_loop(rng):
               for i in range(n) if rng.random() < 0.8}
     policies = {i: rng.choice((ThresholdBuyer(), ThresholdBuyer(NO_OFFER),
                                HalfDemand(), Eager(),
-                               ThresholdBuyer(round(rng.uniform(0.0, 3.0), 1))))
+                               ThresholdBuyer(round(rng.uniform(0.0, 3.0), 1)),
+                               ThresholdBuyer(np.array([rng.choice((
+                                   NO_OFFER, -math.inf, round(rng.uniform(0.0, 3.0), 1)))
+                                   for _ in range(rows)]))))
                 for i in range(n) if rng.random() < 0.8}
     out = run_posted_resale(np.array(initial), spec, prices, policies,
                             [ValuationBatch.of([p[i] for p in profiles]) for i in range(n)],
                             m)
     for j, (row, profile) in enumerate(zip(initial, profiles)):
         row_prices = {i: float(p[j]) if np.ndim(p) else p for i, p in prices.items()}
+        row_policies = {i: ThresholdBuyer(float(p.threshold[j]))
+                        if isinstance(p, ThresholdBuyer) and np.ndim(p.threshold) else p
+                        for i, p in policies.items()}
         groups = spec.resolved_groups(Allocation(tuple(row)))
-        counts, transfers = reference_resale(row, groups, row_prices, policies, profile)
+        counts, transfers = reference_resale(row, groups, row_prices, row_policies,
+                                             profile)
         assert out.final_alloc[j].tolist() == counts
         assert hexes(out.transfers[j]) == hexes(transfers)
 

@@ -121,6 +121,16 @@ def test_verify_eq(capsys):
     assert all(int(r["deviations"]) >= 1000 for r in rows)
 
 
+def test_verify_eq_zero_tolerance_is_zero(tmp_path, capsys):
+    """--tol 0 means eps = 0, as in every other subcommand."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[verify-eq]\nreserve = 1.0\n")
+    code, _, err = run_cli(["verify-eq", "--config", str(cfg), "--tol", "0"], capsys)
+    assert code == 2
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["eps"] == 0.0 and record["max_gap"] > 0.0
+
+
 def test_symmetric_fpa(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[symmetric-fpa]\nsamples = 2000\n")

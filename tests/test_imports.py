@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, and every
-private module-level function is used by some library module. There is no
-linter in the toolchain, so these scans stand in for one."""
+private module-level function or class, and every private method, is used
+by some library module. There is no linter in the toolchain, so these scans
+stand in for one."""
 
 import ast
 from pathlib import Path
@@ -38,33 +39,55 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _references(node, own=frozenset()):
+    """The names and attribute names under `node`, except those a def or
+    class refers to inside its own body by its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    ref = (node.id if isinstance(node, ast.Name)
+           else node.attr if isinstance(node, ast.Attribute) else None)
+    if ref is not None and ref not in own:
+        yield ref
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, own)
+
+
 def unused_private_functions(sources: dict[str, str]) -> list[str]:
-    """The private (one leading underscore) module-level functions of
-    `sources` (name -> source) that no source refers to, by name or as an
-    attribute, outside their own body."""
+    """The private (one leading underscore) module-level functions and
+    classes, and methods of module-level classes, of `sources` (name ->
+    source) that no source refers to, by name or as an attribute, outside
+    their own body."""
     defined, used = {}, set()
     for name, source in sources.items():
-        for node in ast.parse(source).body:
-            own = None
-            if isinstance(node, ast.FunctionDef):
-                own = node.name
-                if own.startswith("_") and not own.startswith("__"):
-                    defined[own] = f"{name}:{node.lineno}"
-            for sub in ast.walk(node):
-                ref = (sub.id if isinstance(sub, ast.Name)
-                       else sub.attr if isinstance(sub, ast.Attribute) else None)
-                if ref is not None and ref != own:
-                    used.add(ref)
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
+                defined[node.name] = f"{name}:{node.lineno}"
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and _private(method.name):
+                        defined[f"{node.name}.{method.name}"] = f"{name}:{method.lineno}"
+        used.update(_references(tree))
     return sorted(f"{fn} ({where})" for fn, where in defined.items()
-                  if fn not in used)
+                  if fn.rpartition(".")[2] not in used)
 
 
 def test_scan_finds_an_unused_private_function():
     sources = {"a.py": "def _kept():\n    return _kept()\n\n"
                        "def _called():\n    pass\n\n"
                        "def __dunder__():\n    pass\n",
-               "b.py": "import a\n\ndef _gone():\n    pass\n\na._called()\n"}
-    assert unused_private_functions(sources) == ["_gone (b.py:3)", "_kept (a.py:1)"]
+               "b.py": "import a\n\ndef _gone():\n    pass\n\na._called()\n",
+               "c.py": "class _Lone:\n    def make(self):\n        return _Lone()\n\n"
+                       "class Used:\n    def _step(self):\n        return self._step()\n\n"
+                       "    def _run(self):\n        pass\n\n"
+                       "    def __init__(self):\n        self._run()\n\n"
+                       "Used()\n"}
+    assert unused_private_functions(sources) == [
+        "Used._step (c.py:6)", "_Lone (c.py:1)", "_gone (b.py:3)", "_kept (a.py:1)"]
 
 
 def test_no_unused_private_functions():

@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftermarkets import smoothness
+from aftermarkets.aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol,
+                                      ThresholdBuyer)
 from aftermarkets.auctions import (BidBatch, BidVector, discriminatory,
                                    discriminatory_units_won,
                                    first_price_deviation_wins,
                                    first_price_single)
+from aftermarkets.combined import Mechanism, Strategy, play
 from aftermarkets.smoothness import (MAX_ACTION_PROFILES, ONE_MINUS_INV_E,
                                      OPT_OUT, CheckDomain,
                                      CombinedSingleItemGame, FiniteDist,
-                                     LiftedAction, MultiUnitDiscriminatory,
+                                     LiftedAction, LiftedGame,
+                                     MultiUnitDiscriminatory,
                                      RoundAction, SingleItemAllPay,
                                      SingleItemFirstPrice, SmoothableGame,
                                      SmoothnessCertificate, check_semi_smooth,
@@ -23,7 +27,8 @@ from aftermarkets.smoothness import (MAX_ACTION_PROFILES, ONE_MINUS_INV_E,
                                      fpa_deviation, fpa_deviation_generator,
                                      lift_certificate_to_combined, poa_bound,
                                      uniform_price_overbidding_probe)
-from aftermarkets.valuations import MarginalValuation
+from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
+                                     MarketModel)
 
 BID_GRID = tuple(round(0.1 * k, 3) for k in range(11))
 
@@ -257,7 +262,7 @@ def assert_matches_reference(game, values, actions, agent, support):
 @settings(max_examples=100, deadline=None)
 def test_first_price_deviation_utilities_match_reference(data):
     n = data.draw(st.integers(1, 4))
-    game = SingleItemFirstPrice(n)
+    game = data.draw(st.sampled_from((SingleItemFirstPrice, SingleItemAllPay)))(n)
     values = tuple(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
     actions = tuple(data.draw(st.lists(BIDS, min_size=n, max_size=n)))
     support = data.draw(st.lists(BIDS, min_size=1, max_size=20))
@@ -294,23 +299,74 @@ def round_actions():
                                st.one_of(st.none(), st.sampled_from(GRID))))
 
 
-def lifted_actions(rounds):
-    return st.one_of(BIDS, st.builds(
-        LiftedAction, BIDS,
+def lifted_actions(rounds, bids=BIDS):
+    return st.one_of(bids, st.builds(
+        LiftedAction, bids,
         st.lists(round_actions(), max_size=rounds + 1).map(tuple)))
 
 
+def valuations(m):
+    return st.lists(VALUES, max_size=m + 1).map(
+        lambda vs: MarginalValuation(sorted(vs, reverse=True)))
+
+
 @given(st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_combined_deviation_utilities_match_reference(data):
     n = data.draw(st.integers(1, 4))
     rounds = data.draw(st.integers(1, 3))
-    game = CombinedSingleItemGame(n, rounds)
-    values = tuple(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
-    actions = tuple(data.draw(lifted_actions(rounds)) for _ in range(n))
-    support = data.draw(st.lists(lifted_actions(rounds), min_size=1, max_size=12))
+    if data.draw(st.booleans()):
+        game = CombinedSingleItemGame(n, rounds)
+        values = tuple(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
+        actions_of = lifted_actions(rounds)
+    else:
+        m = data.draw(st.integers(1, 5))
+        game = LiftedGame(MultiUnitDiscriminatory(n, m), rounds)
+        values = tuple(data.draw(valuations(m)) for _ in range(n))
+        actions_of = lifted_actions(rounds, bid_vectors(m))
+    actions = tuple(data.draw(actions_of) for _ in range(n))
+    support = data.draw(st.lists(actions_of, min_size=1, max_size=12))
     agent = data.draw(st.integers(0, n - 1))
     assert_matches_reference(game, values, actions, agent, support)
+
+
+def constant_strategy(action):
+    """The play() strategy of a one-round lifted action."""
+    step = action.rounds[0] if isinstance(action, LiftedAction) and action.rounds else OPT_OUT
+    bid = action.auction if isinstance(action, LiftedAction) else action
+    if step is OPT_OUT:
+        return Strategy(bid=bid, seller_price=NO_OFFER, buyer=ThresholdBuyer(NO_OFFER))
+    return Strategy(bid=bid, seller_price=step.seller_price,
+                    buyer=ThresholdBuyer(step.buyer_threshold))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_multi_unit_lift_matches_play(data):
+    """One resale round of the lifted discriminatory game is play() with
+    the discriminatory auction, winner-led resale and constant strategies."""
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 5))
+    game = LiftedGame(MultiUnitDiscriminatory(n, m), 1)
+    values = tuple(data.draw(valuations(m)) for _ in range(n))
+    actions = tuple(data.draw(lifted_actions(1, bid_vectors(m))) for _ in range(n))
+    utils, revenue = game.utilities_and_revenue(values, actions)
+    out = play(MarketModel(m, (HeadTailModel(),) * n), Mechanism("discriminatory"),
+               SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT, ResaleSpec.winner_resale(),
+               [constant_strategy(a) for a in actions], values)
+    assert np.array(utils).tobytes() == np.array(out.utilities).tobytes()
+    assert revenue == out.revenue
+
+
+def test_multi_unit_lift_resale_trades():
+    game = LiftedGame(MultiUnitDiscriminatory(2, 2), 1)
+    values = (MarginalValuation([0.3, 0.3]), MarginalValuation([1.0, 1.0]))
+    actions = (LiftedAction(BidVector([0.5, 0.5]), (RoundAction(0.8),)),
+               LiftedAction(BidVector([0.2, 0.2]), (RoundAction(),)))
+    utils, rev = game.utilities_and_revenue(values, actions)
+    # agent 0 wins both units for 1.0 and resells both to agent 1 at 0.8
+    assert rev == pytest.approx(1.0)
+    assert utils == pytest.approx((-1.0 + 1.6, 2.0 - 1.6))
 
 
 @given(st.data())
@@ -320,11 +376,10 @@ def test_first_price_deviation_wins_matches_clearing(data):
     bids = data.draw(st.lists(BIDS, min_size=n, max_size=n))
     devs = data.draw(st.lists(BIDS, min_size=1, max_size=20))
     agent = data.draw(st.integers(0, n - 1))
-    wins, rival = first_price_deviation_wins(bids, agent, devs)
+    wins = first_price_deviation_wins(bids, agent, devs)
     for d, won in zip(devs, wins):
         out = first_price_single(bids[:agent] + [d] + bids[agent + 1:])
         assert out.alloc[agent] == won
-        assert won or out.alloc[rival] == 1
 
 
 @given(st.data())
