@@ -155,8 +155,8 @@ class BidBatch:
     at once. Row j bids `run_bids[j, r]` on `run_counts[j, r]` units: its
     positive runs in order, then empty (0.0, 0) runs as padding; then come
     its `tail[j]` implicit zero bids. The constructor takes the rows as
-    valid; `of` builds them from BidVectors, and `vector(j)` validates row j
-    as it rebuilds it."""
+    valid; `of` builds them from BidVectors, and `vector(j)`, or `batch[j]`,
+    validates row j as it rebuilds it."""
 
     __slots__ = ("run_bids", "run_counts", "tail")
 
@@ -185,6 +185,8 @@ class BidBatch:
         counts = self.run_counts[j].tolist()
         return BidVector.from_runs(tuple(zip(self.run_bids[j].tolist(), counts)),
                                    sum(counts) + int(self.tail[j]))
+
+    __getitem__ = vector
 
 
 def _deviation_units(entries, agent: int, batch: BidBatch, m: int,

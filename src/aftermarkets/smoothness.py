@@ -10,10 +10,11 @@ A game is (lambda, mu)-smooth if for every valuation profile v there are
     sum_i E[u_i(a*_i(v), a_{-i}; v)] >= lambda * OPT(v) - mu * Rev(a)
 for every action profile a. Semi-smoothness restricts a*_i to depend on v_i
 only. Certificates are checked on finite domains: the reported slack is the
-minimum of LHS - lambda*OPT + mu*Rev over the domain. Each expected
-deviation utility is computed once per (agent, value profile, opponents'
-actions) key, by one array-valued `deviation_utilities` call over every atom
-of the deviation.
+minimum of LHS - lambda*OPT + mu*Rev over the domain. A deviation is two
+arrays, a support (bids or a BidBatch) and probabilities; each expected
+deviation utility is one `deviation_utilities` call over all its atoms, once
+per (agent, value profile, opponents' actions) key. The certificate lift
+leaves deviations as they are: a bare bid opts out of resale.
 """
 
 from __future__ import annotations
@@ -44,29 +45,27 @@ def _expectation(probs: np.ndarray, utils: np.ndarray) -> float:
     return sum((probs * utils).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDist:
-    """Finite-support distribution over actions: ((action, prob), ...)."""
+    """Finite-support distribution: atom j plays support[j] (a tuple of
+    actions, a float array of bids or a BidBatch) with probability probs[j]."""
 
-    atoms: tuple
+    support: object
+    probs: np.ndarray
 
     def __post_init__(self):
-        total = sum(p for _, p in self.atoms)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < -1e-15 for _, p in self.atoms):
-            raise ValueError("negative probability")
+        total = sum(self.probs.tolist())
+        if not (abs(total - 1.0) <= 1e-9 and (self.probs >= -1e-15).all()  # NaN fails
+                and len(self.probs) == len(self.support)):
+            raise ValueError(f"need one probability >= 0 per atom, sum 1, not {total}")
 
     @classmethod
     def point(cls, action) -> "FiniteDist":
-        return cls(((action, 1.0),))
+        return cls((action,), np.ones(1))
 
     def expect(self, fn: Callable[[object], float]) -> float:
-        return _expectation(np.array([p for _, p in self.atoms], dtype=float),
-                            np.array([fn(a) for a, _ in self.atoms], dtype=float))
-
-    def map(self, fn: Callable[[object], object]) -> "FiniteDist":
-        return FiniteDist(tuple((fn(a), p) for a, p in self.atoms))
+        return _expectation(self.probs,
+                            np.array([fn(a) for a in self.support], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class AuctionGame(SmoothableGame):
         return opt_allocation([self.valuation(v) for v in values], self.m)[1]
 
     def deviation_atoms(self, support):
-        return BidBatch.of(support)
+        return support if isinstance(support, BidBatch) else BidBatch.of(support)
 
     def utilities_and_revenue(self, values, actions):
         out = self.clear(list(actions))
@@ -293,10 +292,14 @@ class LiftedGame(SmoothableGame):
         return alloc, transfers
 
     def deviation_atoms(self, support):
+        # a bid array or a BidBatch holds bare bids: one plan, no offers
+        if isinstance(support, (np.ndarray, BidBatch)):
+            return (self.auction.deviation_atoms(support),
+                    np.zeros(len(support), dtype=np.int64), support)
         plans: dict = {}
         plan = [plans.setdefault(_offers(a, self.rounds), len(plans)) for a in support]
         return (self.auction.deviation_atoms([_bid(a) for a in support]),
-                np.array(plan, dtype=np.int64), tuple(support))
+                np.array(plan, dtype=np.int64), support)
 
     def deviation_utilities(self, values, actions, agent, atoms):
         """The auction's kernel gives each atom's units and payment. Under
@@ -323,22 +326,10 @@ def CombinedSingleItemGame(n_agents: int, rounds: int = 1) -> LiftedGame:
 
 
 def lift_certificate_to_combined(cert: SmoothnessCertificate) -> SmoothnessCertificate:
-    """Same (lam, mu) for the combined game: each auction deviation is paired
-    with opting out of the next aftermarket round, so the deviator's combined
-    utility equals her auction utility while the designer revenue is
-    unchanged. Applying the lift twice appends a second opt-out round."""
-
-    def wrap(action):
-        rounds = action.rounds if isinstance(action, LiftedAction) else ()
-        return LiftedAction(_bid(action), rounds + (OPT_OUT,))
-
-    if cert.semi:
-        def gen(agent, own_value):
-            return cert.generator(agent, own_value).map(wrap)
-    else:
-        def gen(agent, value_profile):
-            return cert.generator(agent, value_profile).map(wrap)
-    return SmoothnessCertificate(cert.lam, cert.mu, gen,
+    """Same (lam, mu) and the same deviations for the combined game: a bare
+    bid makes no offer and no purchase in any resale round, so the deviator's
+    combined utility is her auction utility and designer revenue is unchanged."""
+    return SmoothnessCertificate(cert.lam, cert.mu, cert.generator,
                                  name=(cert.name + "+lift").strip("+"))
 
 
@@ -356,15 +347,18 @@ def fpa_deviation(own_value: float, resolution: int = 200) -> FiniteDist:
     starts at B and loses the tie). So for every opponent bid the deviation
     loses at most (1-1/e) v / resolution against the continuum, and a
     (1-1/e, 1) check has slack >= -(1-1/e) max(v) / resolution: -3.16e-4 for
-    max(v) = 1 at resolution 2000."""
+    max(v) = 1 at resolution 2000. The support is a float array; each mass
+    is a `math.log`, which np.log differs from by an ulp on some atoms."""
     v = float(own_value)
+    top = ONE_MINUS_INV_E * v
+    if resolution < 1 or not math.isfinite(v) or top == v > 0.0:
+        raise ValueError(f"need a finite value above 5e-324 and a resolution "
+                         f">= 1, not {v} and {resolution}")
     if v <= 0.0:
         return FiniteDist.point(0.0)
-    top = ONE_MINUS_INV_E * v
-    ys = [top * k / resolution for k in range(resolution + 1)]
-    masses = [math.log((v - y) / (v - z)) for y, z in zip(ys, ys[1:])]
-    total = sum(masses)
-    return FiniteDist(tuple((y, p / total) for y, p in zip(ys, masses)))
+    ys = top * np.arange(resolution + 1) / resolution
+    masses = [math.log(x) for x in ((v - ys[:-1]) / (v - ys[1:])).tolist()]
+    return FiniteDist(ys[:-1], np.array(masses) / sum(masses))
 
 
 def fpa_deviation_generator(resolution: int = 200):
@@ -377,11 +371,25 @@ def discriminatory_deviation(own_valuation: MarginalValuation, m: int,
                              resolution: int = 200) -> FiniteDist:
     """Multi-unit discriminatory deviation certifying (1 - 1/e, 1)-semi-
     smoothness: one shared draw u ~ U[0,1] sets the bid v_j (1 - e^{-u}) on
-    every unit j, keeping marginal bids non-increasing."""
-    marginals = own_valuation.marginals_list(m)
-    scales = [1.0 - math.exp(-(k / resolution)) for k in range(resolution)]
-    return FiniteDist(tuple((BidVector([vj * scale for vj in marginals], m),
-                             1.0 / resolution) for scale in scales))
+    every unit j, keeping marginal bids non-increasing. The support is one
+    BidBatch, row k the valuation's runs scaled by 1 - e^{-k/res}, merged as
+    BidVector merges them: zero bids are padding, and runs whose bids round
+    to one value are one run."""
+    values = np.array([v for v, _ in own_valuation.runs], dtype=float)
+    counts = np.array([c for _, c in own_valuation.runs], dtype=np.int64)
+    if resolution < 1 or not np.isfinite(values).all() or counts.sum() > m:
+        raise ValueError(f"need at most m = {m} finite marginals and a resolution >= 1")
+    bids = np.array([1.0 - math.exp(-(k / resolution))
+                     for k in range(resolution)])[:, None] * values
+    rows, cols = np.nonzero(bids > 0)
+    # bids are non-increasing: a run starts wherever the bid drops
+    run = np.cumsum(np.diff(bids, prepend=math.inf) < 0, axis=1)[rows, cols] - 1
+    run_bids = np.zeros((resolution, run.max(initial=-1) + 1))
+    run_counts = np.zeros(run_bids.shape, dtype=np.int64)
+    run_bids[rows, run] = bids[rows, cols]
+    np.add.at(run_counts, (rows, run), counts[cols])
+    return FiniteDist(BidBatch(run_bids, run_counts, m - run_counts.sum(axis=1)),
+                      np.full(resolution, 1.0 / resolution))
 
 
 def discriminatory_deviation_generator(m: int, resolution: int = 200):
@@ -436,16 +444,13 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
     """Minimum certificate slack over the domain. Expected deviation
     utilities are cached per (agent, value profile, opponents' actions); each
     is one deviation_utilities call over all atoms, summed as
-    FiniteDist.expect sums."""
+    FiniteDist.expect sums. A NaN slack raises ValueError."""
     min_slack = math.inf
     worst = ((), ())
     checked = n_keys = n_atoms = 0
     for values in domain.value_profiles:
-        devs = []
-        for i in range(game.n_agents):
-            dist = cert.deviation(i, values)
-            devs.append((game.deviation_atoms([a for a, _ in dist.atoms]),
-                         np.array([p for _, p in dist.atoms], dtype=float)))
+        dists = [cert.deviation(i, values) for i in range(game.n_agents)]
+        devs = [(game.deviation_atoms(d.support), d.probs) for d in dists]
         opt = game.opt_welfare(values)
         cache: dict = {}
         for actions in domain.action_profiles():
@@ -461,6 +466,8 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
                     n_atoms += len(probs)
                 lhs += cache[key]
             slack = lhs - cert.lam * opt + cert.mu * rev
+            if math.isnan(slack):
+                raise ValueError(f"NaN slack at values {values}, actions {actions}")
             checked += 1
             if slack < min_slack:
                 min_slack = slack

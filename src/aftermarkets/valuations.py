@@ -88,16 +88,6 @@ class MarginalValuation:
         """Number of explicit marginals >= threshold."""
         return sum(c for v, c in self.runs if v >= threshold)
 
-    def marginals_list(self, m: Optional[int] = None) -> list:
-        out = []
-        for v, c in self.runs:
-            out.extend([v] * c)
-        if m is not None:
-            if len(out) > m:
-                raise ValueError("more explicit marginals than m")
-            out.extend([0] * (m - len(out)))
-        return out
-
     def __eq__(self, other):
         return isinstance(other, MarginalValuation) and self.runs == other.runs
 

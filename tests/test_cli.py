@@ -51,6 +51,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("verify-eq", "m = abc", "invalid literal for int() with base 10: 'abc'"),
     ("verify-eq", "m = 3", "requires m > 3"),
     ("lower-bound-sweep", "ms =", "empty list ''"),
+    ("smooth-audit", "values = inf,0.5",
+     "need a finite value above 5e-324 and a resolution >= 1, not inf and 2000"),
+    ("smooth-audit", "resolution = 0",
+     "need a finite value above 5e-324 and a resolution >= 1, not 1.0 and 0"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, line, detail):
     cfg = tmp_path / "cfg.ini"

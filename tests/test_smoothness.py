@@ -39,9 +39,123 @@ def fpa_cert(resolution=2000, lam=ONE_MINUS_INV_E, mu=1.0):
 
 def test_fpa_deviation_is_a_distribution():
     d = fpa_deviation(1.0, 500)
-    assert sum(p for _, p in d.atoms) == pytest.approx(1.0, abs=1e-12)
-    assert max(a for a, _ in d.atoms) <= ONE_MINUS_INV_E
-    assert fpa_deviation(0.0).atoms == ((0.0, 1.0),)
+    assert sum(d.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert max(d.support) <= ONE_MINUS_INV_E
+    zero = fpa_deviation(0.0)
+    assert (zero.support, zero.probs.tolist()) == ((0.0,), [1.0])
+
+
+def reference_fpa_deviation(own_value, resolution):
+    """fpa_deviation built from Python lists, atom by atom, as support and
+    probability lists: the reference for its arrays."""
+    v = float(own_value)
+    if v <= 0.0:
+        return [0.0], [1.0]
+    top = ONE_MINUS_INV_E * v
+    ys = [top * k / resolution for k in range(resolution + 1)]
+    masses = [math.log((v - y) / (v - z)) for y, z in zip(ys, ys[1:])]
+    total = sum(masses)
+    return ys[:-1], [p / total for p in masses]
+
+
+@given(st.one_of(st.sampled_from((0.0, -0.0, -1.0, 1.0, 0.5, 0.1, 0.7, 5e-324, 1e-323)),
+                 st.floats(-10.0, 1e6)),
+       st.integers(1, 3000))
+@settings(max_examples=150, deadline=None)
+def test_fpa_deviation_matches_list_reference(value, resolution):
+    try:
+        support, probs = reference_fpa_deviation(value, resolution)
+    except ZeroDivisionError:  # the least subnormal: the support reaches v
+        with pytest.raises(ValueError, match="above 5e-324"):
+            fpa_deviation(value, resolution)
+        return
+    d = fpa_deviation(value, resolution)
+    assert [float(y).hex() for y in d.support] == [y.hex() for y in support]
+    assert [p.hex() for p in d.probs.tolist()] == [p.hex() for p in probs]
+
+
+def reference_discriminatory_support(valuation, m, resolution):
+    """One BidVector per scale, batched: the reference for the support of
+    discriminatory_deviation."""
+    marginals = [v for v, c in valuation.runs for _ in range(c)]
+    marginals += [0] * (m - len(marginals))
+    scales = [1.0 - math.exp(-(k / resolution)) for k in range(resolution)]
+    return BidBatch.of([BidVector([vj * s for vj in marginals], m) for s in scales])
+
+
+@st.composite
+def ulp_valuations(draw, m):
+    """Marginals with equal runs, zero runs and neighbours one ulp apart,
+    whose scaled bids may round to one value."""
+    marginals = []
+    for v in draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0, 0.3, 1e-300)),
+                                     st.floats(0.0, 1e3)), max_size=m)):
+        marginals += [v] * draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            marginals.append(float(np.nextafter(v, 0.0)))
+    return MarginalValuation(sorted(marginals, reverse=True))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_discriminatory_deviation_matches_bid_vectors(data):
+    m = data.draw(st.integers(1, 8))
+    resolution = data.draw(st.integers(1, 400))
+    valuation = data.draw(ulp_valuations(m))
+    if valuation.n_explicit > m:
+        with pytest.raises(ValueError, match=f"at most m = {m} finite"):
+            discriminatory_deviation(valuation, m, resolution)
+        return
+    d = discriminatory_deviation(valuation, m, resolution)
+    ref = reference_discriminatory_support(valuation, m, resolution)
+    for name in ("run_bids", "run_counts", "tail"):
+        fast, slow = getattr(d.support, name), getattr(ref, name)
+        assert (fast.dtype, fast.shape) == (slow.dtype, slow.shape)
+        assert fast.tobytes() == slow.tobytes()
+    assert d.probs.tolist() == [1.0 / resolution] * resolution
+
+
+def test_discriminatory_deviation_merges_rounded_runs():
+    # 0.9 and its lower neighbour scale to one bid at 50 of the 300 scales
+    valuation = MarginalValuation([0.9, float(np.nextafter(0.9, 0.0)), 0.0])
+    support = discriminatory_deviation(valuation, 4, 300).support
+    ref = reference_discriminatory_support(valuation, 4, 300)
+    assert support.run_counts.shape == (300, 2)
+    assert (support.run_counts[:, 0] == 2).sum() == 50
+    assert support.run_counts.tobytes() == ref.run_counts.tobytes()
+    assert support.tail.tolist() == ref.tail.tolist()
+    assert support.tail[0] == 4  # the scale-0 row is all padding
+    empty = discriminatory_deviation(MarginalValuation([]), 3, 5).support
+    assert empty.run_bids.shape == (5, 0) and empty.tail.tolist() == [3] * 5
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fpa_deviation(math.inf),
+    lambda: fpa_deviation(-math.inf),
+    lambda: fpa_deviation(math.nan),
+    lambda: fpa_deviation(1.0, 0),
+    lambda: fpa_deviation(0.0, -1),
+    lambda: discriminatory_deviation(MarginalValuation([math.inf, 1.0]), 2),
+    lambda: discriminatory_deviation(MarginalValuation([1.0]), 2, 0),
+])
+def test_deviation_builders_reject_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_check_smooth_rejects_nan_slack():
+    with pytest.raises(ValueError, match="need a finite value"):
+        check_smooth(SingleItemFirstPrice(2), fpa_cert(),
+                     CheckDomain(((math.inf, 0.5),), (BID_GRID, BID_GRID)))
+
+    # an infinite value makes lhs and lam * OPT both infinite
+    def bid_zero(agent, value_profile):
+        return FiniteDist.point(0.0)
+    cert = SmoothnessCertificate(0.5, 1.0, bid_zero)
+    with pytest.raises(ValueError, match=r"NaN slack at values \(inf, 0.5\), "
+                                         r"actions \(0.0, 0.0\)"):
+        check_smooth(SingleItemFirstPrice(2), cert,
+                     CheckDomain(((math.inf, 0.5),), ((0.0,), (0.0,))))
 
 
 def test_fpa_certificate_passes():
@@ -99,6 +213,43 @@ def test_lifting_preserves_slack_exactly():
     assert r2.min_slack == pytest.approx(base.min_slack, abs=1e-12)
 
 
+def wrapping_lift(cert, rounds):
+    """A lift that wraps every atom of the deviation in a LiftedAction opting
+    out of each of `rounds` resale rounds: the reference for the identity
+    lift."""
+    def gen(agent, own_value):
+        dist = cert.generator(agent, own_value)
+        return FiniteDist(tuple(LiftedAction(dist.support[j], (OPT_OUT,) * rounds)
+                                for j in range(len(dist.probs))), dist.probs)
+    return SmoothnessCertificate(cert.lam, cert.mu, gen)
+
+
+@pytest.mark.parametrize("rounds", (1, 2))
+@pytest.mark.parametrize("market", ("single", "discriminatory"))
+def test_identity_lift_matches_wrapped_atoms(market, rounds):
+    if market == "single":
+        game, cert = LiftedGame(SingleItemFirstPrice(2), rounds), fpa_cert(500)
+        values = ((1.0, 0.1), (1.0, 0.5), (0.7, 0.7))
+        bids = (0.0, 0.4, 0.6)
+    else:
+        m = 2
+        game = LiftedGame(MultiUnitDiscriminatory(2, m), rounds)
+        cert = SmoothnessCertificate(ONE_MINUS_INV_E, 1.0,
+                                     discriminatory_deviation_generator(m, 60))
+        values = ((MarginalValuation([1.0, 0.5]), MarginalValuation([0.8])),
+                  (MarginalValuation([2.0, 2.0]), MarginalValuation([])))
+        bids = (BidVector([], m), BidVector([0.5, 0.3]), BidVector.flat(1.0, 2, m))
+    plans = (RoundAction(0.9), RoundAction(0.2, 0.5), OPT_OUT)
+    actions = bids[:1] + tuple(LiftedAction(b, (p,) * rounds)
+                               for b in bids[1:] for p in plans)
+    dom = CheckDomain(values, (actions, actions))
+    lifted = check_smooth(game, lift_certificate_to_combined(cert), dom)
+    wrapped = check_smooth(game, wrapping_lift(cert, rounds), dom)
+    assert lifted == wrapped and lifted.min_slack.hex() == wrapped.min_slack.hex()
+    assert lifted.n_deviation_atoms == lifted.n_deviation_keys * len(
+        cert.generator(0, values[0][0]).probs)
+
+
 def test_combined_game_resale_actually_trades():
     game = CombinedSingleItemGame(2, rounds=1)
     actions = (LiftedAction(0.5, (RoundAction(seller_price=0.8),)),
@@ -151,8 +302,7 @@ def test_full_information_generator_rejected_by_semi_check():
 def test_all_pay_certificate():
     def gen(agent, own_value):
         res = 500
-        return FiniteDist(tuple((own_value * k / res, 1.0 / res)
-                                for k in range(res)))
+        return FiniteDist(own_value * np.arange(res) / res, np.full(res, 1.0 / res))
     cert = SmoothnessCertificate(0.5, 1.0, gen, "all-pay")
     game = SingleItemAllPay(2)
     dom = CheckDomain(((1.0, 0.5), (0.8, 0.8)), (BID_GRID, BID_GRID))
@@ -177,10 +327,24 @@ def test_uniform_price_not_smooth():
 
 def test_finite_dist_validation():
     with pytest.raises(ValueError):
-        FiniteDist(((0.0, 0.7), (1.0, 0.2)))
-    d = FiniteDist(((2.0, 0.25), (4.0, 0.75)))
+        FiniteDist((0.0, 1.0), np.array([0.7, 0.2]))
+    d = FiniteDist(np.array([2.0, 4.0]), np.array([0.25, 0.75]))
     assert d.expect(lambda x: x) == pytest.approx(3.5)
-    assert d.map(lambda x: 2 * x).atoms == ((4.0, 0.25), (8.0, 0.75))
+    batch = FiniteDist(BidBatch.of([BidVector([1.0, 0.5]), BidVector([2.0])]),
+                       np.array([0.5, 0.5]))
+    assert batch.expect(lambda bv: bv.runs[0][0]) == 1.5
+
+
+@pytest.mark.parametrize("support, probs", [
+    ((0.0,), [math.nan]),
+    ((0.0, 1.0), [math.nan, 1.0]),
+    ((0.0, 1.0), [1.0, math.nan]),
+    ((0.0, 1.0), [1.5, -0.5]),
+    ((0.0, 1.0), [1.0]),
+])
+def test_finite_dist_rejects_nan_negative_and_unmatched_probabilities(support, probs):
+    with pytest.raises(ValueError):
+        FiniteDist(support, np.array(probs))
 
 
 def test_generator_arity_checked_at_construction():
@@ -222,9 +386,10 @@ def test_check_smooth_sums_atoms_in_order():
     for actions in product(bids, bids):
         lhs = 0.0
         for i in range(2):
+            dist = cert.deviation(i, values)
             lhs += sum(p * game.utilities_and_revenue(
                 values, actions[:i] + (d,) + actions[i + 1:])[0][i]
-                for d, p in cert.deviation(i, values).atoms)
+                for d, p in zip(dist.support.tolist(), dist.probs.tolist()))
         rev = game.utilities_and_revenue(values, actions)[1]
         slacks.append(lhs - cert.lam * max(values) + cert.mu * rev)
     assert rep.min_slack == min(slacks)

@@ -23,7 +23,6 @@ def test_marginal_valuation_basics():
     assert v.marginal(3) == 0.5
     assert v.marginal(4) == 0
     assert v.count_ge(1.5) == 3
-    assert v.marginals_list(6) == [2.0, 1.5, 1.5, 0.5, 0, 0]
 
 
 def test_marginal_valuation_rejects_increasing():
