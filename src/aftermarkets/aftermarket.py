@@ -1,6 +1,9 @@
 """Post-auction trade: signaling, take-it-or-leave-it posted resale (global,
 per-group, or winner-led) through `_sell`, the game's one posted sale (the
-posted primary mechanism runs it too), and the trade-mechanism axioms."""
+posted primary mechanism runs it too), and the trade-mechanism axioms.
+Resale reads who sells as a column of one seller per row
+(`ResaleSpec.sales`): constant for fixed groups, the largest holder for
+winner-led resale, so both run one sale loop over every row of a batch."""
 
 from __future__ import annotations
 
@@ -83,13 +86,20 @@ _TRUTHFUL_BUYER = ThresholdBuyer()
 
 @dataclass(frozen=True)
 class ResaleSpec:
-    """Sellers and buyer visiting orders. `groups` partition the agents into
-    (seller, ordered buyers) blocks; `winner_led=True` instead makes the agent
-    holding the largest allocation the seller and everyone else a buyer in
-    index order (single-item resale)."""
+    """Sellers and buyer visiting orders. `groups` are disjoint (seller,
+    ordered buyers) blocks of distinct agents; `winner_led=True` instead
+    makes the agent holding the largest allocation the seller and everyone
+    else a buyer in index order (single-item resale). Raises ValueError for
+    groups that repeat an agent or name a negative index."""
 
     groups: tuple[tuple[int, tuple[int, ...]], ...] = ()
     winner_led: bool = False
+
+    def __post_init__(self):
+        agents = [i for seller, buyers in self.groups for i in (seller, *buyers)]
+        if len(set(agents)) < len(agents) or any(i < 0 for i in agents):
+            raise ValueError("resale groups must be disjoint blocks of distinct "
+                             "nonnegative agent indices")
 
     @classmethod
     def single(cls, seller: int, buyers: Sequence[int]) -> "ResaleSpec":
@@ -99,15 +109,22 @@ class ResaleSpec:
     def winner_resale(cls) -> "ResaleSpec":
         return cls(winner_led=True)
 
-    def resolved_groups(self, initial: Allocation):
+    def sales(self, initial: np.ndarray) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+        """The sales on the K x n holdings `initial`: per group, the seller
+        of each row (-1: no sale in that row) and the buyers in visiting
+        order. A fixed group's seller is the same in every row. Winner-led,
+        a row's largest holder sells, ties going to the lowest index, to
+        every other agent in index order; a row where nobody holds a unit
+        has no sale. Raises ValueError for a group naming an agent >= n."""
+        n = initial.shape[1]
         if not self.winner_led:
-            return self.groups
-        n = len(initial)
-        holder = max(range(n), key=lambda i: (initial[i], -i))
-        if initial[holder] == 0:
-            return ()
-        buyers = tuple(i for i in range(n) if i != holder)
-        return ((holder, buyers),)
+            if any(i >= n for seller, buyers in self.groups for i in (seller, *buyers)):
+                raise ValueError(f"resale groups name an agent outside the {n} agents")
+            return [(np.full(len(initial), seller), buyers)
+                    for seller, buyers in self.groups]
+        holder = np.argmax(initial, axis=1)
+        return [(np.where(initial.max(axis=1) > 0, holder, -1),
+                 tuple(range(n)))]
 
 
 def _distinct_rows(columns: Sequence[np.ndarray]):
@@ -134,81 +151,68 @@ def run_posted_resale(initial: np.ndarray, spec: ResaleSpec,
     K x n auction allocations (rows may differ) and `valuations` one batch
     of K rows per agent; a single profile is a batch of one.
 
-    In each group the seller offers her whole holding at her posted
-    per-unit price, a float or one per row (inf: no offer), in one `_sell`.
-    Winner-led groups are resolved per distinct initial row; the prices and
-    the ThresholdBuyer thresholds given per row follow their rows. Transfers sum
-    to zero by construction. Raises ValueError for a negative or NaN price
-    of a seller, or for a row that holds a negative count or sells more
-    than m units."""
+    Each sale of `spec.sales` is one `_sell` over every row: the row's
+    seller offers her whole holding at her posted per-unit price, a float or
+    one per row (inf: no offer); fixed groups and winner-led resale differ
+    only in their seller column. ThresholdBuyer thresholds may be given per
+    row. Transfers sum to zero by construction. Raises ValueError for a
+    negative or NaN price in a row where its agent sells, for a row that
+    holds a negative count or sells more than m units, or for a group that
+    names an agent outside the n."""
     initial = np.asarray(initial, dtype=np.int64)
     if initial.size and (np.minimum.reduce(initial, axis=None) < 0
                          or np.maximum.reduce(initial.sum(axis=1)) > m):
         raise ValueError("initial holdings must be nonnegative and sell at most m units")
     counts = initial.copy()
     transfers = np.zeros(counts.shape)
-    if not spec.winner_led:
-        _resell(spec.groups, counts, transfers, seller_prices, buyer_policies,
-                valuations)
-        return TradeOutcome(counts, transfers)
-    first, inverse = _distinct_rows(list(initial.T))
-    for g, j in enumerate(first.tolist()):
-        groups = spec.resolved_groups(Allocation(tuple(initial[j].tolist())))
-        rows = np.flatnonzero(inverse == g)
-        sub_counts, sub_transfers = counts[rows], transfers[rows]
-        _resell(groups, sub_counts, sub_transfers,
-                {i: p[rows] if np.ndim(p) else p for i, p in seller_prices.items()},
-                {i: ThresholdBuyer(p.threshold[rows]) if isinstance(p, ThresholdBuyer)
-                 and np.ndim(p.threshold) else p for i, p in buyer_policies.items()},
-                [v.take(rows) for v in valuations])
-        counts[rows], transfers[rows] = sub_counts, sub_transfers
-    return TradeOutcome(counts, transfers)
-
-
-def _resell(groups, counts: np.ndarray, transfers: np.ndarray,
-            seller_prices: Mapping[int, object], buyer_policies: Mapping[int, object],
-            valuations: Sequence[ValuationBatch]) -> None:
-    """The trades of `groups` on every row, in place."""
-    for seller, buyers in groups:
-        price = np.broadcast_to(np.asarray(seller_prices.get(seller, NO_OFFER),
-                                           dtype=float), len(counts))
+    rows = np.arange(len(counts))
+    for seller, buyers in spec.sales(initial):
+        price = np.full(len(counts), NO_OFFER)  # no seller: no offer
+        for s in np.unique(seller[seller >= 0]).tolist():
+            price = np.where(seller == s, seller_prices.get(s, NO_OFFER), price)
         if not (price >= 0).all():  # also NaN
             raise ValueError("seller price must be nonnegative")
         offered = price < math.inf  # inf: no offer, nothing to sell or pay
-        _sell(counts, transfers, np.where(offered, counts[:, seller], 0),
-              np.where(offered, price, 0.0), buyers, buyer_policies,
-              valuations, seller)
+        stock = np.where(offered, counts[rows, seller], 0)
+        sold, paid = _sell(counts, transfers, stock, np.where(offered, price, 0.0),
+                           buyers, buyer_policies, valuations, seller)
+        # debited once: the seller's transfer is still 0.0 (groups are
+        # disjoint), and 0.0 - (p1 + p2) is (0.0 - p1) - p2 bit for bit
+        counts[rows, seller] -= sold
+        transfers[rows, seller] -= paid
+    return TradeOutcome(counts, transfers)
 
 
 def _sell(counts: np.ndarray, transfers: np.ndarray, stock: np.ndarray, price,
           buyers: Sequence[int], policies: Mapping[int, object],
-          valuations: Sequence[ValuationBatch], seller: Optional[int] = None) -> None:
-    """One posted sale on every row, in place: `stock` units (one count per
-    row) at the per-unit `price` (a float or one per row). Buyers visit in
-    order, each buying its policy's demand capped by the units left; the
-    seller column, if any, gives up the units and receives the payments.
-    ThresholdBuyer buys as an array operation; any other policy's
-    `quantity(valuation, holding, price, stock)` runs on each row with
-    units left."""
+          valuations: Sequence[ValuationBatch], seller: Optional[np.ndarray] = None):
+    """One posted sale on every row, in place for the buyers: `stock` units
+    (one count per row) at the per-unit `price` (a float or one per row).
+    Buyers visit in order, each buying its policy's demand capped by the
+    units left; no buyer buys in a row where it is the `seller` (a column of
+    one agent per row, if given). Returns the units sold and the payments
+    received per row, the payments added up in buyer order. ThresholdBuyer
+    buys as an array operation; any other policy's `quantity(valuation,
+    holding, price, stock)` runs on each row with units left."""
+    sold = paid = 0
     for b in buyers:
+        left = stock if seller is None else np.where(seller == b, 0, stock)
         policy = policies.get(b, _TRUTHFUL_BUYER)
         if isinstance(policy, ThresholdBuyer):
-            q = policy.quantities(valuations[b], counts[:, b], price, stock)
+            q = policy.quantities(valuations[b], counts[:, b], price, left)
         else:
             q = np.array([
                 policy.quantity(valuations[b].valuation(j), h, p, s) if s > 0 else 0
                 for j, (h, p, s) in enumerate(zip(
                     counts[:, b].tolist(),
-                    np.broadcast_to(price, stock.shape).tolist(),
-                    stock.tolist()))], dtype=np.int64)
-            q = np.maximum(0, np.minimum(q, stock))
+                    np.broadcast_to(price, left.shape).tolist(),
+                    left.tolist()))], dtype=np.int64)
+            q = np.maximum(0, np.minimum(q, left))
         paying = q * price
         counts[:, b] += q
         transfers[:, b] += paying
-        if seller is not None:
-            counts[:, seller] -= q
-            transfers[:, seller] -= paying
-        stock = stock - q
+        sold, paid, stock = sold + q, paid + paying, stock - q
+    return sold, paid
 
 
 def opt_out_outcome(initial: np.ndarray) -> TradeOutcome:

@@ -1,12 +1,14 @@
 """The two-stage game engine: auction, signaling, aftermarket, and utility
 accounting; tensor quadrature or Monte Carlo expectations. The posted primary
-sale and the resale sell by one rule, `aftermarket._sell`."""
+sale and the resale sell by one rule, `aftermarket._sell`. A batch of value
+profiles clears its auction outcomes only where it must, then resells every
+row in one `run_posted_resale` call."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .auctions import (AuctionOutcome, BidVector, _check_reserve,
                        all_pay_single, discriminatory, first_price_single,
                        uniform_price)
 from .valuations import (MarginalValuation, MarketModel, ValuationBatch,
-                         _realizer, cell_nodes, draw_values, realize_batch)
+                         cell_nodes, draw_values, realize_batch)
 
 MECHANISM_KINDS = ("uniform", "discriminatory", "first_price", "all_pay", "posted")
 
@@ -112,9 +114,9 @@ def play(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
     profile plays as a batch of one."""
     if len(strategies) != len(profile):
         raise ValueError("strategy arity does not match profile")
-    (_, outcome, trade, utilities, wel), = _play_rows(
+    (outcome,), _, trade, utilities, wel = _play_rows(
         market, mechanism, protocol, resale, strategies,
-        [ValuationBatch.of([v]) for v in profile], lambda: [profile])
+        [ValuationBatch.of([v]) for v in profile])
     return CombinedOutcome(Allocation(tuple(trade.final_alloc[0].tolist())),
                            outcome.payments, tuple(trade.transfers[0].tolist()),
                            tuple(utilities[0].tolist()), wel[0],
@@ -123,19 +125,18 @@ def play(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
 
 def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
                resale: Optional[ResaleSpec], strategies: Sequence[Strategy],
-               values: Sequence[ValuationBatch],
-               profiles: Callable[[], Iterable[Sequence[MarginalValuation]]]):
-    """Play every row of `values` (one batch per agent; `profiles()` yields
-    the rows as profiles). Constant bids clear once, callable bids row by
-    row, and the posted mechanism sells to all rows in one `_sell`. The rows
-    of each distinct auction outcome resell as one `run_posted_resale`
-    batch. Yields, per distinct outcome, its rows, the AuctionOutcome, the
-    TradeOutcome of those rows, their utilities (rows x agents) and their
-    welfare: each row's values added up by the built-in `sum`, as
-    `allocation.welfare` adds them (it compensates from Python 3.12 on;
-    adding the agents' arrays would not). Raises ValueError for a
-    single-item kind on m != 1, or a posted order that repeats an agent or
-    names one outside the market."""
+               values: Sequence[ValuationBatch]):
+    """Play every row of `values` (one batch per agent). Constant bids clear
+    once, callable bids row by row, and the posted mechanism sells to all
+    rows in one `_sell`; a callable bid or seller price reads row j's
+    valuation as `values[i].valuation(j)`. Every row resells in one
+    `run_posted_resale` call. Returns the distinct AuctionOutcomes, each
+    row's index into them, the TradeOutcome of the rows, their utilities
+    (rows x agents) and their welfare: each row's values added up by the
+    built-in `sum`, as `allocation.welfare` adds them (it compensates from
+    Python 3.12 on; adding the agents' arrays would not). Raises ValueError
+    for a single-item kind on m != 1, or a posted order that repeats an
+    agent or names one outside the market."""
     m, n, n_rows = market.m, len(strategies), len(values[0])
     _check_single_item(mechanism, m)
     # the posted sale reads no bid: there, bids are made (and, per row, kept)
@@ -145,8 +146,8 @@ def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtoc
     per_row = mechanism.kind != "posted" and any(callable(s.bid) for s in strategies)
     row_bids = [None] * n_rows
     if per_row or reads_bids:
-        row_bids = [[s.bid_for(v, m) for s, v in zip(strategies, profile)]
-                    for profile in profiles()]
+        row_bids = [[s.bid_for(v.valuation(j) if callable(s.bid) else None, m)
+                     for s, v in zip(strategies, values)] for j in range(n_rows)]
     if mechanism.kind == "posted":
         order = range(n) if mechanism.posted_order is None else mechanism.posted_order
         if len(set(order)) < len(order) or not set(order) <= set(range(n)):
@@ -155,48 +156,41 @@ def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtoc
         _sell(counts, payments, np.full(n_rows, m), mechanism.posted_price, order,
               {i: _PostedDemand(s.posted_buy) for i, s in enumerate(strategies)
                if s.posted_buy is not None}, values)
-        first, inverse = _distinct_rows([*counts.T, *payments.T])
-        groups = [(AuctionOutcome(Allocation(tuple(counts[j].tolist())),
-                                  tuple(payments[j].tolist()),
-                                  clearing_price=mechanism.posted_price),
-                   np.flatnonzero(inverse == g))
-                  for g, j in enumerate(first.tolist())]
+        first, which = _distinct_rows([*counts.T, *payments.T])
+        outcomes = [AuctionOutcome(Allocation(tuple(counts[j].tolist())),
+                                   tuple(payments[j].tolist()),
+                                   clearing_price=mechanism.posted_price)
+                    for j in first.tolist()]
     elif per_row:
-        keyed = {}
-        for j, bids in enumerate(row_bids):
-            outcome = _run_auction(mechanism, bids, m)
-            key = (outcome.alloc.counts, outcome.payments, outcome.clearing_price)
-            keyed.setdefault(key, (outcome, []))[1].append(j)
-        groups = keyed.values()
+        outcomes = [_run_auction(mechanism, bids, m) for bids in row_bids]
+        which = np.arange(n_rows)
     else:
         bids = [s.bid_for(None, m) for s in strategies]
-        groups = [(_run_auction(mechanism, bids, m), list(range(n_rows)))]
+        outcomes, which = [_run_auction(mechanism, bids, m)], np.zeros(n_rows, dtype=int)
         row_bids = [bids] * n_rows
-    for outcome, rows in groups:
-        group = (values if len(rows) == n_rows
-                 else [v.take(np.array(rows)) for v in values])
-        initial = np.tile(np.array(outcome.alloc.counts, dtype=np.int64),
-                          (len(rows), 1))
-        if resale is None:
-            trade = opt_out_outcome(initial)
-        else:
-            prices = {}
-            for seller, _ in resale.resolved_groups(outcome.alloc):
-                price = strategies[seller].seller_price
-                if callable(price):  # signals are built only for a price that reads them
-                    price = np.array([
-                        price(group[seller].valuation(r),
-                              apply_signal(protocol, outcome, row_bids[j])[seller])
-                        for r, j in enumerate(rows)], dtype=float)
-                prices[seller] = price
-            policies = {i: s.buyer for i, s in enumerate(strategies)}
-            trade = run_posted_resale(initial, resale, prices, policies, group, m)
-        held = [v.value(trade.final_alloc[:, i]) for i, v in enumerate(group)]
-        utilities = np.column_stack([
-            x - p - trade.transfers[:, i]
-            for i, (x, p) in enumerate(zip(held, outcome.payments))])
-        yield (rows, outcome, trade, utilities,
-               [sum(row) for row in np.column_stack(held).tolist()])
+    initial = np.array([o.alloc.counts for o in outcomes], dtype=np.int64)[which]
+    if resale is None:
+        trade = opt_out_outcome(initial)
+    else:
+        prices = {}
+        for seller, _ in resale.sales(initial):
+            for i in np.unique(seller[seller >= 0]).tolist():
+                price = strategies[i].seller_price
+                if callable(price):  # called only in the rows where agent i sells
+                    rows = np.flatnonzero(seller == i).tolist()
+                    asked = [price(values[i].valuation(j), apply_signal(
+                        protocol, outcomes[which[j]], row_bids[j])[i]) for j in rows]
+                    price = np.full(n_rows, NO_OFFER)
+                    price[rows] = asked
+                prices[i] = price
+        policies = {i: s.buyer for i, s in enumerate(strategies)}
+        trade = run_posted_resale(initial, resale, prices, policies, values, m)
+    held = [v.value(trade.final_alloc[:, i]) for i, v in enumerate(values)]
+    payments = np.array([o.payments for o in outcomes], dtype=float)[which]
+    utilities = np.column_stack([x - payments[:, i] - trade.transfers[:, i]
+                                 for i, x in enumerate(held)])
+    return (outcomes, which, trade, utilities,
+            [sum(row) for row in np.column_stack(held).tolist()])
 
 
 # -- expectations ----------------------------------------------------------
@@ -206,6 +200,10 @@ def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtoc
 class MonteCarlo:
     n: int
     seed: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"Monte Carlo needs at least one draw, not n = {self.n}")
 
 
 @dataclass(frozen=True)
@@ -221,6 +219,10 @@ class Quadrature:
 
     subdivide: int = 4
     breakpoints: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.subdivide < 1:
+            raise ValueError(f"subdivide must be at least 1, not {self.subdivide}")
 
 
 Integration = Union[MonteCarlo, Quadrature]
@@ -275,18 +277,12 @@ def expected_outcome(market: MarketModel, mechanism: Mechanism,
         raise ValueError("strategy arity does not match profile")
     wel = rev = wel2 = 0.0
     utils = np.zeros(market.n)
-    realize = _realizer(market.agents)
     for scalars, weights in _node_rows(market, integration):
-        values = realize_batch(market.agents, scalars)
-        row_wel = np.empty(len(scalars))
-        row_rev = np.empty(len(scalars))
-        row_utils = np.empty((len(scalars), market.n))
-        for idx, outcome, _, utilities, welfare in _play_rows(
-                market, mechanism, protocol, resale, strategies, values,
-                lambda: map(realize, scalars.tolist())):
-            row_wel[idx] = welfare
-            row_rev[idx] = outcome.revenue
-            row_utils[idx] = utilities
+        outcomes, which, _, row_utils, welfare = _play_rows(
+            market, mechanism, protocol, resale, strategies,
+            realize_batch(market.agents, scalars))
+        row_wel = np.array(welfare, dtype=float)
+        row_rev = np.array([o.revenue for o in outcomes], dtype=float)[which]
         # Python's x ** 2 (libm pow), as the play() loop squared; numpy
         # squares by x * x, which may round differently
         squares = np.array([x ** 2 for x in row_wel.tolist()])

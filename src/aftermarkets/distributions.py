@@ -166,7 +166,10 @@ class UnitDistribution:
     def cells(self, breakpoints: Sequence[float] = (), subdivide: int = 1):
         """Nodes and weights for E[g(Z)]: one node per atom, and per continuous
         cell the conditional mean with the cell mass as weight. Exact whenever
-        g is linear between consecutive breakpoints."""
+        g is linear between consecutive breakpoints. Raises ValueError for
+        subdivide < 1, which would leave no cell."""
+        if subdivide < 1:
+            raise ValueError(f"subdivide must be at least 1, not {subdivide}")
         nodes, weights = [], []
         for a in self.atoms():
             nodes.append(a.x)

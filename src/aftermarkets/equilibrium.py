@@ -140,8 +140,6 @@ class ConstantActionEvaluator:
         # (i, ()) for each agent outside them, in agent order
         self._blocks = [(seller, tuple(buyers)) for seller, buyers in groups]
         grouped = [i for seller, buyers in self._blocks for i in (seller,) + buyers]
-        if len(set(grouped)) < len(grouped):
-            raise ValueError("fast path requires disjoint resale groups")
         self._blocks += [(i, ()) for i in range(self.market.n) if i not in grouped]
         self._block_of = {i: block for block in self._blocks
                           for i in (block[0],) + block[1]}

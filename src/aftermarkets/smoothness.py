@@ -63,10 +63,6 @@ class FiniteDist:
     def point(cls, action) -> "FiniteDist":
         return cls((action,), np.ones(1))
 
-    def expect(self, fn: Callable[[object], float]) -> float:
-        return _expectation(self.probs,
-                            np.array([fn(a) for a in self.support], dtype=float))
-
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
@@ -443,8 +439,8 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
                  domain: CheckDomain) -> SmoothnessReport:
     """Minimum certificate slack over the domain. Expected deviation
     utilities are cached per (agent, value profile, opponents' actions); each
-    is one deviation_utilities call over all atoms, summed as
-    FiniteDist.expect sums. A NaN slack raises ValueError."""
+    is one deviation_utilities call over all atoms, summed in atom order by
+    `_expectation`. A NaN slack raises ValueError."""
     min_slack = math.inf
     worst = ((), ())
     checked = n_keys = n_atoms = 0

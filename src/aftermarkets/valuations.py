@@ -309,30 +309,17 @@ def draw_values(model: MarketModel, n: int, seed: int) -> np.ndarray:
     return draws
 
 
-def _realizer(models: Sequence[HeadTailModel]):
-    """The map from one scalar per random model, in model order, to the
-    profile of `models`; the non-random models are realized once, here."""
-    fixed = [None if a.random else a.realize() for a in models]
-    dims = [i for i, a in enumerate(models) if a.random]
-
-    def realize(scalars) -> list[MarginalValuation]:
-        profile = list(fixed)
-        for i, x in zip(dims, scalars):
-            profile[i] = models[i].realize(x)
-        return profile
-    return realize
-
-
 def sample_profile(model: MarketModel, seed: int) -> list[MarginalValuation]:
     """The first profile of the Monte Carlo stream `draw_values(model, ., seed)`."""
-    return _realizer(model.agents)(draw_values(model, 1, seed)[0].tolist())
+    return [v.valuation(0) for v in realize_batch(model.agents,
+                                                   draw_values(model, 1, seed))]
 
 
 def realize_batch(models: Sequence[HeadTailModel],
                   scalars: np.ndarray) -> list[ValuationBatch]:
     """The profiles of `models` at every row of `scalars` (rows x random
-    models, in model order), as one `HeadTailModel.batch` per model: the
-    batch twin of `_realizer`."""
+    models, in model order), as one `HeadTailModel.batch` per model; row j
+    of agent i is `models[i].realize` of its scalar, `valuation(j)` away."""
     columns = iter(np.asarray(scalars, dtype=float).T)
     rows = np.zeros(len(scalars))
     return [a.batch(next(columns) if a.random else rows) for a in models]

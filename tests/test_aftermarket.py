@@ -99,9 +99,56 @@ def test_no_offer_keeps_allocation():
 def test_winner_led_resale():
     vals = [MarginalValuation([5.0]), MarginalValuation([1.0])]
     spec = ResaleSpec.winner_resale()
-    groups = spec.resolved_groups(Allocation((0, 1)))
-    assert groups == ((1, (0,)),)
-    assert spec.resolved_groups(Allocation((0, 0))) == ()
+    (seller, buyers), = spec.sales(np.array([(0, 1), (0, 0)]))
+    assert seller.tolist() == [1, -1]  # the second row holds nothing: no sale
+    assert buyers == (0, 1)
+    assert resell(Allocation((0, 1)), spec, {1: 0.5}, {}, vals) == (
+        (1, 0), (0.5, -0.5))
+
+
+def test_winner_led_seller_column():
+    """The largest holder sells, ties going to the lowest index; a row
+    where nobody holds a unit has no sale, and there the would-be seller's
+    price is never read, so a NaN or negative one does not raise."""
+    initial = np.array([(2, 2, 0), (0, 1, 1), (0, 0, 3), (0, 0, 0)])
+    (seller, buyers), = ResaleSpec.winner_resale().sales(initial)
+    assert seller.tolist() == [0, 1, 2, -1]
+    assert buyers == (0, 1, 2)
+    fixed = ResaleSpec(((2, (0,)), (1, ())))
+    assert [(s.tolist(), b) for s, b in fixed.sales(initial)] == [
+        ([2, 2, 2, 2], (0,)), ([1, 1, 1, 1], ())]
+    vals = [ValuationBatch.of([MarginalValuation([3.0, 3.0])] * 4)
+            for _ in range(3)]
+    for bad in (math.nan, -1.0):
+        price = np.array([1.0, 2.0, 0.5, bad])
+        out = run_posted_resale(initial, ResaleSpec.winner_resale(),
+                                {0: price, 1: price, 2: price}, {}, vals, 4)
+        assert out.final_alloc.tolist() == [[0, 2, 2], [1, 0, 1], [2, 1, 0],
+                                            [0, 0, 0]]
+        assert out.transfers.tolist() == [[-2.0, 0.0, 2.0], [2.0, -2.0, 0.0],
+                                          [1.0, 0.5, -1.5], [0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError):  # the seller's own NaN price still raises
+        run_posted_resale(initial, ResaleSpec.winner_resale(),
+                          {0: np.array([math.nan, 2.0, 0.5, 1.0])}, {}, vals, 4)
+
+
+@pytest.mark.parametrize("groups", [
+    ((0, (0, 1)),),             # a seller among its own buyers
+    ((0, (1, 1)),),             # a repeated buyer
+    ((0, (1,)), (2, (1,))),     # two groups sharing an agent
+    ((-1, (0,)),),              # a negative index
+])
+def test_resale_spec_rejects_bad_groups(groups):
+    with pytest.raises(ValueError):
+        ResaleSpec(groups)
+
+
+def test_resale_rejects_agent_past_the_last():
+    vals = [ValuationBatch.of([MarginalValuation([1.0])]) for _ in range(2)]
+    for spec in (ResaleSpec.single(2, (0,)), ResaleSpec.single(0, (1, 2))):
+        with pytest.raises(ValueError):
+            run_posted_resale(np.array([(1, 0)]), spec, {0: 1.0, 2: 1.0}, {},
+                              vals, 1)
 
 
 def test_opt_out_outcome():

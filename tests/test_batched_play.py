@@ -1,7 +1,7 @@
 """The batched two-stage game against per-profile scalar references.
 
 `expected_outcome` plays chunks of value profiles as batches and resells
-each distinct auction outcome in one array-valued `run_posted_resale`; a
+each chunk in one array-valued `run_posted_resale`; a
 posted primary mechanism sells to a whole chunk through the same kernel's
 sale, and the constant-action evaluator integrates its stages through it,
 with (allocation, cell) rows. `expected_optimal_welfare` scores chunks of
@@ -74,6 +74,19 @@ def reference_resale(counts, groups, prices, policies, profile):
     return counts, transfers
 
 
+def reference_groups(resale, counts):
+    """The (seller, buyers) groups of `resale` on one row of holdings:
+    winner-led, the largest holder, ties going to the lowest index, sells to
+    every other agent in index order, and nobody sells when no one holds a
+    unit."""
+    if not resale.winner_led:
+        return resale.groups
+    holder = max(range(len(counts)), key=lambda i: (counts[i], -i))
+    if counts[holder] == 0:
+        return ()
+    return ((holder, tuple(i for i in range(len(counts)) if i != holder)),)
+
+
 def reference_posted_sale(unit_price, order, valuations, m, rules=None):
     """The scalar sequential posted-price sale on one profile: buyers visit
     in `order`; each buys units while the marginal value is >= the price
@@ -110,7 +123,7 @@ def reference_play(market, mechanism, protocol, resale, strategies, profile):
         outcome = _run_auction(mechanism, bids, m)
     counts, transfers = list(outcome.alloc.counts), [0.0] * len(profile)
     if resale is not None:
-        groups = resale.resolved_groups(outcome.alloc)
+        groups = reference_groups(resale, outcome.alloc.counts)
         prices = {}
         for seller, _ in groups:
             price = strategies[seller].seller_price
@@ -519,7 +532,7 @@ def test_resale_batch_rows_match_scalar_loop(rng):
         row_policies = {i: ThresholdBuyer(float(p.threshold[j]))
                         if isinstance(p, ThresholdBuyer) and np.ndim(p.threshold) else p
                         for i, p in policies.items()}
-        groups = spec.resolved_groups(Allocation(tuple(row)))
+        groups = reference_groups(spec, row)
         counts, transfers = reference_resale(row, groups, row_prices, row_policies,
                                              profile)
         assert out.final_alloc[j].tolist() == counts

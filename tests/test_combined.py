@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from aftermarkets.aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
 from aftermarkets.auctions import BidVector, all_pay_single, first_price_single
 from aftermarkets.cli import posted_fails_summary
-from aftermarkets.combined import (Mechanism, MonteCarlo, Quadrature, Strategy,
+from aftermarkets import combined
+from aftermarkets.combined import (CHUNK_ROWS, Mechanism, MonteCarlo,
+                                   Quadrature, Strategy,
                                    expected_optimal_welfare, expected_outcome,
                                    play)
 from aftermarkets.equilibrium import (Action, CombinedGame,
@@ -279,6 +281,47 @@ def test_mechanism_validation():
         Mechanism("vickrey")
     with pytest.raises(ValueError):
         Mechanism("posted")
+
+
+@pytest.mark.parametrize("subdivide", [0, -1])
+def test_quadrature_rejects_subdivide_below_one(subdivide):
+    # no cell would integrate nothing: welfare, E[OPT] and reserves of 0.0
+    with pytest.raises(ValueError):
+        Quadrature(subdivide=subdivide)
+
+
+def test_monte_carlo_rejects_no_draws():
+    with pytest.raises(ValueError):
+        MonteCarlo(0, 1)
+
+
+def test_expected_outcome_resells_once_per_chunk(monkeypatch):
+    """Callable bids clear row by row, yet every row of a chunk resells in
+    one `run_posted_resale` call, winner-led too; a callable resale price is
+    called once per row, by the one agent that sells there."""
+    resale_rows, priced = [], []
+    resell = combined.run_posted_resale
+
+    def counted(initial, *args):
+        resale_rows.append(len(initial))
+        return resell(initial, *args)
+
+    def price(valuation, obs):
+        priced.append(obs)
+        return valuation.marginal(0) + 0.25
+
+    monkeypatch.setattr(combined, "run_posted_resale", counted)
+    bidder = Strategy(bid=lambda v: BidVector([0.5 * v.marginal(0)], 1),
+                      seller_price=price)
+    n = CHUNK_ROWS + 10
+    out = expected_outcome(symmetric_fpa_market(Uniform(0.0, 1.0)),
+                           Mechanism("first_price"), PROTO,
+                           ResaleSpec.winner_resale(), [bidder, bidder],
+                           MonteCarlo(n, 3))
+    assert resale_rows == [CHUNK_ROWS, 10]
+    assert len(priced) == n
+    assert [obs.alloc.counts.count(1) for obs in priced] == [1] * n
+    assert 0.0 < out.welfare < 1.0
 
 
 @pytest.mark.parametrize("protocol", list(SignalProtocol))

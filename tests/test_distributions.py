@@ -94,6 +94,12 @@ def test_cells_integrate_linear_functions_exactly():
         assert float(nodes @ weights) == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize("subdivide", [0, -1])
+def test_cells_reject_subdivide_below_one(subdivide):
+    with pytest.raises(ValueError):
+        lower_bound_z_distribution(10).cells((), subdivide)
+
+
 def test_cells_with_breakpoint_split_piecewise_linear():
     d = lower_bound_z_distribution(10)
     nodes, weights = d.cells((1.0,))

@@ -76,9 +76,8 @@ def test_gap_reports_no_error_estimate():
 
 def test_evaluator_rejects_overlapping_resale_groups():
     game = scripted_lower_bound_equilibrium(10)
-    overlapping = replace(game, resale=ResaleSpec(((2, (0, 1)), (1, (0,)))))
-    with pytest.raises(ValueError):
-        overlapping.evaluator()
+    with pytest.raises(ValueError):  # the spec rejects groups sharing an agent
+        replace(game, resale=ResaleSpec(((2, (0, 1)), (1, (0,))))).evaluator()
 
 
 def test_evaluator_rejects_posted_mechanism():
