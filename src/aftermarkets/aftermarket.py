@@ -90,7 +90,8 @@ class ResaleSpec:
     ordered buyers) blocks of distinct agents; `winner_led=True` instead
     makes the agent holding the largest allocation the seller and everyone
     else a buyer in index order (single-item resale). Raises ValueError for
-    groups that repeat an agent or name a negative index."""
+    groups that repeat an agent or name a negative index, and for groups
+    together with `winner_led`."""
 
     groups: tuple[tuple[int, tuple[int, ...]], ...] = ()
     winner_led: bool = False
@@ -100,6 +101,13 @@ class ResaleSpec:
         if len(set(agents)) < len(agents) or any(i < 0 for i in agents):
             raise ValueError("resale groups must be disjoint blocks of distinct "
                              "nonnegative agent indices")
+        if self.winner_led and self.groups:
+            raise ValueError("winner-led resale takes no groups")
+
+    def check_agents(self, n: int) -> None:
+        """Raise ValueError if a group names an agent >= n."""
+        if any(i >= n for seller, buyers in self.groups for i in (seller, *buyers)):
+            raise ValueError(f"resale groups name an agent outside the {n} agents")
 
     @classmethod
     def single(cls, seller: int, buyers: Sequence[int]) -> "ResaleSpec":
@@ -117,9 +125,8 @@ class ResaleSpec:
         every other agent in index order; a row where nobody holds a unit
         has no sale. Raises ValueError for a group naming an agent >= n."""
         n = initial.shape[1]
+        self.check_agents(n)
         if not self.winner_led:
-            if any(i >= n for seller, buyers in self.groups for i in (seller, *buyers)):
-                raise ValueError(f"resale groups name an agent outside the {n} agents")
             return [(np.full(len(initial), seller), buyers)
                     for seller, buyers in self.groups]
         holder = np.argmax(initial, axis=1)

@@ -37,6 +37,11 @@ class Mechanism:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.kind == "posted" and self.posted_price is None:
             raise ValueError("posted mechanism needs a price")
+        if self.kind != "uniform" and self.reserve is not None:
+            raise ValueError(f"a {self.kind} mechanism takes no reserve")
+        if self.kind != "posted" and (self.posted_price is not None
+                                      or self.posted_order is not None):
+            raise ValueError(f"a {self.kind} mechanism takes no posted price or order")
         _check_reserve(self.reserve)
         if self.posted_price is not None and not 0 <= self.posted_price < math.inf:
             raise ValueError("posted price must be finite and nonnegative")

@@ -17,8 +17,8 @@ stages a call needs resell together: one array-valued `run_posted_resale`
 call, the rule `play()` and `expected_outcome` use too, takes every
 (allocation, seller price, buyer thresholds, cell) row, so a gap's bid
 deviations take one resale call and its price and threshold deviations
-another, and best-response dynamics and the dominance witnesses ask for
-their stages a list at a time. The first-price check
+another, best-response dynamics ask for a row of one agent's action set at
+a time, and the dominance witnesses a list. The first-price check
 draws its value pairs with `draw_values`, the Monte Carlo rule of
 `expected_outcome`, and evaluates the exact bid once per check, on a table
 it then interpolates.
@@ -78,13 +78,9 @@ class CombinedGame:
     protocol: SignalProtocol = SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT
 
     def strategies(self) -> tuple[Strategy, ...]:
-        out = []
-        for a in self.base_actions:
-            out.append(Strategy(
-                bid=a.bid,
-                seller_price=NO_OFFER if a.seller_price is None else a.seller_price,
-                buyer=ThresholdBuyer(a.buyer_threshold)))
-        return tuple(out)
+        return tuple(Strategy(
+            bid=a.bid, seller_price=NO_OFFER if a.seller_price is None else a.seller_price,
+            buyer=ThresholdBuyer(a.buyer_threshold)) for a in self.base_actions)
 
     def evaluator(self) -> "ConstantActionEvaluator":
         return ConstantActionEvaluator(self)
@@ -135,6 +131,7 @@ class ConstantActionEvaluator:
         if game.resale is not None:
             if game.resale.winner_led:
                 raise ValueError("fast path requires fixed resale groups")
+            game.resale.check_agents(self.market.n)
             groups = game.resale.groups
         # (seller, ordered buyers): the resale groups in spec order, then
         # (i, ()) for each agent outside them, in agent order
@@ -543,33 +540,27 @@ class DominanceReport:
 STRICT_MARGIN = 1e-9
 
 
-def weak_dominance_witnesses(game: CombinedGame, agent: int, alternative: Action,
+def weak_dominance_witnesses(evaluator: ConstantActionEvaluator, agent: int,
+                             alternative: Action,
                              witnesses: Sequence[Mapping[int, Action]],
-                             labels: Optional[Sequence[str]] = None,
-                             evaluator: Optional[ConstantActionEvaluator] = None
+                             labels: Optional[Sequence[str]] = None
                              ) -> DominanceReport:
     """Compare the scripted action against `alternative` on each witness
     opponent profile: the alternative does not weakly dominate the scripted
     action if the scripted one is strictly better somewhere and never worse.
-    The utilities are scored in one `utilities` call of `evaluator`, by
-    default a new evaluator of `game`."""
+    The utilities are scored in one `evaluator.utilities` call."""
     profiles = []
     for wit in witnesses:
         overrides = dict(wit)
         overrides.pop(agent, None)
         profiles += [overrides, {**overrides, agent: alternative}]
-    utils = (evaluator or game.evaluator()).utilities(agent, profiles).tolist()
-    rows = []
-    strict = False
-    never_worse = True
-    for j, (u_script, u_alt) in enumerate(zip(utils[::2], utils[1::2])):
-        label = labels[j] if labels else f"witness{j}"
-        rows.append(WitnessRow(label, u_script, u_alt))
-        if u_script > u_alt + STRICT_MARGIN:
-            strict = True
-        if u_script < u_alt - STRICT_MARGIN:
-            never_worse = False
-    return DominanceReport(agent, tuple(rows), strict, never_worse)
+    utils = evaluator.utilities(agent, profiles).tolist()
+    pairs = list(zip(utils[::2], utils[1::2]))  # (scripted, alternative)
+    rows = tuple(WitnessRow(labels[j] if labels else f"witness{j}", u, alt)
+                 for j, (u, alt) in enumerate(pairs))
+    return DominanceReport(agent, rows,
+                           any(u > alt + STRICT_MARGIN for u, alt in pairs),
+                           not any(u < alt - STRICT_MARGIN for u, alt in pairs))
 
 
 def dominance_witness_suite(game: CombinedGame):
@@ -620,8 +611,7 @@ def run_dominance_suite(game: CombinedGame) -> list[tuple[str, DominanceReport]]
     """Every case of `dominance_witness_suite`, all scored on one evaluator,
     so a block's cells are cut once per distinct cut."""
     ev = game.evaluator()
-    return [(label, weak_dominance_witnesses(game, agent, alt, wits, labels=[label],
-                                             evaluator=ev))
+    return [(label, weak_dominance_witnesses(ev, agent, alt, wits, labels=[label]))
             for label, agent, alt, wits in dominance_witness_suite(game)]
 
 
@@ -810,7 +800,10 @@ def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
 
 
 class TabularGame:
-    """Finite game interface for best-response dynamics."""
+    """Finite game interface for best-response dynamics. `utilities(agent,
+    profile)` is the agent's row: its utility for every action of
+    `action_set(agent)`, in set order, against the others' actions in
+    `profile` (the agent's own entry is ignored)."""
 
     @property
     def n_agents(self) -> int:
@@ -819,11 +812,8 @@ class TabularGame:
     def action_set(self, agent: int) -> Sequence:
         raise NotImplementedError
 
-    def utility(self, agent: int, actions: tuple) -> float:
+    def utilities(self, agent: int, profile: tuple) -> Sequence[float]:
         raise NotImplementedError
-
-    def utilities(self, agent: int, profiles: Sequence[tuple]) -> list[float]:
-        return [self.utility(agent, actions) for actions in profiles]
 
 
 class CombinedTabularGame(TabularGame):
@@ -833,7 +823,7 @@ class CombinedTabularGame(TabularGame):
         self.game = game
         self._sets = [list(s) for s in action_sets]
         self._ev = game.evaluator()
-        self._cache: dict = {}
+        self._rows: dict = {}
 
     @property
     def n_agents(self) -> int:
@@ -842,17 +832,16 @@ class CombinedTabularGame(TabularGame):
     def action_set(self, agent: int):
         return self._sets[agent]
 
-    def utility(self, agent: int, actions: tuple) -> float:
-        return self.utilities(agent, [actions])[0]
-
-    def utilities(self, agent: int, profiles: Sequence[tuple]) -> list[float]:
-        """utility(agent, actions) for every actions in `profiles`; those not
-        yet cached are scored in one `ConstantActionEvaluator.utilities` call."""
-        todo = [a for a in profiles if (agent, a) not in self._cache]
-        if todo:
-            utils = self._ev.utilities(agent, [dict(enumerate(a)) for a in todo])
-            self._cache.update(zip([(agent, a) for a in todo], utils.tolist()))
-        return [self._cache[(agent, a)] for a in profiles]
+    def utilities(self, agent: int, profile: tuple) -> tuple[float, ...]:
+        """The agent's row, kept per (agent, others' actions); a new row is
+        scored in one `ConstantActionEvaluator.utilities` call over the
+        action set."""
+        key = (agent, profile[:agent] + profile[agent + 1:])
+        if key not in self._rows:
+            others = dict(enumerate(profile))
+            self._rows[key] = tuple(self._ev.utilities(
+                agent, [{**others, agent: a} for a in self._sets[agent]]).tolist())
+        return self._rows[key]
 
     def expected_welfare(self, actions: tuple) -> float:
         return self._ev.expected_welfare({i: a for i, a in enumerate(actions)})
@@ -860,6 +849,10 @@ class CombinedTabularGame(TabularGame):
 
 @dataclass(frozen=True)
 class BrdResult:
+    """`n_converged` counts the distinct fixed points, `n_cycles` the starts
+    that revisit a profile without converging; a start that reaches
+    `BRD_MAX_ITERS` rounds without revisiting a profile is in neither."""
+
     fixed_points: tuple[tuple, ...]
     n_converged: int
     n_cycles: int
@@ -871,38 +864,35 @@ BRD_MAX_ITERS = 200
 
 
 def best_response_dynamics(game: TabularGame, inits: Sequence[tuple]) -> BrdResult:
-    """Iterated argmax best responses; returns the distinct fixed points and a
-    cycle diagnostic for runs that revisit a profile without converging."""
-    fixed: list[tuple] = []
-    iters = []
-    cycles = 0
+    """Iterated best responses; returns the distinct fixed points and a
+    cycle diagnostic for runs that revisit a profile without converging.
+    Each agent step reads the agent's row once and switches only to an
+    action that beats the running best, starting at the current action, by
+    more than 1e-12 * max(1, |u|): the first such action in set order. An
+    init action outside its agent's set raises ValueError."""
+    fixed, iters, cycles = [], [], 0
     for init in inits:
         profile = tuple(init)
         seen = {profile}
-        converged = False
-        it = 0
         for it in range(1, BRD_MAX_ITERS + 1):
             changed = False
             for i in range(game.n_agents):
-                current = profile[i]
-                others = [a for a in game.action_set(i) if a != current]
-                utils = game.utilities(i, [profile] + [profile[:i] + (a,) + profile[i + 1:]
-                                                       for a in others])
-                best_u, best_a = utils[0], current
-                for a, u in zip(others, utils[1:]):
-                    if u > best_u + 1e-12 * max(1.0, abs(best_u)):
-                        best_u, best_a = u, a
-                if best_a != current:
-                    profile = profile[:i] + (best_a,) + profile[i + 1:]
+                actions = game.action_set(i)
+                row = game.utilities(i, profile)
+                current = best = actions.index(profile[i])
+                for j, u in enumerate(row):
+                    if u > row[best] + 1e-12 * max(1.0, abs(row[best])):
+                        best = j
+                if best != current:
+                    profile = profile[:i] + (actions[best],) + profile[i + 1:]
                     changed = True
             if not changed:
-                converged = True
+                if profile not in fixed:
+                    fixed.append(profile)
                 break
             if profile in seen:
                 cycles += 1
                 break
             seen.add(profile)
         iters.append(it)
-        if converged and profile not in fixed:
-            fixed.append(profile)
     return BrdResult(tuple(fixed), len(fixed), cycles, tuple(iters))

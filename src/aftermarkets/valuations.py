@@ -137,9 +137,6 @@ class ValuationBatch:
     def __len__(self) -> int:
         return len(self.run_values)
 
-    def take(self, rows: np.ndarray) -> "ValuationBatch":
-        return ValuationBatch(self.run_values[rows], self.run_counts[rows])
-
     def valuation(self, j: int) -> MarginalValuation:
         return MarginalValuation.from_runs(tuple(zip(self.run_values[j].tolist(),
                                                      self.run_counts[j].tolist())))

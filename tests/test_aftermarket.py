@@ -143,6 +143,11 @@ def test_resale_spec_rejects_bad_groups(groups):
         ResaleSpec(groups)
 
 
+def test_resale_spec_rejects_groups_when_winner_led():
+    with pytest.raises(ValueError):  # sales() would ignore the groups
+        ResaleSpec(((0, (1,)),), winner_led=True)
+
+
 def test_resale_rejects_agent_past_the_last():
     vals = [ValuationBatch.of([MarginalValuation([1.0])]) for _ in range(2)]
     for spec in (ResaleSpec.single(2, (0,)), ResaleSpec.single(0, (1, 2))):

@@ -10,8 +10,8 @@ from aftermarkets.aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
 from aftermarkets.auctions import BidVector, all_pay_single, first_price_single
 from aftermarkets.cli import posted_fails_summary
 from aftermarkets import combined
-from aftermarkets.combined import (CHUNK_ROWS, Mechanism, MonteCarlo,
-                                   Quadrature, Strategy,
+from aftermarkets.combined import (CHUNK_ROWS, MECHANISM_KINDS, Mechanism,
+                                   MonteCarlo, Quadrature, Strategy,
                                    expected_optimal_welfare, expected_outcome,
                                    play)
 from aftermarkets.equilibrium import (Action, CombinedGame,
@@ -281,6 +281,21 @@ def test_mechanism_validation():
         Mechanism("vickrey")
     with pytest.raises(ValueError):
         Mechanism("posted")
+
+
+@pytest.mark.parametrize("kind", [k for k in MECHANISM_KINDS if k != "uniform"])
+def test_mechanism_rejects_reserve_outside_uniform(kind):
+    # a discriminatory reserve of 5 would be ignored: both units sold at bids of 1
+    with pytest.raises(ValueError):
+        Mechanism(kind, reserve=5.0, posted_price=1.0 if kind == "posted" else None)
+
+
+@pytest.mark.parametrize("kind", [k for k in MECHANISM_KINDS if k != "posted"])
+@pytest.mark.parametrize("setting", [{"posted_price": 1.0}, {"posted_order": (1, 0)},
+                                     {"posted_order": ()}])
+def test_mechanism_rejects_posted_settings_outside_posted(kind, setting):
+    with pytest.raises(ValueError):
+        Mechanism(kind, **setting)
 
 
 @pytest.mark.parametrize("subdivide", [0, -1])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import fields, replace
@@ -12,7 +13,7 @@ from aftermarkets.auctions import BidBatch, BidVector
 from aftermarkets.combined import Mechanism
 from aftermarkets.distributions import (PiecewiseCdf, SegmentSpec, Uniform,
                                         lower_bound_z_distribution)
-from aftermarkets.equilibrium import (Action, CombinedTabularGame,
+from aftermarkets.equilibrium import (BRD_MAX_ITERS, Action, CombinedTabularGame,
                                       DeviationGrid, SymmetricFpaReport,
                                       TabularGame, _bid_table_nodes,
                                       _legendre64, _tabulated_fpa_bid,
@@ -78,6 +79,13 @@ def test_evaluator_rejects_overlapping_resale_groups():
     game = scripted_lower_bound_equilibrium(10)
     with pytest.raises(ValueError):  # the spec rejects groups sharing an agent
         replace(game, resale=ResaleSpec(((2, (0, 1)), (1, (0,))))).evaluator()
+
+
+def test_evaluator_rejects_resale_group_past_last_agent():
+    game = replace(scripted_lower_bound_equilibrium(10),
+                   resale=ResaleSpec.single(5, (0, 1)))
+    with pytest.raises(ValueError):  # at construction, not at the first utility
+        game.evaluator()
 
 
 def test_evaluator_rejects_posted_mechanism():
@@ -290,9 +298,10 @@ class MatchingPennies(TabularGame):
     def action_set(self, agent):
         return ["H", "T"]
 
-    def utility(self, agent, actions):
-        same = actions[0] == actions[1]
-        return (1.0 if same else 0.0) if agent == 0 else (0.0 if same else 1.0)
+    def utilities(self, agent, profile):
+        # agent 0 wants to match agent 1's coin, agent 1 to differ from 0's
+        other = profile[1 - agent]
+        return [float((a == other) == (agent == 0)) for a in ("H", "T")]
 
 
 def test_brd_detects_cycle_in_matching_pennies():
@@ -312,10 +321,8 @@ class OneUlpApart(TabularGame):
     def action_set(self, agent):
         return ["a", "b"] if agent == 0 else ["x"]
 
-    def utility(self, agent, actions):
-        if agent == 1:
-            return 0.0
-        return self.low if actions[0] == "a" else self.high
+    def utilities(self, agent, profile):
+        return [self.low, self.high] if agent == 0 else [0.0]
 
 
 def test_brd_margin_is_relative():
@@ -324,6 +331,97 @@ def test_brd_margin_is_relative():
     assert res.fixed_points == (("a", "x"),)
     assert res.iterations == (1,)
     assert res.n_cycles == 0
+
+
+def test_brd_rejects_init_outside_action_set():
+    with pytest.raises(ValueError):
+        best_response_dynamics(OneUlpApart(), [("a", "x"), ("c", "x")])
+
+
+class TableGame(TabularGame):
+    """A finite game over actions 0..k-1 per agent, with utilities read from
+    `table[profile][agent]`."""
+
+    def __init__(self, sizes, table):
+        self.sizes = sizes
+        self.table = table
+
+    @property
+    def n_agents(self):
+        return len(self.sizes)
+
+    def action_set(self, agent):
+        return list(range(self.sizes[agent]))
+
+    def utilities(self, agent, profile):
+        return [self.table[profile[:agent] + (a,) + profile[agent + 1:]][agent]
+                for a in self.action_set(agent)]
+
+
+def reference_dynamics(game, inits):
+    """The per-profile loop: each agent scores its current profile, then every
+    other action's profile in set order, and keeps the first to beat the
+    running best by more than the margin."""
+    def utility(agent, profile):
+        row = game.utilities(agent, profile)
+        return row[game.action_set(agent).index(profile[agent])]
+
+    fixed, iters, cycles = [], [], 0
+    for init in inits:
+        profile, seen, converged = tuple(init), {tuple(init)}, False
+        for it in range(1, BRD_MAX_ITERS + 1):
+            changed = False
+            for i in range(game.n_agents):
+                current = profile[i]
+                best_u, best_a = utility(i, profile), current
+                for a in game.action_set(i):
+                    if a != current:
+                        u = utility(i, profile[:i] + (a,) + profile[i + 1:])
+                        if u > best_u + 1e-12 * max(1.0, abs(best_u)):
+                            best_u, best_a = u, a
+                if best_a != current:
+                    profile = profile[:i] + (best_a,) + profile[i + 1:]
+                    changed = True
+            if not changed:
+                converged = True
+                break
+            if profile in seen:
+                cycles += 1
+                break
+            seen.add(profile)
+        iters.append(it)
+        if converged and profile not in fixed:
+            fixed.append(profile)
+    return tuple(fixed), cycles, tuple(iters)
+
+
+# values plus their one-ulp neighbours, and steps inside and outside the
+# 1e-12 relative margin, so that ties and near-ties occur
+NEAR_TIES = sorted({x for v in (0.0, 1.0, 1e5)
+                    for x in (v, float(np.nextafter(v, np.inf)),
+                              float(np.nextafter(v, -np.inf)))}
+                   | {1.0 + 5e-13, 1.0 + 2e-12})
+
+
+@st.composite
+def table_games(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)))
+    profiles = list(itertools.product(*map(range, sizes)))
+    payoffs = st.tuples(*[st.sampled_from(NEAR_TIES)] * len(sizes))
+    table = dict(zip(profiles, draw(st.lists(payoffs, min_size=len(profiles),
+                                             max_size=len(profiles)))))
+    inits = draw(st.lists(st.sampled_from(profiles), min_size=1, max_size=6))
+    return TableGame(sizes, table), inits
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_games())
+def test_brd_rows_match_per_profile_loop(case):
+    game, inits = case
+    res = best_response_dynamics(game, inits)
+    assert (res.fixed_points, res.n_cycles, res.iterations) == reference_dynamics(
+        game, inits)
+    assert res.n_converged == len(res.fixed_points)
 
 
 def test_brd_converges_on_combined_game():
@@ -344,9 +442,9 @@ def test_brd_converges_on_combined_game():
 
 
 def test_tabular_utilities_match_fresh_evaluators():
-    """The dynamics' batched utilities equal a fresh evaluator's
-    expected_utility bit for bit, cached or not, with a reserve so that the
-    prices and the buyers' thresholds both matter."""
+    """Every row equals a fresh evaluator's expected_utility bit for bit,
+    cached or not, with a reserve so that the prices and the buyers'
+    thresholds both matter."""
     m = 10
     game = scripted_lower_bound_equilibrium(m, reserve=0.3)
     acts_ab = [Action(bid=BidVector.flat(l, c, m), buyer_threshold=t)
@@ -358,12 +456,13 @@ def test_tabular_utilities_match_fresh_evaluators():
     for agent in range(3):
         profiles = [tuple(rng.choice(s) for s in (acts_ab, acts_ab, acts_c))
                     for _ in range(12)]
-        profiles += profiles[:3]  # repeats within one call
-        expected = [game.evaluator().expected_utility(agent, dict(enumerate(p))).hex()
-                    for p in profiles]
-        for _ in range(2):
-            assert [u.hex() for u in tab.utilities(agent, profiles)] == expected
-        assert [tab.utility(agent, p).hex() for p in profiles] == expected
+        profiles += profiles[:3]  # rows already cached
+        for p in profiles:
+            expected = [game.evaluator().expected_utility(
+                agent, {**dict(enumerate(p)), agent: a}).hex()
+                for a in tab.action_set(agent)]
+            for _ in range(2):
+                assert [u.hex() for u in tab.utilities(agent, p)] == expected
 
 
 def test_dominance_suite_shares_one_evaluator_exactly():
@@ -371,7 +470,8 @@ def test_dominance_suite_shares_one_evaluator_exactly():
     evaluator per case gives."""
     for m, reserve in ((10, None), (100, 0.5)):
         game = scripted_lower_bound_equilibrium(m, reserve=reserve)
-        fresh = [(label, weak_dominance_witnesses(game, agent, alt, wits, labels=[label]))
+        fresh = [(label, weak_dominance_witnesses(game.evaluator(), agent, alt, wits,
+                                                  labels=[label]))
                  for label, agent, alt, wits in dominance_witness_suite(game)]
         assert run_dominance_suite(game) == fresh
 

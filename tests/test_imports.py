@@ -1,7 +1,8 @@
-"""Every name a library module imports is used in that module, and every
+"""Every name a library module imports is used in that module, every
 private module-level function or class, and every private method, is used
-by some library module. There is no linter in the toolchain, so these scans
-stand in for one."""
+by some library module, and every public method of a library class is
+called by some library or test module. There is no linter in the
+toolchain, so these scans stand in for one."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ import aftermarkets
 
 SOURCES = sorted(Path(aftermarkets.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -92,3 +94,39 @@ def test_scan_finds_an_unused_private_function():
 
 def test_no_unused_private_functions():
     assert unused_private_functions({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def unused_public_methods(library: dict[str, str], users: dict[str, str]) -> list[str]:
+    """The public methods of the module-level classes of `library` (name ->
+    source) that no module of `library` or `users` refers to as an
+    attribute."""
+    defined, used = {}, set()
+    for name, source in library.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                defined.update((f"{node.name}.{method.name}", f"{name}:{method.lineno}")
+                               for method in node.body
+                               if isinstance(method, ast.FunctionDef)
+                               and not method.name.startswith("_"))
+    for source in [*library.values(), *users.values()]:
+        used.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute))
+    return sorted(f"{fn} ({where})" for fn, where in defined.items()
+                  if fn.rpartition(".")[2] not in used)
+
+
+def test_scan_finds_an_unused_public_method():
+    library = {"a.py": "class Batch:\n    def take(self):\n        return take\n\n"
+                       "    def size(self):\n        return self._n\n\n"
+                       "    def _hidden(self):\n        pass\n\n"
+                       "def free():\n    pass\n",
+               "b.py": "import a\n\nclass Lone:\n    def run(self):\n        pass\n\n"
+                       "    def used(self):\n        pass\n"}
+    users = {"test_a.py": "from a import Batch\n\nBatch().size()\nx.used\n"}
+    assert unused_public_methods(library, users) == [
+        "Batch.take (a.py:2)", "Lone.run (b.py:4)"]
+
+
+def test_no_unused_public_methods():
+    assert unused_public_methods({p.name: p.read_text() for p in SOURCES},
+                                 {p.name: p.read_text() for p in TESTS}) == []
