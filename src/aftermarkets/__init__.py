@@ -29,7 +29,7 @@ from .equilibrium import (Action, BneReport, BrdResult, CombinedGame,
                           run_dominance_suite, scripted_grouped_equilibrium,
                           scripted_lower_bound_equilibrium, symmetric_fpa_bid,
                           symmetric_fpa_check, verify_bne,
-                          weak_dominance_witnesses)
+                          weak_dominance_witness)
 from .smoothness import (ONE_MINUS_INV_E, OPT_OUT, AuctionGame, CheckDomain,
                          CombinedSingleItemGame, FiniteDist, LiftedAction,
                          LiftedGame, MultiUnitDiscriminatory, RoundAction,

@@ -99,8 +99,9 @@ def _fail(record: dict) -> int:
 # holds); `main` writes them
 Result = tuple[list[dict], str, Optional[dict]]
 
-# the speculation market's E[OPT] rule: cells cut at 1.0, where z's segments meet
-SPECULATION_QUAD = Quadrature(subdivide=1, breakpoints=(1.0,))
+# the speculation market's E[OPT] rule: `cells` already cuts at every segment
+# end, 1.0 (where z's segments meet, and A's Uniform(1, 1.5) starts) included
+SPECULATION_QUAD = Quadrature(subdivide=1)
 
 
 def _lower_bound_row(m: int) -> dict:

@@ -160,7 +160,7 @@ class UnitDistribution:
             if s.partial_mean is not None:
                 total[live] += s.partial_mean(lo, hi[live])
                 continue
-            total[live] += _cumulative_moment(s.pdf, lo, hi[live])
+            total[live] += _cumulative_moment(s, lo, hi[live])
         return total[()]
 
     def cells(self, breakpoints: Sequence[float] = (), subdivide: int = 1):
@@ -229,28 +229,36 @@ _GAUSS_WEIGHTS = _mirror(np.array([
 KRONROD_BLOCK = 256
 
 
-def _kronrod_gaps(pdf: Callable[[float], float], starts: np.ndarray,
-                  ends: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray]:
+def _kronrod_gaps(seg: SegmentSpec, starts: np.ndarray, ends: np.ndarray,
+                  span: float) -> tuple[np.ndarray, np.ndarray]:
     """The Kronrod rule's int x pdf(x) dx over each gap [starts[i], ends[i]],
     and whether the gap passes: a bounded gap whose Kronrod - Gauss difference
     is within its share of quad's tolerance (epsabs in proportion to its share
-    of `span`, epsrel of its own moment)."""
+    of `span`, epsrel of its own moment). A bounded gap with a node on or past
+    its ends (a width of a few ulps) calls no pdf and passes with its midpoint
+    times its mass, within half its width times its mass of the moment."""
     width = ends - starts
     passes = np.isfinite(width)
-    half = width[passes] / 2.0
-    x = (starts[passes] + half)[:, None] + half[:, None] * _KRONROD_NODES
-    # pdf may be scalar-only (math.sin), so it sees one element at a time
-    f = x * np.fromiter(map(pdf, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    kronrod, gauss = half * (f @ _KRONROD_WEIGHTS), half * (f @ _GAUSS_WEIGHTS)
+    bounded = np.flatnonzero(passes)
+    half = width[bounded] / 2.0
+    mid = starts[bounded] + half
+    x = mid[:, None] + half[:, None] * _KRONROD_NODES
+    inside = np.all((x > starts[bounded, None]) & (x < ends[bounded, None]), axis=1)
     moments = np.zeros(width.shape)
-    moments[passes] = kronrod
-    passes[passes] = np.abs(kronrod - gauss) <= np.maximum(
-        QUAD_EPSABS * width[passes] / span, QUAD_EPSREL * np.abs(kronrod))
+    narrow, rule = bounded[~inside], bounded[inside]
+    moments[narrow] = [c * (seg.cdf(b) - seg.cdf(a)) for a, b, c in zip(
+        starts[narrow].tolist(), ends[narrow].tolist(), mid[~inside].tolist())]
+    x, half = x[inside], half[inside]
+    # pdf may be scalar-only (math.sin), so it sees one element at a time
+    f = x * np.fromiter(map(seg.pdf, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    kronrod, gauss = half * (f @ _KRONROD_WEIGHTS), half * (f @ _GAUSS_WEIGHTS)
+    moments[rule] = kronrod
+    passes[rule] = np.abs(kronrod - gauss) <= np.maximum(
+        QUAD_EPSABS * width[rule] / span, QUAD_EPSREL * np.abs(kronrod))
     return moments, passes
 
 
-def _cumulative_moment(pdf: Callable[[float], float], lo: float,
-                       ends: np.ndarray) -> np.ndarray:
+def _cumulative_moment(seg: SegmentSpec, lo: float, ends: np.ndarray) -> np.ndarray:
     """int_lo^e x pdf(x) dx for every e in `ends` (each above lo), from one
     pass: the sorted distinct ends cut [lo, max(ends)] into gaps, each gap is
     integrated once by the Kronrod rule (`_kronrod_gaps`), and the gap moments
@@ -264,14 +272,14 @@ def _cumulative_moment(pdf: Callable[[float], float], lo: float,
     total = carry = 0.0
     for k in range(0, limits.size, KRONROD_BLOCK):
         block = slice(k, k + KRONROD_BLOCK)
-        gaps, passes = _kronrod_gaps(pdf, starts[block], limits[block], span)
+        gaps, passes = _kronrod_gaps(seg, starts[block], limits[block], span)
         for i, gap, ok in zip(range(k, limits.size), gaps.tolist(), passes.tolist()):
             if ok:
                 s = total + gap
                 carry += (total - s) + gap if abs(total) >= abs(gap) else (gap - s) + total
                 total = s
             else:
-                total = integrate.quad(lambda x: x * pdf(x), lo, limits[i],
+                total = integrate.quad(lambda x: x * seg.pdf(x), lo, limits[i],
                                        epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
                                        limit=200)[0]
                 carry = 0.0

@@ -15,10 +15,11 @@ dimensions with the interval-moment cells of `cell_nodes`, once per distinct
 block allocation and aftermarket action rather than once per deviation. The
 stages a call needs resell together: one array-valued `run_posted_resale`
 call, the rule `play()` and `expected_outcome` use too, takes every
-(allocation, seller price, buyer thresholds, cell) row, so a gap's bid
-deviations take one resale call and its price and threshold deviations
-another, best-response dynamics ask for a row of one agent's action set at
-a time, and the dominance witnesses a list. The first-price check
+(allocation, seller price, buyer thresholds, cell) row. Every other check
+scores rows (`ConstantActionEvaluator.utilities`): one agent's actions
+against one opponents' profile, each distinct bid clearing once. A gap's
+on-path, price and threshold deviations are one row, each dominance case
+one, and best-response dynamics read one per agent step. The first-price check
 draws its value pairs with `draw_values`, the Monte Carlo rule of
 `expected_outcome`, and evaluates the exact bid once per check, on a table
 it then interpolates.
@@ -108,12 +109,12 @@ class ConstantActionEvaluator:
     scalars with breakpoints at the effective purchase cutoffs, which the
     interval-moment cells integrate exactly.
 
-    `utilities` scores a list of profiles for one agent: the profiles that
-    keep every base bid share one clearing, and the stages of all of them
-    resell together; `expected_utility` is a list of one. `bid_utilities`
-    makes one batched clearing for a whole `BidBatch` of an agent's bids
-    under the uniform-price auction, and is `utilities` of one bid override
-    per row under another mechanism. A block's stage depends only
+    `utilities(agent, actions, others)` scores a row: the agent's actions
+    against one opponents' profile, each distinct bid clearing once and all
+    the stages reselling together; `expected_utility` is a row of one.
+    `bid_utilities` makes one batched clearing for a whole `BidBatch` of an
+    agent's bids under the uniform-price auction, and is the `utilities` row
+    of its vectors under another mechanism. A block's stage depends only
     on its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
     evaluator's lifetime, as are the block's cells per (price, thresholds);
@@ -241,26 +242,27 @@ class ConstantActionEvaluator:
 
     def expected_utility(self, agent: int,
                          overrides: Optional[Mapping[int, Action]] = None) -> float:
-        return float(self.utilities(agent, [overrides])[0])
+        overrides = overrides or {}
+        return float(self.utilities(agent, [overrides.get(agent, Action())],
+                                    overrides)[0])
 
-    def utilities(self, agent: int,
-                  profiles: Sequence[Optional[Mapping[int, Action]]]) -> np.ndarray:
-        """expected_utility(agent, overrides) for every overrides in
-        `profiles`. The profiles that keep every base bid clear the auction
-        once, and the stages of all the profiles resell in one `_stages`
-        call."""
-        block = self._block_of[agent]
-        base, keys, payments = None, [], []
-        for overrides in profiles:
-            acts = self._actions(overrides)
-            if overrides and any(a.bid is not None for a in overrides.values()):
-                outcome = self._auction(self._bids(acts))
-            else:
-                if base is None:
-                    base = self._auction(self._bids(acts))
-                outcome = base
-            keys.append(self._key(block, acts, outcome))
-            payments.append(outcome.payments[agent])
+    def utilities(self, agent: int, actions: Sequence[Action],
+                  others: Optional[Mapping[int, Action]] = None) -> np.ndarray:
+        """The agent's row: its expected utility for each of `actions`
+        (`None` fields keep its base action) against the base actions with
+        `others` merged in; the agent's own entry in `others` is ignored.
+        The opponents merge once, each distinct bid of the row clears the
+        auction once, and the row's stages resell in one `_stages` call."""
+        acts = self._actions(others)
+        bids, block = self._bids(acts), self._block_of[agent]
+        outcomes, keys, payments = {}, [], []
+        for action in actions:
+            acts[agent] = action.merged_into(self.game.base_actions[agent])
+            bid = self._bids([acts[agent]])[0]
+            if bid not in outcomes:
+                outcomes[bid] = self._auction(bids[:agent] + [bid] + bids[agent + 1:])
+            keys.append(self._key(block, acts, outcomes[bid]))
+            payments.append(outcomes[bid].payments[agent])
         return np.array([self._utility(stage, agent, payment) for stage, payment
                          in zip(self._stages(block, keys), payments)], dtype=float)
 
@@ -270,10 +272,10 @@ class ConstantActionEvaluator:
         uniform-price auction the rows clear in one `uniform_price_deviations`
         call, the distinct block allocations not yet integrated resell in one
         `_stages` call, and each distinct (block allocation, payment) row
-        computes its utility once. Under any other mechanism this is
-        `utilities` of one bid override per row."""
+        computes its utility once. Under any other mechanism this is the
+        `utilities` row of the batch's vectors."""
         if self.game.mechanism.kind != "uniform":
-            return self.utilities(agent, [{agent: Action(bid=batch.vector(j))}
+            return self.utilities(agent, [Action(bid=batch.vector(j))
                                           for j in range(len(batch))])
         acts = self._actions(None)
         block = self._block_of[agent]
@@ -444,20 +446,18 @@ def best_response_gap(game: CombinedGame, agent: int,
                       grid: DeviationGrid) -> GapResult:
     """Max over grid deviations of (deviation expected utility - equilibrium
     expected utility), with the first best deviation in grid order as
-    witness. The on-path no-op scores the base utility, the grid's bid rows
-    score in one `bid_utilities` call, and its prices and thresholds in one
-    `utilities` call."""
+    witness. The on-path no-op, the grid's prices and its thresholds score
+    in one `utilities` row, and its bid rows in one `bid_utilities` call."""
     ev = game.evaluator()
-    base = ev.expected_utility(agent)
-    best, witness = base, Action(label="on-path")
+    witness, aftermarket = Action(label="on-path"), grid._aftermarket_deviations()
+    base, *utils = ev.utilities(agent, [witness, *aftermarket]).tolist()
+    best = base
     batch, origin = grid._bid_rows(game.market.m)
     if len(batch):
-        utils = ev.bid_utilities(agent, batch)
-        j = int(np.argmax(utils))
-        if utils[j] > best:
-            best, witness = float(utils[j]), grid._bid_action(batch, origin, j)
-    aftermarket = grid._aftermarket_deviations()
-    utils = ev.utilities(agent, [{agent: dev} for dev in aftermarket]).tolist()
+        bid_utils = ev.bid_utilities(agent, batch)
+        j = int(np.argmax(bid_utils))
+        if bid_utils[j] > best:
+            best, witness = float(bid_utils[j]), grid._bid_action(batch, origin, j)
     for dev, u in zip(aftermarket, utils):
         if u > best:
             best, witness = u, dev
@@ -517,55 +517,36 @@ def scripted_grouped_equilibrium(m: int, gamma: float) -> CombinedGame:
 # -- weak-dominance witnesses ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessRow:
-    label: str
-    scripted_utility: float
-    alternative_utility: float
+# how far apart two witness utilities must be for one to count as better
+STRICT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class DominanceReport:
     agent: int
-    rows: tuple[WitnessRow, ...]
-    strictly_better_somewhere: bool
-    never_worse: bool
+    label: str
+    scripted_utility: float
+    alternative_utility: float
 
     @property
     def not_weakly_dominated(self) -> bool:
-        return self.strictly_better_somewhere and self.never_worse
+        return self.scripted_utility > self.alternative_utility + STRICT_MARGIN
 
 
-# how far apart two witness utilities must be for one to count as better
-STRICT_MARGIN = 1e-9
-
-
-def weak_dominance_witnesses(evaluator: ConstantActionEvaluator, agent: int,
-                             alternative: Action,
-                             witnesses: Sequence[Mapping[int, Action]],
-                             labels: Optional[Sequence[str]] = None
-                             ) -> DominanceReport:
-    """Compare the scripted action against `alternative` on each witness
-    opponent profile: the alternative does not weakly dominate the scripted
-    action if the scripted one is strictly better somewhere and never worse.
-    The utilities are scored in one `evaluator.utilities` call."""
-    profiles = []
-    for wit in witnesses:
-        overrides = dict(wit)
-        overrides.pop(agent, None)
-        profiles += [overrides, {**overrides, agent: alternative}]
-    utils = evaluator.utilities(agent, profiles).tolist()
-    pairs = list(zip(utils[::2], utils[1::2]))  # (scripted, alternative)
-    rows = tuple(WitnessRow(labels[j] if labels else f"witness{j}", u, alt)
-                 for j, (u, alt) in enumerate(pairs))
-    return DominanceReport(agent, rows,
-                           any(u > alt + STRICT_MARGIN for u, alt in pairs),
-                           not any(u < alt - STRICT_MARGIN for u, alt in pairs))
+def weak_dominance_witness(evaluator: ConstantActionEvaluator, agent: int,
+                           alternative: Action, witness: Mapping[int, Action],
+                           label: str = "") -> DominanceReport:
+    """Score the scripted action and `alternative` against the `witness`
+    opponents in one `evaluator.utilities` row: the alternative does not
+    weakly dominate the scripted action if the scripted one is strictly
+    better there."""
+    scripted, alt = evaluator.utilities(agent, [Action(), alternative], witness).tolist()
+    return DominanceReport(agent, label, scripted, alt)
 
 
 def dominance_witness_suite(game: CombinedGame):
     """The three witness families for the speculator and the two families for
-    each of A and B, each as (label, agent, alternative, [witness])."""
+    each of A and B, each as (label, agent, alternative, witness opponents)."""
     m = game.market.m
     eps = 0.01 / m
     inf = NO_OFFER
@@ -573,37 +554,37 @@ def dominance_witness_suite(game: CombinedGame):
     # speculator: bidding on fewer units forfeits the sale to A
     cases.append((
         "C fewer units", 2, Action(bid=BidVector.flat(1.0, m - 3, m)),
-        [{0: Action(bid=BidVector.flat(eps, 2, m)),
-          1: Action(bid=BidVector.flat(1.0, 1, m))}]))
+        {0: Action(bid=BidVector.flat(eps, 2, m)),
+         1: Action(bid=BidVector.flat(1.0, 1, m))}))
     # speculator: bidding b < 1 loses one unit to A at essentially the same price
     b = 0.5
     cases.append((
         "C lower bid", 2, Action(bid=BidVector.flat(b, m - 2, m)),
-        [{0: Action(bid=BidVector.flat(b + eps, 2, m)),
-          1: Action(bid=BidVector.flat(1.0, 1, m))}]))
+        {0: Action(bid=BidVector.flat(b + eps, 2, m)),
+         1: Action(bid=BidVector.flat(1.0, 1, m))}))
     # speculator: positive bids on the remaining units only raise the price
     cases.append((
         "C extra units", 2, Action(bid=BidVector.flat(1.0, m - 1, m)),
-        [{}]))  # on-path opponents already make demand exactly m
+        {}))  # on-path opponents already make demand exactly m
     # A: underbidding the first unit loses it to a competitor bidding in between
     cases.append((
         "A underbid", 0, Action(bid=BidVector.flat(1.5, 1, m)),
-        [{1: Action(bid=BidVector.from_runs((), m)),
-          2: Action(bid=BidVector.flat(1.75, m, m), seller_price=inf)}]))
+        {1: Action(bid=BidVector.from_runs((), m)),
+         2: Action(bid=BidVector.flat(1.75, m, m), seller_price=inf)}))
     # A: a nonzero bid on a second unit only raises the price paid
     cases.append((
         "A extra unit", 0, Action(bid=BidVector.from_runs(((2.0, 1), (0.5, 1)), m)),
-        [{1: Action(bid=BidVector.from_runs((), m)),
-          2: Action(bid=BidVector.flat(2.0, m - 1, m), seller_price=inf)}]))
+        {1: Action(bid=BidVector.from_runs((), m)),
+         2: Action(bid=BidVector.flat(2.0, m - 1, m), seller_price=inf)}))
     # B: same two families
     cases.append((
         "B underbid", 1, Action(bid=BidVector.flat(1.5, 1, m)),
-        [{0: Action(bid=BidVector.from_runs((), m)),
-          2: Action(bid=BidVector.flat(1.75, m, m), seller_price=inf)}]))
+        {0: Action(bid=BidVector.from_runs((), m)),
+         2: Action(bid=BidVector.flat(1.75, m, m), seller_price=inf)}))
     cases.append((
         "B extra unit", 1, Action(bid=BidVector.from_runs(((2.0, 1), (0.5, 1)), m)),
-        [{0: Action(bid=BidVector.from_runs((), m)),
-          2: Action(bid=BidVector.flat(2.0, m - 1, m), seller_price=inf)}]))
+        {0: Action(bid=BidVector.from_runs((), m)),
+         2: Action(bid=BidVector.flat(2.0, m - 1, m), seller_price=inf)}))
     return cases
 
 
@@ -611,8 +592,8 @@ def run_dominance_suite(game: CombinedGame) -> list[tuple[str, DominanceReport]]
     """Every case of `dominance_witness_suite`, all scored on one evaluator,
     so a block's cells are cut once per distinct cut."""
     ev = game.evaluator()
-    return [(label, weak_dominance_witnesses(ev, agent, alt, wits, labels=[label]))
-            for label, agent, alt, wits in dominance_witness_suite(game)]
+    return [(label, weak_dominance_witness(ev, agent, alt, witness, label))
+            for label, agent, alt, witness in dominance_witness_suite(game)]
 
 
 # -- single-item interim curves and the symmetric first-price check --------
@@ -834,13 +815,11 @@ class CombinedTabularGame(TabularGame):
 
     def utilities(self, agent: int, profile: tuple) -> tuple[float, ...]:
         """The agent's row, kept per (agent, others' actions); a new row is
-        scored in one `ConstantActionEvaluator.utilities` call over the
-        action set."""
+        one `ConstantActionEvaluator.utilities` row over the action set."""
         key = (agent, profile[:agent] + profile[agent + 1:])
         if key not in self._rows:
-            others = dict(enumerate(profile))
             self._rows[key] = tuple(self._ev.utilities(
-                agent, [{**others, agent: a} for a in self._sets[agent]]).tolist())
+                agent, self._sets[agent], dict(enumerate(profile))).tolist())
         return self._rows[key]
 
     def expected_welfare(self, actions: tuple) -> float:

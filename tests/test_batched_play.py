@@ -15,6 +15,7 @@ dimensions) must match them bit for bit."""
 
 import math
 import random
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -400,7 +401,8 @@ def test_evaluator_matches_cell_reference(rng):
     """Each stage, integrated in one batched kernel call for all its
     allocations and prices, equals the cell-by-cell reference bit for bit;
     so do the utilities, the batched bid utilities, the batched utilities of
-    price and threshold deviations and the welfare."""
+    price and threshold deviations, a row against overridden opponents and
+    the welfare."""
     game = random_game(rng)
     ev = game.evaluator()
     acts = list(game.base_actions)
@@ -422,7 +424,20 @@ def test_evaluator_matches_cell_reference(rng):
         for d in devs:
             dev = acts[:agent] + [d.merged_into(acts[agent])] + acts[agent + 1:]
             expected.append(reference_utility(game, agent, dev))
-        assert hexes(ev.utilities(agent, [{agent: d} for d in devs])) == hexes(expected)
+        assert hexes(ev.utilities(agent, devs)) == hexes(expected)
+        # the same row plus the bids against overridden opponents, some of
+        # them keeping their base bid; the agent's own entry is ignored
+        others = {i: random_action(rng, game.market.m) for i in range(game.market.n)
+                  if i == agent or rng.random() < 0.6}
+        others = {i: replace(a, bid=None) if rng.random() < 0.5 else a
+                  for i, a in others.items()}
+        merged = [others[i].merged_into(a) if i in others and i != agent else a
+                  for i, a in enumerate(acts)]
+        row = devs + [Action(bid=bv) for bv in bids]
+        expected = [reference_utility(game, agent, merged[:agent]
+                                      + [d.merged_into(acts[agent])] + merged[agent + 1:])
+                    for d in row]
+        assert hexes(ev.utilities(agent, row, others)) == hexes(expected)
     assert ev.expected_welfare().hex() == reference_welfare(game, acts).hex()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aftermarkets import equilibrium
 from aftermarkets.aftermarket import ResaleSpec
 from aftermarkets.auctions import BidBatch, BidVector
 from aftermarkets.combined import Mechanism
@@ -25,7 +26,7 @@ from aftermarkets.equilibrium import (BRD_MAX_ITERS, Action, CombinedTabularGame
                                       scripted_grouped_equilibrium,
                                       scripted_lower_bound_equilibrium,
                                       symmetric_fpa_bid, symmetric_fpa_check,
-                                      verify_bne, weak_dominance_witnesses)
+                                      verify_bne, weak_dominance_witness)
 
 
 def test_scripted_profile_closed_forms():
@@ -465,14 +466,41 @@ def test_tabular_utilities_match_fresh_evaluators():
                 assert [u.hex() for u in tab.utilities(agent, p)] == expected
 
 
+def test_rows_clear_each_distinct_bid_once(monkeypatch):
+    """A row clears the auction once per distinct bid of its actions: the
+    benchmark's speculator set holds 5 distinct bids in 13 actions, the A/B
+    set three equal zero bids among 18, and a gap's on-path and aftermarket
+    row keeps the base bid."""
+    calls = []
+    run = equilibrium._run_auction
+    monkeypatch.setattr(equilibrium, "_run_auction",
+                        lambda *args: calls.append(args) or run(*args))
+    m = 100
+    game = scripted_lower_bound_equilibrium(m, reserve=0.04)
+    acts_ab = [Action(bid=BidVector.flat(l, c, m))
+               for l in (0.0, 0.04, 0.5, 1.0, 1.5, 2.0) for c in (1, 2, 5)]
+    acts_c = [Action(bid=BidVector.from_runs((), m), seller_price=math.inf)]
+    acts_c += [Action(bid=BidVector.flat(l, c, m), seller_price=p)
+               for l in (0.5, 1.0) for c in (49, 98) for p in (0.5, 1.0, 1.5)]
+    tab = CombinedTabularGame(game, [acts_ab, acts_ab, acts_c])
+    profile = (acts_ab[16], acts_ab[15], acts_c[4])
+    for agent, clearings in ((2, 5), (0, 16)):
+        calls.clear()
+        tab.utilities(agent, profile)
+        assert len(calls) == clearings
+    calls.clear()
+    best_response_gap(game, 2, default_deviation_grid(m, "speculator"))
+    assert len(calls) == 1
+
+
 def test_dominance_suite_shares_one_evaluator_exactly():
     """run_dominance_suite's shared evaluator gives every row a fresh
     evaluator per case gives."""
     for m, reserve in ((10, None), (100, 0.5)):
         game = scripted_lower_bound_equilibrium(m, reserve=reserve)
-        fresh = [(label, weak_dominance_witnesses(game.evaluator(), agent, alt, wits,
-                                                  labels=[label]))
-                 for label, agent, alt, wits in dominance_witness_suite(game)]
+        fresh = [(label, weak_dominance_witness(game.evaluator(), agent, alt,
+                                                witness, label))
+                 for label, agent, alt, witness in dominance_witness_suite(game)]
         assert run_dominance_suite(game) == fresh
 
 
@@ -604,8 +632,8 @@ def assert_batched_utilities_exact(game, agents, rng):
         for _ in range(2):
             assert [u.hex() for u in ev.bid_utilities(agent, batch).tolist()] == [
                 single[j].hex() for j in rows]
-            profiles = [{agent: devs[j]} for j in others]
-            assert [u.hex() for u in ev.utilities(agent, profiles).tolist()] == [
+            row = [devs[j] for j in others]
+            assert [u.hex() for u in ev.utilities(agent, row).tolist()] == [
                 single[j].hex() for j in others]
         for j, d in enumerate(devs):
             assert ev.expected_utility(agent, {agent: d}).hex() == single[j].hex()
