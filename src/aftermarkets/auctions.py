@@ -114,8 +114,8 @@ def _allocate(entries, m: int, n: int):
 
 
 def _check_reserve(reserve: Optional[float]) -> None:
-    if reserve is not None and math.isnan(reserve):
-        raise ValueError("reserve must not be NaN")
+    if reserve is not None and not reserve >= 0:
+        raise ValueError(f"reserve must be nonnegative, not {reserve}")
 
 
 def uniform_price(bids: Sequence[BidVector], m: int,
@@ -123,7 +123,7 @@ def uniform_price(bids: Sequence[BidVector], m: int,
     """Marginal bids strictly below the reserve are removed; the m highest
     surviving marginals win; every winner pays
     max(reserve, highest surviving losing marginal) per unit. An infinite
-    reserve sells nothing; a NaN reserve is rejected."""
+    reserve sells nothing; a negative or NaN reserve is rejected."""
     _check_reserve(reserve)
     counts, _, next_losing = _allocate(_sorted_entries(bids, reserve), m, len(bids))
     sold = sum(counts)

@@ -4,18 +4,19 @@ piecewise CDFs with explicit atoms.
 Every distribution decomposes into continuous segments plus explicit atoms.
 Expectations of piecewise-smooth integrands are taken with an exact
 interval-moment rule: the support is cut at segment boundaries, atoms and
-caller-supplied breakpoints, and each continuous cell contributes
-(mass, conditional mean), so any integrand linear on each cell integrates
-exactly. Every preset segment states its moment in closed form. A segment
-without one has x * pdf integrated in one cumulative pass over the sorted
-upper limits: QUADPACK's 15-point Kronrod rule per gap between consecutive
-limits, checked against its embedded 7-point Gauss rule, the gaps added with
-a compensated running sum, and `quad` from the segment's start wherever the
-check fails.
+caller-supplied breakpoints, and each continuous cell contributes its
+segment's (mass, conditional mean) there, so any integrand linear on each
+cell integrates exactly. Every preset segment states its moment in closed
+form. A segment without one has x * pdf integrated in one cumulative pass
+over the sorted upper limits: QUADPACK's 15-point Kronrod rule per gap
+between consecutive limits, checked against its embedded 7-point Gauss rule,
+the gaps added with a compensated running sum, and `quad` from the window's
+start wherever the check fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -148,26 +149,24 @@ class UnitDistribution:
         return float(nodes @ weights)
 
     def partial_mean(self, a: float, b):
-        """E[Z * 1{a <= Z < b}] of the continuous part only: per segment, its
-        moment on the window clipped to it, or, for a segment without one,
-        x * pdf integrated from the window's start to every upper limit in one
-        cumulative Kronrod pass (`_cumulative_moment`)."""
+        """E[Z * 1{a <= Z < b}] of the continuous part only: the sum of each
+        segment's moment (`_segment_moment`) on the window clipped to it."""
         b = np.asarray(b, dtype=float)
         total = np.zeros(b.shape)
         for s in self._segments:
             lo, hi = max(a, s.lo), np.minimum(b, s.hi)
             live = lo < hi
-            if s.partial_mean is not None:
-                total[live] += s.partial_mean(lo, hi[live])
-                continue
-            total[live] += _cumulative_moment(s, lo, hi[live])
+            total[live] += _segment_moment(s, lo, hi[live])
         return total[()]
 
     def cells(self, breakpoints: Sequence[float] = (), subdivide: int = 1):
         """Nodes and weights for E[g(Z)]: one node per atom, and per continuous
-        cell the conditional mean with the cell mass as weight. Exact whenever
-        g is linear between consecutive breakpoints. Raises ValueError for
-        subdivide < 1, which would leave no cell."""
+        cell of a segment its conditional mean there, with the cell mass as
+        weight. A segment is cut at the breakpoints inside it, and each cut
+        interval of finite width into `subdivide` equal parts; each cell takes
+        its moment from its own segment alone, whose `cdf` runs once per cut.
+        Exact whenever g is linear between consecutive breakpoints. Raises
+        ValueError for subdivide < 1, which would leave no cell."""
         if subdivide < 1:
             raise ValueError(f"subdivide must be at least 1, not {subdivide}")
         nodes, weights = [], []
@@ -176,16 +175,15 @@ class UnitDistribution:
             weights.append(a.mass)
         for s in self._segments:
             cuts = sorted({s.lo, s.hi} | {b for b in breakpoints if s.lo < b < s.hi})
-            fine = []
-            for a, b in zip(cuts, cuts[1:]):
-                fine.extend(a + (b - a) * k / subdivide for k in range(subdivide))
-                fine.append(b)
-            fine = sorted(set(fine))
-            for a, b in zip(fine, fine[1:]):
-                mass = s.cdf(b) - s.cdf(a)
+            fine = sorted(set(cuts) | {a + (b - a) * k / subdivide
+                                       for a, b in zip(cuts, cuts[1:])
+                                       if math.isfinite(b - a)
+                                       for k in range(1, subdivide)})
+            cdf = [s.cdf(x) for x in fine]
+            for a, b, mass in zip(fine, fine[1:], np.diff(cdf).tolist()):
                 if mass <= 0:
                     continue
-                nodes.append(self.partial_mean(a, b) / mass)
+                nodes.append(float(_segment_moment(s, a, np.array([b]))[0]) / mass)
                 weights.append(mass)
         return np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
 
@@ -195,6 +193,14 @@ def _unit_interval(u) -> np.ndarray:
     if not np.all((0.0 <= u) & (u < 1.0)):
         raise ValueError("quantile argument must lie in [0, 1)")
     return u
+
+
+def _segment_moment(seg: SegmentSpec, lo: float, ends: np.ndarray) -> np.ndarray:
+    """int_lo^e x dF over `seg` for every e in `ends` (lo < e, all within the
+    segment): its closed-form moment, else the cumulative Kronrod rule."""
+    if seg.partial_mean is not None:
+        return seg.partial_mean(lo, ends)
+    return _cumulative_moment(seg, lo, ends)
 
 
 # quad's tolerance for the moment of a segment without a closed form
@@ -369,9 +375,6 @@ class PiecewiseCdf(UnitDistribution):
         for s in self.segs:
             if s.lo >= s.hi:
                 raise ValueError("segment must have lo < hi")
-        for a in self.atom_list:
-            if a.mass < 0:
-                raise ValueError("negative atom mass")
         self._parts  # validates total mass
 
     def segments(self):

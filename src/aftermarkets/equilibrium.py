@@ -11,8 +11,9 @@ in one `uniform_price_deviations` call against opponents ranked once; an
 `Action` is built only for the reported witness. Every agent belongs to
 exactly one block: its resale group, or itself alone when it is in none. A
 block's aftermarket is integrated exactly over its <= 2 scalar random
-dimensions with the interval-moment cells of `cell_nodes`, once per distinct
-block allocation and aftermarket action rather than once per deviation. The
+dimensions with the interval-moment cells of `cell_nodes`, kept per (block,
+buyers' cuts), once per distinct block allocation and aftermarket action
+rather than once per deviation. The
 stages a call needs resell together: one array-valued `run_posted_resale`
 call, the rule `play()` and `expected_outcome` use too, takes every
 (allocation, seller price, buyer thresholds, cell) row. Every other check
@@ -117,8 +118,9 @@ class ConstantActionEvaluator:
     of its vectors under another mechanism. A block's stage depends only
     on its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
-    evaluator's lifetime, as are the block's cells per (price, thresholds);
-    auction payments are subtracted afterwards.
+    evaluator's lifetime, as are the block's cells, once per (block, cuts):
+    a buyer's cells depend on the price and its threshold only through its
+    cut max(price, threshold). Auction payments are subtracted afterwards.
     """
 
     def __init__(self, game: CombinedGame):
@@ -141,7 +143,6 @@ class ConstantActionEvaluator:
         self._blocks += [(i, ()) for i in range(self.market.n) if i not in grouped]
         self._block_of = {i: block for block in self._blocks
                           for i in (block[0],) + block[1]}
-        self._cells_cache: dict = {}
         self._cell_batches: dict = {}
         self._stage_cache: dict = {}
 
@@ -159,26 +160,19 @@ class ConstantActionEvaluator:
     def _auction(self, bids: Sequence[BidVector]):
         return _run_auction(self.game.mechanism, bids, self.m)
 
-    def _cells(self, agent: int, cut: Optional[float]):
-        key = (agent, cut)
-        if key not in self._cells_cache:
-            dist = self.market.agents[agent].dist
-            bps = () if cut is None or math.isinf(cut) else (cut,)
-            self._cells_cache[key] = dist.cells(bps)
-        return self._cells_cache[key]
-
     def _cell_batch(self, block, price, thresholds):
         """The members' valuations in every cell of `block` at (price,
-        thresholds) and the cell weights, made once per key."""
-        key = (block, price, thresholds)
+        thresholds) and the cell weights. Each buyer's cells are cut at its
+        purchase cutoff max(price, threshold) and the seller's are uncut, so
+        they are made once per (block, cuts)."""
+        cuts = tuple(price if t is None else max(price, t) for t in thresholds)
+        key = (block, cuts)
         if key not in self._cell_batches:
             members = (block[0],) + block[1]
-            cut_of = {b: price if thr is None else max(price, thr)
-                      for b, thr in zip(block[1], thresholds)}
             models = [self.market.agents[i] for i in members]
             scalars, weights = cell_nodes([
-                self._cells(i, None if math.isinf(price) else cut_of.get(i))
-                for i, model in zip(members, models) if model.random])
+                model.dist.cells(() if cut is None else (cut,))
+                for cut, model in zip((None,) + cuts, models) if model.random])
             self._cell_batches[key] = (realize_batch(models, scalars), weights)
         return self._cell_batches[key]
 

@@ -263,6 +263,8 @@ def lower_bound_market(m: int) -> MarketModel:
 def grouped_market(m: int, gamma: float) -> MarketModel:
     """k = ceil(1/gamma) independent copies of the three-agent group sharing one
     auction; each group's bulk distribution uses the group size r = m/k."""
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, not {gamma}")
     k = math.ceil(1.0 / gamma)
     if m % k != 0:
         raise ValueError("m must be divisible by ceil(1/gamma)")

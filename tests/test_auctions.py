@@ -142,6 +142,12 @@ def test_equal_bids_go_to_lower_index(clear, expected):
                  id="kernel-nan-reserve"),
     pytest.param(lambda: Mechanism("uniform", reserve=math.nan),
                  id="mechanism-nan-reserve"),
+    pytest.param(lambda: uniform_price(TIES, 2, reserve=-1.0), id="negative-reserve"),
+    pytest.param(lambda: uniform_price_deviations(TIES, 0, BidBatch.of([TIES[0]]), 2,
+                                                  -1.0),
+                 id="kernel-negative-reserve"),
+    pytest.param(lambda: Mechanism("uniform", reserve=-1.0),
+                 id="mechanism-negative-reserve"),
     *(pytest.param(lambda p=p: Mechanism("posted", posted_price=p),
                    id=f"mechanism-posted-{p}") for p in (-1.0, math.inf, math.nan)),
 ])
@@ -255,7 +261,7 @@ def test_uniform_kernel_matches_uniform_price(data):
     agent = data.draw(st.integers(0, n - 1))
     deviations = data.draw(st.lists(grid_bid_vector(m), min_size=1, max_size=6))
     reserve = data.draw(st.sampled_from(
-        [None, 0.0, -0.5, 0.75, 0.6, 1.75, math.inf]))
+        [None, 0.0, 0.75, 0.6, 1.75, math.inf]))
     members = tuple(range(n))
     k, price, counts = uniform_price_deviations(
         bids, agent, BidBatch.of(deviations), m, reserve, members)

@@ -55,6 +55,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
      "need a finite value above 5e-324 and a resolution >= 1, not inf and 2000"),
     ("smooth-audit", "resolution = 0",
      "need a finite value above 5e-324 and a resolution >= 1, not 1.0 and 0"),
+    ("grouped-sweep", "gammas = 0", "gamma must be positive and finite, not 0.0"),
+    ("grouped-sweep", "gammas = inf", "gamma must be positive and finite, not inf"),
+    ("grouped-sweep", "gammas = -0.5", "gamma must be positive and finite, not -0.5"),
+    ("verify-eq", "reserve = -1", "reserve must be nonnegative, not -1.0"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, line, detail):
     cfg = tmp_path / "cfg.ini"
@@ -65,6 +69,14 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, line, detail):
     assert code == 2
     assert out == "" and not out_path.exists()
     assert json.loads(err) == {"error": "bad config", "detail": detail}
+
+
+def test_malformed_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("m = 10\n")  # no section header
+    code, out, err = run_cli(["verify-eq", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "bad config"
 
 
 def test_grouped_sweep(capsys):

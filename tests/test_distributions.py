@@ -333,3 +333,111 @@ def test_square_cells_mean():
     nodes, weights = _square_cdf().cells((0.25, 0.5), subdivide=3)
     assert float(nodes @ weights) == pytest.approx(2.0 / 3.0, rel=1e-12, abs=1e-12)
     assert _square_cdf().mean() == pytest.approx(2.0 / 3.0, rel=1e-12, abs=1e-12)
+
+
+def reference_cells(d, breakpoints, subdivide):
+    """The cell rule as each cell's whole-distribution moment over its segment's
+    mass there: partial_mean(a, b) / (F_s(b) - F_s(a)), zero-mass cells
+    skipped. It equals the per-segment rule wherever segments are disjoint."""
+    nodes, weights = [a.x for a in d.atoms()], [a.mass for a in d.atoms()]
+    for s in d.segments():
+        cuts = sorted({s.lo, s.hi} | {b for b in breakpoints if s.lo < b < s.hi})
+        fine = set(cuts)
+        for a, b in zip(cuts, cuts[1:]):
+            fine.update(a + (b - a) * k / subdivide for k in range(subdivide))
+        fine = sorted(fine)
+        for a, b in zip(fine, fine[1:]):
+            mass = s.cdf(b) - s.cdf(a)
+            if mass <= 0:
+                continue
+            nodes.append(d.partial_mean(a, b) / mass)
+            weights.append(mass)
+    return nodes, weights
+
+
+cell_distributions = st.one_of(
+    st.builds(lambda lo, w: Uniform(lo, lo + w), st.floats(-10.0, 1e5),
+              st.floats(1e-3, 100.0)),
+    st.builds(EqualRevenueCapped, st.floats(1.01, 1e4)),
+    st.builds(lower_bound_z_distribution, st.integers(4, 10_000)),
+    st.builds(speculative_buyer_value_distribution, st.floats(0.01, 0.99),
+              st.floats(1.01, 1e3)),
+    st.just(PointMass(2.0)),
+    st.sampled_from(("square", "cosine")).map(lambda name: pdf_only[name]()),
+)
+
+
+@given(cell_distributions,
+       st.lists(st.floats(-0.25, 1.25), max_size=6),
+       st.integers(1, 4))
+@example(lower_bound_z_distribution(10), [1.0 / 1.05, 0.5], 3)
+@settings(max_examples=120, deadline=None)
+def test_cells_match_whole_distribution_reference(d, fracs, subdivide):
+    """Per-segment cells give the parent rule's nodes and weights bit for bit
+    on every preset and on pdf-only CDFs, at any breakpoints and subdivision."""
+    lo, hi = d.support
+    bps = tuple(lo + f * (hi - lo) for f in fracs)
+    nodes, weights = d.cells(bps, subdivide)
+    want_nodes, want_weights = reference_cells(d, bps, subdivide)
+    assert list(map(float.hex, nodes.tolist())) == list(map(float.hex, want_nodes))
+    assert list(map(float.hex, weights.tolist())) == list(map(float.hex, want_weights))
+
+
+def test_cells_take_one_cdf_call_per_cut_and_no_partial_mean(monkeypatch):
+    calls = []
+
+    def cdf(x):
+        calls.append(x)
+        return x * x
+
+    d = PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=cdf, pdf=lambda x: 2.0 * x),))
+
+    def no_partial_mean(*args, **kwargs):
+        raise AssertionError("cells called UnitDistribution.partial_mean")
+
+    monkeypatch.setattr(distributions.UnitDistribution, "partial_mean", no_partial_mean)
+    calls.clear()
+    nodes, weights = d.cells((0.25, 0.5), subdivide=3)
+    # three cut intervals of three cells each: ten cuts
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 10
+    assert len(nodes) == 9
+    assert float(nodes @ weights) == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def _half_uniform(lo):
+    return SegmentSpec(lo, lo + 1.0, cdf=lambda x: (x - lo) / 2.0,
+                       partial_mean=lambda a, b: (b - a) * (b + a) / 4.0)
+
+
+def test_overlapping_segments_take_their_own_moments():
+    """Half U[0, 1] and half U[0.5, 1.5]: each cell's moment comes from its
+    own segment, so the mean is 0.75 (a cell's moment summed over both
+    segments gave 1.125)."""
+    d = PiecewiseCdf((_half_uniform(0.0), _half_uniform(0.5)))
+    assert d.partial_mean(0.0, 1.5) == 0.75
+    assert d.mean() == 0.75
+    nodes, weights = d.cells((0.75,), 2)
+    assert float(nodes @ weights) == 0.75
+
+
+def test_flat_cdf_stretch_makes_no_cell():
+    """F(x) = min(x, 1) on [0, 2]: the cell [1, 2] has no mass and no node."""
+    d = PiecewiseCdf((SegmentSpec(
+        0.0, 2.0, cdf=lambda x: min(x, 1.0),
+        partial_mean=lambda a, b: (np.minimum(b, 1.0) ** 2 - min(a, 1.0) ** 2) / 2.0),))
+    nodes, weights = d.cells((1.0,))
+    assert nodes.tolist() == [0.5] and weights.tolist() == [1.0]
+    assert d.cells((), 4)[1].tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("subdivide", [1, 2, 3, 4])
+def test_unbounded_segment_cells_stay_finite(subdivide):
+    """The exponential on [0, inf): the cell above the breakpoint reaches
+    infinity and stays whole, with conditional mean 1.5 by memorylessness."""
+    d = PiecewiseCdf((SegmentSpec(0.0, math.inf, cdf=lambda x: -math.expm1(-x),
+                                  pdf=lambda x: math.exp(-x)),))
+    nodes, weights = d.cells((0.5,), subdivide)
+    assert np.all(np.isfinite(nodes)) and len(nodes) == subdivide + 1
+    assert nodes[-1] == pytest.approx(1.5, rel=1e-12)
+    assert weights[-1] == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert abs(d.mean() - 1.0) <= 1e-12

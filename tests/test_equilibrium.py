@@ -29,6 +29,26 @@ from aftermarkets.equilibrium import (BRD_MAX_ITERS, Action, CombinedTabularGame
                                       verify_bne, weak_dominance_witness)
 
 
+def test_evaluator_keeps_cells_per_block_and_cuts():
+    """A buyer's cells depend on the seller's price and its threshold only
+    through its cut max(price, threshold): thresholds at or below the price
+    reuse the base cells, and a no-offer price cuts nowhere, like no cut."""
+    ev = scripted_lower_bound_equilibrium(100).evaluator()
+    assert not hasattr(ev, "_cells") and not hasattr(ev, "_cells_cache")
+    block = (2, (0, 1))
+    ev.expected_welfare()
+    ev.utilities(0, [Action(buyer_threshold=t) for t in (0.5, 1.0)])
+    assert list(ev._cell_batches) == [(block, (1.0, 1.0))]
+    ev.utilities(0, [Action(buyer_threshold=1.2)])
+    ev.utilities(2, [Action(seller_price=math.inf)])
+    assert list(ev._cell_batches) == [(block, (1.0, 1.0)), (block, (1.2, 1.0)),
+                                      (block, (math.inf, math.inf))]
+    # a no-offer cut lies outside every segment, so A's and B's cells are uncut
+    _, weights = ev._cell_batches[(block, (math.inf, math.inf))]
+    assert len(weights) == math.prod(len(ev.market.agents[i].dist.cells()[1])
+                                     for i in (0, 1))
+
+
 def test_scripted_profile_closed_forms():
     for m in (10, 100):
         ev = scripted_lower_bound_equilibrium(m).evaluator()

@@ -1,0 +1,91 @@
+"""Every input guard that raises ValueError, each reached by one bad call."""
+
+import math
+
+import pytest
+
+from aftermarkets.aftermarket import ResaleSpec, SignalProtocol
+from aftermarkets.allocation import (Allocation, brute_force_opt, opt_allocation,
+                                     opt_welfares)
+from aftermarkets.balanced import realization_price
+from aftermarkets.combined import (Mechanism, Quadrature, Strategy,
+                                   expected_outcome, play)
+from aftermarkets.distributions import (EqualRevenueCapped, PiecewiseCdf,
+                                        SegmentSpec, Uniform,
+                                        lower_bound_z_distribution,
+                                        speculative_buyer_value_distribution)
+from aftermarkets.equilibrium import (Action, CombinedGame,
+                                      ConstantActionEvaluator, interim_curves,
+                                      symmetric_fpa_check)
+from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
+                                     MarketModel, grouped_market,
+                                     lower_bound_market)
+
+PROTOCOL = SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT
+PROFILE = (MarginalValuation([1.0]), MarginalValuation([0.5]))
+UNIFORM_BUYER = HeadTailModel(tail_count=1, dist=Uniform(0.0, 1.0))
+
+
+def _segment(lo, hi, scale=1.0):
+    return SegmentSpec(lo, hi, cdf=lambda x: scale * (x - lo) / (hi - lo),
+                       pdf=lambda x: scale / (hi - lo))
+
+
+def _exponential():
+    return PiecewiseCdf((SegmentSpec(0.0, math.inf, cdf=lambda x: -math.expm1(-x),
+                                     pdf=lambda x: math.exp(-x)),))
+
+
+GUARDS = {
+    # allocation
+    "negative-count": (lambda: Allocation((1, -1)), "nonnegative"),
+    "opt-negative-k": (lambda: opt_allocation(PROFILE, -1), "k must be"),
+    "brute-negative-k": (lambda: brute_force_opt(PROFILE, -1), "k must be"),
+    "opt-welfares-negative-m": (lambda: opt_welfares(PROFILE, -1), "m must be"),
+    # balanced
+    "realization-price-m0": (lambda: realization_price(PROFILE, 0), "m must be"),
+    # combined
+    "play-arity": (lambda: play(lower_bound_market(10), Mechanism("uniform"), PROTOCOL,
+                                None, (Strategy(),), PROFILE), "arity"),
+    "expected-outcome-arity": (lambda: expected_outcome(
+        lower_bound_market(10), Mechanism("uniform"), PROTOCOL, None, (Strategy(),),
+        Quadrature()), "arity"),
+    "quadrature-three-dims": (lambda: expected_outcome(
+        MarketModel(1, (UNIFORM_BUYER,) * 3), Mechanism("uniform"), PROTOCOL, None,
+        (Strategy(),) * 3, Quadrature()), "<= 2 scalar random dimensions"),
+    # distributions
+    "total-mass": (lambda: PiecewiseCdf((_segment(0.0, 1.0, 0.5),)), "total probability"),
+    "quantile-one": (lambda: Uniform(0.0, 1.0).quantile(1.0), r"\[0, 1\)"),
+    "quantile-negative": (lambda: lower_bound_z_distribution(10).quantile(-0.1),
+                          r"\[0, 1\)"),
+    "uniform-reversed": (lambda: Uniform(2.0, 1.0), "lo <= hi"),
+    "uniform-degenerate": (lambda: Uniform(1.0, 1.0), "degenerate"),
+    "equal-revenue-H1": (lambda: EqualRevenueCapped(1.0), "H > 1"),
+    "segment-empty": (lambda: PiecewiseCdf((_segment(1.0, 1.0),)), "lo < hi"),
+    "z-m3": (lambda: lower_bound_z_distribution(3), "m > 3"),
+    "speculative-eps0": (lambda: speculative_buyer_value_distribution(0.0, 10.0), "eps"),
+    "speculative-eps1": (lambda: speculative_buyer_value_distribution(1.0, 10.0), "eps"),
+    "speculative-H1": (lambda: speculative_buyer_value_distribution(0.5, 1.0), "H"),
+    # equilibrium
+    "evaluator-winner-led": (lambda: ConstantActionEvaluator(CombinedGame(
+        lower_bound_market(10), Mechanism("uniform"), ResaleSpec.winner_resale(),
+        (Action(),) * 3)), "fixed resale groups"),
+    "interim-three-agents": (lambda: interim_curves(
+        (Uniform(0.0, 1.0),) * 3, (lambda v: v / 2,) * 3, 0, [0.5]), "two agents"),
+    "fpa-check-atom": (lambda: symmetric_fpa_check(EqualRevenueCapped(10.0)), "atomless"),
+    "fpa-check-unbounded": (lambda: symmetric_fpa_check(_exponential()), "bounded"),
+    # valuations
+    "value-negative": (lambda: MarginalValuation([1.0]).value(-1), "nonnegative"),
+    "head-increasing": (lambda: HeadTailModel(head=(1.0, 2.0)), "non-increasing"),
+    "tail-without-dist": (lambda: HeadTailModel(tail_count=1), "distribution"),
+    "realize-without-scalar": (lambda: UNIFORM_BUYER.realize(), "scalar draw"),
+    "lower-bound-market-m3": (lambda: lower_bound_market(3), "m > 3"),
+    "grouped-small-groups": (lambda: grouped_market(6, 0.5), "m/k > 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_guard_raises(name):
+    call, match = GUARDS[name]
+    with pytest.raises(ValueError, match=match):
+        call()

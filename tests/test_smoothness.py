@@ -616,3 +616,30 @@ def test_combined_resale_rejects_bad_seller_price(bad):
                LiftedAction(0.2, (RoundAction(),)))
     with pytest.raises(ValueError):
         game.utilities_and_revenue((1.0, 0.5), actions)
+
+
+class TwoBidderFirstPrice(SmoothableGame):
+    """A first-price auction written against the documented extension point
+    only: no deviation_atoms or deviation_utilities of its own."""
+
+    n_agents = 2
+
+    def utilities_and_revenue(self, values, actions):
+        winner = 0 if actions[0] >= actions[1] else 1  # ties to the lower index
+        utils = tuple(values[i] - actions[i] if i == winner else 0.0
+                      for i in range(2))
+        return utils, actions[winner]
+
+    def opt_welfare(self, values):
+        return max(values)
+
+
+def test_extension_point_game_matches_library_game():
+    """check_smooth on a game that defines only the two documented methods
+    runs the base class's per-atom deviations and gives the library
+    first-price game's report, slack bit for bit."""
+    cert = fpa_cert(resolution=50)
+    dom = CheckDomain(((1.0, 0.5),), ((0.0, 0.3, 0.6),) * 2)
+    ours = check_smooth(TwoBidderFirstPrice(), cert, dom)
+    assert ours == check_smooth(SingleItemFirstPrice(2), cert, dom)
+    assert ours.min_slack.hex() == (-0.0064132237641727485).hex()
