@@ -1,13 +1,17 @@
 """Sealed-bid primary mechanisms: uniform-price (optional reserve),
 discriminatory, and single-item first-price and all-pay. (The posted primary
 sale clears through the resale kernel's sale, `aftermarket._sell`.)
+A bid is a marginal schedule plus a unit count: `BidVector` is a
+`MarginalValuation` with `m`, and `BidBatch` a `ValuationBatch` with each
+row's implicit zero bids, so pay-as-bid is the schedule's `value` of the
+units won, in the discriminatory clearing and its kernel alike.
 Next to the uniform-price, discriminatory and first-price clearings are
 kernels (`uniform_price_deviations`, `discriminatory_units_won`,
 `first_price_deviation_wins`) that clear one agent's many alternative bids
 at once against fixed opponents. Both multi-unit kernels take the bids as
-one run-encoded `BidBatch`, and the discriminatory one reads its units won
-off the uniform one. Every clearing and kernel breaks ties one way: higher
-bid first, then lower agent index, then lower unit."""
+one `BidBatch`, and the discriminatory one reads its units won off the
+uniform one. Every clearing and kernel breaks ties one way: higher bid
+first, then lower agent index, then lower unit."""
 
 from __future__ import annotations
 
@@ -18,14 +22,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import Allocation, _ranked_runs
-from .valuations import ValuationBatch, _merge_runs
+from .valuations import MarginalValuation, ValuationBatch, _merge_runs
 
 
-class BidVector:
-    """Non-increasing marginal bids for m units, run-length encoded; units
-    beyond the explicit runs are implicit zero bids."""
+class BidVector(MarginalValuation):
+    """Non-increasing marginal bids for m units: a marginal schedule whose
+    runs are all positive and cover at most m units; units beyond the
+    explicit runs are implicit zero bids. `value(k)` is what k won units
+    cost under pay-as-bid. A BidVector never equals a MarginalValuation."""
 
-    __slots__ = ("runs", "m")
+    __slots__ = ("m",)
 
     def __init__(self, marginals: Sequence[float], m: Optional[int] = None):
         runs = [(b, 1) for b in marginals]
@@ -83,9 +89,7 @@ def _sorted_entries(bids: Sequence[BidVector], reserve: Optional[float]):
     if reserve is not None and reserve > 0:
         return [e for e in entries if e[0] >= reserve]
     for i, bv in enumerate(bids):
-        start = 0
-        for _, c in bv.runs:
-            start += c
+        start = bv.n_explicit
         if bv.m > start:
             entries.append((0.0, i, start, bv.m - start))
     return entries
@@ -93,10 +97,9 @@ def _sorted_entries(bids: Sequence[BidVector], reserve: Optional[float]):
 
 def _allocate(entries, m: int, n: int):
     """Greedy allocation of m units down the sorted entries; returns per-agent
-    counts, per-agent sum of winning bids, and the (m+1)-th highest surviving
-    marginal (0 when fewer than m+1 survive)."""
+    counts and the (m+1)-th highest surviving marginal (0 when fewer than
+    m+1 survive)."""
     counts = [0] * n
-    bid_totals = [0.0] * n
     left = m
     next_losing = 0.0
     for b, i, _, c in entries:
@@ -105,12 +108,11 @@ def _allocate(entries, m: int, n: int):
             break
         take = min(c, left)
         counts[i] += take
-        bid_totals[i] += b * take
         left -= take
         if left == 0 and take < c:
             next_losing = b
             break
-    return counts, bid_totals, next_losing
+    return counts, next_losing
 
 
 def _check_reserve(reserve: Optional[float]) -> None:
@@ -125,7 +127,7 @@ def uniform_price(bids: Sequence[BidVector], m: int,
     max(reserve, highest surviving losing marginal) per unit. An infinite
     reserve sells nothing; a negative or NaN reserve is rejected."""
     _check_reserve(reserve)
-    counts, _, next_losing = _allocate(_sorted_entries(bids, reserve), m, len(bids))
+    counts, next_losing = _allocate(_sorted_entries(bids, reserve), m, len(bids))
     sold = sum(counts)
     price = next_losing
     if reserve is not None and sold > 0:
@@ -135,10 +137,11 @@ def uniform_price(bids: Sequence[BidVector], m: int,
 
 
 def discriminatory(bids: Sequence[BidVector], m: int) -> AuctionOutcome:
-    """Same allocation as uniform_price without reserve; each winner pays the
-    sum of her own winning marginal bids."""
-    counts, bid_totals, _ = _allocate(_sorted_entries(bids, None), m, len(bids))
-    return AuctionOutcome(Allocation(tuple(counts)), tuple(bid_totals))
+    """Same allocation as uniform_price without reserve; each winner pays as
+    bid: her bid schedule's value of the units she won."""
+    counts, _ = _allocate(_sorted_entries(bids, None), m, len(bids))
+    return AuctionOutcome(Allocation(tuple(counts)),
+                          tuple(float(bv.value(k)) for bv, k in zip(bids, counts)))
 
 
 def _ranked_ends(entries):
@@ -150,40 +153,30 @@ def _ranked_ends(entries):
     return bids, ends
 
 
-class BidBatch:
+class BidBatch(ValuationBatch):
     """Bid vectors as run arrays, for clearing one agent's alternative bids
-    at once. Row j bids `run_bids[j, r]` on `run_counts[j, r]` units: its
-    positive runs in order, then empty (0.0, 0) runs as padding; then come
-    its `tail[j]` implicit zero bids. The constructor takes the rows as
-    valid; `of` builds them from BidVectors, and `vector(j)`, or `batch[j]`,
+    at once: a ValuationBatch of the rows' positive runs plus `tail[j]`, the
+    implicit zero bids of row j. The constructor takes the rows as valid;
+    `of` builds them from BidVectors, and `vector(j)`, or `batch[j]`,
     validates row j as it rebuilds it."""
 
-    __slots__ = ("run_bids", "run_counts", "tail")
+    __slots__ = ("tail",)
 
-    def __init__(self, run_bids: np.ndarray, run_counts: np.ndarray,
+    def __init__(self, run_values: np.ndarray, run_counts: np.ndarray,
                  tail: np.ndarray):
-        self.run_bids = run_bids
-        self.run_counts = run_counts
+        super().__init__(run_values, run_counts)
         self.tail = tail
 
     @classmethod
     def of(cls, bids: Sequence[BidVector]) -> "BidBatch":
-        n_runs = max((len(bv.runs) for bv in bids), default=0)
-        run_bids = np.zeros((len(bids), n_runs))
-        run_counts = np.zeros((len(bids), n_runs), dtype=np.int64)
-        for a, bv in enumerate(bids):
-            for r, (b, c) in enumerate(bv.runs):
-                run_bids[a, r] = b
-                run_counts[a, r] = c
+        runs = ValuationBatch.of(bids)
         units = np.array([bv.m for bv in bids], dtype=np.int64)
-        return cls(run_bids, run_counts, units - run_counts.sum(axis=1))
-
-    def __len__(self) -> int:
-        return len(self.run_bids)
+        return cls(runs.run_values, runs.run_counts,
+                   units - runs.run_counts.sum(axis=1))
 
     def vector(self, j: int) -> BidVector:
         counts = self.run_counts[j].tolist()
-        return BidVector.from_runs(tuple(zip(self.run_bids[j].tolist(), counts)),
+        return BidVector.from_runs(tuple(zip(self.run_values[j].tolist(), counts)),
                                    sum(counts) + int(self.tail[j]))
 
     __getitem__ = vector
@@ -198,19 +191,19 @@ def _deviation_units(entries, agent: int, batch: BidBatch, m: int,
     each row wins."""
     ahead_bids, ahead_ends = _ranked_ends([e for e in entries if e[1] < agent])
     behind_bids, behind_ends = _ranked_ends([e for e in entries if e[1] > agent])
-    run_bids = np.concatenate((batch.run_bids, np.zeros((len(batch), 1))), axis=1)
+    run_values = np.concatenate((batch.run_values, np.zeros((len(batch), 1))), axis=1)
     run_counts = np.concatenate((batch.run_counts, batch.tail[:, None]), axis=1)
     if reserve is not None:
-        run_counts[run_bids < reserve] = 0
+        run_counts[run_values < reserve] = 0
     run_ends = np.cumsum(run_counts, axis=1)
     run_starts = run_ends - run_counts
     # bids are descending, so negate them for searchsorted
-    above = (ahead_ends[np.searchsorted(-ahead_bids, -run_bids, side="right")]
-             + behind_ends[np.searchsorted(-behind_bids, -run_bids, side="left")])
+    above = (ahead_ends[np.searchsorted(-ahead_bids, -run_values, side="right")]
+             + behind_ends[np.searchsorted(-behind_bids, -run_values, side="left")])
     # clip(m - above - s, 0, c); np.clip is slower on the small batches
     # of the smoothness checks
     k = np.minimum(np.maximum(m - above - run_starts, 0), run_counts).sum(axis=1)
-    return run_bids, run_starts, run_ends, k
+    return run_values, run_starts, run_ends, k
 
 
 def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
@@ -236,13 +229,13 @@ def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
     _check_reserve(reserve)
     entries = [e for e in _sorted_entries(bids, reserve) if e[1] != agent]
     opp_bids, opp_ends = _ranked_ends(entries)
-    run_bids, run_starts, run_ends, k = _deviation_units(entries, agent, batch, m,
-                                                         reserve)
+    run_values, run_starts, run_ends, k = _deviation_units(entries, agent, batch, m,
+                                                           reserve)
     surviving = opp_ends[-1] + run_ends[:, -1]
     sold = np.minimum(m, surviving)
     # the (m+1)-th marginal: the agent's unit k or the opponents' unit m - k
     in_run = (run_starts <= k[:, None]) & (k[:, None] < run_ends)
-    own_next = np.max(np.where(in_run, run_bids, -math.inf), axis=1)
+    own_next = np.max(np.where(in_run, run_values, -math.inf), axis=1)
     opp_next = np.append(opp_bids, -math.inf)[
         np.searchsorted(opp_ends[1:], m - k, side="right")]
     price = np.where(surviving > m, np.maximum(own_next, opp_next), 0.0)
@@ -267,12 +260,12 @@ def discriminatory_units_won(bids: Sequence[BidVector], agent: int,
     bids fixed, as discriminatory() clears them. The discriminatory
     allocation is uniform_price()'s without a reserve, so the units won are
     the k of uniform_price_deviations; won units form a prefix, and the
-    payment is the value of the first k units of the row's bids, added run
-    by run as _allocate does.
+    payment is the pay-as-bid `value(k)` of the row, bit for bit the one
+    discriminatory() charges.
     Returns two arrays: unit counts and payments."""
     entries = [e for e in _sorted_entries(bids, None) if e[1] != agent]
     *_, counts = _deviation_units(entries, agent, batch, m, None)
-    return counts, ValuationBatch(batch.run_bids, batch.run_counts).value(counts)
+    return counts, batch.value(counts)
 
 
 def _first_price_winner(bids: Sequence[float], bidders: Sequence[int]) -> int:

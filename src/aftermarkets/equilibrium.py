@@ -345,19 +345,20 @@ class DeviationGrid:
         # positive runs, then the level unless it is empty, merged into the
         # head's last run when equal to it
         n_head = len(head.runs)
-        run_bids = np.zeros((len(level), n_head + 1))
+        run_values = np.zeros((len(level), n_head + 1))
         run_counts = np.zeros((len(level), n_head + 1), dtype=np.int64)
         col = np.where(use_head, n_head, 0)
         if n_head:
-            run_bids[use_head, :n_head] = [b for b, _ in head.runs]
+            run_values[use_head, :n_head] = [b for b, _ in head.runs]
             run_counts[use_head, :n_head] = [c for _, c in head.runs]
             col[use_head & (level == head.runs[-1][0])] = n_head - 1
         live = np.flatnonzero((level > 0) & (count > 0))
-        run_bids[live, col[live]] = level[live]
+        run_values[live, col[live]] = level[live]
         run_counts[live, col[live]] += count[live]
-        rows = np.sort(_distinct_rows([*run_bids.T, *run_counts.T])[0])
-        run_bids, run_counts = run_bids[rows], run_counts[rows]
-        return BidBatch(run_bids, run_counts, m - run_counts.sum(axis=1)), origin[rows]
+        rows = np.sort(_distinct_rows([*run_values.T, *run_counts.T])[0])
+        run_values, run_counts = run_values[rows], run_counts[rows]
+        return (BidBatch(run_values, run_counts, m - run_counts.sum(axis=1)),
+                origin[rows])
 
     def bid_batch(self, m: int) -> BidBatch:
         """The grid's distinct bid deviations for m units, in grid order."""
@@ -390,7 +391,10 @@ class DeviationGrid:
 
 def default_deviation_grid(m: int, role: str) -> DeviationGrid:
     """Deviation grid for the scripted speculation profiles: >= 1000 bid
-    deviations per agent plus the role's aftermarket grid."""
+    deviations per agent plus the aftermarket grid of `role`, one of
+    "regular", "bulk" and "speculator"."""
+    if role not in ("regular", "bulk", "speculator"):
+        raise ValueError(f"role must be regular, bulk or speculator, not {role!r}")
     counts = sorted({int(c) for c in np.unique(np.geomspace(1, m, 32).round())}
                     | {c for c in (m - 3, m - 2, m - 1, m) if c >= 1} | {1, 2, 3})
     # enough bid levels that every role sees >= 1000 deviations

@@ -13,8 +13,9 @@ only. Certificates are checked on finite domains: the reported slack is the
 minimum of LHS - lambda*OPT + mu*Rev over the domain. A deviation is two
 arrays, a support (bids or a BidBatch) and probabilities; each expected
 deviation utility is one `deviation_utilities` call over all its atoms, once
-per (agent, value profile, opponents' actions) key. The certificate lift
-leaves deviations as they are: a bare bid opts out of resale.
+per (agent, value profile, opponents' actions) key, and a game's kernel takes
+the support as the deviation built it. The certificate lift leaves
+deviations as they are: a bare bid opts out of resale.
 """
 
 from __future__ import annotations
@@ -100,10 +101,11 @@ class SmoothableGame:
     (value profile, action profile) pair, plus the optimal welfare.
 
     `deviation_utilities` gives one agent's utility for each atom of a
-    deviation while the others' actions stay fixed. The base class calls
-    `utilities_and_revenue` once per atom, so a game defined elsewhere needs
-    only the two methods above. The auction games and their lifts clear all
-    atoms at once and must return exactly what the base class would."""
+    deviation's support while the others' actions stay fixed. The base class
+    calls `utilities_and_revenue` once per atom, so a game defined elsewhere
+    needs only the two methods above. The auction games and their lifts
+    clear all atoms at once and must return exactly what the base class
+    would."""
 
     n_agents: int
 
@@ -113,15 +115,11 @@ class SmoothableGame:
     def opt_welfare(self, values: tuple) -> float:
         raise NotImplementedError
 
-    def deviation_atoms(self, support: Sequence):
-        """The deviation actions `support` in the form deviation_utilities
-        takes; check_smooth converts each deviation once per value profile."""
-        return tuple(support)
-
     def deviation_utilities(self, values: tuple, actions: tuple, agent: int,
                             atoms) -> np.ndarray:
-        """Utility of `agent` playing each atom (as made by deviation_atoms)
-        against the others' entries of `actions`."""
+        """Utility of `agent` playing each atom of the support `atoms` (a
+        tuple of actions, a float array of bids or a BidBatch) against the
+        others' entries of `actions`."""
         head, tail = actions[:agent], actions[agent + 1:]
         return np.array([self.utilities_and_revenue(values, head + (d,) + tail)[0][agent]
                          for d in atoms], dtype=float)
@@ -151,9 +149,6 @@ class AuctionGame(SmoothableGame):
     def opt_welfare(self, values):
         return opt_allocation([self.valuation(v) for v in values], self.m)[1]
 
-    def deviation_atoms(self, support):
-        return support if isinstance(support, BidBatch) else BidBatch.of(support)
-
     def utilities_and_revenue(self, values, actions):
         out = self.clear(list(actions))
         utils = tuple(self.worth(values[i], out.alloc[i]) - out.payments[i]
@@ -175,6 +170,7 @@ class SingleItemFirstPrice(AuctionGame):
         return first_price_single(bids)
 
     def units_and_payments(self, bids, agent, atoms):
+        atoms = np.asarray(atoms, dtype=float)
         wins = first_price_deviation_wins(bids, agent, atoms)
         return wins.astype(np.int64), np.where(wins, atoms, 0.0)
 
@@ -184,9 +180,6 @@ class SingleItemFirstPrice(AuctionGame):
     def worth(self, value, units):
         return value * units
 
-    def deviation_atoms(self, support):
-        return np.array(support, dtype=float)
-
 
 class SingleItemAllPay(SingleItemFirstPrice):
     """First price, except that every bidder pays its bid."""
@@ -195,7 +188,8 @@ class SingleItemAllPay(SingleItemFirstPrice):
         return all_pay_single(bids)
 
     def units_and_payments(self, bids, agent, atoms):
-        return super().units_and_payments(bids, agent, atoms)[0], atoms
+        return (super().units_and_payments(bids, agent, atoms)[0],
+                np.asarray(atoms, dtype=float))
 
 
 class MultiUnitDiscriminatory(AuctionGame):
@@ -205,6 +199,8 @@ class MultiUnitDiscriminatory(AuctionGame):
         return discriminatory(bids, self.m)
 
     def units_and_payments(self, bids, agent, atoms):
+        if not isinstance(atoms, BidBatch):  # a tuple of BidVectors
+            atoms = BidBatch.of(atoms)
         return discriminatory_units_won(bids, agent, atoms, self.m)
 
 
@@ -287,27 +283,24 @@ class LiftedGame(SmoothableGame):
             alloc, transfers = trade.final_alloc, transfers + trade.transfers
         return alloc, transfers
 
-    def deviation_atoms(self, support):
-        # a bid array or a BidBatch holds bare bids: one plan, no offers
-        if isinstance(support, (np.ndarray, BidBatch)):
-            return (self.auction.deviation_atoms(support),
-                    np.zeros(len(support), dtype=np.int64), support)
-        plans: dict = {}
-        plan = [plans.setdefault(_offers(a, self.rounds), len(plans)) for a in support]
-        return (self.auction.deviation_atoms([_bid(a) for a in support]),
-                np.array(plan, dtype=np.int64), support)
-
     def deviation_utilities(self, values, actions, agent, atoms):
         """The auction's kernel gives each atom's units and payment. Under
         the one tie rule the opponents' holdings depend only on the units
-        the deviator wins, so the atoms group by (units, plan): one clearing
-        of a representative atom gives a group's allocation, and every
-        group resells in one batch per round."""
-        bids, plan, support = atoms
+        the deviator wins, so the atoms group by (units, round plan): one
+        clearing of a representative atom gives a group's allocation, and
+        every group resells in one batch per round. A bid array or a
+        BidBatch holds bare bids, so it has one plan: no offers."""
+        if isinstance(atoms, (np.ndarray, BidBatch)):
+            bids, plan = atoms, np.zeros(len(atoms), dtype=np.int64)
+        else:  # a tuple of actions
+            plans: dict = {}
+            plan = np.array([plans.setdefault(_offers(a, self.rounds), len(plans))
+                             for a in atoms], dtype=np.int64)
+            bids = tuple(_bid(a) for a in atoms)
         units, payments = self.auction.units_and_payments(
             [_bid(a) for a in actions], agent, bids)
         first, inverse = _distinct_rows([units, plan])
-        rows = [actions[:agent] + (support[j],) + actions[agent + 1:]
+        rows = [actions[:agent] + (atoms[j],) + actions[agent + 1:]
                 for j in first.tolist()]
         alloc = np.array([self.auction.clear([_bid(a) for a in row]).alloc.counts
                           for row in rows])
@@ -380,11 +373,11 @@ def discriminatory_deviation(own_valuation: MarginalValuation, m: int,
     rows, cols = np.nonzero(bids > 0)
     # bids are non-increasing: a run starts wherever the bid drops
     run = np.cumsum(np.diff(bids, prepend=math.inf) < 0, axis=1)[rows, cols] - 1
-    run_bids = np.zeros((resolution, run.max(initial=-1) + 1))
-    run_counts = np.zeros(run_bids.shape, dtype=np.int64)
-    run_bids[rows, run] = bids[rows, cols]
+    run_values = np.zeros((resolution, run.max(initial=-1) + 1))
+    run_counts = np.zeros(run_values.shape, dtype=np.int64)
+    run_values[rows, run] = bids[rows, cols]
     np.add.at(run_counts, (rows, run), counts[cols])
-    return FiniteDist(BidBatch(run_bids, run_counts, m - run_counts.sum(axis=1)),
+    return FiniteDist(BidBatch(run_values, run_counts, m - run_counts.sum(axis=1)),
                       np.full(resolution, 1.0 / resolution))
 
 
@@ -439,14 +432,20 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
                  domain: CheckDomain) -> SmoothnessReport:
     """Minimum certificate slack over the domain. Expected deviation
     utilities are cached per (agent, value profile, opponents' actions); each
-    is one deviation_utilities call over all atoms, summed in atom order by
-    `_expectation`. A NaN slack raises ValueError."""
+    is one deviation_utilities call over the deviation's support, summed in
+    atom order by `_expectation`. A domain with other than one action set and
+    one value per agent, or a NaN slack, raises ValueError."""
     min_slack = math.inf
     worst = ((), ())
     checked = n_keys = n_atoms = 0
+    if len(domain.action_sets) != game.n_agents:
+        raise ValueError(f"{len(domain.action_sets)} action sets for a game of "
+                         f"{game.n_agents} agents")
     for values in domain.value_profiles:
+        if len(values) != game.n_agents:
+            raise ValueError(f"value profile {values} of length {len(values)} "
+                             f"for a game of {game.n_agents} agents")
         dists = [cert.deviation(i, values) for i in range(game.n_agents)]
-        devs = [(game.deviation_atoms(d.support), d.probs) for d in dists]
         opt = game.opt_welfare(values)
         cache: dict = {}
         for actions in domain.action_profiles():
@@ -455,11 +454,11 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
             for i in range(game.n_agents):
                 key = (i, actions[:i] + actions[i + 1:])
                 if key not in cache:
-                    atoms, probs = devs[i]
-                    utils = game.deviation_utilities(values, actions, i, atoms)
-                    cache[key] = _expectation(probs, utils)
+                    utils = game.deviation_utilities(values, actions, i,
+                                                     dists[i].support)
+                    cache[key] = _expectation(dists[i].probs, utils)
                     n_keys += 1
-                    n_atoms += len(probs)
+                    n_atoms += len(dists[i].probs)
                 lhs += cache[key]
             slack = lhs - cert.lam * opt + cert.mu * rev
             if math.isnan(slack):

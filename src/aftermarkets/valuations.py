@@ -102,10 +102,11 @@ ZERO_VALUATION = MarginalValuation.from_runs(())
 
 
 class ValuationBatch:
-    """Valuations as run arrays, the valuation twin of `BidBatch`. Row j has
-    marginal value `run_values[j, r]` on `run_counts[j, r]` units: its runs in
-    order, then empty (0.0, 0) runs as padding; units beyond them are worth
-    0. The constructor takes the rows as valid; `of` builds them from
+    """Valuations as run arrays; `BidBatch` (auctions.py) is a batch of bid
+    schedules that adds each row's implicit zero bids. Row j has marginal
+    value `run_values[j, r]` on `run_counts[j, r]` units: its runs in order,
+    then empty (0.0, 0) runs as padding; units beyond them are worth 0. The
+    constructor takes the rows as valid; `of` builds them from
     MarginalValuations, `HeadTailModel.batch` from a column of scalar draws,
     and `valuation(j)` rebuilds row j."""
 

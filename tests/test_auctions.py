@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from aftermarkets.aftermarket import SignalProtocol
 from aftermarkets.allocation import opt_allocation
 from aftermarkets.auctions import (AuctionOutcome, BidBatch, BidVector,
-                                   all_pay_single, discriminatory,
+                                   _sorted_entries, all_pay_single,
+                                   discriminatory,
                                    discriminatory_units_won,
                                    first_price_deviation_wins,
                                    first_price_single, uniform_price,
@@ -248,6 +249,36 @@ def grid_bid_vector(draw, m):
     leave implicit zero bids."""
     marginals = draw(st.lists(GRID_BIDS, max_size=m))
     return BidVector(sorted(marginals, reverse=True), m)
+
+
+def reference_pay_as_bid(bids, m):
+    """Each agent's winning marginal bids summed down the ranked entries of
+    the greedy allocation, one `b * take` per entry."""
+    paid = [0.0] * len(bids)
+    left = m
+    for b, i, _, c in _sorted_entries(bids, None):
+        if left == 0:
+            break
+        take = min(c, left)
+        paid[i] += b * take
+        left -= take
+    return paid
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pay_as_bid_is_value_of_units_won(data):
+    """discriminatory() charges each winner its bid schedule's value of the
+    units won, bit for bit the per-entry sum."""
+    m = data.draw(st.integers(1, 12))
+    bids = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        marginals = data.draw(st.lists(st.one_of(GRID_BIDS, st.floats(0.0, 3.0)),
+                                       max_size=m))
+        bids.append(BidVector(sorted(marginals, reverse=True), m))
+    out = discriminatory(bids, m)
+    assert [p.hex() for p in out.payments] == [
+        p.hex() for p in reference_pay_as_bid(bids, m)]
 
 
 @given(st.data())

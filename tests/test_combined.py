@@ -186,6 +186,21 @@ def test_sample_profile_is_first_monte_carlo_profile(market):
         assert [v.valuation(0) for v in values] == sample_profile(market, seed)
 
 
+def test_strategy_without_bid_bids_zero():
+    """A Strategy with no bid bids zero on every unit: under the uniform-price
+    auction play() gives what an explicit empty BidVector gives."""
+    m = 10
+    market, mech, resale, strategies = scripted(m)
+    for i in range(3):
+        no_bid, zero_bid = list(strategies), list(strategies)
+        no_bid[i] = replace(strategies[i], bid=None)
+        zero_bid[i] = replace(strategies[i], bid=BidVector.from_runs((), m))
+        for seed in range(5):
+            profile = sample_profile(market, seed)
+            assert (play(market, mech, PROTO, resale, no_bid, profile)
+                    == play(market, mech, PROTO, resale, zero_bid, profile))
+
+
 def test_posted_primary_mechanism():
     market = lower_bound_market(10)
     mech = Mechanism("posted", posted_price=1.9, posted_order=(0, 1, 2))

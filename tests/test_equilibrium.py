@@ -613,7 +613,7 @@ def test_bid_batch_is_run_encoded():
     the 20.4 MB of dense per-unit arrays."""
     batch = default_deviation_grid(1000, "regular").bid_batch(1000)
     assert len(batch) == 2263
-    assert batch.run_bids.nbytes + batch.run_counts.nbytes + batch.tail.nbytes < 1e6
+    assert batch.run_values.nbytes + batch.run_counts.nbytes + batch.tail.nbytes < 1e6
 
 
 def mixed_deviations(m, rng):

@@ -15,8 +15,12 @@ from aftermarkets.distributions import (EqualRevenueCapped, PiecewiseCdf,
                                         lower_bound_z_distribution,
                                         speculative_buyer_value_distribution)
 from aftermarkets.equilibrium import (Action, CombinedGame,
-                                      ConstantActionEvaluator, interim_curves,
+                                      ConstantActionEvaluator,
+                                      default_deviation_grid, interim_curves,
                                       symmetric_fpa_check)
+from aftermarkets.smoothness import (CheckDomain, SingleItemFirstPrice,
+                                     SmoothnessCertificate, check_smooth,
+                                     fpa_deviation_generator)
 from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
                                      MarketModel, grouped_market,
                                      lower_bound_market)
@@ -29,6 +33,11 @@ UNIFORM_BUYER = HeadTailModel(tail_count=1, dist=Uniform(0.0, 1.0))
 def _segment(lo, hi, scale=1.0):
     return SegmentSpec(lo, hi, cdf=lambda x: scale * (x - lo) / (hi - lo),
                        pdf=lambda x: scale / (hi - lo))
+
+
+def _fpa_check(domain):
+    cert = SmoothnessCertificate(0.5, 1.0, fpa_deviation_generator(50))
+    return check_smooth(SingleItemFirstPrice(2), cert, domain)
 
 
 def _exponential():
@@ -74,6 +83,17 @@ GUARDS = {
         (Uniform(0.0, 1.0),) * 3, (lambda v: v / 2,) * 3, 0, [0.5]), "two agents"),
     "fpa-check-atom": (lambda: symmetric_fpa_check(EqualRevenueCapped(10.0)), "atomless"),
     "fpa-check-unbounded": (lambda: symmetric_fpa_check(_exponential()), "bounded"),
+    "deviation-grid-role": (lambda: default_deviation_grid(100, "speculatr"), "role"),
+    # smoothness: a domain's arity must match the game's
+    "smooth-action-sets": (lambda: _fpa_check(CheckDomain(((1.0, 0.5),),
+                                                          ((0.0, 0.5),) * 3)),
+                           "3 action sets for a game of 2 agents"),
+    "smooth-long-values": (lambda: _fpa_check(CheckDomain(((1.0, 0.5, 0.2),),
+                                                          ((0.0, 0.5),) * 2)),
+                           "of length 3 for a game of 2 agents"),
+    "smooth-short-values": (lambda: _fpa_check(CheckDomain(((1.0,),),
+                                                           ((0.0, 0.5),) * 2)),
+                            "of length 1 for a game of 2 agents"),
     # valuations
     "value-negative": (lambda: MarginalValuation([1.0]).value(-1), "nonnegative"),
     "head-increasing": (lambda: HeadTailModel(head=(1.0, 2.0)), "non-increasing"),

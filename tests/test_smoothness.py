@@ -108,7 +108,7 @@ def test_discriminatory_deviation_matches_bid_vectors(data):
         return
     d = discriminatory_deviation(valuation, m, resolution)
     ref = reference_discriminatory_support(valuation, m, resolution)
-    for name in ("run_bids", "run_counts", "tail"):
+    for name in ("run_values", "run_counts", "tail"):
         fast, slow = getattr(d.support, name), getattr(ref, name)
         assert (fast.dtype, fast.shape) == (slow.dtype, slow.shape)
         assert fast.tobytes() == slow.tobytes()
@@ -126,7 +126,7 @@ def test_discriminatory_deviation_merges_rounded_runs():
     assert support.tail.tolist() == ref.tail.tolist()
     assert support.tail[0] == 4  # the scale-0 row is all padding
     empty = discriminatory_deviation(MarginalValuation([]), 3, 5).support
-    assert empty.run_bids.shape == (5, 0) and empty.tail.tolist() == [3] * 5
+    assert empty.run_values.shape == (5, 0) and empty.tail.tolist() == [3] * 5
 
 
 @pytest.mark.parametrize("build", [
@@ -413,8 +413,7 @@ VALUES = st.one_of(st.sampled_from(GRID + (2.0,)), st.floats(0.0, 2.0))
 
 
 def assert_matches_reference(game, values, actions, agent, support):
-    fast = game.deviation_utilities(values, actions, agent,
-                                    game.deviation_atoms(support))
+    fast = game.deviation_utilities(values, actions, agent, support)
     ref = SmoothableGame.deviation_utilities(game, values, actions, agent,
                                              tuple(support))
     assert fast.dtype == ref.dtype and fast.shape == ref.shape
@@ -620,7 +619,7 @@ def test_combined_resale_rejects_bad_seller_price(bad):
 
 class TwoBidderFirstPrice(SmoothableGame):
     """A first-price auction written against the documented extension point
-    only: no deviation_atoms or deviation_utilities of its own."""
+    only: no deviation_utilities of its own."""
 
     n_agents = 2
 

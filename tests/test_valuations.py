@@ -47,6 +47,23 @@ def test_bids_and_marginals_share_run_validation():
             BidVector.from_runs(bad, 5)
 
 
+def test_bids_and_valuations_compare_by_type():
+    """A BidVector is a marginal schedule with a unit count: it never equals a
+    MarginalValuation, and bid vectors differing only in m differ."""
+    runs = ((2.0, 1), (1.0, 2))
+    valuation = MarginalValuation.from_runs(runs)
+    assert valuation == MarginalValuation([2.0, 1.0, 1.0])
+    assert hash(valuation) == hash(MarginalValuation([2.0, 1.0, 1.0]))
+    bid = BidVector.from_runs(runs, 3)
+    assert isinstance(bid, MarginalValuation) and bid.value(2) == valuation.value(2)
+    assert not bid == valuation and not valuation == bid
+    assert bid != valuation and valuation != bid
+    same = BidVector([2.0, 1.0, 1.0])
+    assert bid == same and hash(bid) == hash(same)
+    wider = BidVector.from_runs(runs, 4)
+    assert bid != wider and hash(bid) != hash(wider)
+
+
 def test_nan_marginals_rejected():
     nan = float("nan")
     with pytest.raises(ValueError):
