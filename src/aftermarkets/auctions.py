@@ -277,9 +277,13 @@ def first_price_deviation_wins(bids: Sequence[float], agent: int, deviations):
     """Whether `agent` wins the single item with each bid in the array
     `deviations`, the other bids fixed, under the rule of first_price_single:
     a deviation d wins iff d > B, or d == B and the agent's index is below
-    the rival's, where the rival is the best other bidder (bid B)."""
+    the rival's, where the rival is the best other bidder (bid B); a bad
+    deviation or other bid raises as in first_price_single."""
     d = np.asarray(deviations, dtype=float)
     others = [i for i in range(len(bids)) if i != agent]
+    checked = np.concatenate((d.ravel(), [bids[i] for i in others]))
+    if not np.all((0 <= checked) & (checked < math.inf)):
+        raise ValueError("bids must be finite and nonnegative")
     if not others:
         return np.ones(d.shape, dtype=bool)
     rival = _first_price_winner(bids, others)

@@ -14,6 +14,7 @@ All checks are exact when the valuations use Fractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -71,8 +72,8 @@ def check_balanced_conditions(profile: Sequence[MarginalValuation], m: int,
 def static_price(alpha: float, beta: float, expected_per_unit: float) -> float:
     """The static posted price alpha/(1 + alpha*beta) * E[w^v] induced by an
     (alpha, beta)-balanced realization price; (1, 1) gives E[OPT]/(2m)."""
-    if alpha <= 0 or beta < 0:
-        raise ValueError("requires alpha > 0 and beta >= 0")
+    if not (alpha > 0 and beta >= 0) or math.isnan(expected_per_unit):
+        raise ValueError("requires alpha > 0, beta >= 0 and a per-unit welfare, not NaN")
     return alpha / (1.0 + alpha * beta) * expected_per_unit
 
 
@@ -110,8 +111,8 @@ def perturbed_guarantee(expected_opt: float, m: int,
                         price_error: float) -> float:
     """Welfare lower bound when the per-unit reserve is off by at most
     price_error: E[OPT]/2 - m * price_error."""
-    if price_error < 0:
-        raise ValueError("price error must be nonnegative")
+    if not price_error >= 0 or m < 1 or math.isnan(expected_opt):
+        raise ValueError("requires price error >= 0, m >= 1 and an E[OPT], not NaN")
     return 0.5 * expected_opt - m * price_error
 
 
@@ -120,4 +121,6 @@ def noisy_reserve(psi: float, eps: float, m: int) -> tuple[float, float]:
     posting psi/(2m) still guarantees a (1-eps)/2 fraction of E[OPT]."""
     if not (0.0 <= eps < 1.0):
         raise ValueError("eps must be in [0, 1)")
+    if m < 1 or math.isnan(psi):
+        raise ValueError("requires m >= 1 and a psi, not NaN")
     return psi / (2.0 * m), (1.0 - eps) / 2.0

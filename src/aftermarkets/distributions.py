@@ -10,8 +10,10 @@ cell integrates exactly. Every preset segment states its moment in closed
 form. A segment without one has x * pdf integrated in one cumulative pass
 over the sorted upper limits: QUADPACK's 15-point Kronrod rule per gap
 between consecutive limits, checked against its embedded 7-point Gauss rule,
-the gaps added with a compensated running sum, and `quad` from the window's
-start wherever the check fails.
+the gaps added with a compensated running sum, and scipy's `quad` from the
+window's start wherever the check fails. The Kronrod table is the package's
+one quadrature table, and `_monotone_inverse`, an array bisection, its one
+monotone inverse: a segment without a `ppf` inverts its `cdf` by it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class SegmentSpec:
     `partial_mean(a, b)` is the moment of x dF on [a, b] for lo <= a < b <= hi,
     array-safe in `b`. Without it the base class integrates x * `pdf` by its
     cumulative Kronrod rule, with `quad` where that rule's error check fails,
-    so give one."""
+    so give one. Without `ppf`, `quantile` bisects `cdf` on a bounded segment."""
 
     lo: float
     hi: float
@@ -135,9 +136,12 @@ class UnitDistribution:
             targets = obj.cdf(obj.lo) + (np.clip(u[sel], u0, u1) - u0)
             if obj.ppf is not None:
                 out[sel] = [obj.ppf(float(t)) for t in targets]
+            elif not math.isfinite(obj.hi - obj.lo):
+                raise ValueError("an unbounded segment needs a ppf for its quantile")
             else:
-                out[sel] = [optimize.brentq(lambda x: obj.cdf(x) - t, obj.lo, obj.hi,
-                                            xtol=1e-14) for t in targets]
+                out[sel] = _monotone_inverse(
+                    lambda x: np.fromiter(map(obj.cdf, x.tolist()), float, x.size),
+                    targets, obj.lo, obj.hi)
         return out[()]
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
@@ -195,6 +199,25 @@ def _unit_interval(u) -> np.ndarray:
     return u
 
 
+def _monotone_inverse(fn: Callable[[np.ndarray], np.ndarray], target,
+                      lo: float, hi: float) -> np.ndarray:
+    """sup{w in [lo,hi]: fn(w) < target} for nondecreasing fn (lo if none),
+    elementwise over an array of targets, by bisection; fn is called on
+    arrays. It stops once every midpoint is an end of its bracket, which no
+    later round changes; a target met at lo or missed at hi starts there."""
+    target = np.asarray(target, dtype=float)
+    f_lo, f_hi = fn(np.array([lo, hi]))
+    a = np.where((f_lo < target) & (f_hi < target), hi, lo)
+    b = np.where(f_lo >= target, lo, hi)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if ((mid == a) | (mid == b)).all():
+            break
+        below = fn(mid) < target
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return 0.5 * (a + b)
+
+
 def _segment_moment(seg: SegmentSpec, lo: float, ends: np.ndarray) -> np.ndarray:
     """int_lo^e x dF over `seg` for every e in `ends` (lo < e, all within the
     segment): its closed-form moment, else the cumulative Kronrod rule."""
@@ -209,8 +232,11 @@ QUAD_EPSABS, QUAD_EPSREL = 1e-12, 1.49e-8
 
 def _mirror(half: np.ndarray, odd: bool = False) -> np.ndarray:
     """A symmetric rule's values at its nodes on [-1, 1], in increasing node
-    order, from those at the nodes 1 > x >= 0 (negated on the left if odd)."""
-    return np.concatenate((-half if odd else half, half[-2::-1]))
+    order, from those at the nodes 1 > x >= 0 (negated on the left if odd);
+    read-only, since the tables are shared."""
+    full = np.concatenate((-half if odd else half, half[-2::-1]))
+    full.flags.writeable = False
+    return full
 
 
 # QUADPACK's 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss
@@ -238,9 +264,8 @@ KRONROD_BLOCK = 256
 def _kronrod_gaps(seg: SegmentSpec, starts: np.ndarray, ends: np.ndarray,
                   span: float) -> tuple[np.ndarray, np.ndarray]:
     """The Kronrod rule's int x pdf(x) dx over each gap [starts[i], ends[i]],
-    and whether the gap passes: a bounded gap whose Kronrod - Gauss difference
-    is within its share of quad's tolerance (epsabs in proportion to its share
-    of `span`, epsrel of its own moment). A bounded gap with a node on or past
+    and whether the gap passes: a bounded gap that passes the check of
+    `_kronrod_sums`. A bounded gap with a node on or past
     its ends (a width of a few ulps) calls no pdf and passes with its midpoint
     times its mass, within half its width times its mass of the moment."""
     width = ends - starts
@@ -254,14 +279,20 @@ def _kronrod_gaps(seg: SegmentSpec, starts: np.ndarray, ends: np.ndarray,
     narrow, rule = bounded[~inside], bounded[inside]
     moments[narrow] = [c * (seg.cdf(b) - seg.cdf(a)) for a, b, c in zip(
         starts[narrow].tolist(), ends[narrow].tolist(), mid[~inside].tolist())]
-    x, half = x[inside], half[inside]
+    x = x[inside]
     # pdf may be scalar-only (math.sin), so it sees one element at a time
     f = x * np.fromiter(map(seg.pdf, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    kronrod, gauss = half * (f @ _KRONROD_WEIGHTS), half * (f @ _GAUSS_WEIGHTS)
-    moments[rule] = kronrod
-    passes[rule] = np.abs(kronrod - gauss) <= np.maximum(
-        QUAD_EPSABS * width[rule] / span, QUAD_EPSREL * np.abs(kronrod))
+    moments[rule], passes[rule] = _kronrod_sums(f, half[inside], span)
     return moments, passes
+
+
+def _kronrod_sums(f: np.ndarray, half: np.ndarray, span: float):
+    """The Kronrod integral of each gap from `f`, a row of node values per
+    gap of half-width `half`, and whether its Kronrod - Gauss difference is
+    within quad's epsrel or the gap's share of `span` of its epsabs."""
+    kronrod, gauss = half * (f @ _KRONROD_WEIGHTS), half * (f @ _GAUSS_WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss) <= np.maximum(
+        QUAD_EPSABS * (2.0 * half) / span, QUAD_EPSREL * np.abs(kronrod))
 
 
 def _cumulative_moment(seg: SegmentSpec, lo: float, ends: np.ndarray) -> np.ndarray:
@@ -285,6 +316,9 @@ def _cumulative_moment(seg: SegmentSpec, lo: float, ends: np.ndarray) -> np.ndar
                 carry += (total - s) + gap if abs(total) >= abs(gap) else (gap - s) + total
                 total = s
             else:
+                # imported here, not at the top: no preset segment comes this
+                # far, and scipy takes longer to import than the package
+                from scipy import integrate
                 total = integrate.quad(lambda x: x * seg.pdf(x), lo, limits[i],
                                        epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
                                        limit=200)[0]

@@ -23,12 +23,13 @@ on-path, price and threshold deviations are one row, each dominance case
 one, and best-response dynamics read one per agent step. The first-price check
 draws its value pairs with `draw_values`, the Monte Carlo rule of
 `expected_outcome`, and evaluates the exact bid once per check, on a table
-it then interpolates.
+it then interpolates. Its interim curves take the package's one quadrature
+table and one monotone inverse from `distributions`: the 15-point Kronrod
+rule and the bisection `_monotone_inverse`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -39,7 +40,8 @@ from .aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer,
                           _distinct_rows, run_posted_resale)
 from .auctions import BidBatch, BidVector, uniform_price_deviations
 from .combined import Mechanism, Strategy, _check_single_item, _run_auction
-from .distributions import UnitDistribution
+from .distributions import (_KRONROD_NODES, _KRONROD_WEIGHTS, UnitDistribution,
+                            _kronrod_sums, _monotone_inverse)
 from .valuations import (MarketModel, ValuationBatch, cell_nodes, draw_values,
                          grouped_market, lower_bound_market, realize_batch,
                          symmetric_fpa_market)
@@ -597,49 +599,42 @@ def run_dominance_suite(game: CombinedGame) -> list[tuple[str, DominanceReport]]
 # -- single-item interim curves and the symmetric first-price check --------
 
 
-@functools.cache
-def _legendre64() -> tuple[np.ndarray, np.ndarray]:
-    """The 64-point Gauss-Legendre nodes and weights on [-1, 1], built on
-    first use and read-only."""
-    x, w = np.polynomial.legendre.leggauss(64)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+# halvings of a piece of an interim integral that fails the Kronrod rule's
+# check; a piece at the last depth is taken unchecked
+INTERIM_MAX_HALVINGS = 40
 
 
-def _gauss(a: float, b: float):
-    """The 64-point Gauss-Legendre rule on [a, b]."""
-    x, w = _legendre64()
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return mid + half * x, half * w
-
-
-def _gauss_split(lo: float, grid: np.ndarray, kinks: Sequence[float]):
-    """Gauss rules on [lo, v] for every v in `grid`, split at the kinks inside
-    (lo, v). Returns the nodes, the weights and, per node, the index of its v."""
-    nodes, weights, owner = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]
-    for i, v in enumerate(grid):
-        ends = [lo, *(k for k in kinks if lo < k < v), v]
-        for a, b in zip(ends, ends[1:]):
-            x, w = _gauss(a, b)
-            nodes.append(x)
-            weights.append(w)
-            owner.append(np.full(len(x), i))
-    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(owner)
-
-
-def _monotone_inverse(fn: Callable[[np.ndarray], np.ndarray], target,
-                      lo: float, hi: float) -> np.ndarray:
-    """sup{w in [lo,hi]: fn(w) < target} for nondecreasing fn (lo if none),
-    elementwise over an array of targets; fn is called on arrays."""
-    target = np.asarray(target, dtype=float)
-    f_lo, f_hi = fn(np.array([lo, hi]))
-    a = np.full(target.shape, lo, dtype=float)
-    b = np.full(target.shape, hi, dtype=float)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        below = fn(mid) < target
-        a, b = np.where(below, mid, a), np.where(below, b, mid)
-    return np.where(f_lo >= target, lo, np.where(f_hi < target, hi, 0.5 * (a + b)))
+def _kronrod_integrals(f: Callable[[np.ndarray], np.ndarray], lo: float,
+                       grid: np.ndarray, kinks: Sequence[float]):
+    """f at lo and at every v in `grid`, and int_lo^v f(z) dz for every v: the
+    15-point Kronrod rule of `distributions` on each piece of [lo, v] between
+    the kinks inside it; a piece that fails the rule's Gauss check
+    (`_kronrod_sums`) is halved, and each half integrated the same way. f is
+    called on flat arrays, once per depth, the points with the first nodes."""
+    pieces = []  # (start, end, index of v)
+    for i, v in enumerate(grid.tolist()):
+        cuts = [lo, *(k for k in kinks if lo < k < v), v]
+        pieces += [(s, e, i) for s, e in zip(cuts, cuts[1:]) if s != e]
+    a, b, owner = np.array(pieces).reshape(-1, 3).T
+    owner, n = owner.astype(np.int64), _KRONROD_NODES.size
+    points = np.concatenate(([lo], grid))
+    span = np.sum(b - a)
+    total = np.zeros(grid.size)
+    for depth in range(INTERIM_MAX_HALVINGS + 1):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
+        fx = f(np.concatenate((points, nodes)) if depth == 0 else nodes)
+        if depth == 0:
+            at_points, fx = fx[:points.size], fx[points.size:]
+        fx = fx.reshape(-1, n)
+        ok = _kronrod_sums(fx, half, span)[1] | (depth == INTERIM_MAX_HALVINGS)
+        total += np.bincount(np.repeat(owner[ok], n), minlength=grid.size,
+                             weights=(half[ok, None] * _KRONROD_WEIGHTS * fx[ok]).ravel())
+        if ok.all():
+            break
+        a, mid, b, owner = a[~ok], mid[~ok], b[~ok], np.tile(owner[~ok], 2)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+    return at_points, total
 
 
 def interim_curves(dists: Sequence[UnitDistribution],
@@ -651,25 +646,25 @@ def interim_curves(dists: Sequence[UnitDistribution],
     p(v) - p(lo) = v x(v) - lo x(lo) - int_lo^v x(z) dz.
 
     Bid functions are called with numpy arrays of values and must return
-    arrays of bids of the same shape. The integral is a Gauss rule split at
-    the kinks of the agent's distribution."""
+    arrays of bids of the same shape. The integral is the 15-point Kronrod
+    rule of `distributions`, split at the kinks of the agent's distribution
+    and halved where the rule's check fails (`_kronrod_integrals`)."""
     if len(dists) != 2 or len(bid_fns) != 2:
         raise ValueError("single-item market with two agents required")
     other = 1 - agent
     lo_o, hi_o = dists[other].support
     lo, _ = dists[agent].support
     grid = np.asarray(value_grid, dtype=float)
-    nodes, wts, owner = _gauss_split(lo, grid, dists[agent].kinks)
-    # every point at once: lo, the value grid, then the quadrature nodes
-    z = np.concatenate(([lo], grid, nodes))
-    bids = bid_fns[agent](z)
-    # the agent wins on ties only when its index is lower
-    target = np.nextafter(bids, np.inf) if agent == 0 else bids
-    x = dists[other].cdf(_monotone_inverse(bid_fns[other], target, lo_o, hi_o))
-    p = bids * x
-    n = grid.size
-    xs, ps = x[1:n + 1], p[1:n + 1]
-    integral = np.bincount(owner, weights=wts * x[n + 1:], minlength=n)
+
+    def wins(z):
+        bids = bid_fns[agent](z)
+        # the agent wins on ties only when its index is lower
+        target = np.nextafter(bids, np.inf) if agent == 0 else bids
+        return dists[other].cdf(_monotone_inverse(bid_fns[other], target, lo_o, hi_o))
+
+    x, integral = _kronrod_integrals(wins, lo, grid, dists[agent].kinks)
+    p = bid_fns[agent](np.concatenate(([lo], grid))) * x
+    xs, ps = x[1:], p[1:]
     residuals = (ps - p[0]) - (grid * xs - lo * x[0] - integral)
     return xs, ps, residuals
 
@@ -768,7 +763,7 @@ def symmetric_fpa_check(dist: UnitDistribution, value_points: int = 21,
     eff = int(np.sum(~ties & (winner0 == (v0 > v1))))
     counted = samples - int(np.sum(ties))
 
-    grid = np.linspace(lo + 1e-9 if lo == 0 else lo, hi, value_points)
+    grid = np.linspace(lo + 1e-9 * (hi - lo) if lo == 0 else lo, hi, value_points)
     _, _, residuals = interim_curves((dist, dist), (b, b), 0, grid)
     return SymmetricFpaReport(gap, eff / counted if counted else 1.0,
                               float(np.max(np.abs(residuals))), samples,

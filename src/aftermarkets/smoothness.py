@@ -483,8 +483,8 @@ def check_semi_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
 def poa_bound(lam: float, mu: float) -> float:
     """Robust price-of-anarchy bound max(1, mu) / lam implied by a
     (lam, mu)-smoothness certificate."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not lam > 0 or math.isnan(mu):
+        raise ValueError("requires lambda > 0 and a mu, not NaN")
     return max(1.0, mu) / lam
 
 

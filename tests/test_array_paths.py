@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftermarkets.distributions import (EqualRevenueCapped, PointMass, Uniform,
+                                        _monotone_inverse,
                                         lower_bound_z_distribution,
                                         speculative_buyer_value_distribution)
-from aftermarkets.equilibrium import _monotone_inverse, symmetric_fpa_bid
+from aftermarkets.equilibrium import symmetric_fpa_bid
 
 distributions = st.one_of(
     st.builds(lambda lo, w: Uniform(lo, lo + w),

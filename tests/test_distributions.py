@@ -111,6 +111,22 @@ def test_cells_with_breakpoint_split_piecewise_linear():
     assert mc == pytest.approx(exact, abs=5e-5)
 
 
+def test_quantile_without_ppf_inverts_cdf():
+    """A segment with no ppf inverts its scalar-only cdf (math.cos) by the
+    package's bisection: the cosine CDF's quantile is arccos(1 - 2u) / pi."""
+    u = np.sort(np.random.default_rng(3).random(2000))
+    got = _cosine_cdf().quantile(u)
+    np.testing.assert_allclose(got, np.arccos(1.0 - 2.0 * u) / np.pi, rtol=0, atol=1e-14)
+    assert _cosine_cdf().quantile(0.0) == 0.0
+
+
+def test_kronrod_tables_read_only():
+    for table in (distributions._KRONROD_NODES, distributions._KRONROD_WEIGHTS,
+                  distributions._GAUSS_WEIGHTS):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
 @given(st.floats(0.05, 0.95))
 @settings(max_examples=50, deadline=None)
 def test_quantile_monotone(u):
@@ -203,7 +219,7 @@ def test_presets_never_reach_quad(monkeypatch):
     def no_moment_rule(*args, **kwargs):
         raise MomentRuleCalled
 
-    monkeypatch.setattr(distributions.integrate, "quad", no_quad)
+    monkeypatch.setattr(integrate, "quad", no_quad)
     monkeypatch.setattr(distributions, "_cumulative_moment", no_moment_rule)
     roles = ("regular", "bulk", "speculator")
     for m in (10, 100):
@@ -308,7 +324,7 @@ def test_singular_density_falls_back_to_quad(monkeypatch):
         calls.append(args[1:3])
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(distributions.integrate, "quad", counted)
+    monkeypatch.setattr(integrate, "quad", counted)
     limits = np.linspace(0.0, 1.0, 101)
     for name in ("square", "cosine", "straddling"):
         pdf_only[name]().partial_mean(-1.0, limits)

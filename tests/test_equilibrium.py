@@ -17,7 +17,7 @@ from aftermarkets.distributions import (PiecewiseCdf, SegmentSpec, Uniform,
 from aftermarkets.equilibrium import (BRD_MAX_ITERS, Action, CombinedTabularGame,
                                       DeviationGrid, SymmetricFpaReport,
                                       TabularGame, _bid_table_nodes,
-                                      _legendre64, _tabulated_fpa_bid,
+                                      _tabulated_fpa_bid,
                                       best_response_dynamics,
                                       best_response_gap,
                                       default_deviation_grid,
@@ -200,6 +200,28 @@ def test_interim_curves_uniform():
     assert np.max(np.abs(res)) <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["z100", "z1000", "sqrt"])
+def test_interim_integral_on_steep_and_singular_cdfs(name):
+    """With bids v/2 on both sides the agent wins with probability F(v), so
+    the payment residual is int_0^v F - v F(v) / 2 in closed form. F rises
+    over a width of 1/(2m - 1) at 0 for z, and sqrt(v) has an unbounded
+    density there: one Kronrod piece over [0, v] misses by up to 1e-4, the
+    halved pieces do not."""
+    if name == "sqrt":
+        dist = PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=math.sqrt,
+                                         pdf=lambda x: 0.5 / math.sqrt(x)),))
+        integral = lambda v: 2.0 / 3.0 * v ** 1.5
+    else:
+        dist = lower_bound_z_distribution(int(name[1:]))
+        c = 2 * int(name[1:]) - 1
+        integral = lambda v: v - np.log1p(c * v) / c
+    grid = np.linspace(0.05, 1.0, 20)
+    half = lambda v: np.asarray(v) / 2.0
+    xs, _, res = interim_curves((dist, dist), (half, half), 0, grid)
+    np.testing.assert_allclose(xs, dist.cdf(grid), rtol=1e-12)
+    np.testing.assert_allclose(res, integral(grid) - grid * xs / 2.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("level", [1.0, 16.0])
 def test_interim_tie_goes_to_lower_index(level):
     # identical constant bids tie everywhere; agent 0 wins every tie
@@ -232,7 +254,8 @@ def _square_cdf():
 
 
 def _cosine_cdf():
-    """F(x) = (1 - cos(pi x)) / 2 on [0, 1]; no ppf, so quantiles use brentq."""
+    """F(x) = (1 - cos(pi x)) / 2 on [0, 1]; no ppf, so quantiles invert the
+    cdf by bisection."""
     return PiecewiseCdf((SegmentSpec(
         0.0, 1.0, cdf=lambda x: (1.0 - math.cos(math.pi * x)) / 2.0,
         pdf=lambda x: math.pi / 2.0 * math.sin(math.pi * x)),))
@@ -272,24 +295,21 @@ def test_bid_table_bounds_partial_mean_points(monkeypatch):
     assert report.passes(1e-6)
 
 
-def test_gauss_rule_built_once(monkeypatch):
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e-10), (0.0, 1.0), (2.0, 3.0)])
+def test_interim_grid_stays_in_support(monkeypatch, lo, hi):
+    """The interim grid starts a width-relative step above a support that
+    starts at 0, so it stays inside even a tiny support."""
+    grids = []
 
-    def counted(n):
-        calls.append(n)
-        return leggauss(n)
+    def spy(dists, bid_fns, agent, value_grid):
+        grids.append(np.asarray(value_grid))
+        return interim_curves(dists, bid_fns, agent, value_grid)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    _legendre64.cache_clear()
-    for _ in range(2):
-        symmetric_fpa_check(_square_cdf(), 5, 21, 500)
-    assert calls == [64]
-    nodes, weights = _legendre64()
-    with pytest.raises(ValueError, match="read-only"):
-        nodes[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        weights[0] = 0.0
+    monkeypatch.setattr(equilibrium, "interim_curves", spy)
+    symmetric_fpa_check(Uniform(lo, hi), 5, 21, 200)
+    (grid,) = grids
+    assert grid[-1] == hi and np.all(grid[:-1] < hi)
+    assert grid[0] == (lo + 1e-9 * (hi - lo) if lo == 0 else lo)
 
 
 @pytest.mark.parametrize("sizes", [(0, 401, 20), (21, 0, 20), (21, 401, 0),

@@ -7,7 +7,8 @@ import pytest
 from aftermarkets.aftermarket import ResaleSpec, SignalProtocol
 from aftermarkets.allocation import (Allocation, brute_force_opt, opt_allocation,
                                      opt_welfares)
-from aftermarkets.balanced import realization_price
+from aftermarkets.balanced import (noisy_reserve, perturbed_guarantee,
+                                   realization_price, static_price)
 from aftermarkets.combined import (Mechanism, Quadrature, Strategy,
                                    expected_outcome, play)
 from aftermarkets.distributions import (EqualRevenueCapped, PiecewiseCdf,
@@ -20,7 +21,7 @@ from aftermarkets.equilibrium import (Action, CombinedGame,
                                       symmetric_fpa_check)
 from aftermarkets.smoothness import (CheckDomain, SingleItemFirstPrice,
                                      SmoothnessCertificate, check_smooth,
-                                     fpa_deviation_generator)
+                                     fpa_deviation_generator, poa_bound)
 from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
                                      MarketModel, grouped_market,
                                      lower_bound_market)
@@ -53,6 +54,15 @@ GUARDS = {
     "opt-welfares-negative-m": (lambda: opt_welfares(PROFILE, -1), "m must be"),
     # balanced
     "realization-price-m0": (lambda: realization_price(PROFILE, 0), "m must be"),
+    "noisy-reserve-m0": (lambda: noisy_reserve(1.0, 0.1, 0), "m >= 1"),
+    "noisy-reserve-nan-psi": (lambda: noisy_reserve(math.nan, 0.1, 1), "psi"),
+    "noisy-reserve-nan-eps": (lambda: noisy_reserve(1.0, math.nan, 1), "eps"),
+    "perturbed-m-negative": (lambda: perturbed_guarantee(1.0, -3, 0.1), "m >= 1"),
+    "perturbed-nan-opt": (lambda: perturbed_guarantee(math.nan, 1, 0.1), "OPT"),
+    "perturbed-nan-error": (lambda: perturbed_guarantee(1.0, 1, math.nan), "price error >= 0"),
+    "static-price-nan-alpha": (lambda: static_price(math.nan, 1, 1), "alpha > 0"),
+    "static-price-nan-beta": (lambda: static_price(1, math.nan, 1), "beta >= 0"),
+    "static-price-nan-welfare": (lambda: static_price(1, 1, math.nan), "per-unit welfare"),
     # combined
     "play-arity": (lambda: play(lower_bound_market(10), Mechanism("uniform"), PROTOCOL,
                                 None, (Strategy(),), PROFILE), "arity"),
@@ -67,6 +77,7 @@ GUARDS = {
     "quantile-one": (lambda: Uniform(0.0, 1.0).quantile(1.0), r"\[0, 1\)"),
     "quantile-negative": (lambda: lower_bound_z_distribution(10).quantile(-0.1),
                           r"\[0, 1\)"),
+    "quantile-unbounded-no-ppf": (lambda: _exponential().quantile(0.5), "needs a ppf"),
     "uniform-reversed": (lambda: Uniform(2.0, 1.0), "lo <= hi"),
     "uniform-degenerate": (lambda: Uniform(1.0, 1.0), "degenerate"),
     "equal-revenue-H1": (lambda: EqualRevenueCapped(1.0), "H > 1"),
@@ -94,6 +105,8 @@ GUARDS = {
     "smooth-short-values": (lambda: _fpa_check(CheckDomain(((1.0,),),
                                                            ((0.0, 0.5),) * 2)),
                             "of length 1 for a game of 2 agents"),
+    "poa-nan-lambda": (lambda: poa_bound(math.nan, 1), "lambda"),
+    "poa-nan-mu": (lambda: poa_bound(1, math.nan), "mu"),
     # valuations
     "value-negative": (lambda: MarginalValuation([1.0]).value(-1), "nonnegative"),
     "head-increasing": (lambda: HeadTailModel(head=(1.0, 2.0)), "non-increasing"),

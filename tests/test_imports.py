@@ -2,9 +2,14 @@
 private module-level function or class, and every private method, is used
 by some library module, and every public method of a library class is
 called by some library or test module. There is no linter in the
-toolchain, so these scans stand in for one."""
+toolchain, so these scans stand in for one. Last, scipy loads only for the
+`quad` fallback of the moment rule."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -130,3 +135,47 @@ def test_scan_finds_an_unused_public_method():
 def test_no_unused_public_methods():
     assert unused_public_methods({p.name: p.read_text() for p in SOURCES},
                                  {p.name: p.read_text() for p in TESTS}) == []
+
+
+SCIPY_FREE_RUN = textwrap.dedent("""
+    import math
+    import sys
+
+    import aftermarkets
+    from aftermarkets.distributions import PiecewiseCdf, SegmentSpec, Uniform
+    from aftermarkets.equilibrium import (default_deviation_grid, scripted_lower_bound_equilibrium,
+                                          symmetric_fpa_check, verify_bne)
+
+    def loaded():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    grids = {i: default_deviation_grid(10, r)
+             for i, r in enumerate(("regular", "bulk", "speculator"))}
+    assert verify_bne(scripted_lower_bound_equilibrium(10), grids, eps=1e-6).verdict
+    square = PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=lambda x: x * x,
+                                       pdf=lambda x: 2.0 * x, ppf=math.sqrt),))
+    for dist in (Uniform(0.0, 1.0), square):
+        assert symmetric_fpa_check(dist, 5, 21, 500, seed=1).passes(1e-6)
+    cosine = PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=lambda x: (1.0 - math.cos(math.pi * x)) / 2.0,
+                                       pdf=lambda x: math.pi / 2.0 * math.sin(math.pi * x)),))
+    assert abs(cosine.quantile(0.1) - math.acos(0.8) / math.pi) < 1e-14
+    assert loaded() == [], loaded()
+
+    singular = PiecewiseCdf((SegmentSpec(0.0, 1.0, cdf=math.sqrt,
+                                         pdf=lambda x: 0.5 / math.sqrt(x)),))
+    got = singular.partial_mean(0.0, 0.5)
+    assert math.isclose(got, 0.5 ** 1.5 / 3.0, rel_tol=1e-12), got
+    assert "scipy.integrate" in sys.modules
+""")
+
+
+def test_scipy_loads_only_for_the_quad_fallback():
+    """In a fresh interpreter the equilibrium check, both first-price checks
+    and a quantile without a ppf leave scipy unloaded; the singular density
+    1/(2 sqrt(x)) fails the Kronrod rule's check at 0 and loads it for quad."""
+    src = str(Path(aftermarkets.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -420,6 +420,26 @@ def assert_matches_reference(game, values, actions, agent, support):
     assert fast.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
 
 
+@pytest.mark.parametrize("make", [lambda: SingleItemFirstPrice(2),
+                                  lambda: SingleItemAllPay(2),
+                                  lambda: CombinedSingleItemGame(2, 1)],
+                         ids=["first-price", "all-pay", "lifted"])
+@pytest.mark.parametrize("actions, atom", [((0.3, 0.2), math.nan),
+                                           ((0.3, 0.2), -1.0),
+                                           ((0.3, 0.2), math.inf),
+                                           ((0.3, math.nan), 0.1)],
+                         ids=["nan-atom", "negative-atom", "inf-atom", "nan-opponent"])
+def test_bad_bids_raise_like_reference(make, actions, atom):
+    """A deviation atom or an opponent's bid that is not finite and
+    nonnegative raises first_price_single's ValueError on the batched path,
+    as it does on the per-atom one."""
+    game = make()
+    for kernel in (game.deviation_utilities,
+                   lambda *args: SmoothableGame.deviation_utilities(game, *args)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            kernel((1.0, 0.5), actions, 0, np.array([0.1, atom]))
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_first_price_deviation_utilities_match_reference(data):
