@@ -53,6 +53,27 @@ def _ranked_runs(profile: Sequence[MarginalValuation]) -> list[tuple]:
     return entries
 
 
+def _greedy(entries, k: int, n: int):
+    """Walk ranked (value, agent, start_unit, count) entries down to k units:
+    the per-agent counts of n agents, the welfare of the units taken (each
+    entry's value times its units taken, added in rank order from 0) and the
+    value of the (k+1)-th unit, 0.0 when none is left. The one greedy walk of the package: the
+    optimum and the sealed-bid clearings take their units from it."""
+    counts = [0] * n
+    total = 0
+    left = k
+    for val, i, _, cnt in entries:
+        if left == 0:
+            return counts, total, val
+        take = min(cnt, left)
+        counts[i] += take
+        total += val * take
+        left -= take
+        if take < cnt:
+            return counts, total, val
+    return counts, total, 0.0
+
+
 def opt_allocation(profile: Sequence[MarginalValuation], k: int):
     """Greedy welfare maximum with at most k units: allocate the k globally
     largest positive marginals, ties broken by (agent asc, unit asc).
@@ -62,16 +83,7 @@ def opt_allocation(profile: Sequence[MarginalValuation], k: int):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    counts = [0] * len(profile)
-    total = 0
-    left = k
-    for val, i, _, cnt in _ranked_runs(profile):
-        if left == 0:
-            break
-        take = min(cnt, left)
-        counts[i] += take
-        total += val * take
-        left -= take
+    counts, total, _ = _greedy(_ranked_runs(profile), k, len(profile))
     return Allocation(tuple(counts)), total
 
 

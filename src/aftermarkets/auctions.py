@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import Allocation, _ranked_runs
+from .allocation import Allocation, _greedy, _ranked_runs
 from .valuations import MarginalValuation, ValuationBatch, _merge_runs
 
 
@@ -95,26 +95,6 @@ def _sorted_entries(bids: Sequence[BidVector], reserve: Optional[float]):
     return entries
 
 
-def _allocate(entries, m: int, n: int):
-    """Greedy allocation of m units down the sorted entries; returns per-agent
-    counts and the (m+1)-th highest surviving marginal (0 when fewer than
-    m+1 survive)."""
-    counts = [0] * n
-    left = m
-    next_losing = 0.0
-    for b, i, _, c in entries:
-        if left == 0:
-            next_losing = b
-            break
-        take = min(c, left)
-        counts[i] += take
-        left -= take
-        if left == 0 and take < c:
-            next_losing = b
-            break
-    return counts, next_losing
-
-
 def _check_reserve(reserve: Optional[float]) -> None:
     if reserve is not None and not reserve >= 0:
         raise ValueError(f"reserve must be nonnegative, not {reserve}")
@@ -127,7 +107,7 @@ def uniform_price(bids: Sequence[BidVector], m: int,
     max(reserve, highest surviving losing marginal) per unit. An infinite
     reserve sells nothing; a negative or NaN reserve is rejected."""
     _check_reserve(reserve)
-    counts, next_losing = _allocate(_sorted_entries(bids, reserve), m, len(bids))
+    counts, _, next_losing = _greedy(_sorted_entries(bids, reserve), m, len(bids))
     sold = sum(counts)
     price = next_losing
     if reserve is not None and sold > 0:
@@ -139,7 +119,7 @@ def uniform_price(bids: Sequence[BidVector], m: int,
 def discriminatory(bids: Sequence[BidVector], m: int) -> AuctionOutcome:
     """Same allocation as uniform_price without reserve; each winner pays as
     bid: her bid schedule's value of the units she won."""
-    counts, _ = _allocate(_sorted_entries(bids, None), m, len(bids))
+    counts, _, _ = _greedy(_sorted_entries(bids, None), m, len(bids))
     return AuctionOutcome(Allocation(tuple(counts)),
                           tuple(float(bv.value(k)) for bv, k in zip(bids, counts)))
 

@@ -9,8 +9,8 @@ returns its rows, its grid label and its failure record (None when the
 guarantee holds). `main` alone writes the provenance comment
 (`# config_hash=... seed=... grid=...`) and the CSV, to --out or stdout, and
 exits with status 2 and a JSON record on stderr when a guarantee is violated
-or a config value is bad (malformed file, or a ValueError while the command
-runs; no CSV is written then).
+or a config value is bad (malformed file, unknown key, or a ValueError
+while the command runs; no CSV is written then).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _load_config(command: str, path: Optional[str]) -> dict:
         if parser.has_section(command):
             for key, value in parser.items(command):
                 if key not in opts:
-                    raise SystemExit(
+                    raise ValueError(
                         f"unknown config key {key!r} in section [{command}]")
                 opts[key] = value
     return opts
@@ -283,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _load_config(args.command, args.config)
-    except Exception as exc:  # malformed config file
+    except Exception as exc:  # malformed config file, or an unknown key
         return _fail({"error": "bad config", "detail": str(exc)})
     try:
         rows, grid, failure = COMMANDS[args.command](opts, args.seed, args.tol)

@@ -388,15 +388,6 @@ class EqualRevenueCapped(UnitDistribution):
     def atoms(self):
         return (Atom(self.H, 1.0 / self.H),)
 
-    def cdf(self, x):
-        H = self.H
-        x = np.clip(x, 1.0, H)
-        return np.where(x >= H, min(1.0 / H + (H - 1.0) / H, 1.0), (x - 1.0) / x)[()]
-
-    def quantile(self, u):
-        u = _unit_interval(u)
-        return np.where(u < (self.H - 1.0) / self.H, 1.0 / (1.0 - u), self.H)[()]
-
 
 @dataclass(frozen=True)
 class PiecewiseCdf(UnitDistribution):

@@ -480,38 +480,38 @@ def verify_bne(game: CombinedGame,
 # -- scripted equilibria ---------------------------------------------------
 
 
+def _scripted_speculation(market: MarketModel,
+                          reserve: Optional[float] = None) -> CombinedGame:
+    """The scripted profile in every (A, B, C) group of a market of m units
+    and k groups: A and B bid 2 on one unit, the speculator C bids 1 on
+    m/k - 2 units and posts resale price 1 to A and B of its group, who buy
+    while marginal value covers the price. Labels carry the group number
+    when k > 1."""
+    m, k = market.m, len(market.groups)
+    actions, groups = [], []
+    for g, (a, b, c) in enumerate(market.groups):
+        tag = str(g) if k > 1 else ""
+        actions += [Action(bid=BidVector.flat(2.0, 1, m), label="A" + tag),
+                    Action(bid=BidVector.flat(2.0, 1, m), label="B" + tag),
+                    Action(bid=BidVector.flat(1.0, m // k - 2, m), seller_price=1.0,
+                           label="C" + tag)]
+        groups.append((c, (a, b)))
+    return CombinedGame(market, Mechanism("uniform", reserve=reserve),
+                        ResaleSpec(tuple(groups)), tuple(actions))
+
+
 def scripted_lower_bound_equilibrium(m: int,
                                      reserve: Optional[float] = None) -> CombinedGame:
-    """A and B bid 2 on one unit, the speculator C bids 1 on m-2 units and
-    posts resale price 1; A and B buy while marginal value covers the price."""
-    if m <= 3:
-        raise ValueError("requires m > 3")
-    market = lower_bound_market(m)
-    actions = (
-        Action(bid=BidVector.flat(2.0, 1, m), label="A"),
-        Action(bid=BidVector.flat(2.0, 1, m), label="B"),
-        Action(bid=BidVector.flat(1.0, m - 2, m), seller_price=1.0, label="C"),
-    )
-    resale = ResaleSpec.single(2, (0, 1))
-    return CombinedGame(market, Mechanism("uniform", reserve=reserve), resale, actions)
+    """The scripted profile on `lower_bound_market(m)`: the speculator wins
+    m - 2 units and resells them to A and B at price 1."""
+    return _scripted_speculation(lower_bound_market(m), reserve)
 
 
 def scripted_grouped_equilibrium(m: int, gamma: float) -> CombinedGame:
-    """Per-group replica of the scripted profile; each speculator wins
-    m/k - 2 <= gamma*m units and resells only within her group."""
-    market = grouped_market(m, gamma)
-    k = len(market.groups)
-    r = m // k
-    actions = []
-    groups = []
-    for (a, b, c) in market.groups:
-        actions.append(Action(bid=BidVector.flat(2.0, 1, m), label=f"A{a // 3}"))
-        actions.append(Action(bid=BidVector.flat(2.0, 1, m), label=f"B{b // 3}"))
-        actions.append(Action(bid=BidVector.flat(1.0, r - 2, m), seller_price=1.0,
-                              label=f"C{c // 3}"))
-        groups.append((c, (a, b)))
-    return CombinedGame(market, Mechanism("uniform"), ResaleSpec(tuple(groups)),
-                        tuple(actions))
+    """The scripted profile on `grouped_market(m, gamma)`: each of the k
+    speculators wins m/k - 2 <= gamma*m units and resells only within its
+    group."""
+    return _scripted_speculation(grouped_market(m, gamma))
 
 
 # -- weak-dominance witnesses ----------------------------------------------

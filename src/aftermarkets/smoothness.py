@@ -434,7 +434,8 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
     utilities are cached per (agent, value profile, opponents' actions); each
     is one deviation_utilities call over the deviation's support, summed in
     atom order by `_expectation`. A domain with other than one action set and
-    one value per agent, or a NaN slack, raises ValueError."""
+    one value per agent, or with no pair to check (no value profile or an
+    empty action set), or a NaN slack, raises ValueError."""
     min_slack = math.inf
     worst = ((), ())
     checked = n_keys = n_atoms = 0
@@ -467,6 +468,9 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
             if slack < min_slack:
                 min_slack = slack
                 worst = (values, actions)
+    if not checked:
+        raise ValueError("the domain has no (value profile, action profile) "
+                         "pair to check")
     return SmoothnessReport(min_slack, worst[0], worst[1], checked,
                             cert.lam, cert.mu, n_keys, n_atoms)
 

@@ -262,26 +262,19 @@ def lower_bound_market(m: int) -> MarketModel:
 
 
 def grouped_market(m: int, gamma: float) -> MarketModel:
-    """k = ceil(1/gamma) independent copies of the three-agent group sharing one
-    auction; each group's bulk distribution uses the group size r = m/k."""
+    """k = ceil(1/gamma) copies of the agents of `lower_bound_market(m/k)`
+    sharing one auction of m units, group g being agents (3g, 3g+1, 3g+2).
+    The copies share their (frozen) models."""
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, not {gamma}")
     k = math.ceil(1.0 / gamma)
     if m % k != 0:
         raise ValueError("m must be divisible by ceil(1/gamma)")
-    r = m // k
-    if r <= 3:
+    if m // k <= 3:
         raise ValueError("requires m/k > 3")
-    agents, groups = [], []
-    zdist = lower_bound_z_distribution(r)
-    for g in range(k):
-        base = 3 * g
-        agents.append(HeadTailModel(head=(2.0,), tail_count=1, dist=Uniform(1.0, 1.5)))
-        agents.append(HeadTailModel(head=(2.0,), tail_count=r - 1, dist=zdist))
-        agents.append(HeadTailModel())
-        groups.append((base, base + 1, base + 2))
-    return MarketModel(m=m, agents=tuple(agents), name="grouped",
-                       groups=tuple(groups))
+    return MarketModel(m=m, agents=lower_bound_market(m // k).agents * k,
+                       name="grouped",
+                       groups=tuple((3 * g, 3 * g + 1, 3 * g + 2) for g in range(k)))
 
 
 def posted_fails_market(eps: float, H: float) -> MarketModel:

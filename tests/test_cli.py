@@ -43,8 +43,11 @@ def test_out_file_and_config(tmp_path, capsys):
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[lower-bound-sweep]\nbogus = 1\n")
-    with pytest.raises(SystemExit):
-        main(["lower-bound-sweep", "--config", str(cfg)])
+    code, out, err = run_cli(["lower-bound-sweep", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "bad config",
+        "detail": "unknown config key 'bogus' in section [lower-bound-sweep]"}
 
 
 @pytest.mark.parametrize("command, line, detail", [

@@ -44,6 +44,25 @@ def test_equal_revenue_capped_mean():
     assert sum(a.mass for a in d.atoms()) == pytest.approx(1.0 / H)
 
 
+@pytest.mark.parametrize("H", [1.01, 3.7, 1000.0])
+def test_equal_revenue_capped_closed_forms_bit_for_bit(H):
+    """The derived cdf and quantile equal the closed forms exactly: (x - 1)/x
+    below H, the atom's 1/H on top at H, and 1/(1 - u) below the atom's
+    window, H inside it."""
+    d = EqualRevenueCapped(H)
+    xs = np.concatenate(([0.0, 0.5, 1.0], np.linspace(1.0, H, 37)[1:-1],
+                         [np.nextafter(H, 0.0), H, 2.0 * H]))
+    top = min(1.0 / H + (H - 1.0) / H, 1.0)
+    closed = [0.0 if x <= 1.0 else top if x >= H else (x - 1.0) / x for x in xs.tolist()]
+    assert [float(c).hex() for c in d.cdf(xs)] == [c.hex() for c in closed]
+    assert [float(d.cdf(x)).hex() for x in xs.tolist()] == [c.hex() for c in closed]
+    edge = (H - 1.0) / H
+    us = np.concatenate((np.linspace(0.0, 0.999, 41), [np.nextafter(edge, 0.0), edge]))
+    closed = [1.0 / (1.0 - u) if u < edge else H for u in us.tolist()]
+    assert [float(q).hex() for q in d.quantile(us)] == [q.hex() for q in closed]
+    assert [float(d.quantile(u)).hex() for u in us.tolist()] == [q.hex() for q in closed]
+
+
 @pytest.mark.parametrize("m", [5, 10, 100, 10000])
 def test_lower_bound_z_distribution_closed_forms(m):
     d = lower_bound_z_distribution(m)

@@ -173,6 +173,52 @@ def test_grouped_scripted_equilibrium():
         assert gap.gap <= 1e-6
 
 
+def _gap_key(gap):
+    w = gap.witness
+    runs = None if w.bid is None else [(float(b).hex(), c) for b, c in w.bid.runs]
+    return (gap.gap.hex(), gap.equilibrium_utility.hex(), w.label, runs,
+            w.seller_price, w.buyer_threshold, gap.n_deviations)
+
+
+@pytest.mark.parametrize("m", [10, 100])
+def test_grouped_one_group_is_the_lower_bound_game(m):
+    """With gamma = 1 the grouped game is the lower-bound game: the same gaps,
+    witnesses and deviation counts on the default grids, the same welfare
+    and the same utilities, bit for bit."""
+    grouped = scripted_grouped_equilibrium(m, 1.0)
+    single = scripted_lower_bound_equilibrium(m)
+    grids = {i: default_deviation_grid(m, role)
+             for i, role in enumerate(("regular", "bulk", "speculator"))}
+    reports = [verify_bne(g, grids, eps=1e-6) for g in (grouped, single)]
+    assert ([_gap_key(g) for g in reports[0].gaps]
+            == [_gap_key(g) for g in reports[1].gaps])
+    evs = [g.evaluator() for g in (grouped, single)]
+    assert evs[0].expected_welfare().hex() == evs[1].expected_welfare().hex()
+    for agent in range(3):
+        assert (evs[0].expected_utility(agent).hex()
+                == evs[1].expected_utility(agent).hex())
+
+
+def test_grouped_game_repeats_one_group():
+    """At (1000, 0.1) each of the 10 groups repeats the agents and the
+    scripted bids and prices of the one-group game of 100 units."""
+    m, k = 1000, 10
+    game = scripted_grouped_equilibrium(m, 0.1)
+    one = scripted_lower_bound_equilibrium(m // k)
+    assert game.market.n == 3 * k
+    assert game.market.groups == tuple((3 * g, 3 * g + 1, 3 * g + 2) for g in range(k))
+    assert game.resale.groups == tuple((3 * g + 2, (3 * g, 3 * g + 1)) for g in range(k))
+    for j, (agent, action) in enumerate(zip(game.market.agents, game.base_actions)):
+        ref, ref_action = one.market.agents[j % 3], one.base_actions[j % 3]
+        assert agent.head == ref.head and agent.tail_count == ref.tail_count
+        assert (agent.dist is None) == (ref.dist is None)
+        if agent.dist is not None:
+            assert agent.dist.support == ref.dist.support
+        assert action.bid.runs == ref_action.bid.runs and action.bid.m == m
+        assert action.seller_price == ref_action.seller_price
+        assert action.buyer_threshold == ref_action.buyer_threshold
+
+
 def test_dominance_suite_all_witnessed():
     game = scripted_lower_bound_equilibrium(100)
     results = run_dominance_suite(game)

@@ -105,6 +105,12 @@ GUARDS = {
     "smooth-short-values": (lambda: _fpa_check(CheckDomain(((1.0,),),
                                                            ((0.0, 0.5),) * 2)),
                             "of length 1 for a game of 2 agents"),
+    # a domain with nothing to check does not pass vacuously
+    "smooth-no-values": (lambda: _fpa_check(CheckDomain((), ((0.0, 0.5),) * 2)),
+                         r"no \(value profile, action profile\) pair"),
+    "smooth-empty-action-set": (lambda: _fpa_check(CheckDomain(((1.0, 0.5),),
+                                                               ((), (0.2,)))),
+                                r"no \(value profile, action profile\) pair"),
     "poa-nan-lambda": (lambda: poa_bound(math.nan, 1), "lambda"),
     "poa-nan-mu": (lambda: poa_bound(1, math.nan), "mu"),
     # valuations
