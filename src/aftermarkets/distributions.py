@@ -7,20 +7,23 @@ interval-moment rule: the support is cut at segment boundaries, atoms and
 caller-supplied breakpoints, and each continuous cell contributes its
 segment's (mass, conditional mean) there, so any integrand linear on each
 cell integrates exactly. Every preset segment states its moment in closed
-form. A segment without one has x * pdf integrated in one cumulative pass
-over the sorted upper limits: QUADPACK's 15-point Kronrod rule per gap
+form. The package has one integral rule, `_cumulative_integral`: one pass
+over the sorted upper limits, QUADPACK's 15-point Kronrod rule per gap
 between consecutive limits, checked against its embedded 7-point Gauss rule,
-the gaps added with a compensated running sum, and scipy's `quad` from the
-window's start wherever the check fails. The Kronrod table is the package's
-one quadrature table, and `_monotone_inverse`, an array bisection, its one
-monotone inverse: a segment without a `ppf` inverts its `cdf` by it.
+a failing piece halved, and the gaps added with a compensated running sum. A
+segment without a closed form has x * pdf integrated by it, with scipy's
+`quad` for a gap that still fails after every halving; the first-price
+interim curves integrate their win probability by it. `_monotone_inverse`,
+an array bisection, is the one monotone inverse: a segment without a `ppf`
+inverts its `cdf` by it. A segment's callables may be scalar-only; every
+elementwise call of one goes through `_elementwise`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,8 +44,8 @@ class SegmentSpec:
     """Continuous CDF piece on [lo, hi); `cdf` and `ppf` are in global coordinates.
     `partial_mean(a, b)` is the moment of x dF on [a, b] for lo <= a < b <= hi,
     array-safe in `b`. Without it the base class integrates x * `pdf` by its
-    cumulative Kronrod rule, with `quad` where that rule's error check fails,
-    so give one. Without `ppf`, `quantile` bisects `cdf` on a bounded segment."""
+    cumulative Kronrod rule, with `quad` where that rule's check still fails
+    after halving, so give one. Without `ppf`, `quantile` bisects `cdf` on a bounded segment."""
 
     lo: float
     hi: float
@@ -99,7 +102,7 @@ class UnitDistribution:
             c_lo = s.cdf(s.lo)
             total += np.where(x >= s.hi, s.cdf(s.hi) - c_lo, 0.0)
             inside = (x > s.lo) & (x < s.hi)
-            total[inside] += [s.cdf(float(xi)) - c_lo for xi in x[inside]]
+            total[inside] += _elementwise(s.cdf, x[inside]) - c_lo
         return np.minimum(total, 1.0)[()]
 
     @cached_property
@@ -135,13 +138,12 @@ class UnitDistribution:
                 continue
             targets = obj.cdf(obj.lo) + (np.clip(u[sel], u0, u1) - u0)
             if obj.ppf is not None:
-                out[sel] = [obj.ppf(float(t)) for t in targets]
+                out[sel] = _elementwise(obj.ppf, targets)
             elif not math.isfinite(obj.hi - obj.lo):
                 raise ValueError("an unbounded segment needs a ppf for its quantile")
             else:
-                out[sel] = _monotone_inverse(
-                    lambda x: np.fromiter(map(obj.cdf, x.tolist()), float, x.size),
-                    targets, obj.lo, obj.hi)
+                out[sel] = _monotone_inverse(partial(_elementwise, obj.cdf),
+                                             targets, obj.lo, obj.hi)
         return out[()]
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
@@ -183,7 +185,7 @@ class UnitDistribution:
                                        for a, b in zip(cuts, cuts[1:])
                                        if math.isfinite(b - a)
                                        for k in range(1, subdivide)})
-            cdf = [s.cdf(x) for x in fine]
+            cdf = _elementwise(s.cdf, np.array(fine))
             for a, b, mass in zip(fine, fine[1:], np.diff(cdf).tolist()):
                 if mass <= 0:
                     continue
@@ -220,13 +222,24 @@ def _monotone_inverse(fn: Callable[[np.ndarray], np.ndarray], target,
 
 def _segment_moment(seg: SegmentSpec, lo: float, ends: np.ndarray) -> np.ndarray:
     """int_lo^e x dF over `seg` for every e in `ends` (lo < e, all within the
-    segment): its closed-form moment, else the cumulative Kronrod rule."""
+    segment): its closed-form moment, else the cumulative Kronrod rule with
+    `quad` as its fallback; a gap too narrow for the rule takes its midpoint
+    times its mass, within half its width times its mass of the moment."""
     if seg.partial_mean is not None:
         return seg.partial_mean(lo, ends)
-    return _cumulative_moment(seg, lo, ends)
+    pdf, cdf = seg.pdf, partial(_elementwise, seg.cdf)
+    return _cumulative_integral(
+        lambda x: x * _elementwise(pdf, x), lo, ends, scalar=lambda x: x * pdf(x),
+        narrow=lambda a, b: (a + (b - a) / 2.0) * (cdf(b) - cdf(a)))[1]
 
 
-# quad's tolerance for the moment of a segment without a closed form
+def _elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn at every element of x, one Python float at a time, so fn may be
+    scalar-only (math.sqrt); the result has x's shape."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+# quad's tolerance, which the Kronrod rule's check shares
 QUAD_EPSABS, QUAD_EPSREL = 1e-12, 1.49e-8
 
 
@@ -259,72 +272,87 @@ _GAUSS_WEIGHTS = _mirror(np.array([
 # gaps per block of the cumulative pass: its memory stays O(block) however
 # many upper limits it takes
 KRONROD_BLOCK = 256
+# halvings of a piece of a gap that fails the Kronrod rule's check
+MAX_HALVINGS = 40
 
 
-def _kronrod_gaps(seg: SegmentSpec, starts: np.ndarray, ends: np.ndarray,
-                  span: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Kronrod rule's int x pdf(x) dx over each gap [starts[i], ends[i]],
-    and whether the gap passes: a bounded gap that passes the check of
-    `_kronrod_sums`. A bounded gap with a node on or past
-    its ends (a width of a few ulps) calls no pdf and passes with its midpoint
-    times its mass, within half its width times its mass of the moment."""
-    width = ends - starts
-    passes = np.isfinite(width)
-    bounded = np.flatnonzero(passes)
-    half = width[bounded] / 2.0
-    mid = starts[bounded] + half
-    x = mid[:, None] + half[:, None] * _KRONROD_NODES
-    inside = np.all((x > starts[bounded, None]) & (x < ends[bounded, None]), axis=1)
-    moments = np.zeros(width.shape)
-    narrow, rule = bounded[~inside], bounded[inside]
-    moments[narrow] = [c * (seg.cdf(b) - seg.cdf(a)) for a, b, c in zip(
-        starts[narrow].tolist(), ends[narrow].tolist(), mid[~inside].tolist())]
-    x = x[inside]
-    # pdf may be scalar-only (math.sin), so it sees one element at a time
-    f = x * np.fromiter(map(seg.pdf, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    moments[rule], passes[rule] = _kronrod_sums(f, half[inside], span)
-    return moments, passes
-
-
-def _kronrod_sums(f: np.ndarray, half: np.ndarray, span: float):
-    """The Kronrod integral of each gap from `f`, a row of node values per
-    gap of half-width `half`, and whether its Kronrod - Gauss difference is
-    within quad's epsrel or the gap's share of `span` of its epsabs."""
-    kronrod, gauss = half * (f @ _KRONROD_WEIGHTS), half * (f @ _GAUSS_WEIGHTS)
-    return kronrod, np.abs(kronrod - gauss) <= np.maximum(
-        QUAD_EPSABS * (2.0 * half) / span, QUAD_EPSREL * np.abs(kronrod))
-
-
-def _cumulative_moment(seg: SegmentSpec, lo: float, ends: np.ndarray) -> np.ndarray:
-    """int_lo^e x pdf(x) dx for every e in `ends` (each above lo), from one
-    pass: the sorted distinct ends cut [lo, max(ends)] into gaps, each gap is
-    integrated once by the Kronrod rule (`_kronrod_gaps`), and the gap moments
-    add up in a running sum with Neumaier's compensation, scattered back to
-    the order of `ends`. At the end of a gap that fails the rule's check the
-    sum restarts from `quad` of x * pdf over [lo, end]."""
-    limits = np.unique(ends)
-    starts = np.concatenate(([lo], limits))[:-1]
-    span = np.sum(limits - starts)
-    out = np.empty(limits.shape)
+def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], lo: float,
+                         ends: np.ndarray, kinks: Sequence[float] = (),
+                         points: Optional[np.ndarray] = None,
+                         scalar: Optional[Callable[[float], float]] = None,
+                         narrow: Optional[Callable] = None):
+    """f at `points` (None without them) and int_lo^e f(z) dz for every e in
+    `ends`, signed: C(e) - C(lo) for the running integral C. lo, the kinks
+    inside the range and the distinct ends cut it into gaps, each taken once
+    by the 15-point Kronrod rule; a gap too narrow to hold its nodes strictly
+    inside calls no f and adds `narrow(starts, stops)` (0 without it). A piece
+    whose Kronrod - Gauss difference exceeds both quad's epsrel and its
+    width's share of quad's epsabs is halved, up to MAX_HALVINGS times; one
+    still failing then, or too narrow to halve, is taken unchecked (adding 0
+    if narrow), unless the integrand is also given as a `scalar` callable:
+    then scipy's `quad` integrates its gap whole, as it does an unbounded gap.
+    The gaps run in blocks of KRONROD_BLOCK, f is called on flat arrays once
+    per block and depth (the points with the first nodes), and the gaps add
+    up in a running sum with Neumaier's compensation."""
+    ends = np.asarray(ends, dtype=float)
+    cuts = np.unique(np.concatenate(([lo], ends)))
+    cuts = np.union1d(cuts, [k for k in kinks if cuts[0] < k < cuts[-1]])
+    starts, stops = cuts[:-1], cuts[1:]
+    span = np.sum(stops - starts)  # sorted cuts: no width cancels
+    running = np.zeros(cuts.size)
     total = carry = 0.0
-    for k in range(0, limits.size, KRONROD_BLOCK):
+    at_points = None
+    # one block at least, so that f sees the points even with no gap
+    for k in range(0, max(starts.size, 1), KRONROD_BLOCK):
         block = slice(k, k + KRONROD_BLOCK)
-        gaps, passes = _kronrod_gaps(seg, starts[block], limits[block], span)
-        for i, gap, ok in zip(range(k, limits.size), gaps.tolist(), passes.tolist()):
-            if ok:
-                s = total + gap
-                carry += (total - s) + gap if abs(total) >= abs(gap) else (gap - s) + total
-                total = s
+        gaps = np.zeros(starts[block].size)
+        whole = ~np.isfinite(stops[block] - starts[block])  # for quad
+        owner = np.flatnonzero(~whole)
+        a, b = starts[block][owner], stops[block][owner]
+        for depth in range(MAX_HALVINGS + 1):
+            half = (b - a) / 2.0
+            mid = a + half
+            x = mid[:, None] + half[:, None] * _KRONROD_NODES
+            inside = np.all((x > a[:, None]) & (x < b[:, None]), axis=1)
+            if depth == 0:
+                if narrow is not None and not inside.all():
+                    gaps[owner[~inside]] = narrow(a[~inside], b[~inside])
+            elif scalar is not None:
+                # a failing piece too narrow to halve again: quad takes its gap
+                whole[owner[~inside]] = True
+                inside &= ~whole[owner]
+            a, mid, b, half, owner, x = (v[inside] for v in (a, mid, b, half, owner, x))
+            if at_points is None and points is not None:
+                fx = f(np.concatenate((points, x.ravel())))
+                at_points, fx = fx[:points.size], fx[points.size:]
             else:
-                # imported here, not at the top: no preset segment comes this
-                # far, and scipy takes longer to import than the package
-                from scipy import integrate
-                total = integrate.quad(lambda x: x * seg.pdf(x), lo, limits[i],
-                                       epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                                       limit=200)[0]
-                carry = 0.0
-            out[i] = total + carry
-    return out[np.searchsorted(limits, ends)]
+                fx = f(x.ravel())
+            fx = fx.reshape(x.shape)
+            kronrod, gauss = half * (fx @ _KRONROD_WEIGHTS), half * (fx @ _GAUSS_WEIGHTS)
+            ok = np.abs(kronrod - gauss) <= np.maximum(
+                QUAD_EPSABS * (2.0 * half) / span, QUAD_EPSREL * np.abs(kronrod))
+            if depth == MAX_HALVINGS:
+                if scalar is not None:
+                    whole[owner[~ok]] = True
+                ok[:] = True
+            gaps += np.bincount(owner[ok], weights=kronrod[ok], minlength=gaps.size)
+            if ok.all():
+                break
+            a, mid, b, owner = a[~ok], mid[~ok], b[~ok], np.tile(owner[~ok], 2)
+            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        for i in np.flatnonzero(whole).tolist():
+            # imported here, not at the top: no preset segment comes this
+            # far, and scipy takes longer to import than the package
+            from scipy import integrate
+            gaps[i] = integrate.quad(scalar, starts[k + i], stops[k + i],
+                                     epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                                     limit=200)[0]
+        for i, gap in enumerate(gaps.tolist(), start=k + 1):
+            s = total + gap
+            carry += (total - s) + gap if abs(total) >= abs(gap) else (gap - s) + total
+            total = s
+            running[i] = total + carry
+    return at_points, running[np.searchsorted(cuts, ends)] - running[np.searchsorted(cuts, lo)]
 
 
 # -- concrete kinds --------------------------------------------------------

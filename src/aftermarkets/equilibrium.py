@@ -23,9 +23,9 @@ on-path, price and threshold deviations are one row, each dominance case
 one, and best-response dynamics read one per agent step. The first-price check
 draws its value pairs with `draw_values`, the Monte Carlo rule of
 `expected_outcome`, and evaluates the exact bid once per check, on a table
-it then interpolates. Its interim curves take the package's one quadrature
-table and one monotone inverse from `distributions`: the 15-point Kronrod
-rule and the bisection `_monotone_inverse`.
+it then interpolates. Its interim curves take the package's one integral
+rule and one monotone inverse from `distributions`: the cumulative Kronrod
+pass `_cumulative_integral` and the bisection `_monotone_inverse`.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer,
                           _distinct_rows, run_posted_resale)
 from .auctions import BidBatch, BidVector, uniform_price_deviations
 from .combined import Mechanism, Strategy, _check_single_item, _run_auction
-from .distributions import (_KRONROD_NODES, _KRONROD_WEIGHTS, UnitDistribution,
-                            _kronrod_sums, _monotone_inverse)
+from .distributions import (UnitDistribution, _cumulative_integral,
+                            _monotone_inverse)
 from .valuations import (MarketModel, ValuationBatch, cell_nodes, draw_values,
                          grouped_market, lower_bound_market, realize_batch,
                          symmetric_fpa_market)
@@ -546,7 +546,12 @@ def weak_dominance_witness(evaluator: ConstantActionEvaluator, agent: int,
 
 def dominance_witness_suite(game: CombinedGame):
     """The three witness families for the speculator and the two families for
-    each of A and B, each as (label, agent, alternative, witness opponents)."""
+    each of A and B, each as (label, agent, alternative, witness opponents).
+    The witnesses are the one-group game's (agents 0, 1, 2 and the whole
+    market's m units), so any other grouping raises ValueError."""
+    if game.market.groups != ((0, 1, 2),):
+        raise ValueError("the dominance witnesses need a market of one (A, B, C) "
+                         f"group, agents (0, 1, 2), not groups {game.market.groups}")
     m = game.market.m
     eps = 0.01 / m
     inf = NO_OFFER
@@ -599,44 +604,6 @@ def run_dominance_suite(game: CombinedGame) -> list[tuple[str, DominanceReport]]
 # -- single-item interim curves and the symmetric first-price check --------
 
 
-# halvings of a piece of an interim integral that fails the Kronrod rule's
-# check; a piece at the last depth is taken unchecked
-INTERIM_MAX_HALVINGS = 40
-
-
-def _kronrod_integrals(f: Callable[[np.ndarray], np.ndarray], lo: float,
-                       grid: np.ndarray, kinks: Sequence[float]):
-    """f at lo and at every v in `grid`, and int_lo^v f(z) dz for every v: the
-    15-point Kronrod rule of `distributions` on each piece of [lo, v] between
-    the kinks inside it; a piece that fails the rule's Gauss check
-    (`_kronrod_sums`) is halved, and each half integrated the same way. f is
-    called on flat arrays, once per depth, the points with the first nodes."""
-    pieces = []  # (start, end, index of v)
-    for i, v in enumerate(grid.tolist()):
-        cuts = [lo, *(k for k in kinks if lo < k < v), v]
-        pieces += [(s, e, i) for s, e in zip(cuts, cuts[1:]) if s != e]
-    a, b, owner = np.array(pieces).reshape(-1, 3).T
-    owner, n = owner.astype(np.int64), _KRONROD_NODES.size
-    points = np.concatenate(([lo], grid))
-    span = np.sum(b - a)
-    total = np.zeros(grid.size)
-    for depth in range(INTERIM_MAX_HALVINGS + 1):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        nodes = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
-        fx = f(np.concatenate((points, nodes)) if depth == 0 else nodes)
-        if depth == 0:
-            at_points, fx = fx[:points.size], fx[points.size:]
-        fx = fx.reshape(-1, n)
-        ok = _kronrod_sums(fx, half, span)[1] | (depth == INTERIM_MAX_HALVINGS)
-        total += np.bincount(np.repeat(owner[ok], n), minlength=grid.size,
-                             weights=(half[ok, None] * _KRONROD_WEIGHTS * fx[ok]).ravel())
-        if ok.all():
-            break
-        a, mid, b, owner = a[~ok], mid[~ok], b[~ok], np.tile(owner[~ok], 2)
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-    return at_points, total
-
-
 def interim_curves(dists: Sequence[UnitDistribution],
                    bid_fns: Sequence[Callable[[np.ndarray], np.ndarray]], agent: int,
                    value_grid: Sequence[float]):
@@ -646,9 +613,9 @@ def interim_curves(dists: Sequence[UnitDistribution],
     p(v) - p(lo) = v x(v) - lo x(lo) - int_lo^v x(z) dz.
 
     Bid functions are called with numpy arrays of values and must return
-    arrays of bids of the same shape. The integral is the 15-point Kronrod
-    rule of `distributions`, split at the kinks of the agent's distribution
-    and halved where the rule's check fails (`_kronrod_integrals`)."""
+    arrays of bids of the same shape. The integral is the cumulative Kronrod
+    rule of `distributions` (`_cumulative_integral`), cut at the kinks of the
+    agent's distribution, which also evaluates x at lo and on the grid."""
     if len(dists) != 2 or len(bid_fns) != 2:
         raise ValueError("single-item market with two agents required")
     other = 1 - agent
@@ -662,8 +629,11 @@ def interim_curves(dists: Sequence[UnitDistribution],
         target = np.nextafter(bids, np.inf) if agent == 0 else bids
         return dists[other].cdf(_monotone_inverse(bid_fns[other], target, lo_o, hi_o))
 
-    x, integral = _kronrod_integrals(wins, lo, grid, dists[agent].kinks)
-    p = bid_fns[agent](np.concatenate(([lo], grid))) * x
+    points = np.concatenate(([lo], grid))
+    if not np.all(np.isfinite(points)):
+        raise ValueError("interim curves need a finite support start and value grid")
+    x, integral = _cumulative_integral(wins, lo, grid, dists[agent].kinks, points)
+    p = bid_fns[agent](points) * x
     xs, ps = x[1:], p[1:]
     residuals = (ps - p[0]) - (grid * xs - lo * x[0] - integral)
     return xs, ps, residuals

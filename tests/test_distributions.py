@@ -10,7 +10,7 @@ from aftermarkets import distributions
 from aftermarkets.cli import _lower_bound_row, posted_fails_summary
 from aftermarkets.distributions import (Atom, EqualRevenueCapped, PiecewiseCdf,
                                         PointMass, SegmentSpec, Uniform,
-                                        _cumulative_moment,
+                                        _cumulative_integral,
                                         lower_bound_z_distribution,
                                         speculative_buyer_value_distribution)
 from aftermarkets.equilibrium import (default_deviation_grid,
@@ -239,7 +239,7 @@ def test_presets_never_reach_quad(monkeypatch):
         raise MomentRuleCalled
 
     monkeypatch.setattr(integrate, "quad", no_quad)
-    monkeypatch.setattr(distributions, "_cumulative_moment", no_moment_rule)
+    monkeypatch.setattr(distributions, "_cumulative_integral", no_moment_rule)
     roles = ("regular", "bulk", "speculator")
     for m in (10, 100):
         grids = {i: default_deviation_grid(m, r) for i, r in enumerate(roles)}
@@ -260,8 +260,8 @@ def test_presets_never_reach_quad(monkeypatch):
         _square_cdf().partial_mean(0.0, 0.5)
     # the x^2 segment takes every moment from the Kronrod rule (4,032 quad
     # calls when each upper limit was integrated by quad from lo)
-    monkeypatch.setattr(distributions, "_cumulative_moment",
-                        _cumulative_moment)
+    monkeypatch.setattr(distributions, "_cumulative_integral",
+                        _cumulative_integral)
     assert symmetric_fpa_check(_square_cdf(), 5, 21, 500).passes(1e-6)
 
 
@@ -295,7 +295,8 @@ pdf_only = {"square": _square_cdf, "cosine": _cosine_cdf,
 @given(fracs=st.lists(st.floats(-0.25, 1.25, allow_subnormal=False), max_size=30),
        repeats=st.integers(0, 5),
        start=st.one_of(st.floats(-0.25, 0.0), st.floats(0.05, 0.9)))
-# the singular density's second gap, [2^-23, 1], is taken by quad from 0
+# the singular density's gaps [0, 2^-23] and [2^-23, 1]: their halved pieces
+# pass the check, so no quad is called
 @example(fracs=[2.0 ** -23], repeats=0, start=0.0)
 @settings(max_examples=40, deadline=None)
 def test_cumulative_moment_matches_quad_per_limit(name, fracs, repeats, start):
@@ -350,6 +351,56 @@ def test_singular_density_falls_back_to_quad(monkeypatch):
     assert calls == []
     _singular_cdf().partial_mean(0.0, limits)
     assert (0.0, 0.01) in calls
+
+
+def _interior_singular_cdf():
+    """Density 1/(c sqrt|x - 1/3|) on [0, 1]: x * pdf is unbounded inside the
+    one gap [0, 1], so the halved pieces around 1/3 fail to the last depth."""
+    r1, r2 = math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0)
+    c = 2.0 * (r1 + r2)
+    return PiecewiseCdf((SegmentSpec(
+        0.0, 1.0,
+        cdf=lambda x: (r1 + math.copysign(math.sqrt(abs(x - 1.0 / 3.0)), x - 1.0 / 3.0))
+        * 2.0 / c,
+        pdf=lambda x: 1.0 / (c * math.sqrt(abs(x - 1.0 / 3.0)))),))
+
+
+def _end_singular_cdf(lo=1.0):
+    """F(x) = sqrt(x - lo) on [lo, lo + 1]: the density 1/(2 sqrt(x - lo)) is
+    unbounded at the segment's lower end; E = lo + 1/3."""
+    return PiecewiseCdf((SegmentSpec(lo, lo + 1.0, cdf=lambda x: math.sqrt(x - lo),
+                                     pdf=lambda x: 0.5 / math.sqrt(x - lo)),))
+
+
+def test_unbounded_moment_integrands_meet_closed_forms():
+    """Where x * pdf is unbounded, inside a gap or at a segment's end, the
+    gap that still fails the check after every halving goes whole to quad,
+    and the mean meets its closed form."""
+    r1, r2 = math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0)
+    # int_0^1 x / sqrt|x - 1/3| dx = 2/3 (r2^3 + r2 + r1 - r1^3)
+    interior = 2.0 / 3.0 * (r2 ** 3 + r2 + r1 - r1 ** 3) / (2.0 * (r1 + r2))
+    assert _interior_singular_cdf().mean() == pytest.approx(interior, rel=1e-12)
+    assert _end_singular_cdf().mean() == pytest.approx(4.0 / 3.0, rel=1e-12)
+    # far from 0 the failing end piece grows too narrow for its nodes before
+    # the last depth, and its gap still goes to quad; quad's result is good
+    # to its own epsrel there (2e-9 off), and dropping the piece loses 3.5e-4
+    assert _end_singular_cdf(1e5).mean() == pytest.approx(
+        1e5 + 1.0 / 3.0, rel=distributions.QUAD_EPSREL)
+
+
+def test_narrow_window_takes_midpoint_times_mass():
+    """A window too narrow to hold the Kronrod nodes strictly inside (100
+    ulps) calls no pdf and takes its midpoint times its mass, so the node of
+    its cell stays inside the cell."""
+    d = _square_cdf()
+    a = 0.7
+    b = a + 100 * math.ulp(a)
+    mass = float(d.cdf(b) - d.cdf(a))
+    assert mass > 0
+    got = float(d.partial_mean(a, b))
+    assert got == pytest.approx((a + (b - a) / 2.0) * mass, rel=1e-12, abs=0.0)
+    nodes, weights = d.cells((a, b))
+    assert weights[1] == mass and a <= nodes[1] <= b
 
 
 def test_cumulative_moment_spans_blocks_and_unbounded_gaps():

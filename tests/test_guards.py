@@ -18,6 +18,8 @@ from aftermarkets.distributions import (EqualRevenueCapped, PiecewiseCdf,
 from aftermarkets.equilibrium import (Action, CombinedGame,
                                       ConstantActionEvaluator,
                                       default_deviation_grid, interim_curves,
+                                      run_dominance_suite,
+                                      scripted_grouped_equilibrium,
                                       symmetric_fpa_check)
 from aftermarkets.smoothness import (CheckDomain, SingleItemFirstPrice,
                                      SmoothnessCertificate, check_smooth,
@@ -92,8 +94,13 @@ GUARDS = {
         (Action(),) * 3)), "fixed resale groups"),
     "interim-three-agents": (lambda: interim_curves(
         (Uniform(0.0, 1.0),) * 3, (lambda v: v / 2,) * 3, 0, [0.5]), "two agents"),
+    "interim-infinite-grid": (lambda: interim_curves(
+        (Uniform(0.0, 1.0),) * 2, (lambda v: v / 2,) * 2, 0, [0.5, math.inf]), "finite"),
     "fpa-check-atom": (lambda: symmetric_fpa_check(EqualRevenueCapped(10.0)), "atomless"),
     "fpa-check-unbounded": (lambda: symmetric_fpa_check(_exponential()), "bounded"),
+    # the witnesses are the one-group game's
+    "dominance-grouped": (lambda: run_dominance_suite(
+        scripted_grouped_equilibrium(40, 0.25)), r"one \(A, B, C\) group"),
     "deviation-grid-role": (lambda: default_deviation_grid(100, "speculatr"), "role"),
     # smoothness: a domain's arity must match the game's
     "smooth-action-sets": (lambda: _fpa_check(CheckDomain(((1.0, 0.5),),
