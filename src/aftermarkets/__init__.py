@@ -7,8 +7,8 @@ from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
                           check_weak_budget_balance, opt_out_outcome,
                           run_posted_resale)
 from .allocation import Allocation, brute_force_opt, opt_allocation, welfare
-from .auctions import (AuctionOutcome, BidVector, all_pay_single,
-                       discriminatory, first_price_single, uniform_price)
+from .auctions import (AuctionOutcome, BidVector, all_pay, discriminatory,
+                       uniform_price)
 from .balanced import (BalancednessReport, WelfareAudit, balanced_reserve,
                        check_balanced_conditions, noisy_reserve,
                        perturbed_guarantee, realization_price, static_price,

@@ -1,17 +1,19 @@
-"""Sealed-bid primary mechanisms: uniform-price (optional reserve),
-discriminatory, and single-item first-price and all-pay. (The posted primary
-sale clears through the resale kernel's sale, `aftermarket._sell`.)
+"""Sealed-bid primary mechanisms on bid schedules: uniform-price (optional
+reserve), discriminatory and all-pay. First price is the discriminatory
+auction of one unit. (The posted primary sale clears through the resale
+kernel's sale, `aftermarket._sell`.)
 A bid is a marginal schedule plus a unit count: `BidVector` is a
 `MarginalValuation` with `m`, and `BidBatch` a `ValuationBatch` with each
 row's implicit zero bids, so pay-as-bid is the schedule's `value` of the
-units won, in the discriminatory clearing and its kernel alike.
-Next to the uniform-price, discriminatory and first-price clearings are
-kernels (`uniform_price_deviations`, `discriminatory_units_won`,
-`first_price_deviation_wins`) that clear one agent's many alternative bids
-at once against fixed opponents. Both multi-unit kernels take the bids as
-one `BidBatch`, and the discriminatory one reads its units won off the
-uniform one. Every clearing and kernel breaks ties one way: higher bid
-first, then lower agent index, then lower unit."""
+units won, in the discriminatory clearing and its kernel alike; all-pay
+charges the `value` of all m units.
+Every clearing takes its winners from the one greedy walk,
+`allocation._greedy`. Next to the uniform-price and discriminatory clearings
+are kernels (`uniform_price_deviations`, `discriminatory_units_won`) that
+clear one agent's many alternative bids at once against fixed opponents.
+Both take the bids as one `BidBatch`, and the discriminatory one reads its
+units won off the uniform one. Every clearing and kernel breaks ties one
+way: higher bid first, then lower agent index, then lower unit."""
 
 from __future__ import annotations
 
@@ -122,6 +124,13 @@ def discriminatory(bids: Sequence[BidVector], m: int) -> AuctionOutcome:
     counts, _, _ = _greedy(_sorted_entries(bids, None), m, len(bids))
     return AuctionOutcome(Allocation(tuple(counts)),
                           tuple(float(bv.value(k)) for bv, k in zip(bids, counts)))
+
+
+def all_pay(bids: Sequence[BidVector], m: int) -> AuctionOutcome:
+    """The discriminatory allocation; every agent pays its bid schedule's
+    value of all m units, won or not: on one unit, its bid."""
+    return AuctionOutcome(discriminatory(bids, m).alloc,
+                          tuple(float(bv.value(m)) for bv in bids))
 
 
 def _ranked_ends(entries):
@@ -247,43 +256,3 @@ def discriminatory_units_won(bids: Sequence[BidVector], agent: int,
     *_, counts = _deviation_units(entries, agent, batch, m, None)
     return counts, batch.value(counts)
 
-
-def _first_price_winner(bids: Sequence[float], bidders: Sequence[int]) -> int:
-    """The highest bid among `bidders` wins; ties go to the lowest index."""
-    return min(bidders, key=lambda i: (-bids[i], i))
-
-
-def first_price_deviation_wins(bids: Sequence[float], agent: int, deviations):
-    """Whether `agent` wins the single item with each bid in the array
-    `deviations`, the other bids fixed, under the rule of first_price_single:
-    a deviation d wins iff d > B, or d == B and the agent's index is below
-    the rival's, where the rival is the best other bidder (bid B); a bad
-    deviation or other bid raises as in first_price_single."""
-    d = np.asarray(deviations, dtype=float)
-    others = [i for i in range(len(bids)) if i != agent]
-    checked = np.concatenate((d.ravel(), [bids[i] for i in others]))
-    if not np.all((0 <= checked) & (checked < math.inf)):
-        raise ValueError("bids must be finite and nonnegative")
-    if not others:
-        return np.ones(d.shape, dtype=bool)
-    rival = _first_price_winner(bids, others)
-    b = bids[rival]
-    return (d > b) | ((d == b) & (agent < rival))
-
-
-def first_price_single(bids: Sequence[float]) -> AuctionOutcome:
-    """Single item: the highest bid wins, ties going to the lowest agent
-    index (the one tie rule of every clearing here); the winner pays her
-    bid."""
-    if not all(0 <= b < math.inf for b in bids):
-        raise ValueError("bids must be finite and nonnegative")
-    winner = _first_price_winner(bids, range(len(bids)))
-    counts = tuple(1 if i == winner else 0 for i in range(len(bids)))
-    payments = tuple(bids[winner] if i == winner else 0.0 for i in range(len(bids)))
-    return AuctionOutcome(Allocation(counts), payments)
-
-
-def all_pay_single(bids: Sequence[float]) -> AuctionOutcome:
-    """Single item: the winner of first_price_single wins; every agent pays
-    her own bid."""
-    return AuctionOutcome(first_price_single(bids).alloc, tuple(float(b) for b in bids))

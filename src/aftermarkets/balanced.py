@@ -1,5 +1,5 @@
 """Balanced per-unit pricing: the realization price OPT(v; m)/m, exact
-(alpha, beta)-balancedness checks, the induced static posted price and
+(1, 1)-balancedness checks, the induced static posted price and
 uniform-price reserve E[OPT]/(2m), and the welfare-guarantee audits
 (including noisy estimates and perturbed prices).
 
@@ -38,35 +38,24 @@ def _per_unit(opt, m: int):
 
 @dataclass(frozen=True)
 class BalancednessReport:
-    alpha: float
-    beta: float
     ok: bool
     worst_k: int
-    min_margin_cover: object   # min over k of k*p - (OPT(m) - OPT(m-k))/alpha
-    min_margin_leftover: object  # min over k of beta*OPT(m-k) - (m-k)*p
+    min_margin_cover: object   # min over k of k*p - (OPT(m) - OPT(m-k))
+    min_margin_leftover: object  # min over k of OPT(m-k) - (m-k)*p
 
 
 def check_balanced_conditions(profile: Sequence[MarginalValuation], m: int,
-                              price=None, alpha=1, beta=1) -> BalancednessReport:
-    """Verify both balancedness inequalities for every k in 0..m. Defaults to
-    the realization price and (1, 1); exact arithmetic when the inputs are
-    exact."""
+                              price=None) -> BalancednessReport:
+    """Verify both (1, 1)-balancedness inequalities for every k in 0..m.
+    Defaults to the realization price; exact arithmetic when the inputs are
+    exact. `worst_k` is the first k with the least cover margin."""
     opts = opt_welfares(profile, m)
     p = _per_unit(opts[m], m) if price is None else price
-    worst_k = 0
-    min_cover = None
-    min_left = None
-    ok = True
-    for k in range(m + 1):
-        cover = k * p - (opts[m] - opts[m - k]) / alpha
-        left = beta * opts[m - k] - (m - k) * p
-        if min_cover is None or cover < min_cover:
-            min_cover, worst_k = cover, k
-        if min_left is None or left < min_left:
-            min_left = left
-        if cover < 0 or left < 0:
-            ok = False
-    return BalancednessReport(alpha, beta, ok, worst_k, min_cover, min_left)
+    cover = [k * p - (opts[m] - opts[m - k]) for k in range(m + 1)]
+    left = [opts[m - k] - (m - k) * p for k in range(m + 1)]
+    min_cover, min_left = min(cover), min(left)
+    return BalancednessReport(min_cover >= 0 and min_left >= 0,
+                              cover.index(min_cover), min_cover, min_left)
 
 
 def static_price(alpha: float, beta: float, expected_per_unit: float) -> float:

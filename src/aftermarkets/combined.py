@@ -16,9 +16,8 @@ from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
                           ThresholdBuyer, _distinct_rows, _sell, apply_signal,
                           opt_out_outcome, run_posted_resale)
 from .allocation import Allocation, opt_welfare_rows
-from .auctions import (AuctionOutcome, BidVector, _check_reserve,
-                       all_pay_single, discriminatory, first_price_single,
-                       uniform_price)
+from .auctions import (AuctionOutcome, BidVector, _check_reserve, all_pay,
+                       discriminatory, uniform_price)
 from .valuations import (MarginalValuation, MarketModel, ValuationBatch,
                          cell_nodes, draw_values, realize_batch)
 
@@ -82,15 +81,13 @@ class CombinedOutcome:
 
 def _run_auction(mechanism: Mechanism, bids: Sequence[BidVector],
                  m: int) -> AuctionOutcome:
-    """Clear sealed bids (every kind but posted); single-item kinds read first bids."""
+    """Clear sealed bids (every kind but posted); first price is the
+    discriminatory auction of its one unit."""
     if mechanism.kind == "uniform":
         return uniform_price(bids, m, mechanism.reserve)
-    if mechanism.kind == "discriminatory":
-        return discriminatory(bids, m)
-    flat = [b.runs[0][0] if b.runs else 0.0 for b in bids]
-    if mechanism.kind == "first_price":
-        return first_price_single(flat)
-    return all_pay_single(flat)
+    if mechanism.kind == "all_pay":
+        return all_pay(bids, m)
+    return discriminatory(bids, m)
 
 
 def _check_single_item(mechanism: Mechanism, m: int) -> None:

@@ -11,10 +11,11 @@ form. The package has one integral rule, `_cumulative_integral`: one pass
 over the sorted upper limits, QUADPACK's 15-point Kronrod rule per gap
 between consecutive limits, checked against its embedded 7-point Gauss rule,
 a failing piece halved, and the gaps added with a compensated running sum. A
-segment without a closed form has x * pdf integrated by it, with scipy's
-`quad` for a gap that still fails after every halving; the first-price
-interim curves integrate their win probability by it. `_monotone_inverse`,
-an array bisection, is the one monotone inverse: a segment without a `ppf`
+segment without a closed form has x * pdf integrated by it; a gap the rule
+cannot take goes through the caller's `whole` callback to scipy's `quad`,
+which integrates from the gap's start. The first-price interim curves
+integrate their win probability by the same rule. `_monotone_inverse`, an
+array bisection, is the one monotone inverse: a segment without a `ppf`
 inverts its `cdf` by it. A segment's callables may be scalar-only; every
 elementwise call of one goes through `_elementwise`.
 """
@@ -222,14 +223,27 @@ def _monotone_inverse(fn: Callable[[np.ndarray], np.ndarray], target,
 
 def _segment_moment(seg: SegmentSpec, lo: float, ends: np.ndarray) -> np.ndarray:
     """int_lo^e x dF over `seg` for every e in `ends` (lo < e, all within the
-    segment): its closed-form moment, else the cumulative Kronrod rule with
-    `quad` as its fallback; a gap too narrow for the rule takes its midpoint
-    times its mass, within half its width times its mass of the moment."""
+    segment): its closed-form moment, else the cumulative Kronrod rule; a gap
+    too narrow for the rule takes its midpoint times its mass, within half
+    its width times its mass of the moment, and a gap the rule cannot take
+    goes to scipy's `quad`, which integrates (x - shift) * pdf there and adds
+    shift times the gap's mass, shift being the gap's start if finite (else
+    0), so its tolerance is not spent on the offset."""
     if seg.partial_mean is not None:
         return seg.partial_mean(lo, ends)
     pdf, cdf = seg.pdf, partial(_elementwise, seg.cdf)
+
+    def whole(start: float, stop: float) -> float:
+        # imported here, not at the top: no preset segment comes this far,
+        # and scipy takes longer to import than the package
+        from scipy import integrate
+        shift = start if math.isfinite(start) else 0.0
+        return integrate.quad(lambda x: (x - shift) * pdf(x), start, stop,
+                              epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                              limit=200)[0] + shift * (seg.cdf(stop) - seg.cdf(start))
+
     return _cumulative_integral(
-        lambda x: x * _elementwise(pdf, x), lo, ends, scalar=lambda x: x * pdf(x),
+        lambda x: x * _elementwise(pdf, x), lo, ends, whole=whole,
         narrow=lambda a, b: (a + (b - a) / 2.0) * (cdf(b) - cdf(a)))[1]
 
 
@@ -279,7 +293,7 @@ MAX_HALVINGS = 40
 def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], lo: float,
                          ends: np.ndarray, kinks: Sequence[float] = (),
                          points: Optional[np.ndarray] = None,
-                         scalar: Optional[Callable[[float], float]] = None,
+                         whole: Optional[Callable[[float, float], float]] = None,
                          narrow: Optional[Callable] = None):
     """f at `points` (None without them) and int_lo^e f(z) dz for every e in
     `ends`, signed: C(e) - C(lo) for the running integral C. lo, the kinks
@@ -289,8 +303,8 @@ def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], lo: float,
     whose Kronrod - Gauss difference exceeds both quad's epsrel and its
     width's share of quad's epsabs is halved, up to MAX_HALVINGS times; one
     still failing then, or too narrow to halve, is taken unchecked (adding 0
-    if narrow), unless the integrand is also given as a `scalar` callable:
-    then scipy's `quad` integrates its gap whole, as it does an unbounded gap.
+    if narrow), unless a `whole(start, stop)` callback is given: then it
+    integrates that piece's gap whole, as it does an unbounded gap.
     The gaps run in blocks of KRONROD_BLOCK, f is called on flat arrays once
     per block and depth (the points with the first nodes), and the gaps add
     up in a running sum with Neumaier's compensation."""
@@ -306,8 +320,8 @@ def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], lo: float,
     for k in range(0, max(starts.size, 1), KRONROD_BLOCK):
         block = slice(k, k + KRONROD_BLOCK)
         gaps = np.zeros(starts[block].size)
-        whole = ~np.isfinite(stops[block] - starts[block])  # for quad
-        owner = np.flatnonzero(~whole)
+        by_whole = ~np.isfinite(stops[block] - starts[block])
+        owner = np.flatnonzero(~by_whole)
         a, b = starts[block][owner], stops[block][owner]
         for depth in range(MAX_HALVINGS + 1):
             half = (b - a) / 2.0
@@ -317,10 +331,10 @@ def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], lo: float,
             if depth == 0:
                 if narrow is not None and not inside.all():
                     gaps[owner[~inside]] = narrow(a[~inside], b[~inside])
-            elif scalar is not None:
-                # a failing piece too narrow to halve again: quad takes its gap
-                whole[owner[~inside]] = True
-                inside &= ~whole[owner]
+            elif whole is not None:
+                # a failing piece too narrow to halve again: `whole` takes its gap
+                by_whole[owner[~inside]] = True
+                inside &= ~by_whole[owner]
             a, mid, b, half, owner, x = (v[inside] for v in (a, mid, b, half, owner, x))
             if at_points is None and points is not None:
                 fx = f(np.concatenate((points, x.ravel())))
@@ -332,21 +346,16 @@ def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], lo: float,
             ok = np.abs(kronrod - gauss) <= np.maximum(
                 QUAD_EPSABS * (2.0 * half) / span, QUAD_EPSREL * np.abs(kronrod))
             if depth == MAX_HALVINGS:
-                if scalar is not None:
-                    whole[owner[~ok]] = True
+                if whole is not None:
+                    by_whole[owner[~ok]] = True
                 ok[:] = True
             gaps += np.bincount(owner[ok], weights=kronrod[ok], minlength=gaps.size)
             if ok.all():
                 break
             a, mid, b, owner = a[~ok], mid[~ok], b[~ok], np.tile(owner[~ok], 2)
             a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-        for i in np.flatnonzero(whole).tolist():
-            # imported here, not at the top: no preset segment comes this
-            # far, and scipy takes longer to import than the package
-            from scipy import integrate
-            gaps[i] = integrate.quad(scalar, starts[k + i], stops[k + i],
-                                     epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                                     limit=200)[0]
+        for i in np.flatnonzero(by_whole).tolist():
+            gaps[i] = whole(starts[k + i], stops[k + i])
         for i, gap in enumerate(gaps.tolist(), start=k + 1):
             s = total + gap
             carry += (total - s) + gap if abs(total) >= abs(gap) else (gap - s) + total

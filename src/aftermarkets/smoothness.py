@@ -1,9 +1,11 @@
 """(lambda, mu)-smoothness certificates: randomized deviation generators,
 finite-domain certificate checking, the auction games (each states only its
-clearing and its deviation kernel), their lift `LiftedGame` to the auction
-followed by winner-led resale rounds (Syrgkanis & Tardos, STOC 2013) with
-the certificate lift, the explicit first-price/discriminatory deviations,
-price-of-anarchy bounds, and the uniform-price overbidding counterexample.
+clearing and its deviation kernel; the single-item games are the only code
+with number bids, which they clear as one-unit bid schedules), their lift
+`LiftedGame` to the auction followed by winner-led resale rounds (Syrgkanis
+& Tardos, STOC 2013) with the certificate lift, the explicit
+first-price/discriminatory deviations, price-of-anarchy bounds, and the
+uniform-price overbidding counterexample.
 
 A game is (lambda, mu)-smooth if for every valuation profile v there are
 (possibly randomized) deviations a*_i(v) with
@@ -31,9 +33,8 @@ import numpy as np
 from .aftermarket import (NO_OFFER, ResaleSpec, ThresholdBuyer,
                           _distinct_rows, run_posted_resale)
 from .allocation import opt_allocation
-from .auctions import (BidBatch, BidVector, all_pay_single, discriminatory,
-                       discriminatory_units_won, first_price_deviation_wins,
-                       first_price_single, uniform_price)
+from .auctions import (BidBatch, BidVector, all_pay, discriminatory,
+                       discriminatory_units_won, uniform_price)
 from .valuations import MarginalValuation, ValuationBatch
 
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
@@ -160,18 +161,35 @@ class AuctionGame(SmoothableGame):
         return self.worth(values[agent], units) - payments
 
 
+def _one_unit_bids(bids) -> list[BidVector]:
+    """Number bids as the one-unit schedules the auctions clear."""
+    if not all(0 <= b < math.inf for b in bids):
+        raise ValueError("bids must be finite and nonnegative")
+    return [BidVector.flat(b, 1, 1) for b in bids]
+
+
 class SingleItemFirstPrice(AuctionGame):
-    """One item; values and bids are numbers."""
+    """One item; values and bids are numbers. It clears as the
+    discriminatory auction of one unit."""
 
     def __init__(self, n_agents: int):
         super().__init__(n_agents, 1)
 
     def clear(self, bids):
-        return first_price_single(bids)
+        return discriminatory(_one_unit_bids(bids), 1)
 
     def units_and_payments(self, bids, agent, atoms):
+        """The tie rule on numbers: a deviation d wins iff it beats every
+        lower index's bid and at least meets every higher index's; it pays
+        d when it wins. Other agents' bids and the atoms are checked as
+        `clear` checks them; the agent's own entry is not read."""
         atoms = np.asarray(atoms, dtype=float)
-        wins = first_price_deviation_wins(bids, agent, atoms)
+        ahead, behind = bids[:agent], bids[agent + 1:]
+        checked = np.concatenate((atoms.ravel(), ahead, behind))
+        if not np.all((0 <= checked) & (checked < math.inf)):
+            raise ValueError("bids must be finite and nonnegative")
+        wins = ((atoms > max(ahead, default=-math.inf))
+                & (atoms >= max(behind, default=-math.inf)))
         return wins.astype(np.int64), np.where(wins, atoms, 0.0)
 
     def valuation(self, value):
@@ -185,7 +203,7 @@ class SingleItemAllPay(SingleItemFirstPrice):
     """First price, except that every bidder pays its bid."""
 
     def clear(self, bids):
-        return all_pay_single(bids)
+        return all_pay(_one_unit_bids(bids), 1)
 
     def units_and_payments(self, bids, agent, atoms):
         return (super().units_and_payments(bids, agent, atoms)[0],

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from aftermarkets.aftermarket import SignalProtocol
 from aftermarkets.allocation import opt_allocation
 from aftermarkets.auctions import (AuctionOutcome, BidBatch, BidVector,
-                                   _sorted_entries, all_pay_single,
-                                   discriminatory,
-                                   discriminatory_units_won,
-                                   first_price_deviation_wins,
-                                   first_price_single, uniform_price,
+                                   _sorted_entries, discriminatory,
+                                   discriminatory_units_won, uniform_price,
                                    uniform_price_deviations)
 from aftermarkets.combined import Mechanism, Strategy, play
+from aftermarkets.smoothness import SingleItemAllPay, SingleItemFirstPrice
 from aftermarkets.valuations import HeadTailModel, MarginalValuation, MarketModel
 
 
@@ -73,13 +71,13 @@ def test_discriminatory_pay_as_bid():
 
 
 def test_single_item_auctions():
-    out = first_price_single([0.4, 0.9, 0.1])
+    out = SingleItemFirstPrice(3).clear([0.4, 0.9, 0.1])
     assert out.alloc.counts == (0, 1, 0)
     assert out.payments == (0.0, 0.9, 0.0)
-    ap = all_pay_single([0.4, 0.9, 0.1])
+    ap = SingleItemAllPay(3).clear([0.4, 0.9, 0.1])
     assert ap.alloc.counts == (0, 1, 0)
     assert ap.payments == (0.4, 0.9, 0.1)
-    tie = first_price_single([0.5, 0.5])
+    tie = SingleItemFirstPrice(2).clear([0.5, 0.5])
     assert tie.alloc.counts == (1, 0)
 
 
@@ -98,7 +96,7 @@ def test_bid_vector_rejects_nan_and_infinite_bids(bad):
 @pytest.mark.parametrize("bids", [[math.nan, 0.5], [-1.0, -2.0], [math.inf, 0.5],
                                   [0.5, -0.1]])
 def test_single_item_rejects_invalid_bids(bids):
-    for clear in (first_price_single, all_pay_single):
+    for clear in (SingleItemFirstPrice(2).clear, SingleItemAllPay(2).clear):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             clear(bids)
 
@@ -124,12 +122,12 @@ TIES = [BidVector([0.5], 2), BidVector([0.5, 0.5], 2), BidVector([0.5], 2)]
     pytest.param(lambda: opt_allocation(
         [MarginalValuation.from_runs(bv.runs) for bv in TIES], 2)[0].counts,
         (1, 1, 0), id="opt"),
-    pytest.param(lambda: first_price_single([0.5] * 3).alloc.counts, (1, 0, 0),
-                 id="first-price"),
-    pytest.param(lambda: all_pay_single([0.5] * 3).alloc.counts, (1, 0, 0),
-                 id="all-pay"),
+    pytest.param(lambda: SingleItemFirstPrice(3).clear([0.5] * 3).alloc.counts,
+                 (1, 0, 0), id="first-price"),
+    pytest.param(lambda: SingleItemAllPay(3).clear([0.5] * 3).alloc.counts,
+                 (1, 0, 0), id="all-pay"),
     pytest.param(lambda: tuple(
-        int(first_price_deviation_wins([0.5] * 3, a, [0.5])[0])
+        int(SingleItemFirstPrice(3).units_and_payments([0.5] * 3, a, [0.5])[0][0])
         for a in range(3)), (1, 0, 0), id="first-price-kernel"),
 ])
 def test_equal_bids_go_to_lower_index(clear, expected):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftermarkets.aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
-from aftermarkets.auctions import BidVector, all_pay_single, first_price_single
+from aftermarkets.allocation import Allocation
+from aftermarkets.auctions import AuctionOutcome, BidVector
 from aftermarkets.cli import posted_fails_summary
 from aftermarkets import combined
 from aftermarkets.combined import (CHUNK_ROWS, MECHANISM_KINDS, Mechanism,
@@ -18,6 +19,7 @@ from aftermarkets.equilibrium import (Action, CombinedGame,
                                       default_deviation_grid,
                                       scripted_lower_bound_equilibrium)
 from aftermarkets.distributions import Uniform
+from aftermarkets.smoothness import SingleItemAllPay, SingleItemFirstPrice
 from aftermarkets.valuations import (draw_values, lower_bound_market,
                                      posted_fails_market, realize_batch,
                                      sample_profile, symmetric_fpa_market)
@@ -256,16 +258,41 @@ def test_posted_outputs_pinned():
     assert out.welfare_stderr.hex() == "0x1.acfd3c163856bp-8"
 
 
-@pytest.mark.parametrize("kind, clear", [("first_price", first_price_single),
-                                         ("all_pay", all_pay_single)])
-def test_single_item_mechanisms_clear_as_their_auctions(kind, clear):
+def reference_single_item(bids, kind="first_price"):
+    """The single-item rule on number bids, kept as a reference: the highest
+    bid wins, ties going to the lowest index; the winner pays its bid, and
+    under all-pay every agent pays its bid."""
+    winner = min(range(len(bids)), key=lambda i: (-bids[i], i))
+    counts = tuple(int(i == winner) for i in range(len(bids)))
+    if kind == "all_pay":
+        return AuctionOutcome(Allocation(counts), tuple(float(b) for b in bids))
+    return AuctionOutcome(Allocation(counts), tuple(
+        bids[i] if i == winner else 0.0 for i in range(len(bids))))
+
+
+@given(st.sampled_from(["first_price", "all_pay"]),
+       st.lists(st.one_of(st.sampled_from((0.0, 0.25, 0.5)), st.floats(0.0, 2.0)),
+                min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_run_auction_clears_single_item_kinds_by_the_number_rule(kind, bids):
+    """First price and all-pay clear one-unit bid vectors as the number
+    rule does, bit for bit: the greedy walk's winner, its pay-as-bid."""
+    out = combined._run_auction(Mechanism(kind), [BidVector([b], 1) for b in bids], 1)
+    want = reference_single_item(bids, kind)
+    assert out.alloc == want.alloc
+    assert [p.hex() for p in out.payments] == [float(p).hex() for p in want.payments]
+
+
+@pytest.mark.parametrize("kind, auction", [("first_price", SingleItemFirstPrice),
+                                           ("all_pay", SingleItemAllPay)])
+def test_single_item_mechanisms_clear_as_their_auctions(kind, auction):
     """play() and the constant-action evaluator clear a single-item kind as
-    its clearing function does, ties to the lower index."""
+    its single-item game does, ties to the lower index."""
     market = symmetric_fpa_market(Uniform(0.0, 1.0))
     profile = [market.agents[0].realize(0.7), market.agents[1].realize(0.6)]
     for levels in ((0.3, 0.5), (0.4, 0.4), (0.0, 0.2)):
         strategies = tuple(Strategy(bid=BidVector.flat(b, 1, 1)) for b in levels)
-        expected = clear(list(levels))
+        expected = auction(2).clear(list(levels))
         out = play(market, Mechanism(kind), PROTO, None, strategies, profile)
         assert out.auction_alloc == expected.alloc
         assert out.auction_payments == expected.payments

@@ -382,10 +382,9 @@ def test_unbounded_moment_integrands_meet_closed_forms():
     assert _interior_singular_cdf().mean() == pytest.approx(interior, rel=1e-12)
     assert _end_singular_cdf().mean() == pytest.approx(4.0 / 3.0, rel=1e-12)
     # far from 0 the failing end piece grows too narrow for its nodes before
-    # the last depth, and its gap still goes to quad; quad's result is good
-    # to its own epsrel there (2e-9 off), and dropping the piece loses 3.5e-4
-    assert _end_singular_cdf(1e5).mean() == pytest.approx(
-        1e5 + 1.0 / 3.0, rel=distributions.QUAD_EPSREL)
+    # the last depth, and its gap still goes to quad, which integrates from
+    # the gap's start (from 0 it was 2e-9 off); dropping the piece loses 3.5e-4
+    assert _end_singular_cdf(1e5).mean() == pytest.approx(1e5 + 1.0 / 3.0, rel=1e-12)
 
 
 def test_narrow_window_takes_midpoint_times_mass():

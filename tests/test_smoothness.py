@@ -10,9 +10,7 @@ from aftermarkets import smoothness
 from aftermarkets.aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol,
                                       ThresholdBuyer)
 from aftermarkets.auctions import (BidBatch, BidVector, discriminatory,
-                                   discriminatory_units_won,
-                                   first_price_deviation_wins,
-                                   first_price_single)
+                                   discriminatory_units_won)
 from aftermarkets.combined import Mechanism, Strategy, play
 from aftermarkets.smoothness import (MAX_ACTION_PROFILES, ONE_MINUS_INV_E,
                                      OPT_OUT, CheckDomain,
@@ -29,6 +27,7 @@ from aftermarkets.smoothness import (MAX_ACTION_PROFILES, ONE_MINUS_INV_E,
                                      uniform_price_overbidding_probe)
 from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
                                      MarketModel)
+from test_combined import reference_single_item
 
 BID_GRID = tuple(round(0.1 * k, 3) for k in range(11))
 
@@ -431,7 +430,7 @@ def assert_matches_reference(game, values, actions, agent, support):
                          ids=["nan-atom", "negative-atom", "inf-atom", "nan-opponent"])
 def test_bad_bids_raise_like_reference(make, actions, atom):
     """A deviation atom or an opponent's bid that is not finite and
-    nonnegative raises first_price_single's ValueError on the batched path,
+    nonnegative raises the single-item clearing's ValueError on the batched path,
     as it does on the per-atom one."""
     game = make()
     for kernel in (game.deviation_utilities,
@@ -553,15 +552,21 @@ def test_multi_unit_lift_resale_trades():
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_first_price_deviation_wins_matches_clearing(data):
+def test_first_price_kernel_matches_discriminatory_kernel(data):
+    """The number fast path of the first-price game gives the units and
+    payments that the discriminatory kernel gives at m = 1 on the same bids
+    as one-unit schedules, bit for bit."""
     n = data.draw(st.integers(1, 4))
     bids = data.draw(st.lists(BIDS, min_size=n, max_size=n))
     devs = data.draw(st.lists(BIDS, min_size=1, max_size=20))
     agent = data.draw(st.integers(0, n - 1))
-    wins = first_price_deviation_wins(bids, agent, devs)
-    for d, won in zip(devs, wins):
-        out = first_price_single(bids[:agent] + [d] + bids[agent + 1:])
-        assert out.alloc[agent] == won
+    units, payments = SingleItemFirstPrice(n).units_and_payments(bids, agent, devs)
+    want_units, want_payments = discriminatory_units_won(
+        [BidVector.flat(b, 1, 1) for b in bids], agent,
+        BidBatch.of([BidVector.flat(d, 1, 1) for d in devs]), 1)
+    assert units.tolist() == want_units.tolist()
+    assert [p.hex() for p in payments.tolist()] == [
+        p.hex() for p in want_payments.tolist()]
 
 
 @given(st.data())
@@ -586,8 +591,8 @@ def reference_utilities(game, values, actions):
             return OPT_OUT
         return action.rounds[r]
 
-    out = first_price_single([a.auction if isinstance(a, LiftedAction) else a
-                              for a in actions])
+    out = reference_single_item([a.auction if isinstance(a, LiftedAction) else a
+                                 for a in actions])
     holder = out.alloc.counts.index(1)
     transfers = [0.0] * game.n_agents
     for r in range(game.rounds):
