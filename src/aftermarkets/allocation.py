@@ -1,9 +1,13 @@
 """Welfare accounting and the greedy optimal-allocation oracle for identical
-units and non-increasing marginals, with an exhaustive cross-check."""
+units and non-increasing marginals, with an exhaustive cross-check. Profiles
+whose marginals are all Fractions are optimized in integers: every value
+times one common denominator (`_scaled_runs`)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -37,15 +41,37 @@ def welfare(profile: Sequence[MarginalValuation], alloc: Allocation):
     return sum(v.value(x) for v, x in zip(profile, alloc.counts))
 
 
-def _ranked_runs(profile: Sequence[MarginalValuation]) -> list[tuple]:
-    """Every positive marginal run as (value, agent, start_unit, count), in
-    greedy order: value desc, then (agent asc, unit asc). This is the one tie
-    order of the package: the auctions rank BidVectors (whose runs have the
-    same shape) with it too."""
+def _scaled_runs(profile: Sequence[MarginalValuation]):
+    """(each agent's runs, L). When every marginal is a Fraction, each value
+    times L = lcm of their denominators, as an int: a positive scale keeps
+    the order and the ties of the values exactly. Otherwise the runs as they
+    are and L = None; the scan stops at the first other value."""
+    runs = [v.runs for v in profile]
+    denominators = []
+    for agent in runs:
+        for val, _ in agent:
+            if type(val) is not Fraction:
+                return runs, None
+            denominators.append(val.denominator)
+    scale = math.lcm(*denominators)
+    return [[(val.numerator * (scale // val.denominator), cnt) for val, cnt in agent]
+            for agent in runs], scale
+
+
+def _unscaled(total, scale):
+    """A total of scaled runs in value units: a zero total stays the int 0."""
+    return Fraction(total, scale) if scale and total else total
+
+
+def _ranked_runs(runs: Sequence[Sequence[tuple]]) -> list[tuple]:
+    """Every positive marginal run of each agent's (value, count) runs as
+    (value, agent, start_unit, count), in greedy order: value desc, then
+    (agent asc, unit asc). This is the one tie order of the package: the
+    auctions rank BidVector runs (which have the same shape) with it too."""
     entries = []
-    for i, v in enumerate(profile):
+    for i, agent in enumerate(runs):
         start = 0
-        for val, cnt in v.runs:
+        for val, cnt in agent:
             if val > 0:
                 entries.append((val, i, start, cnt))
             start += cnt
@@ -83,8 +109,9 @@ def opt_allocation(profile: Sequence[MarginalValuation], k: int):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    counts, total, _ = _greedy(_ranked_runs(profile), k, len(profile))
-    return Allocation(tuple(counts)), total
+    runs, scale = _scaled_runs(profile)
+    counts, total, _ = _greedy(_ranked_runs(runs), k, len(profile))
+    return Allocation(tuple(counts)), _unscaled(total, scale)
 
 
 def opt_welfare_rows(values: Sequence[ValuationBatch], k: int) -> np.ndarray:
@@ -113,34 +140,51 @@ def opt_welfare_rows(values: Sequence[ValuationBatch], k: int) -> np.ndarray:
 def opt_welfares(profile: Sequence[MarginalValuation], m: int) -> list:
     """[OPT(v; j) for j in 0..m] from one greedy pass. Each entry makes the
     additions of `opt_allocation(profile, j)` in the same order (whole runs
-    as value * count, then value * take), so it equals that welfare
-    exactly."""
+    as value * count, then value * take), in integers for a Fraction
+    profile, so it equals that welfare exactly."""
+    curve, scale = _scaled_welfares(profile, m)
+    return [_unscaled(total, scale) for total in curve]
+
+
+def _scaled_welfares(profile: Sequence[MarginalValuation], m: int):
+    """(the curve of `opt_welfares` in units of 1/L, L) for the L of
+    `_scaled_runs`: ints for a Fraction profile, and for any other profile
+    the curve itself with L = None."""
     if m < 0:
         raise ValueError("m must be nonnegative")
+    runs, scale = _scaled_runs(profile)
     out = [0]
     total = 0
-    for val, _, _, cnt in _ranked_runs(profile):
+    for val, _, _, cnt in _ranked_runs(runs):
         for take in range(1, min(cnt, m + 1 - len(out)) + 1):
             out.append(total + val * take)
         if len(out) > m:
             break
         total += val * cnt
     out.extend([total] * (m + 1 - len(out)))
-    return out
+    return out, scale
 
 
 def brute_force_opt(profile: Sequence[MarginalValuation], k: int,
                     guard: int = 10_000_000):
     """Exhaustive maximum of welfare over all feasible allocations of <= k
-    units, independent of the greedy. Guarded against huge instances."""
+    units, independent of the greedy; in integers for a Fraction profile,
+    each agent's value of q units added as `MarginalValuation.value` adds
+    it. Guarded against huge instances."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     caps = [min(k, v.n_explicit) for v in profile]
     if _feasible_count(caps, k) > guard:
         raise ValueError("instance too large for exhaustive enumeration")
+    runs, scale = _scaled_runs(profile)
     prefix = []
-    for v, cap in zip(profile, caps):
-        row = [v.value(q) for q in range(cap + 1)]
+    for agent, cap in zip(runs, caps):
+        row = [0]
+        total = 0
+        for val, cnt in agent:
+            for take in range(1, min(cnt, cap + 1 - len(row)) + 1):
+                row.append(total + val * take)
+            total += val * cnt
         prefix.append(row)
 
     best = 0
@@ -156,7 +200,7 @@ def brute_force_opt(profile: Sequence[MarginalValuation], k: int,
             rec(i + 1, left - q, acc + row[q])
 
     rec(0, k, 0)
-    return best
+    return _unscaled(best, scale)
 
 
 def _feasible_count(caps: list[int], k: int) -> int:

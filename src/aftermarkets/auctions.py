@@ -87,7 +87,7 @@ def _sorted_entries(bids: Sequence[BidVector], reserve: Optional[float]):
     count), in the greedy order of `_ranked_runs` (bid desc, agent asc, unit
     asc). Every BidVector run is positive, so with no positive reserve all
     runs survive and each agent's implicit zeros follow, in agent order."""
-    entries = _ranked_runs(bids)
+    entries = _ranked_runs([bv.runs for bv in bids])
     if reserve is not None and reserve > 0:
         return [e for e in entries if e[0] >= reserve]
     for i, bv in enumerate(bids):

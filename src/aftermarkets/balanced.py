@@ -9,7 +9,10 @@ every number k of units sold
                                                     welfare they displace)
     (m - k) * p <= beta * OPT(m - k)               (leftover units are not
                                                     priced above their value)
-All checks are exact when the valuations use Fractions.
+On a profile whose marginals are all Fractions the checks are exact, at any
+price, and run in integers: both margins in units of 1/(m L), L the common
+denominator of the marginals. On a float profile the margins are floats,
+judged against the rounding bound 1e-12 * max(1, |OPT(m)|).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .allocation import opt_allocation, opt_welfares
+from .allocation import _scaled_welfares, opt_allocation
 from .combined import Integration, Mechanism, Quadrature, expected_optimal_welfare
 from .valuations import MarginalValuation, MarketModel
 
@@ -47,15 +50,30 @@ class BalancednessReport:
 def check_balanced_conditions(profile: Sequence[MarginalValuation], m: int,
                               price=None) -> BalancednessReport:
     """Verify both (1, 1)-balancedness inequalities for every k in 0..m.
-    Defaults to the realization price; exact arithmetic when the inputs are
-    exact. `worst_k` is the first k with the least cover margin."""
-    opts = opt_welfares(profile, m)
-    p = _per_unit(opts[m], m) if price is None else price
-    cover = [k * p - (opts[m] - opts[m - k]) for k in range(m + 1)]
-    left = [opts[m - k] - (m - k) * p for k in range(m + 1)]
+    Defaults to the realization price. With O_j = L * OPT(v; j) and
+    P = m * L * price (P = O_m at the default price), the margins in units
+    of 1/(m L) are cover_k = k P - m (O_m - O_{m-k}) and
+    left_k = m O_{m-k} - (m - k) P; each minimum is divided once. On a
+    Fraction profile every price is taken as a Fraction and the margins
+    must be >= 0; float margins must be >= -1e-12 * max(1, |OPT(v; m)|).
+    `worst_k` is the first k with the least cover margin."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if price is not None and not 0 <= price < math.inf:
+        raise ValueError(f"price must be nonnegative and finite, not {price}")
+    opts, scale = _scaled_welfares(profile, m)
+    if scale and price is not None:
+        price = Fraction(price)  # a float price at its exact binary value
+    scale = scale or 1
+    p = opts[m] if price is None else m * scale * price
+    cover = [k * p - m * (opts[m] - opts[m - k]) for k in range(m + 1)]
+    left = [m * opts[m - k] - (m - k) * p for k in range(m + 1)]
     min_cover, min_left = min(cover), min(left)
-    return BalancednessReport(min_cover >= 0 and min_left >= 0,
-                              cover.index(min_cover), min_cover, min_left)
+    worst_k = cover.index(min_cover)
+    tol = 1e-12 * max(1, abs(opts[m]) / scale) if isinstance(min_cover, float) else 0
+    min_cover, min_left = _per_unit(min_cover, m * scale), _per_unit(min_left, m * scale)
+    return BalancednessReport(min_cover >= -tol and min_left >= -tol, worst_k,
+                              min_cover, min_left)
 
 
 def static_price(alpha: float, beta: float, expected_per_unit: float) -> float:

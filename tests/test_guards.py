@@ -7,8 +7,9 @@ import pytest
 from aftermarkets.aftermarket import ResaleSpec, SignalProtocol
 from aftermarkets.allocation import (Allocation, brute_force_opt, opt_allocation,
                                      opt_welfares)
-from aftermarkets.balanced import (noisy_reserve, perturbed_guarantee,
-                                   realization_price, static_price)
+from aftermarkets.balanced import (check_balanced_conditions, noisy_reserve,
+                                   perturbed_guarantee, realization_price,
+                                   static_price)
 from aftermarkets.combined import (Mechanism, Quadrature, Strategy,
                                    expected_outcome, play)
 from aftermarkets.distributions import (EqualRevenueCapped, PiecewiseCdf,
@@ -56,6 +57,13 @@ GUARDS = {
     "opt-welfares-negative-m": (lambda: opt_welfares(PROFILE, -1), "m must be"),
     # balanced
     "realization-price-m0": (lambda: realization_price(PROFILE, 0), "m must be"),
+    "balanced-m0": (lambda: check_balanced_conditions(PROFILE, 0, 1.0), "m must be"),
+    "balanced-nan-price": (lambda: check_balanced_conditions(PROFILE, 2, math.nan),
+                           "price must be"),
+    "balanced-negative-price": (lambda: check_balanced_conditions(PROFILE, 2, -0.5),
+                                "price must be"),
+    "balanced-infinite-price": (lambda: check_balanced_conditions(PROFILE, 2, math.inf),
+                                "price must be"),
     "noisy-reserve-m0": (lambda: noisy_reserve(1.0, 0.1, 0), "m >= 1"),
     "noisy-reserve-nan-psi": (lambda: noisy_reserve(math.nan, 0.1, 1), "psi"),
     "noisy-reserve-nan-eps": (lambda: noisy_reserve(1.0, math.nan, 1), "eps"),
