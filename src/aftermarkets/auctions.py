@@ -10,10 +10,11 @@ charges the `value` of all m units.
 Every clearing takes its winners from the one greedy walk,
 `allocation._greedy`. Next to the uniform-price and discriminatory clearings
 are kernels (`uniform_price_deviations`, `discriminatory_units_won`) that
-clear one agent's many alternative bids at once against fixed opponents.
-Both take the bids as one `BidBatch`, and the discriminatory one reads its
-units won off the uniform one. Every clearing and kernel breaks ties one
-way: higher bid first, then lower agent index, then lower unit."""
+clear one agent's many alternative bids at once, the discriminatory one
+against every profile of the opponents' action sets. Both take the bids as
+one `BidBatch` and read the units won off one kernel, `_deviation_units`.
+Every clearing and kernel breaks ties one way: higher bid first, then lower
+agent index, then lower unit."""
 
 from __future__ import annotations
 
@@ -171,27 +172,56 @@ class BidBatch(ValuationBatch):
     __getitem__ = vector
 
 
-def _deviation_units(entries, agent: int, batch: BidBatch, m: int,
+def _product_columns(sets):
+    """For each of `sets`, the position of its action in every profile of
+    product(*sets), in product order: one int array per set."""
+    total = math.prod(len(s) for s in sets)
+    profiles, stride = np.arange(total), total
+    for s in sets:
+        stride //= max(len(s), 1)
+        yield profiles // stride % max(len(s), 1)
+
+
+def _units_above(bids, reserve: Optional[float], values: np.ndarray, side: str):
+    """Units of the surviving runs of `bids` that rank above each of
+    `values`: bid >= value with side "right" (lower indices, ahead at equal
+    bids), bid > value with side "left"."""
+    ranked, ends = _ranked_ends(_sorted_entries(bids, reserve))
+    # bids are descending, so negate them for searchsorted
+    return ends[np.searchsorted(-ranked, -values, side=side)]
+
+
+def _deviation_units(sets, agent: int, batch: BidBatch, m: int,
                      reserve: Optional[float]):
-    """The runs of every row of `batch` against the opponents' ranked
-    surviving `entries`, as uniform_price_deviations describes them: the
-    run bids, with the implicit zeros as a last run at bid 0, the runs'
-    first and end units (runs below a reserve are empty), and the units k
-    each row wins."""
-    ahead_bids, ahead_ends = _ranked_ends([e for e in entries if e[1] < agent])
-    behind_bids, behind_ends = _ranked_ends([e for e in entries if e[1] > agent])
+    """The runs of every row of `batch` against every profile of the others'
+    sets in `sets` (one set of BidVectors per agent, its own not read), as
+    uniform_price_deviations describes them: the run bids, with the implicit
+    zeros as a last run at bid 0, the runs' first and end units (runs below a
+    reserve are empty), and the units k each row wins, an (opponents'
+    profiles x rows) array in product order. The units above a run add up
+    over opponents: those with one action are ranked together, as the
+    clearing ranks them, and every action of the others on its own."""
     run_values = np.concatenate((batch.run_values, np.zeros((len(batch), 1))), axis=1)
     run_counts = np.concatenate((batch.run_counts, batch.tail[:, None]), axis=1)
     if reserve is not None:
         run_counts[run_values < reserve] = 0
     run_ends = np.cumsum(run_counts, axis=1)
     run_starts = run_ends - run_counts
-    # bids are descending, so negate them for searchsorted
-    above = (ahead_ends[np.searchsorted(-ahead_bids, -run_values, side="right")]
-             + behind_ends[np.searchsorted(-behind_bids, -run_values, side="left")])
+    others = [s for j, s in enumerate(sets) if j != agent]
+    above, varying = 0, []
+    for side, group in (("right", others[:agent]), ("left", others[agent:])):
+        above = above + _units_above([s[0] for s in group if len(s) == 1], reserve,
+                                     run_values, side)
+        varying += [np.array([_units_above([bv], reserve, run_values, side) for bv in s],
+                             dtype=np.int64).reshape((len(s),) + run_values.shape)
+                    for s in group if len(s) != 1]
+    above = np.zeros((math.prod(len(s) for s in others),) + run_values.shape,
+                     dtype=np.int64) + above
+    for units, column in zip(varying, _product_columns([s for s in others if len(s) != 1])):
+        above += units[column]
     # clip(m - above - s, 0, c); np.clip is slower on the small batches
     # of the smoothness checks
-    k = np.minimum(np.maximum(m - above - run_starts, 0), run_counts).sum(axis=1)
+    k = np.minimum(np.maximum(m - above - run_starts, 0), run_counts).sum(axis=-1)
     return run_values, run_starts, run_ends, k
 
 
@@ -218,8 +248,8 @@ def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
     _check_reserve(reserve)
     entries = [e for e in _sorted_entries(bids, reserve) if e[1] != agent]
     opp_bids, opp_ends = _ranked_ends(entries)
-    run_values, run_starts, run_ends, k = _deviation_units(entries, agent, batch, m,
-                                                           reserve)
+    run_values, run_starts, run_ends, (k,) = _deviation_units(
+        [(bv,) for bv in bids], agent, batch, m, reserve)
     surviving = opp_ends[-1] + run_ends[:, -1]
     sold = np.minimum(m, surviving)
     # the (m+1)-th marginal: the agent's unit k or the opponents' unit m - k
@@ -243,16 +273,13 @@ def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
     return k, price, counts
 
 
-def discriminatory_units_won(bids: Sequence[BidVector], agent: int,
-                             batch: BidBatch, m: int):
-    """Units won and payments of `agent` for every row of `batch`, the other
-    bids fixed, as discriminatory() clears them. The discriminatory
-    allocation is uniform_price()'s without a reserve, so the units won are
-    the k of uniform_price_deviations; won units form a prefix, and the
-    payment is the pay-as-bid `value(k)` of the row, bit for bit the one
-    discriminatory() charges.
-    Returns two arrays: unit counts and payments."""
-    entries = [e for e in _sorted_entries(bids, None) if e[1] != agent]
-    *_, counts = _deviation_units(entries, agent, batch, m, None)
+def discriminatory_units_won(sets, agent: int, batch: BidBatch, m: int):
+    """Units won and payments of `agent` for every row of `batch` against
+    every profile of the others' sets in `sets`, as discriminatory() clears
+    them: two arrays shaped as `_deviation_units` shapes k. The
+    discriminatory allocation is uniform_price()'s without a reserve, so the
+    units won are that k; won units form a prefix, and the payment is the
+    pay-as-bid `value(k)` of the row, bit for bit the one discriminatory()
+    charges."""
+    *_, counts = _deviation_units(sets, agent, batch, m, None)
     return counts, batch.value(counts)
-

@@ -13,10 +13,11 @@ A game is (lambda, mu)-smooth if for every valuation profile v there are
 for every action profile a. Semi-smoothness restricts a*_i to depend on v_i
 only. Certificates are checked on finite domains: the reported slack is the
 minimum of LHS - lambda*OPT + mu*Rev over the domain. A deviation is two
-arrays, a support (bids or a BidBatch) and probabilities; each expected
-deviation utility is one `deviation_utilities` call over all its atoms, once
-per (agent, value profile, opponents' actions) key, and a game's kernel takes
-the support as the deviation built it. The certificate lift leaves
+arrays, a support (bids or a BidBatch) and probabilities. Per value profile
+and agent, `deviation_utilities` clears all its atoms against every profile
+of the opponents' distinct actions at once (in bounded blocks), taking the
+support as the deviation built it, and `revenues` reads every action
+profile's revenue off the same kernel. The certificate lift leaves
 deviations as they are: a bare bid opts out of resale.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,18 +34,18 @@ import numpy as np
 from .aftermarket import (NO_OFFER, ResaleSpec, ThresholdBuyer,
                           _distinct_rows, run_posted_resale)
 from .allocation import opt_allocation
-from .auctions import (BidBatch, BidVector, all_pay, discriminatory,
-                       discriminatory_units_won, uniform_price)
+from .auctions import (BidBatch, BidVector, _product_columns, all_pay,
+                       discriminatory, discriminatory_units_won, uniform_price)
 from .valuations import MarginalValuation, ValuationBatch
 
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
 
-def _expectation(probs: np.ndarray, utils: np.ndarray) -> float:
-    """The expectation sum(p * u), added in atom order by the built-in sum
-    of Python floats (compensated from Python 3.12 on). np.sum and np.dot
-    add pairwise and would change the last bits."""
-    return sum((probs * utils).tolist())
+def _expectations(probs: np.ndarray, utils: np.ndarray) -> list:
+    """Per row of `utils`, the expectation sum(p * u), added in atom order by
+    the built-in sum of Python floats (compensated from Python 3.12 on).
+    np.sum and np.dot add pairwise and would change the last bits."""
+    return list(map(sum, (probs * utils).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +102,12 @@ class SmoothableGame:
     """Complete-information normal form: utilities and designer revenue for a
     (value profile, action profile) pair, plus the optimal welfare.
 
-    `deviation_utilities` gives one agent's utility for each atom of a
-    deviation's support while the others' actions stay fixed. The base class
-    calls `utilities_and_revenue` once per atom, so a game defined elsewhere
-    needs only the two methods above. The auction games and their lifts
-    clear all atoms at once and must return exactly what the base class
-    would."""
+    `check_smooth` asks a game for `deviation_utilities` and `revenues`
+    over products of action sets. The base class calls
+    `utilities_and_revenue` once per atom and profile, so a game defined
+    elsewhere needs only the two methods above. The auction games and their
+    lifts clear whole products at once and must return exactly what the
+    base class would."""
 
     n_agents: int
 
@@ -116,22 +117,31 @@ class SmoothableGame:
     def opt_welfare(self, values: tuple) -> float:
         raise NotImplementedError
 
-    def deviation_utilities(self, values: tuple, actions: tuple, agent: int,
+    def deviation_utilities(self, values: tuple, sets: Sequence, agent: int,
                             atoms) -> np.ndarray:
         """Utility of `agent` playing each atom of the support `atoms` (a
-        tuple of actions, a float array of bids or a BidBatch) against the
-        others' entries of `actions`."""
-        head, tail = actions[:agent], actions[agent + 1:]
-        return np.array([self.utilities_and_revenue(values, head + (d,) + tail)[0][agent]
-                         for d in atoms], dtype=float)
+        tuple of actions, a float array of bids or a BidBatch) against every
+        profile of the others' sets in `sets` (one action set per agent, its
+        own not read): an (opponents' profiles x atoms) array, in product
+        order."""
+        return np.array(
+            [[self.utilities_and_revenue(values, row[:agent] + (d,) + row[agent:])[0][agent]
+              for d in atoms] for row in product(*sets[:agent], *sets[agent + 1:])],
+            dtype=float)
+
+    def revenues(self, values: tuple, sets: Sequence) -> np.ndarray:
+        """The designer revenue of every profile of product(*sets), in order."""
+        return np.array([self.utilities_and_revenue(values, actions)[1]
+                         for actions in product(*sets)], dtype=float)
 
 
 class AuctionGame(SmoothableGame):
     """A sealed-bid auction of m units, stated by two rules: `clear(bids)`
-    and `units_and_payments(bids, agent, atoms)`, the units and payment of
-    `agent` for each deviation atom as `clear` gives them. Utility is the
-    worth of the units won less the payment. Values are MarginalValuations
-    and bids BidVectors unless a subclass says otherwise."""
+    and `units_and_payments(sets, agent, atoms)`, the units and payment of
+    `agent` for each atom against each opponents' profile, as `clear` gives
+    them, shaped as `deviation_utilities`. Utility is the worth of the units
+    won less the payment. Values are MarginalValuations and bids BidVectors
+    unless a subclass says otherwise."""
 
     def __init__(self, n_agents: int, m: int):
         self.n_agents = n_agents
@@ -156,9 +166,16 @@ class AuctionGame(SmoothableGame):
                       for i in range(self.n_agents))
         return utils, out.revenue
 
-    def deviation_utilities(self, values, actions, agent, atoms):
-        units, payments = self.units_and_payments(actions, agent, atoms)
+    def deviation_utilities(self, values, sets, agent, atoms):
+        units, payments = self.units_and_payments(sets, agent, atoms)
         return self.worth(values[agent], units) - payments
+
+    def revenues(self, values, sets):
+        """Each agent's payments, its own actions as the atoms, added in agent
+        order by the built-in sum, as AuctionOutcome.revenue adds them."""
+        paid = [self.units_and_payments(sets, i, own)[1][_split(sets, i)].tolist()
+                for i, own in enumerate(sets)]
+        return np.array(list(map(sum, zip(*paid))), dtype=float)
 
 
 def _one_unit_bids(bids) -> list[BidVector]:
@@ -178,18 +195,23 @@ class SingleItemFirstPrice(AuctionGame):
     def clear(self, bids):
         return discriminatory(_one_unit_bids(bids), 1)
 
-    def units_and_payments(self, bids, agent, atoms):
+    def units_and_payments(self, sets, agent, atoms):
         """The tie rule on numbers: a deviation d wins iff it beats every
         lower index's bid and at least meets every higher index's; it pays
         d when it wins. Other agents' bids and the atoms are checked as
-        `clear` checks them; the agent's own entry is not read."""
+        `clear` checks them; the agent's own set is not read."""
         atoms = np.asarray(atoms, dtype=float)
-        ahead, behind = bids[:agent], bids[agent + 1:]
-        checked = np.concatenate((atoms.ravel(), ahead, behind))
+        others = [np.asarray(s, dtype=float) for j, s in enumerate(sets) if j != agent]
+        checked = np.concatenate((atoms.ravel(), *others))
         if not np.all((0 <= checked) & (checked < math.inf)):
             raise ValueError("bids must be finite and nonnegative")
-        wins = ((atoms > max(ahead, default=-math.inf))
-                & (atoms >= max(behind, default=-math.inf)))
+        ahead = behind = np.full(math.prod(len(s) for s in others), -math.inf)
+        for j, (bids, column) in enumerate(zip(others, _product_columns(others))):
+            if j < agent:
+                ahead = np.maximum(ahead, bids[column])
+            else:
+                behind = np.maximum(behind, bids[column])
+        wins = (atoms > ahead[:, None]) & (atoms >= behind[:, None])
         return wins.astype(np.int64), np.where(wins, atoms, 0.0)
 
     def valuation(self, value):
@@ -205,9 +227,9 @@ class SingleItemAllPay(SingleItemFirstPrice):
     def clear(self, bids):
         return all_pay(_one_unit_bids(bids), 1)
 
-    def units_and_payments(self, bids, agent, atoms):
-        return (super().units_and_payments(bids, agent, atoms)[0],
-                np.asarray(atoms, dtype=float))
+    def units_and_payments(self, sets, agent, atoms):
+        units = super().units_and_payments(sets, agent, atoms)[0]
+        return units, np.broadcast_to(np.asarray(atoms, dtype=float), units.shape)
 
 
 class MultiUnitDiscriminatory(AuctionGame):
@@ -216,10 +238,10 @@ class MultiUnitDiscriminatory(AuctionGame):
     def clear(self, bids):
         return discriminatory(bids, self.m)
 
-    def units_and_payments(self, bids, agent, atoms):
+    def units_and_payments(self, sets, agent, atoms):
         if not isinstance(atoms, BidBatch):  # a tuple of BidVectors
             atoms = BidBatch.of(atoms)
-        return discriminatory_units_won(bids, agent, atoms, self.m)
+        return discriminatory_units_won(sets, agent, atoms, self.m)
 
 
 # -- the lift to auction + aftermarket rounds ------------------------------
@@ -269,6 +291,8 @@ class LiftedGame(SmoothableGame):
     auction revenue, since resale transfers move between agents only."""
 
     def __init__(self, auction: AuctionGame, rounds: int = 1):
+        if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
+            raise ValueError(f"rounds must be a nonnegative int, not {rounds!r}")
         self.auction = auction
         self.rounds = rounds
         self.n_agents = auction.n_agents
@@ -283,6 +307,13 @@ class LiftedGame(SmoothableGame):
         utils = tuple(self.auction.worth(values[i], held[i]) - out.payments[i]
                       - transfers[i] for i in range(self.n_agents))
         return utils, out.revenue
+
+    def revenues(self, values, sets):
+        """The auction's revenues; no profile is resold, so every seller
+        price is checked here as `run_posted_resale` checks a sale's."""
+        if not all(p >= 0 for s in sets for a in s for p, _ in _offers(a, self.rounds)):
+            raise ValueError("seller price must be nonnegative")
+        return self.auction.revenues(values, [[_bid(a) for a in s] for s in sets])
 
     def _resell(self, values, alloc: np.ndarray, rows: Sequence[tuple]):
         """The resale rounds on the K x n auction allocations `alloc`, row k
@@ -301,13 +332,13 @@ class LiftedGame(SmoothableGame):
             alloc, transfers = trade.final_alloc, transfers + trade.transfers
         return alloc, transfers
 
-    def deviation_utilities(self, values, actions, agent, atoms):
-        """The auction's kernel gives each atom's units and payment. Under
-        the one tie rule the opponents' holdings depend only on the units
-        the deviator wins, so the atoms group by (units, round plan): one
-        clearing of a representative atom gives a group's allocation, and
-        every group resells in one batch per round. A bid array or a
-        BidBatch holds bare bids, so it has one plan: no offers."""
+    def deviation_utilities(self, values, sets, agent, atoms):
+        """The auction's kernel gives each (opponents' profile, atom) pair's
+        units and payment. Under the one tie rule the opponents' holdings
+        depend only on the units the deviator wins, so the pairs group by
+        (profile, units, round plan): one clearing per group gives its
+        allocation, and all groups resell in one `_resell` batch. A bid array
+        or a BidBatch holds bare bids, so it has one plan: no offers."""
         if isinstance(atoms, (np.ndarray, BidBatch)):
             bids, plan = atoms, np.zeros(len(atoms), dtype=np.int64)
         else:  # a tuple of actions
@@ -316,15 +347,18 @@ class LiftedGame(SmoothableGame):
                              for a in atoms], dtype=np.int64)
             bids = tuple(_bid(a) for a in atoms)
         units, payments = self.auction.units_and_payments(
-            [_bid(a) for a in actions], agent, bids)
-        first, inverse = _distinct_rows([units, plan])
-        rows = [actions[:agent] + (atoms[j],) + actions[agent + 1:]
-                for j in first.tolist()]
+            [[_bid(a) for a in s] for s in sets], agent, bids)
+        others = list(product(*sets[:agent], *sets[agent + 1:]))
+        row, atom = np.divmod(np.arange(units.size), len(plan))
+        first, inverse = _distinct_rows([row, units.ravel(), plan[atom]])
+        rows = [others[r][:agent] + (atoms[j],) + others[r][agent:]
+                for r, j in zip(row[first].tolist(), atom[first].tolist())]
         alloc = np.array([self.auction.clear([_bid(a) for a in row]).alloc.counts
                           for row in rows])
         held, transfers = self._resell(values, alloc, rows)
         worth = self.auction.worth(values[agent], held[:, agent])
-        return (worth[inverse] - payments) - transfers[inverse, agent]
+        return ((worth[inverse] - payments.ravel())
+                - transfers[inverse, agent]).reshape(units.shape)
 
 
 def CombinedSingleItemGame(n_agents: int, rounds: int = 1) -> LiftedGame:
@@ -410,6 +444,47 @@ def discriminatory_deviation_generator(m: int, resolution: int = 200):
 
 # the most action profiles a check domain may enumerate
 MAX_ACTION_PROFILES = 200_000
+# the most (opponents' profiles x atoms) entries a deviation kernel call clears
+BLOCK_ENTRIES = 1 << 16
+
+
+def _distinct(sets):
+    """Each action set with its repeats dropped (first occurrences kept),
+    and for every profile of product(*sets), in order, the position of its
+    distinct profile in product(*distinct)."""
+    index = [{a: p for p, a in enumerate(dict.fromkeys(s))} for s in sets]
+    profile_of = 0
+    for ix, actions, column in zip(index, sets, _product_columns(sets)):
+        position = np.array([ix[a] for a in actions], dtype=np.int64)
+        profile_of = profile_of * len(ix) + position[column]
+    return [tuple(ix) for ix in index], profile_of
+
+
+def _split(sets, agent: int):
+    """For every profile of product(*sets), in order: the row of its
+    opponents' actions in the product of the others' sets, and the
+    position of the agent's own action in sets[agent]."""
+    rows, own = 0, 0
+    for j, column in enumerate(_product_columns(sets)):
+        if j == agent:
+            own = column
+        else:
+            rows = rows * len(sets[j]) + column
+    return rows, own
+
+
+def _blocks(sets, agent: int, width: int):
+    """The product of the sets other than sets[agent] as sub-products (lists
+    of sets, sets[agent] kept), consecutive in product order, each of at
+    most BLOCK_ENTRIES // width profiles or of one: a product too large is
+    halved at its first set of more than one action."""
+    split = [j for j, s in enumerate(sets) if j != agent and len(s) > 1]
+    if not split or math.prod(len(sets[j]) for j in split) * width <= BLOCK_ENTRIES:
+        yield sets
+        return
+    j, half = split[0], len(sets[split[0]]) // 2
+    for part in (sets[j][:half], sets[j][half:]):
+        yield from _blocks([*sets[:j], part, *sets[j + 1:]], agent, width)
 
 
 @dataclass(frozen=True)
@@ -431,7 +506,7 @@ class CheckDomain:
 class SmoothnessReport:
     """The minimum slack and where it occurs. `n_deviation_keys` counts the
     expected deviation utilities computed (one per agent, value profile and
-    opponents' actions) and `n_deviation_atoms` the atoms they summed."""
+    distinct opponents' profile) and `n_deviation_atoms` the atoms summed."""
 
     min_slack: float
     worst_values: tuple
@@ -448,44 +523,49 @@ class SmoothnessReport:
 
 def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
                  domain: CheckDomain) -> SmoothnessReport:
-    """Minimum certificate slack over the domain. Expected deviation
-    utilities are cached per (agent, value profile, opponents' actions); each
-    is one deviation_utilities call over the deviation's support, summed in
-    atom order by `_expectation`. A domain with other than one action set and
-    one value per agent, or with no pair to check (no value profile or an
-    empty action set), or a NaN slack, raises ValueError."""
+    """Minimum certificate slack over the domain: one array entry per profile
+    of the distinct actions (repeats in a set dropped), added up as the
+    per-profile formula adds it on Python floats, each agent's expectations
+    from `deviation_utilities` over blocks of the opponents' profiles. A
+    domain with other than one action set and one value per agent, or with
+    no pair to check (no value profile or an empty action set), or a NaN
+    slack (the first in product order is named), raises ValueError."""
     min_slack = math.inf
     worst = ((), ())
     checked = n_keys = n_atoms = 0
     if len(domain.action_sets) != game.n_agents:
         raise ValueError(f"{len(domain.action_sets)} action sets for a game of "
                          f"{game.n_agents} agents")
+    domain.action_profiles()  # checks the cap
+    distinct, profile_of = _distinct(domain.action_sets)
+    rows = [_split(distinct, i)[0] for i in range(game.n_agents)]
     for values in domain.value_profiles:
         if len(values) != game.n_agents:
             raise ValueError(f"value profile {values} of length {len(values)} "
                              f"for a game of {game.n_agents} agents")
         dists = [cert.deviation(i, values) for i in range(game.n_agents)]
         opt = game.opt_welfare(values)
-        cache: dict = {}
-        for actions in domain.action_profiles():
-            _, rev = game.utilities_and_revenue(values, actions)
-            lhs = 0.0
-            for i in range(game.n_agents):
-                key = (i, actions[:i] + actions[i + 1:])
-                if key not in cache:
-                    utils = game.deviation_utilities(values, actions, i,
-                                                     dists[i].support)
-                    cache[key] = _expectation(dists[i].probs, utils)
-                    n_keys += 1
-                    n_atoms += len(dists[i].probs)
-                lhs += cache[key]
-            slack = lhs - cert.lam * opt + cert.mu * rev
-            if math.isnan(slack):
-                raise ValueError(f"NaN slack at values {values}, actions {actions}")
-            checked += 1
-            if slack < min_slack:
-                min_slack = slack
-                worst = (values, actions)
+        if not len(profile_of):
+            continue
+        rev = game.revenues(values, distinct)
+        terms = []
+        for i, dist in enumerate(dists):
+            expected = []
+            for block in _blocks(distinct, i, len(dist.probs)):
+                expected += _expectations(dist.probs, game.deviation_utilities(
+                    values, block, i, dist.support))
+            n_keys += len(expected)
+            n_atoms += len(expected) * len(dist.probs)
+            terms.append(np.array(expected)[rows[i]])
+        with np.errstate(all="ignore"):  # as on Python floats; NaN raises below
+            slack = (sum(terms, 0.0) - cert.lam * opt + cert.mu * rev)[profile_of]
+        j = int(slack.argmin())  # the first NaN, if there is one
+        actions = next(islice(product(*domain.action_sets), j, None))
+        if math.isnan(slack[j]):
+            raise ValueError(f"NaN slack at values {values}, actions {actions}")
+        checked += len(slack)
+        if slack[j] < min_slack:
+            min_slack, worst = float(slack[j]), (values, actions)
     if not checked:
         raise ValueError("the domain has no (value profile, action profile) "
                          "pair to check")

@@ -151,10 +151,11 @@ class ValuationBatch:
 
     def value(self, k: np.ndarray) -> np.ndarray:
         """Per row j, the total value of holding k[j] >= 0 units, added up
-        run by run as MarginalValuation.value adds it, so bit for bit equal."""
+        run by run as MarginalValuation.value adds it, so bit for bit equal.
+        `k` may carry leading axes: k[..., j] is then held in row j."""
         n_runs = self.run_values.shape[1]
         if not n_runs:
-            return np.zeros(len(self))
+            return np.zeros(np.shape(k))
         left = np.asarray(k, dtype=np.int64)
         for r in range(n_runs):
             take = np.minimum(self.run_counts[:, r], left)

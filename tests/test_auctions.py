@@ -114,7 +114,8 @@ TIES = [BidVector([0.5], 2), BidVector([0.5, 0.5], 2), BidVector([0.5], 2)]
     pytest.param(lambda: discriminatory(TIES, 2).alloc.counts, (1, 1, 0),
                  id="discriminatory"),
     pytest.param(lambda: tuple(
-        int(discriminatory_units_won(TIES, a, BidBatch.of([TIES[a]]), 2)[0][0])
+        int(discriminatory_units_won([(b,) for b in TIES], a,
+                                     BidBatch.of([TIES[a]]), 2)[0][0, 0])
         for a in range(3)), (1, 1, 0), id="discriminatory-kernel"),
     pytest.param(lambda: tuple(
         int(uniform_price_deviations(TIES, a, BidBatch.of([TIES[a]]), 2)[0][0])
@@ -127,7 +128,7 @@ TIES = [BidVector([0.5], 2), BidVector([0.5, 0.5], 2), BidVector([0.5], 2)]
     pytest.param(lambda: SingleItemAllPay(3).clear([0.5] * 3).alloc.counts,
                  (1, 0, 0), id="all-pay"),
     pytest.param(lambda: tuple(
-        int(SingleItemFirstPrice(3).units_and_payments([0.5] * 3, a, [0.5])[0][0])
+        int(SingleItemFirstPrice(3).units_and_payments([(0.5,)] * 3, a, [0.5])[0][0, 0])
         for a in range(3)), (1, 0, 0), id="first-price-kernel"),
 ])
 def test_equal_bids_go_to_lower_index(clear, expected):

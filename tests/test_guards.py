@@ -22,7 +22,9 @@ from aftermarkets.equilibrium import (Action, CombinedGame,
                                       run_dominance_suite,
                                       scripted_grouped_equilibrium,
                                       symmetric_fpa_check)
-from aftermarkets.smoothness import (CheckDomain, SingleItemFirstPrice,
+from aftermarkets.smoothness import (CheckDomain, CombinedSingleItemGame,
+                                     FiniteDist, LiftedAction, LiftedGame,
+                                     RoundAction, SingleItemFirstPrice,
                                      SmoothnessCertificate, check_smooth,
                                      fpa_deviation_generator, poa_bound)
 from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
@@ -42,6 +44,16 @@ def _segment(lo, hi, scale=1.0):
 def _fpa_check(domain):
     cert = SmoothnessCertificate(0.5, 1.0, fpa_deviation_generator(50))
     return check_smooth(SingleItemFirstPrice(2), cert, domain)
+
+
+def _lifted_check(seller_price):
+    """Agent 0 wins on path and would resell at `seller_price`; every
+    deviation bids 0.9, so no deviation row resells."""
+    cert = SmoothnessCertificate(0.5, 1.0, lambda agent, value_profile:
+                                 FiniteDist.point(0.9))
+    action = LiftedAction(0.6, (RoundAction(seller_price),))
+    return check_smooth(CombinedSingleItemGame(2, 1), cert,
+                        CheckDomain(((1.0, 0.5),), ((action,), (0.0,))))
 
 
 def _exponential():
@@ -126,6 +138,13 @@ GUARDS = {
     "smooth-empty-action-set": (lambda: _fpa_check(CheckDomain(((1.0, 0.5),),
                                                                ((), (0.2,)))),
                                 r"no \(value profile, action profile\) pair"),
+    # a round count that is not a nonnegative int (-1 used to play 0 rounds)
+    "lifted-negative-rounds": (lambda: LiftedGame(SingleItemFirstPrice(2), -1),
+                               "rounds must be a nonnegative int"),
+    "lifted-fractional-rounds": (lambda: LiftedGame(SingleItemFirstPrice(2), 1.5),
+                                 "rounds must be a nonnegative int"),
+    "lifted-negative-seller-price": (lambda: _lifted_check(-0.5), "seller price"),
+    "lifted-nan-seller-price": (lambda: _lifted_check(math.nan), "seller price"),
     "poa-nan-lambda": (lambda: poa_bound(math.nan, 1), "lambda"),
     "poa-nan-mu": (lambda: poa_bound(1, math.nan), "mu"),
     # valuations

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from aftermarkets.auctions import (BidBatch, BidVector, discriminatory,
 from aftermarkets.combined import Mechanism, Strategy, play
 from aftermarkets.smoothness import (MAX_ACTION_PROFILES, ONE_MINUS_INV_E,
                                      OPT_OUT, CheckDomain,
+                                     SmoothnessReport,
                                      CombinedSingleItemGame, FiniteDist,
                                      LiftedAction, LiftedGame,
                                      MultiUnitDiscriminatory,
@@ -412,9 +415,10 @@ VALUES = st.one_of(st.sampled_from(GRID + (2.0,)), st.floats(0.0, 2.0))
 
 
 def assert_matches_reference(game, values, actions, agent, support):
-    fast = game.deviation_utilities(values, actions, agent, support)
-    ref = SmoothableGame.deviation_utilities(game, values, actions, agent,
-                                             tuple(support))
+    sets = [(a,) for a in actions]
+    fast = game.deviation_utilities(values, sets, agent, support)[0]
+    ref = SmoothableGame.deviation_utilities(game, values, sets, agent,
+                                             tuple(support))[0]
     assert fast.dtype == ref.dtype and fast.shape == ref.shape
     assert fast.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
 
@@ -436,7 +440,7 @@ def test_bad_bids_raise_like_reference(make, actions, atom):
     for kernel in (game.deviation_utilities,
                    lambda *args: SmoothableGame.deviation_utilities(game, *args)):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            kernel((1.0, 0.5), actions, 0, np.array([0.1, atom]))
+            kernel((1.0, 0.5), [(a,) for a in actions], 0, np.array([0.1, atom]))
 
 
 @given(st.data())
@@ -560,13 +564,14 @@ def test_first_price_kernel_matches_discriminatory_kernel(data):
     bids = data.draw(st.lists(BIDS, min_size=n, max_size=n))
     devs = data.draw(st.lists(BIDS, min_size=1, max_size=20))
     agent = data.draw(st.integers(0, n - 1))
-    units, payments = SingleItemFirstPrice(n).units_and_payments(bids, agent, devs)
+    units, payments = SingleItemFirstPrice(n).units_and_payments(
+        [(b,) for b in bids], agent, devs)
     want_units, want_payments = discriminatory_units_won(
-        [BidVector.flat(b, 1, 1) for b in bids], agent,
+        [(BidVector.flat(b, 1, 1),) for b in bids], agent,
         BidBatch.of([BidVector.flat(d, 1, 1) for d in devs]), 1)
     assert units.tolist() == want_units.tolist()
-    assert [p.hex() for p in payments.tolist()] == [
-        p.hex() for p in want_payments.tolist()]
+    assert [p.hex() for p in payments[0].tolist()] == [
+        p.hex() for p in want_payments[0].tolist()]
 
 
 @given(st.data())
@@ -577,8 +582,9 @@ def test_discriminatory_units_won_matches_clearing(data):
     bids = [data.draw(bid_vectors(m)) for _ in range(n)]
     support = data.draw(st.lists(bid_vectors(m), min_size=1, max_size=12))
     agent = data.draw(st.integers(0, n - 1))
-    counts, payments = discriminatory_units_won(bids, agent, BidBatch.of(support), m)
-    for bv, count, paid in zip(support, counts, payments):
+    counts, payments = discriminatory_units_won([(b,) for b in bids], agent,
+                                                BidBatch.of(support), m)
+    for bv, count, paid in zip(support, counts[0], payments[0]):
         out = discriminatory(bids[:agent] + [bv] + bids[agent + 1:], m)
         assert (out.alloc[agent], out.payments[agent]) == (count, paid)
 
@@ -667,3 +673,146 @@ def test_extension_point_game_matches_library_game():
     ours = check_smooth(TwoBidderFirstPrice(), cert, dom)
     assert ours == check_smooth(SingleItemFirstPrice(2), cert, dom)
     assert ours.min_slack.hex() == (-0.0064132237641727485).hex()
+
+
+# -- the product check against the per-profile loop ------------------------
+
+
+def reference_check_smooth(game, cert, domain):
+    """check_smooth as a per-profile loop, kept as the reference for the
+    product path: every action profile clears on its own, and each (agent,
+    opponents' actions) key is one per-atom deviation call, cached."""
+    min_slack = math.inf
+    worst = ((), ())
+    checked = n_keys = n_atoms = 0
+    for values in domain.value_profiles:
+        dists = [cert.deviation(i, values) for i in range(game.n_agents)]
+        opt = game.opt_welfare(values)
+        cache = {}
+        for actions in product(*domain.action_sets):
+            _, rev = game.utilities_and_revenue(values, actions)
+            lhs = 0.0
+            for i, dist in enumerate(dists):
+                key = (i, actions[:i] + actions[i + 1:])
+                if key not in cache:
+                    utils = SmoothableGame.deviation_utilities(
+                        game, values, [(a,) for a in actions], i, tuple(dist.support))[0]
+                    cache[key] = sum((dist.probs * utils).tolist())
+                    n_keys += 1
+                    n_atoms += len(dist.probs)
+                lhs += cache[key]
+            slack = lhs - cert.lam * opt + cert.mu * rev
+            if math.isnan(slack):
+                raise ValueError(f"NaN slack at values {values}, actions {actions}")
+            checked += 1
+            if slack < min_slack:
+                min_slack = slack
+                worst = (values, actions)
+    return SmoothnessReport(min_slack, worst[0], worst[1], checked,
+                            cert.lam, cert.mu, n_keys, n_atoms)
+
+
+FEW_BIDS = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+FEW_VALUES = st.sampled_from((0.0, 0.3, 0.5, 0.75, 1.0, 2.0))
+
+
+def action_sets(data, n, actions):
+    """n action sets of one to three actions, some with an action repeated."""
+    sets = []
+    for _ in range(n):
+        s = data.draw(st.lists(actions, min_size=1, max_size=3))
+        sets.append(tuple(s + s[:1] if data.draw(st.booleans()) else s))
+    return tuple(sets)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_smooth_matches_per_profile_reference(data):
+    """The product check gives the per-profile loop's report: the slack bit
+    for bit, where it occurs and every count, the deviation keys still one
+    per distinct opponents' profile when action sets repeat an action; also
+    when the product is cut into blocks of a few profiles."""
+    kind = data.draw(st.sampled_from(
+        ("first-price", "all-pay", "discriminatory", "lifted", "extension")))
+    res = data.draw(st.integers(1, 5))
+    if kind == "discriminatory" or (kind == "lifted" and data.draw(st.booleans())):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        game, bids = MultiUnitDiscriminatory(n, m), bid_vectors(m)
+        value = st.lists(FEW_VALUES, max_size=m).map(
+            lambda vs: MarginalValuation(sorted(vs, reverse=True)))
+
+        def deviation(v):
+            return discriminatory_deviation(v, m, res)
+    else:
+        n = 2 if kind == "extension" else data.draw(st.integers(2, 3))
+        game = (TwoBidderFirstPrice() if kind == "extension" else
+                (SingleItemAllPay if kind == "all-pay" else SingleItemFirstPrice)(n))
+        bids, value = FEW_BIDS, FEW_VALUES
+
+        def deviation(v):
+            return fpa_deviation(v, res)
+    actions, wrap = bids, None
+    if kind == "lifted":
+        rounds = data.draw(st.integers(1, 2))
+        game, actions = LiftedGame(game, rounds), lifted_actions(rounds, bids)
+        if data.draw(st.booleans()):  # atoms that are LiftedActions with plans
+            wrap = data.draw(st.lists(st.lists(round_actions(), max_size=rounds)
+                                      .map(tuple), min_size=1, max_size=2))
+
+    def dist_of(v):
+        dist = deviation(v)
+        if wrap is None:
+            return dist
+        return FiniteDist(tuple(LiftedAction(dist.support[j], wrap[j % len(wrap)])
+                                for j in range(len(dist.probs))), dist.probs)
+
+    lam, mu = data.draw(st.sampled_from(((ONE_MINUS_INV_E, 1.0), (0.99, 1.0), (0.5, 2.0))))
+    if data.draw(st.booleans()):
+        cert = SmoothnessCertificate(lam, mu, lambda agent, own_value: dist_of(own_value))
+    else:  # a full certificate: the deviation sees a neighbour's value
+        cert = SmoothnessCertificate(
+            lam, mu, lambda agent, value_profile: dist_of(value_profile[(agent + 1) % n]))
+    profiles = tuple(tuple(data.draw(value) for _ in range(n))
+                     for _ in range(data.draw(st.integers(1, 2))))
+    domain = CheckDomain(profiles, action_sets(data, n, actions))
+    want = reference_check_smooth(game, cert, domain)
+    with mock.patch.object(smoothness, "BLOCK_ENTRIES",
+                           data.draw(st.sampled_from((1, 2, 3, 7, 1 << 16)))):
+        got = check_smooth(game, cert, domain)
+    assert got.min_slack.hex() == want.min_slack.hex()
+    assert (got.worst_values, got.worst_actions) == (want.worst_values, want.worst_actions)
+    assert (got.n_profiles_checked, got.n_deviation_keys, got.n_deviation_atoms) == (
+        want.n_profiles_checked, want.n_deviation_keys, want.n_deviation_atoms)
+
+
+def test_check_smooth_memory_stays_bounded():
+    """Unblocked, agent 0's 40,000 opponents' profiles times 200 atoms would
+    take 64 MB per array; in blocks the whole check peaks far below."""
+    bids = tuple(j / 200 for j in range(200))
+    domain = CheckDomain(((1.0, 0.5, 0.2),), ((0.3,), bids, bids))
+    tracemalloc.start()
+    try:
+        report = check_smooth(SingleItemFirstPrice(3), fpa_cert(200), domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_profiles_checked == 40_000
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("game, bids", [
+    (SingleItemFirstPrice(70), (0.1, 0.5)),
+    (MultiUnitDiscriminatory(70, 2), (BidVector([0.1], 2), BidVector([0.5, 0.2]))),
+])
+def test_check_smooth_takes_many_agents(game, bids):
+    """A domain of more agents than numpy has array dimensions (64) checks
+    as the per-profile loop does: no kernel gives each agent an axis."""
+    if isinstance(game, MultiUnitDiscriminatory):
+        values = tuple(MarginalValuation([1.0 - j / 100]) for j in range(70))
+        cert = SmoothnessCertificate(ONE_MINUS_INV_E, 1.0,
+                                     discriminatory_deviation_generator(2, 5))
+    else:
+        values, cert = tuple(1.0 - j / 100 for j in range(70)), fpa_cert(5)
+    sets = (bids,) * 2 + (bids[:1],) * 68
+    domain = CheckDomain((values,), sets)
+    assert check_smooth(game, cert, domain) == reference_check_smooth(game, cert, domain)
