@@ -231,7 +231,8 @@ def uniform_price_deviations(bids: Sequence[BidVector], agent: int,
                              members: Sequence[int] = ()):
     """Units won by `agent`, the clearing price and the counts of `members`
     for every row of `batch`, the other bids fixed, as uniform_price()
-    clears them.
+    clears them. With no reserve this is the allocation of every sealed-bid
+    kind: discriminatory, first price and all-pay clear as uniform price.
 
     The opponents' surviving runs are ranked once, by _sorted_entries. A run
     r of the agent (bid b, first unit s, c units; the implicit zeros are a

@@ -193,6 +193,7 @@ def cmd_balanced_fix(opts: dict, seed: int, tol: float) -> Result:
 
 def cmd_smooth_audit(opts: dict, seed: int, tol: float) -> Result:
     lam, mu = float(opts["lam"]), float(opts["mu"])
+    poa = poa_bound(lam, mu)  # a bad lambda or mu exits before the check runs
     values = tuple(_list(opts["values"]))
     bids = tuple(_list(opts["bids"]))
     cert = SmoothnessCertificate(lam, mu,
@@ -206,7 +207,7 @@ def cmd_smooth_audit(opts: dict, seed: int, tol: float) -> Result:
     row = {"lam": lam, "mu": mu, "min_slack": report.min_slack,
            "discretization_bound": bound,
            "profiles_checked": report.n_profiles_checked,
-           "poa_bound": poa_bound(lam, mu), "ok": ok}
+           "poa_bound": poa, "ok": ok}
     failure = None if ok else {"error": "smoothness certificate violated",
                                "min_slack": report.min_slack,
                                "worst_actions": list(report.worst_actions)}

@@ -384,6 +384,8 @@ class Uniform(UnitDistribution):
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"Uniform requires finite bounds, not {self.lo} and {self.hi}")
         if self.lo > self.hi:
             raise ValueError("Uniform requires lo <= hi")
         if self.lo == self.hi:
@@ -412,8 +414,8 @@ class EqualRevenueCapped(UnitDistribution):
     H: float
 
     def __post_init__(self):
-        if self.H <= 1:
-            raise ValueError("EqualRevenueCapped requires H > 1")
+        if not 1 < self.H < math.inf:  # NaN too
+            raise ValueError(f"EqualRevenueCapped requires a finite H > 1, not {self.H}")
 
     def segments(self):
         H = self.H
@@ -475,8 +477,8 @@ def speculative_buyer_value_distribution(eps: float, H: float) -> PiecewiseCdf:
     scaled; top atom of mass eps/H at H/eps."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    if H <= 1:
-        raise ValueError("H must exceed 1")
+    if not 1 < H < math.inf:  # NaN too
+        raise ValueError(f"H must be finite and exceed 1, not {H}")
     lo, hi = 1.0 / eps, H / eps
     seg = SegmentSpec(lo, hi,
                       cdf=lambda v: (1.0 - eps) + eps * (1.0 - 1.0 / (eps * v)),

@@ -6,8 +6,8 @@ check, and best-response dynamics.
 Verification uses a constant-action fast path: when every strategy is a fixed
 (bid, aftermarket action) pair, a best-response gap takes its grid's bid
 deviations as one run-encoded `BidBatch`, which `DeviationGrid.bid_batch`
-enumerates with numpy, and under the uniform-price auction clears them all
-in one `uniform_price_deviations` call against opponents ranked once; an
+enumerates with numpy, and under every sealed-bid kind clears them all in
+one `uniform_price_deviations` call against opponents ranked once; an
 `Action` is built only for the reported witness. Every agent belongs to
 exactly one block: its resale group, or itself alone when it is in none. A
 block's aftermarket is integrated exactly over its <= 2 scalar random
@@ -116,8 +116,7 @@ class ConstantActionEvaluator:
     against one opponents' profile, each distinct bid clearing once and all
     the stages reselling together; `expected_utility` is a row of one.
     `bid_utilities` makes one batched clearing for a whole `BidBatch` of an
-    agent's bids under the uniform-price auction, and is the `utilities` row
-    of its vectors under another mechanism. A block's stage depends only
+    agent's bids under every sealed-bid kind. A block's stage depends only
     on its members' auction allocation, the seller's price and the buyers'
     thresholds. It is integrated once per distinct such key and kept for the
     evaluator's lifetime, as are the block's cells, once per (block, cuts):
@@ -158,9 +157,6 @@ class ConstantActionEvaluator:
     def _bids(self, acts) -> list[BidVector]:
         return [a.bid if a.bid is not None else BidVector.from_runs((), self.m)
                 for a in acts]
-
-    def _auction(self, bids: Sequence[BidVector]):
-        return _run_auction(self.game.mechanism, bids, self.m)
 
     def _cell_batch(self, block, price, thresholds):
         """The members' valuations in every cell of `block` at (price,
@@ -256,7 +252,8 @@ class ConstantActionEvaluator:
             acts[agent] = action.merged_into(self.game.base_actions[agent])
             bid = self._bids([acts[agent]])[0]
             if bid not in outcomes:
-                outcomes[bid] = self._auction(bids[:agent] + [bid] + bids[agent + 1:])
+                outcomes[bid] = _run_auction(
+                    self.game.mechanism, bids[:agent] + [bid] + bids[agent + 1:], self.m)
             keys.append(self._key(block, acts, outcomes[bid]))
             payments.append(outcomes[bid].payments[agent])
         return np.array([self._utility(stage, agent, payment) for stage, payment
@@ -264,21 +261,19 @@ class ConstantActionEvaluator:
 
     def bid_utilities(self, agent: int, batch: BidBatch) -> np.ndarray:
         """expected_utility(agent, {agent: Action(bid=batch.vector(j))}) for
-        every row j, everything else on the base actions. Under the
-        uniform-price auction the rows clear in one `uniform_price_deviations`
-        call, the distinct block allocations not yet integrated resell in one
-        `_stages` call, and each distinct (block allocation, payment) row
-        computes its utility once. Under any other mechanism this is the
-        `utilities` row of the batch's vectors."""
-        if self.game.mechanism.kind != "uniform":
-            return self.utilities(agent, [Action(bid=batch.vector(j))
-                                          for j in range(len(batch))])
+        every row j, everything else on the base actions. Under every
+        sealed-bid kind the rows clear in one `uniform_price_deviations`
+        call, whose allocation without a reserve is every kind's; the kind
+        sets only the payment. The distinct block allocations not yet
+        integrated resell in one `_stages` call, and each distinct (block
+        allocation, payment) row computes its utility once."""
         acts = self._actions(None)
         block = self._block_of[agent]
+        kind, reserve = self.game.mechanism.kind, self.game.mechanism.reserve
         k, price, counts = uniform_price_deviations(
-            self._bids(acts), agent, batch, self.m, self.game.mechanism.reserve,
-            (block[0],) + block[1])
-        payments = price * k
+            self._bids(acts), agent, batch, self.m, reserve, (block[0],) + block[1])
+        payments = (price * k if kind == "uniform" else
+                    batch.value(np.full_like(k, self.m) if kind == "all_pay" else k))
         first, inverse = _distinct_rows([*counts.T, payments])
         terms = self._terms(block, acts)
         stages = self._stages(block, [(tuple(counts[j].tolist()),) + terms
@@ -289,7 +284,7 @@ class ConstantActionEvaluator:
 
     def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
-        outcome = self._auction(self._bids(acts))
+        outcome = _run_auction(self.game.mechanism, self._bids(acts), self.m)
         total = 0.0
         for block in self._blocks:
             stage = self._stages(block, [self._key(block, acts, outcome)])[0]

@@ -584,9 +584,9 @@ def check_semi_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
 
 def poa_bound(lam: float, mu: float) -> float:
     """Robust price-of-anarchy bound max(1, mu) / lam implied by a
-    (lam, mu)-smoothness certificate."""
-    if not lam > 0 or math.isnan(mu):
-        raise ValueError("requires lambda > 0 and a mu, not NaN")
+    (lam, mu)-smoothness certificate: 0 < lam < inf and 0 <= mu < inf."""
+    if not (0 < lam < math.inf and 0 <= mu < math.inf):  # NaN too
+        raise ValueError(f"requires 0 < lambda < inf and 0 <= mu < inf, not {lam} and {mu}")
     return max(1.0, mu) / lam
 
 

@@ -336,9 +336,14 @@ def random_action(rng, m):
 
 
 def random_game(rng):
+    """A random market under a random sealed-bid kind: the single-item kinds
+    too when the market sells one unit."""
     market = random_market(rng)
-    mechanism = rng.choice((Mechanism("uniform"), Mechanism("discriminatory"),
-                            Mechanism("uniform", reserve=round(rng.uniform(0.0, 2.0), 1))))
+    mechanisms = [Mechanism("uniform"), Mechanism("discriminatory"),
+                  Mechanism("uniform", reserve=round(rng.uniform(0.0, 2.0), 1))]
+    if market.m == 1:
+        mechanisms += [Mechanism("first_price"), Mechanism("all_pay")]
+    mechanism = rng.choice(mechanisms)
     return CombinedGame(market, mechanism, random_groups(rng, market.n),
                         tuple(random_action(rng, market.m) for _ in range(market.n)))
 

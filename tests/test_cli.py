@@ -62,6 +62,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("grouped-sweep", "gammas = inf", "gamma must be positive and finite, not inf"),
     ("grouped-sweep", "gammas = -0.5", "gamma must be positive and finite, not -0.5"),
     ("verify-eq", "reserve = -1", "reserve must be nonnegative, not -1.0"),
+    ("posted-fails", "h = inf", "H must be finite and exceed 1, not inf"),
+    ("posted-fails", "h = nan", "H must be finite and exceed 1, not nan"),
+    ("smooth-audit", "mu = -1",
+     "requires 0 < lambda < inf and 0 <= mu < inf, not 0.6321205588285577 and -1.0"),
+    ("smooth-audit", "lam = inf",
+     "requires 0 < lambda < inf and 0 <= mu < inf, not inf and 1.0"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, line, detail):
     cfg = tmp_path / "cfg.ini"

@@ -14,7 +14,8 @@ from aftermarkets.auctions import BidBatch, BidVector
 from aftermarkets.combined import Mechanism
 from aftermarkets.distributions import (PiecewiseCdf, SegmentSpec, Uniform,
                                         lower_bound_z_distribution)
-from aftermarkets.equilibrium import (BRD_MAX_ITERS, Action, CombinedTabularGame,
+from aftermarkets.equilibrium import (BRD_MAX_ITERS, Action, CombinedGame,
+                                      CombinedTabularGame,
                                       DeviationGrid, SymmetricFpaReport,
                                       TabularGame, _bid_table_nodes,
                                       _tabulated_fpa_bid,
@@ -27,6 +28,7 @@ from aftermarkets.equilibrium import (BRD_MAX_ITERS, Action, CombinedTabularGame
                                       scripted_lower_bound_equilibrium,
                                       symmetric_fpa_bid, symmetric_fpa_check,
                                       verify_bne, weak_dominance_witness)
+from aftermarkets.valuations import HeadTailModel, MarketModel
 
 
 def test_evaluator_keeps_cells_per_block_and_cuts():
@@ -604,6 +606,36 @@ def test_rows_clear_each_distinct_bid_once(monkeypatch):
     calls.clear()
     best_response_gap(game, 2, default_deviation_grid(m, "speculator"))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind, m", [("discriminatory", 10), ("first_price", 1),
+                                     ("all_pay", 1)])
+def test_bid_batch_clears_in_one_kernel_call(monkeypatch, kind, m):
+    """Under every sealed-bid kind, not only uniform price, a bid batch
+    clears in one `uniform_price_deviations` call and no `_run_auction`
+    call, and gives the `utilities` row of its vectors bit for bit."""
+    calls = []
+    for name in ("uniform_price_deviations", "_run_auction"):
+        run = getattr(equilibrium, name)
+        monkeypatch.setattr(equilibrium, name, lambda *args, name=name, run=run:
+                            calls.append(name) or run(*args))
+    if m == 1:  # agent 2 resells to agent 0 at price 0.8
+        market = MarketModel(1, (HeadTailModel(tail_count=1, dist=Uniform(0.0, 1.0)),
+                                 HeadTailModel(head=(1.0,)),
+                                 HeadTailModel(tail_count=1, dist=Uniform(0.5, 1.5))))
+        game = CombinedGame(market, Mechanism(kind), ResaleSpec(((2, (0,)),)), (
+            Action(bid=BidVector([0.5], 1)), Action(bid=BidVector([0.9], 1)),
+            Action(bid=BidVector([1.2], 1), seller_price=0.8)))
+    else:
+        game = replace(scripted_lower_bound_equilibrium(m), mechanism=Mechanism(kind))
+    batch = default_deviation_grid(m, "regular").bid_batch(m)
+    for agent in range(3):
+        ev = game.evaluator()
+        calls.clear()
+        rows = ev.bid_utilities(agent, batch)
+        assert calls == ["uniform_price_deviations"]
+        expected = ev.utilities(agent, [Action(bid=batch[j]) for j in range(len(batch))])
+        assert [u.hex() for u in rows.tolist()] == [u.hex() for u in expected.tolist()]
 
 
 def test_dominance_suite_shares_one_evaluator_exactly():

@@ -102,12 +102,21 @@ GUARDS = {
     "quantile-unbounded-no-ppf": (lambda: _exponential().quantile(0.5), "needs a ppf"),
     "uniform-reversed": (lambda: Uniform(2.0, 1.0), "lo <= hi"),
     "uniform-degenerate": (lambda: Uniform(1.0, 1.0), "degenerate"),
+    # a NaN or infinite parameter leaves the mean NaN
+    "uniform-nan-bound": (lambda: Uniform(math.nan, 1.0), "finite bounds"),
+    "uniform-infinite-bound": (lambda: Uniform(0.0, math.inf), "finite bounds"),
     "equal-revenue-H1": (lambda: EqualRevenueCapped(1.0), "H > 1"),
+    "equal-revenue-infinite-H": (lambda: EqualRevenueCapped(math.inf), "finite H > 1"),
+    "equal-revenue-nan-H": (lambda: EqualRevenueCapped(math.nan), "finite H > 1"),
     "segment-empty": (lambda: PiecewiseCdf((_segment(1.0, 1.0),)), "lo < hi"),
     "z-m3": (lambda: lower_bound_z_distribution(3), "m > 3"),
     "speculative-eps0": (lambda: speculative_buyer_value_distribution(0.0, 10.0), "eps"),
     "speculative-eps1": (lambda: speculative_buyer_value_distribution(1.0, 10.0), "eps"),
     "speculative-H1": (lambda: speculative_buyer_value_distribution(0.5, 1.0), "H"),
+    "speculative-infinite-H": (lambda: speculative_buyer_value_distribution(0.5, math.inf),
+                               "H must be finite"),
+    "speculative-nan-H": (lambda: speculative_buyer_value_distribution(0.5, math.nan),
+                          "H must be finite"),
     # equilibrium
     "evaluator-winner-led": (lambda: ConstantActionEvaluator(CombinedGame(
         lower_bound_market(10), Mechanism("uniform"), ResaleSpec.winner_resale(),
@@ -147,6 +156,10 @@ GUARDS = {
     "lifted-nan-seller-price": (lambda: _lifted_check(math.nan), "seller price"),
     "poa-nan-lambda": (lambda: poa_bound(math.nan, 1), "lambda"),
     "poa-nan-mu": (lambda: poa_bound(1, math.nan), "mu"),
+    # a negative mu or an infinite lambda or mu certifies no bound
+    "poa-negative-mu": (lambda: poa_bound(0.5, -1.0), "0 <= mu < inf"),
+    "poa-infinite-lambda": (lambda: poa_bound(math.inf, 1.0), "0 < lambda < inf"),
+    "poa-infinite-mu": (lambda: poa_bound(0.5, math.inf), "0 <= mu < inf"),
     # valuations
     "value-negative": (lambda: MarginalValuation([1.0]).value(-1), "nonnegative"),
     "head-increasing": (lambda: HeadTailModel(head=(1.0, 2.0)), "non-increasing"),
