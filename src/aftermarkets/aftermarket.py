@@ -3,7 +3,9 @@ per-group, or winner-led) through `_sell`, the game's one posted sale (the
 posted primary mechanism runs it too), and the trade-mechanism axioms.
 Resale reads who sells as a column of one seller per row
 (`ResaleSpec.sales`): constant for fixed groups, the largest holder for
-winner-led resale, so both run one sale loop over every row of a batch."""
+winner-led resale, so both run one sale loop over every row of a batch.
+A buyer policy is any object with `quantities`; the sale asks it once per
+batch."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .allocation import Allocation
 from .auctions import AuctionOutcome, BidVector
-from .valuations import MarginalValuation, ValuationBatch
+from .valuations import ValuationBatch
 
 
 class SignalProtocol(Enum):
@@ -66,19 +68,13 @@ class ThresholdBuyer:
                               else math.isnan(t)):
             raise ValueError("buyer threshold must not be NaN")
 
-    def quantity(self, valuation: MarginalValuation, holding: int, price: float,
-                 stock: int) -> int:
-        return int(self.quantities(ValuationBatch.of([valuation]), np.array([holding]),
-                                   price, np.array([stock]))[0])
-
     def quantities(self, valuations: ValuationBatch, holding, price,
                    stock) -> np.ndarray:
-        """`quantity` for every row of `valuations`: the price is a float or
-        an array of one per row, and the holding and stock have one entry per
-        row."""
+        """The units wanted on every row of `valuations` (`_sell` caps them
+        to [0, stock]): the price is a float or an array of one per row, and
+        the holding and stock have one entry per row."""
         cut = price if self.threshold is None else np.maximum(price, self.threshold)
-        want = np.where(cut < math.inf, valuations.count_ge(cut) - holding, 0)
-        return np.maximum(0, np.minimum(want, stock))
+        return np.where(cut < math.inf, valuations.count_ge(cut) - holding, 0)
 
 
 _TRUTHFUL_BUYER = ThresholdBuyer()
@@ -198,23 +194,17 @@ def _sell(counts: np.ndarray, transfers: np.ndarray, stock: np.ndarray, price,
     Buyers visit in order, each buying its policy's demand capped by the
     units left; no buyer buys in a row where it is the `seller` (a column of
     one agent per row, if given). Returns the units sold and the payments
-    received per row, the payments added up in buyer order. ThresholdBuyer
-    buys as an array operation; any other policy's `quantity(valuation,
-    holding, price, stock)` runs on each row with units left."""
+    received per row, the payments added up in buyer order. A buyer's
+    policy (truthful `ThresholdBuyer` by default) is asked once for the
+    whole batch, `quantities(valuations, holding, price, left)`, for one
+    count per row (or a scalar for every row), which the sale caps to
+    [0, left]; rows with no units left are asked too."""
     sold = paid = 0
     for b in buyers:
         left = stock if seller is None else np.where(seller == b, 0, stock)
-        policy = policies.get(b, _TRUTHFUL_BUYER)
-        if isinstance(policy, ThresholdBuyer):
-            q = policy.quantities(valuations[b], counts[:, b], price, left)
-        else:
-            q = np.array([
-                policy.quantity(valuations[b].valuation(j), h, p, s) if s > 0 else 0
-                for j, (h, p, s) in enumerate(zip(
-                    counts[:, b].tolist(),
-                    np.broadcast_to(price, left.shape).tolist(),
-                    left.tolist()))], dtype=np.int64)
-            q = np.maximum(0, np.minimum(q, left))
+        want = policies.get(b, _TRUTHFUL_BUYER).quantities(valuations[b], counts[:, b],
+                                                           price, left)
+        q = np.clip(want, 0, left).astype(np.int64, copy=False)
         paying = q * price
         counts[:, b] += q
         transfers[:, b] += paying

@@ -50,14 +50,17 @@ class Mechanism:
 class Strategy:
     """Per-agent policy pair: an auction bid (a constant BidVector or a
     function of the own valuation) and an aftermarket policy (a posted resale
-    price when acting as seller, a purchase threshold rule when buying).
-    `posted_buy` overrides the truthful demand under a posted primary
-    mechanism: a nonnegative integer of (valuation, price, units left)."""
+    price when acting as seller, and as buyer any policy with `quantities`,
+    see `aftermarket._sell`). `posted_buy` overrides the truthful demand
+    under a posted primary mechanism: once per batch of rows,
+    `posted_buy(valuations, price, left)` with the ValuationBatch and the
+    units left per row gives one nonnegative integer per row, or one scalar
+    for every row."""
 
     bid: Union[BidVector, Callable[[MarginalValuation], BidVector], None] = None
     seller_price: Union[float, Callable[[MarginalValuation, Observation], float]] = NO_OFFER
     buyer: object = ThresholdBuyer()
-    posted_buy: Optional[Callable[[MarginalValuation, float, int], int]] = None
+    posted_buy: Optional[Callable[[ValuationBatch, float, np.ndarray], object]] = None
 
     def bid_for(self, valuation: MarginalValuation, m: int) -> BidVector:
         if self.bid is None:
@@ -97,13 +100,17 @@ def _check_single_item(mechanism: Mechanism, m: int) -> None:
 
 @dataclass(frozen=True)
 class _PostedDemand:
-    """A `posted_buy` rule as a buyer policy of `_sell`: it sees the units left."""
+    """A `posted_buy` rule as a buyer policy of `_sell`: it sees the units
+    left, rows with none left too (`_sell` caps its answer there to 0)."""
 
-    rule: Callable[[MarginalValuation, float, int], int]
+    rule: Callable[[ValuationBatch, float, np.ndarray], object]
 
-    def quantity(self, valuation, holding, price, stock) -> int:
-        q = self.rule(valuation, price, stock)
-        if q < 0 or q != int(q):  # the sale would truncate 1.5 to 1
+    def quantities(self, valuations, holding, price, stock) -> np.ndarray:
+        q = np.asarray(self.rule(valuations, price, stock), dtype=float)
+        if q.ndim and q.shape != stock.shape:
+            raise ValueError("posted demand must be one count per row or a scalar")
+        # NaN fails every comparison; the sale would truncate 1.5 to 1
+        if not ((q >= 0) & (q < math.inf) & (np.floor(q) == q)).all():
             raise ValueError("posted demand must be a nonnegative integer")
         return q
 

@@ -55,14 +55,19 @@ def test_signal_protocols():
 
 def test_threshold_buyer_dominant_policy():
     v = MarginalValuation([3.0, 2.0, 1.0])
+
+    def demand(buyer, holding, price, stock):  # a batch of one row
+        return buyer.quantities(ValuationBatch.of([v]), np.array([holding]), price,
+                                np.array([stock])).tolist()
+
     buyer = ThresholdBuyer()
-    assert buyer.quantity(v, holding=0, price=1.5, stock=5) == 2
-    assert buyer.quantity(v, holding=1, price=1.5, stock=5) == 1
-    assert buyer.quantity(v, holding=0, price=1.5, stock=1) == 1
-    assert buyer.quantity(v, holding=0, price=NO_OFFER, stock=5) == 0
+    assert demand(buyer, holding=0, price=1.5, stock=5) == [2]
+    assert demand(buyer, holding=1, price=1.5, stock=5) == [1]
+    assert demand(buyer, holding=0, price=1.5, stock=1) == [2]  # `_sell` caps it
+    assert demand(buyer, holding=0, price=NO_OFFER, stock=5) == [0]
     strict = ThresholdBuyer(threshold=2.5)
-    assert strict.quantity(v, holding=0, price=1.5, stock=5) == 1
-    assert ThresholdBuyer(NO_OFFER).quantity(v, 0, 0.1, 5) == 0
+    assert demand(strict, holding=0, price=1.5, stock=5) == [1]
+    assert demand(ThresholdBuyer(NO_OFFER), 0, 0.1, 5) == [0]
 
 
 def test_threshold_buyer_rejects_nan():

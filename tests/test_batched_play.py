@@ -46,8 +46,10 @@ from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
 
 
 def reference_demand(policy, valuation, holding, price, stock):
-    if not isinstance(policy, ThresholdBuyer):
-        return max(0, min(policy.quantity(valuation, holding, price, stock), stock))
+    if not isinstance(policy, ThresholdBuyer):  # asked on a batch of one
+        q = np.ravel(policy.quantities(ValuationBatch.of([valuation]),
+                                       np.array([holding]), price, np.array([stock])))[0]
+        return max(0, min(int(q), stock))
     cut = price if policy.threshold is None else max(price, policy.threshold)
     if math.isinf(cut):
         return 0
@@ -286,8 +288,10 @@ def random_dist(rng):
     return PiecewiseCdf((seg,), (Atom(b, 1.0 - p),))
 
 
-def random_market(rng):
-    m, n = rng.randint(1, 30), rng.randint(1, 4)
+def random_market(rng, m=None):
+    """A random market; `m` fixes its units (the draw of m is still made)."""
+    drawn, n = rng.randint(1, 30), rng.randint(1, 4)
+    m = m or drawn
     random_agents = set(rng.sample(range(n), rng.randint(0, min(2, n))))
     agents = []
     for i in range(n):
@@ -335,15 +339,18 @@ def random_action(rng, m):
                                               round(rng.uniform(0.0, 4.0), 1))))
 
 
-def random_game(rng):
+def random_game(rng, single_item=None):
     """A random market under a random sealed-bid kind: the single-item kinds
-    too when the market sells one unit."""
-    market = random_market(rng)
+    too when the market sells one unit. `single_item` names the kind of a
+    game on one unit instead."""
+    market = random_market(rng, 1 if single_item else None)
     mechanisms = [Mechanism("uniform"), Mechanism("discriminatory"),
                   Mechanism("uniform", reserve=round(rng.uniform(0.0, 2.0), 1))]
     if market.m == 1:
         mechanisms += [Mechanism("first_price"), Mechanism("all_pay")]
     mechanism = rng.choice(mechanisms)
+    if single_item:
+        mechanism = Mechanism(single_item)
     return CombinedGame(market, mechanism, random_groups(rng, market.n),
                         tuple(random_action(rng, market.m) for _ in range(market.n)))
 
@@ -408,7 +415,19 @@ def test_evaluator_matches_cell_reference(rng):
     so do the utilities, the batched bid utilities, the batched utilities of
     price and threshold deviations, a row against overridden opponents and
     the welfare."""
-    game = random_game(rng)
+    check_evaluator_against_cell_reference(random_game(rng), rng)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["first_price", "all_pay"])
+def test_single_item_evaluator_matches_cell_reference(kind, seed):
+    """The same checks on one unit, where the single-item kinds play: a
+    random game draws one in about 1% of examples."""
+    rng = random.Random(seed)
+    check_evaluator_against_cell_reference(random_game(rng, kind), rng)
+
+
+def check_evaluator_against_cell_reference(game, rng):
     ev = game.evaluator()
     acts = list(game.base_actions)
     for agent in range(game.market.n):
@@ -499,17 +518,17 @@ def test_expected_outcome_matches_play_loop(rng, protocol, posted):
 
 
 class HalfDemand:
-    """A buyer policy without an array form: half the truthful demand."""
+    """A buyer policy from outside the package: half the truthful demand."""
 
-    def quantity(self, valuation, holding, price, stock):
-        return (valuation.count_ge(price) - holding) // 2
+    def quantities(self, valuations, holding, price, stock):
+        return (valuations.count_ge(price) - holding) // 2
 
 
 class Eager:
-    """A buyer policy without an array form that asks for a unit at any
+    """A buyer policy from outside the package that asks for a unit at any
     price; a seller who makes no offer still sells it nothing."""
 
-    def quantity(self, valuation, holding, price, stock):
+    def quantities(self, valuations, holding, price, stock):
         return 1
 
 
@@ -517,9 +536,9 @@ class Eager:
 @settings(max_examples=200, deadline=None)
 def test_resale_batch_rows_match_scalar_loop(rng):
     """Rows with different initial holdings, per-row prices and buyer
-    thresholds, winner-led or fixed groups, and a policy that runs row by
-    row: every row of one batch equals the scalar loop on that row, bit for
-    bit."""
+    thresholds, winner-led or fixed groups, and policies from outside the
+    package: every row of one batch equals the scalar loop on that row, bit
+    for bit."""
     n, rows = rng.randint(1, 4), rng.randint(1, 8)
     m = rng.randint(1, 12)
     profiles, initial = [], []
@@ -734,20 +753,42 @@ def test_posted_sale_truthful_and_override():
 
 def test_posted_buy_sees_units_left():
     """Each posted_buy rule is called with the units still unsold when its
-    buyer's turn comes, not with m."""
+    buyer's turn comes, not with m: one count per row of the batch."""
     seen = []
 
     def buying(q):
-        def rule(valuation, price, left):
-            seen.append(left)
+        def rule(valuations, price, left):
+            seen.append(left.tolist())
             return q
         return rule
 
     market, profile = fixed_market(3, (), ())
     out = posted_play(market, profile, (0, 1),
                       (Strategy(posted_buy=buying(2)), Strategy(posted_buy=buying(5))))
-    assert seen == [3, 1]
+    assert seen == [[3], [1]]
     assert out.auction_alloc.counts == (2, 1)
+
+
+def test_posted_buy_is_asked_once_per_chunk():
+    """expected_outcome asks each posted_buy rule once per chunk of rows,
+    with the chunk's valuations and one count of units left per row."""
+    market = MarketModel(m=2, agents=(
+        HeadTailModel(tail_count=2, dist=Uniform(0.0, 2.0)), HeadTailModel(head=(1.0,))))
+    asked = {0: [], 1: []}
+
+    def counting(agent, demand):
+        def rule(valuations, price, left):
+            asked[agent].append((len(valuations), left.shape))
+            return demand(valuations, price, left)
+        return rule
+
+    strategies = (Strategy(posted_buy=counting(0, lambda v, price, left: v.count_ge(price))),
+                  Strategy(posted_buy=counting(1, lambda v, price, left: 1)))
+    expected_outcome(market, Mechanism("posted", posted_price=0.5),
+                     SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT, None, strategies,
+                     MonteCarlo(2 * CHUNK_ROWS + 1, 7))
+    chunks = [(CHUNK_ROWS, (CHUNK_ROWS,))] * 2 + [(1, (1,))]
+    assert asked == {0: chunks, 1: chunks}
 
 
 @pytest.mark.parametrize("order", [(0, 0), (0, 2), (-1,)])
@@ -760,9 +801,15 @@ def test_posted_order_names_distinct_agents_of_the_market(order):
                     (Strategy(posted_buy=lambda v, price, left: 1), Strategy()))
 
 
-@pytest.mark.parametrize("demand", [-1, 1.5])
+@pytest.mark.parametrize("demand", [-1, 1.5, math.inf, math.nan,
+                                    np.array([1]), np.array([1, 1, 1, 1])])
 def test_posted_demand_must_be_a_nonnegative_integer(demand):
-    market, profile = fixed_market(2, (2.0,), ())
+    """On a batch of 3 rows: each count must be a finite nonnegative
+    integer, and an array must have one count per row (only a scalar
+    stands for every row, not an array of length 1)."""
+    market, _ = fixed_market(2, (2.0,), ())
     with pytest.raises(ValueError):
-        posted_play(market, profile, (0, 1),
-                    (Strategy(posted_buy=lambda v, price, left: demand), Strategy()))
+        expected_outcome(market, Mechanism("posted", posted_price=1.5, posted_order=(0, 1)),
+                         SignalProtocol.PUBLIC_ALLOCATION_OWN_PAYMENT, None,
+                         (Strategy(posted_buy=lambda v, price, left: demand), Strategy()),
+                         MonteCarlo(3, 0))
