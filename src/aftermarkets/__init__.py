@@ -12,7 +12,7 @@ from .auctions import (AuctionOutcome, BidVector, all_pay, discriminatory,
 from .balanced import (BalancednessReport, WelfareAudit, balanced_reserve,
                        check_balanced_conditions, noisy_reserve,
                        perturbed_guarantee, realization_price, static_price,
-                       uniform_with_balanced_reserve, welfare_guarantee_audit)
+                       welfare_guarantee_audit)
 from .combined import (CombinedOutcome, ExpectedOutcome, Mechanism, MonteCarlo,
                        Quadrature, Strategy, expected_optimal_welfare,
                        expected_outcome, play)

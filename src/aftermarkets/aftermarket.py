@@ -68,12 +68,18 @@ class ThresholdBuyer:
                               else math.isnan(t)):
             raise ValueError("buyer threshold must not be NaN")
 
+    def cut(self, price):
+        """The purchase cut max(price, threshold), the price for no
+        threshold: a float or an array of one per row, as price and
+        threshold are. A marginal value at or above it buys."""
+        return price if self.threshold is None else np.maximum(price, self.threshold)
+
     def quantities(self, valuations: ValuationBatch, holding, price,
                    stock) -> np.ndarray:
         """The units wanted on every row of `valuations` (`_sell` caps them
         to [0, stock]): the price is a float or an array of one per row, and
         the holding and stock have one entry per row."""
-        cut = price if self.threshold is None else np.maximum(price, self.threshold)
+        cut = self.cut(price)
         return np.where(cut < math.inf, valuations.count_ge(cut) - holding, 0)
 
 
@@ -198,12 +204,15 @@ def _sell(counts: np.ndarray, transfers: np.ndarray, stock: np.ndarray, price,
     policy (truthful `ThresholdBuyer` by default) is asked once for the
     whole batch, `quantities(valuations, holding, price, left)`, for one
     count per row (or a scalar for every row), which the sale caps to
-    [0, left]; rows with no units left are asked too."""
+    [0, left]; rows with no units left are asked too. Raises ValueError for
+    a float count that is not a whole number (NaN, 1.5); +-inf is capped."""
     sold = paid = 0
     for b in buyers:
         left = stock if seller is None else np.where(seller == b, 0, stock)
-        want = policies.get(b, _TRUTHFUL_BUYER).quantities(valuations[b], counts[:, b],
-                                                           price, left)
+        want = np.asarray(policies.get(b, _TRUTHFUL_BUYER).quantities(
+            valuations[b], counts[:, b], price, left))
+        if want.dtype.kind == "f" and not (np.floor(want) == want).all():
+            raise ValueError("a buyer's demand must be a whole number of units")
         q = np.clip(want, 0, left).astype(np.int64, copy=False)
         paying = q * price
         counts[:, b] += q

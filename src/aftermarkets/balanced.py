@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .allocation import _scaled_welfares, opt_allocation
-from .combined import Integration, Mechanism, Quadrature, expected_optimal_welfare
+from .combined import Integration, expected_optimal_welfare
 from .valuations import MarginalValuation, MarketModel
 
 
@@ -84,18 +84,10 @@ def static_price(alpha: float, beta: float, expected_per_unit: float) -> float:
     return alpha / (1.0 + alpha * beta) * expected_per_unit
 
 
-def balanced_reserve(market: MarketModel,
-                     integration: Optional[Integration] = None) -> float:
+def balanced_reserve(market: MarketModel, integration: Integration) -> float:
     """E[OPT(v; m)] / (2m), the uniform-price reserve induced by the
     (1, 1)-balanced realization price."""
-    integ = integration if integration is not None else Quadrature()
-    return expected_optimal_welfare(market, integ) / (2.0 * market.m)
-
-
-def uniform_with_balanced_reserve(market: MarketModel,
-                                  integration: Optional[Integration] = None
-                                  ) -> Mechanism:
-    return Mechanism("uniform", reserve=balanced_reserve(market, integration))
+    return expected_optimal_welfare(market, integration) / (2.0 * market.m)
 
 
 @dataclass(frozen=True)

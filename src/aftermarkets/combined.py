@@ -109,9 +109,9 @@ class _PostedDemand:
         q = np.asarray(self.rule(valuations, price, stock), dtype=float)
         if q.ndim and q.shape != stock.shape:
             raise ValueError("posted demand must be one count per row or a scalar")
-        # NaN fails every comparison; the sale would truncate 1.5 to 1
-        if not ((q >= 0) & (q < math.inf) & (np.floor(q) == q)).all():
-            raise ValueError("posted demand must be a nonnegative integer")
+        # NaN fails both; `_sell` rejects a fractional count
+        if not ((q >= 0) & (q < math.inf)).all():
+            raise ValueError("posted demand must be nonnegative and finite")
         return q
 
 

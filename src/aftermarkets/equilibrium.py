@@ -12,11 +12,11 @@ one `uniform_price_deviations` call against opponents ranked once; an
 exactly one block: its resale group, or itself alone when it is in none. A
 block's aftermarket is integrated exactly over its <= 2 scalar random
 dimensions with the interval-moment cells of `cell_nodes`, kept per (block,
-buyers' cuts), once per distinct block allocation and aftermarket action
-rather than once per deviation. The
-stages a call needs resell together: one array-valued `run_posted_resale`
-call, the rule `play()` and `expected_outcome` use too, takes every
-(allocation, seller price, buyer thresholds, cell) row. Every other check
+buyers' cuts), once per distinct (block allocation, seller price, buyers'
+cuts) rather than once per deviation. The stages a call needs resell
+together: one array-valued `run_posted_resale` call, the rule `play()` and
+`expected_outcome` use too, takes every (allocation, seller price, buyer
+cuts, cell) row. Every other check
 scores rows (`ConstantActionEvaluator.utilities`): one agent's actions
 against one opponents' profile, each distinct bid clearing once. A gap's
 on-path, price and threshold deviations are one row, each dominance case
@@ -118,10 +118,9 @@ class ConstantActionEvaluator:
     `bid_utilities` makes one batched clearing for a whole `BidBatch` of an
     agent's bids under every sealed-bid kind. A block's stage depends only
     on its members' auction allocation, the seller's price and the buyers'
-    thresholds. It is integrated once per distinct such key and kept for the
-    evaluator's lifetime, as are the block's cells, once per (block, cuts):
-    a buyer's cells depend on the price and its threshold only through its
-    cut max(price, threshold). Auction payments are subtracted afterwards.
+    purchase cuts (`ThresholdBuyer.cut`). It is integrated once per distinct
+    such key and kept for the evaluator's lifetime, as are the block's
+    cells, once per (block, cuts). Auction payments are subtracted afterwards.
     """
 
     def __init__(self, game: CombinedGame):
@@ -158,12 +157,10 @@ class ConstantActionEvaluator:
         return [a.bid if a.bid is not None else BidVector.from_runs((), self.m)
                 for a in acts]
 
-    def _cell_batch(self, block, price, thresholds):
-        """The members' valuations in every cell of `block` at (price,
-        thresholds) and the cell weights. Each buyer's cells are cut at its
-        purchase cutoff max(price, threshold) and the seller's are uncut, so
-        they are made once per (block, cuts)."""
-        cuts = tuple(price if t is None else max(price, t) for t in thresholds)
+    def _cell_batch(self, block, cuts):
+        """The members' valuations in every cell of `block` and the cell
+        weights, made once per (block, cuts): each buyer's cells are cut at
+        its purchase cut and the seller's are uncut."""
         key = (block, cuts)
         if key not in self._cell_batches:
             members = (block[0],) + block[1]
@@ -176,39 +173,39 @@ class ConstantActionEvaluator:
 
     @staticmethod
     def _terms(block, acts) -> tuple:
-        """The seller's price and the buyers' thresholds in `block`; a block
-        without buyers never makes an offer."""
+        """The seller's price and the buyers' purchase cuts in `block`; a
+        block without buyers never makes an offer. A NaN threshold raises
+        ValueError."""
         seller, buyers = block
         price = acts[seller].seller_price
         if price is None or not buyers:
             price = NO_OFFER
-        return price, tuple(acts[b].buyer_threshold for b in buyers)
+        return price, tuple(float(ThresholdBuyer(acts[b].buyer_threshold).cut(price))
+                            for b in buyers)
 
     def _stages(self, block, keys: Sequence[tuple]) -> list[_ResaleStage]:
-        """The resale stages of `block` for each key (alloc, price,
-        thresholds): the auction gives the members (seller first) the units
-        `alloc`, and `_terms` are (price, thresholds). Each distinct key is
-        integrated once: the keys not yet cached resell together, in one
-        `run_posted_resale` call whose rows are their (key, cell) pairs, with
-        a price and the buyers' thresholds per row. A NaN threshold raises
-        ValueError."""
+        """The resale stages of `block` for each key (alloc, price, cuts):
+        the auction gives the members (seller first) the units `alloc`, and
+        `_terms` are (price, cuts). Each distinct key is integrated once: the
+        keys not yet cached resell together, in one `run_posted_resale` call
+        whose rows are their (key, cell) pairs, with a price and the buyers'
+        cuts per row."""
         todo = [key for key in dict.fromkeys(keys)
                 if (block,) + key not in self._stage_cache]
         if todo:
             members = (block[0],) + block[1]
-            allocs, prices, thresholds = zip(*todo)
-            cell_values, cell_weights = zip(*[self._cell_batch(block, *key[1:])
-                                              for key in todo])
+            allocs, prices, cuts = zip(*todo)
+            cell_values, cell_weights = zip(*[self._cell_batch(block, c)
+                                              for c in cuts])
             sizes = [len(w) for w in cell_weights]
             values = [ValuationBatch.concat([v[j] for v in cell_values])
                       for j in range(len(members))]
             # members are indexed 0 (seller), 1.. (buyers) within the group; a
-            # buyer whose threshold differs between keys gets one per row,
-            # -inf for none (max(price, -inf) is the price)
+            # buyer whose cut differs between keys gets one per row. A cut is
+            # its own threshold: max(price, cut) is the cut
             policies = {j: ThresholdBuyer(column[0] if len(set(column)) == 1 else
-                                          np.repeat([-math.inf if t is None else t
-                                                     for t in column], sizes))
-                        for j, column in enumerate(zip(*thresholds), 1)}
+                                          np.repeat(column, sizes))
+                        for j, column in enumerate(zip(*cuts), 1)}
             trade = run_posted_resale(
                 np.repeat(np.array(allocs, dtype=np.int64), sizes, axis=0),
                 ResaleSpec.single(0, range(1, len(members))),
@@ -300,8 +297,9 @@ class ConstantActionEvaluator:
 class DeviationGrid:
     """Finite deviation set: flat (level x count) bid grids, optionally also
     prefixed by fixed head runs, plus aftermarket grids (seller prices, buyer
-    thresholds). Always includes the on-path no-op. NaN thresholds and NaN
-    or negative prices are rejected."""
+    thresholds). Always includes the on-path no-op. Raises ValueError for a
+    level, count or head `BidVector` rejects, NaN thresholds and NaN or
+    negative prices."""
 
     bid_levels: tuple[float, ...] = ()
     bid_counts: tuple[int, ...] = ()
@@ -314,20 +312,20 @@ class DeviationGrid:
             raise ValueError("seller prices must be nonnegative")
         if any(math.isnan(t) for t in self.buyer_thresholds):
             raise ValueError("buyer thresholds must not be NaN")
+        BidVector.from_runs(self.head, sum(c for _, c in self.head))
+        for level in self.bid_levels:
+            BidVector.flat(level, 1, 1)  # NaN, negative or infinite
+        for count in self.bid_counts:
+            BidVector.flat(0.0, count, count)  # negative
 
     def _bid_rows(self, m: int) -> tuple[BidBatch, np.ndarray]:
         """The distinct bid deviations for m units, in grid order, and per
         row the (level index, count index, head flag) it first came from.
         Each level crosses each count (level-major) as a flat bid of at most
         m units, then, after the head runs, if the level is at most every
-        head value and the head leaves the units. Each level, count and the
-        head is validated once, by `BidVector.from_runs`."""
+        head value and the head leaves the units."""
         head_units = sum(c for _, c in self.head)
         head = BidVector.from_runs(self.head, head_units)
-        for level in self.bid_levels:
-            BidVector.flat(level, 1, 1)  # NaN, negative or infinite
-        for count in self.bid_counts:
-            BidVector.flat(0.0, count, count)  # negative
         head_min = min((v for v, _ in self.head), default=math.inf)
         origin = np.indices((len(self.bid_levels), len(self.bid_counts),
                              2 if self.head else 1)).reshape(3, -1).T

@@ -70,6 +70,21 @@ def test_threshold_buyer_dominant_policy():
     assert demand(ThresholdBuyer(NO_OFFER), 0, 0.1, 5) == [0]
 
 
+def test_threshold_buyer_cut():
+    """max(price, threshold), the price for no threshold, on scalar and
+    per-row prices and thresholds."""
+    assert ThresholdBuyer().cut(1.5) == 1.5
+    assert ThresholdBuyer(2.5).cut(1.5) == 2.5
+    assert ThresholdBuyer(0.5).cut(1.5) == 1.5
+    assert ThresholdBuyer(0.5).cut(NO_OFFER) == NO_OFFER
+    prices = np.array([0.5, 1.5, NO_OFFER])
+    assert ThresholdBuyer().cut(prices).tolist() == [0.5, 1.5, NO_OFFER]
+    assert ThresholdBuyer(1.0).cut(prices).tolist() == [1.0, 1.5, NO_OFFER]
+    per_row = ThresholdBuyer(np.array([2.0, 1.0, 0.0]))
+    assert per_row.cut(1.2).tolist() == [2.0, 1.2, 1.2]
+    assert per_row.cut(prices).tolist() == [2.0, 1.5, NO_OFFER]
+
+
 def test_threshold_buyer_rejects_nan():
     # max(price, nan) is price, so a NaN threshold would buy like None
     with pytest.raises(ValueError):
@@ -172,6 +187,29 @@ def test_negative_price_rejected():
     for bad in (-0.5, math.nan):
         with pytest.raises(ValueError):
             resell(Allocation((1, 0)), ResaleSpec.single(0, (1,)), {0: bad}, {}, vals)
+
+
+class FixedDemand:
+    """A buyer policy that asks for `q` units on every row."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def quantities(self, valuations, holding, price, stock):
+        return np.full(len(holding), self.q)
+
+
+def test_resale_demand_must_be_a_whole_number():
+    """A float count that is not whole raises; +-inf is capped to the stock."""
+    vals = [MarginalValuation([]), MarginalValuation([2.0, 2.0])]
+    spec = ResaleSpec.single(0, (1,))
+    for bad in (math.nan, 1.5):
+        with pytest.raises(ValueError):
+            resell(Allocation((2, 0)), spec, {0: 1.0}, {1: FixedDemand(bad)}, vals)
+    assert resell(Allocation((2, 0)), spec, {0: 1.0}, {1: FixedDemand(math.inf)},
+                  vals) == ((0, 2), (-2.0, 2.0))
+    assert resell(Allocation((2, 0)), spec, {0: 1.0}, {1: FixedDemand(-math.inf)},
+                  vals) == ((2, 0), (0.0, 0.0))
 
 
 def test_resale_rejects_overselling():

@@ -397,8 +397,7 @@ def cuts_of(game):
         if price is None or math.isinf(price):
             continue
         for b in buyers:
-            thr = game.base_actions[b].buyer_threshold
-            cut = price if thr is None else max(price, thr)
+            cut = float(ThresholdBuyer(game.base_actions[b].buyer_threshold).cut(price))
             if math.isfinite(cut):
                 cuts.add(cut)
     return tuple(sorted(cuts))

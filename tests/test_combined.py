@@ -130,8 +130,7 @@ def effective_cuts(actions):
     price = actions[2].seller_price
     cuts = {1.0}
     if price is not None and math.isfinite(price):
-        cuts |= {price if a.buyer_threshold is None else max(price, a.buyer_threshold)
-                 for a in actions[:2]}
+        cuts |= {float(ThresholdBuyer(a.buyer_threshold).cut(price)) for a in actions[:2]}
     return tuple(sorted(cuts))
 
 

@@ -32,14 +32,19 @@ from aftermarkets.valuations import HeadTailModel, MarketModel
 
 
 def test_evaluator_keeps_cells_per_block_and_cuts():
-    """A buyer's cells depend on the seller's price and its threshold only
-    through its cut max(price, threshold): thresholds at or below the price
-    reuse the base cells, and a no-offer price cuts nowhere, like no cut."""
+    """A buyer's cells and stages depend on the seller's price and its
+    threshold only through its cut max(price, threshold): thresholds at or
+    below the price reuse the on-path stage and cells, and a no-offer price
+    cuts nowhere, like no cut."""
     ev = scripted_lower_bound_equilibrium(100).evaluator()
     assert not hasattr(ev, "_cells") and not hasattr(ev, "_cells_cache")
     block = (2, (0, 1))
     ev.expected_welfare()
-    ev.utilities(0, [Action(buyer_threshold=t) for t in (0.5, 1.0)])
+    stages = list(ev._stage_cache)
+    on_path, *utils = ev.utilities(0, [Action()] + [Action(buyer_threshold=t)
+                                                    for t in (0.5, 0.9, 1.0)]).tolist()
+    assert list(ev._stage_cache) == stages
+    assert [u.hex() for u in utils] == [on_path.hex()] * 3
     assert list(ev._cell_batches) == [(block, (1.0, 1.0))]
     ev.utilities(0, [Action(buyer_threshold=1.2)])
     ev.utilities(2, [Action(seller_price=math.inf)])
@@ -134,6 +139,9 @@ def test_evaluator_rejects_nan_threshold():
         ev.expected_utility(0, {0: Action(buyer_threshold=math.nan)})
     with pytest.raises(ValueError):
         ev.expected_welfare({1: Action(buyer_threshold=math.nan)})
+    # max(1.0, nan) is 1.0: the cut must come from ThresholdBuyer, which rejects it
+    with pytest.raises(ValueError):
+        ev.utilities(0, [Action(), Action(buyer_threshold=math.nan)])
 
 
 @pytest.mark.parametrize("grid", [
@@ -709,16 +717,16 @@ def test_bid_batch_matches_reference_enumeration(case):
 
 
 @pytest.mark.parametrize("grid", [
-    pytest.param(DeviationGrid((math.nan,), (1,)), id="nan-level"),
-    pytest.param(DeviationGrid((-1.0,), (1,)), id="negative-level"),
-    pytest.param(DeviationGrid((math.inf,), (1,)), id="infinite-level"),
-    pytest.param(DeviationGrid((1.0,), (-1,)), id="negative-count"),
-    pytest.param(DeviationGrid((1.0,), (1,), head=((1.0, 1), (2.0, 1))),
+    pytest.param(lambda: DeviationGrid((math.nan,), (1,)), id="nan-level"),
+    pytest.param(lambda: DeviationGrid((-1.0,), (1,)), id="negative-level"),
+    pytest.param(lambda: DeviationGrid((math.inf,), (1,)), id="infinite-level"),
+    pytest.param(lambda: DeviationGrid((1.0,), (-1,)), id="negative-count"),
+    pytest.param(lambda: DeviationGrid((1.0,), (1,), head=((1.0, 1), (2.0, 1))),
                  id="increasing-head"),
 ])
 def test_bid_batch_rejects_bad_bids(grid):
     with pytest.raises(ValueError):
-        grid.bid_batch(5)
+        grid().bid_batch(5)
 
 
 def test_default_grid_labels_and_bids_unchanged():

@@ -17,7 +17,7 @@ from aftermarkets.distributions import (EqualRevenueCapped, PiecewiseCdf,
                                         lower_bound_z_distribution,
                                         speculative_buyer_value_distribution)
 from aftermarkets.equilibrium import (Action, CombinedGame,
-                                      ConstantActionEvaluator,
+                                      ConstantActionEvaluator, DeviationGrid,
                                       default_deviation_grid, interim_curves,
                                       run_dominance_suite,
                                       scripted_grouped_equilibrium,
@@ -131,6 +131,13 @@ GUARDS = {
     "dominance-grouped": (lambda: run_dominance_suite(
         scripted_grouped_equilibrium(40, 0.25)), r"one \(A, B, C\) group"),
     "deviation-grid-role": (lambda: default_deviation_grid(100, "speculatr"), "role"),
+    # a grid's bids are checked when it is built, not when it is first used
+    "deviation-grid-nan-level": (lambda: DeviationGrid(bid_levels=(math.nan,),
+                                                       bid_counts=(1,)), "nonnegative"),
+    "deviation-grid-negative-count": (lambda: DeviationGrid(bid_counts=(-1,)),
+                                      "nonnegative"),
+    "deviation-grid-infinite-head": (lambda: DeviationGrid(head=((math.inf, 1),)),
+                                     "finite"),
     # smoothness: a domain's arity must match the game's
     "smooth-action-sets": (lambda: _fpa_check(CheckDomain(((1.0, 0.5),),
                                                           ((0.0, 0.5),) * 3)),
