@@ -6,8 +6,10 @@ times one common denominator (`_scaled_runs`)."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -34,11 +36,24 @@ class Allocation:
         return len(self.counts)
 
 
+def _left_sum(terms):
+    """0 + terms[0] + terms[1] + ..., left to right: the package's one rule
+    for adding floats (the built-in sum compensates from Python 3.12 on),
+    exact on Fractions and elementwise on arrays."""
+    return reduce(operator.add, terms, 0)
+
+
+def _running_total(total, terms: np.ndarray) -> np.ndarray:
+    """`_left_sum` from `total` along axis 0, by a sequential np.cumsum."""
+    start = np.full((1,) + terms.shape[1:], total)
+    return np.cumsum(np.concatenate((start, terms)), axis=0)[-1]
+
+
 def welfare(profile: Sequence[MarginalValuation], alloc: Allocation):
-    """Wel(v, x) = sum_i v_i(x_i)."""
+    """Wel(v, x) = sum_i v_i(x_i) in agent order by `_left_sum` (exact on Fractions)."""
     if len(alloc) != len(profile):
         raise ValueError("allocation arity does not match profile")
-    return sum(v.value(x) for v, x in zip(profile, alloc.counts))
+    return _left_sum(v.value(x) for v, x in zip(profile, alloc.counts))
 
 
 def _scaled_runs(profile: Sequence[MarginalValuation]):

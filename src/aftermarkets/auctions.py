@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import Allocation, _greedy, _ranked_runs
+from .allocation import Allocation, _greedy, _left_sum, _ranked_runs
 from .valuations import MarginalValuation, ValuationBatch, _merge_runs
 
 
@@ -80,7 +80,8 @@ class AuctionOutcome:
 
     @property
     def revenue(self) -> float:
-        return sum(self.payments)
+        """The payments added in agent order by `_left_sum`."""
+        return _left_sum(self.payments)
 
 
 def _sorted_entries(bids: Sequence[BidVector], reserve: Optional[float]):

@@ -15,7 +15,7 @@ import numpy as np
 from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
                           ThresholdBuyer, _distinct_rows, _sell, apply_signal,
                           opt_out_outcome, run_posted_resale)
-from .allocation import Allocation, opt_welfare_rows
+from .allocation import Allocation, _left_sum, _running_total, opt_welfare_rows
 from .auctions import (AuctionOutcome, BidVector, _check_reserve, all_pay,
                        discriminatory, uniform_price)
 from .valuations import (MarginalValuation, MarketModel, ValuationBatch,
@@ -128,7 +128,7 @@ def play(market: MarketModel, mechanism: Mechanism, protocol: SignalProtocol,
         [ValuationBatch.of([v]) for v in profile])
     return CombinedOutcome(Allocation(tuple(trade.final_alloc[0].tolist())),
                            outcome.payments, tuple(trade.transfers[0].tolist()),
-                           tuple(utilities[0].tolist()), wel[0],
+                           tuple(utilities[0].tolist()), float(wel[0]),
                            outcome.revenue, outcome.alloc, outcome.clearing_price)
 
 
@@ -141,11 +141,10 @@ def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtoc
     valuation as `values[i].valuation(j)`. Every row resells in one
     `run_posted_resale` call. Returns the distinct AuctionOutcomes, each
     row's index into them, the TradeOutcome of the rows, their utilities
-    (rows x agents) and their welfare: each row's values added up by the
-    built-in `sum`, as `allocation.welfare` adds them (it compensates from
-    Python 3.12 on; adding the agents' arrays would not). Raises ValueError
-    for a single-item kind on m != 1, or a posted order that repeats an
-    agent or names one outside the market."""
+    (rows x agents) and their welfare: the agents' values added in agent
+    order by `_left_sum`, as `allocation.welfare` adds them. Raises
+    ValueError for a single-item kind on m != 1, or a posted order that
+    repeats an agent or names one outside the market."""
     m, n, n_rows = market.m, len(strategies), len(values[0])
     _check_single_item(mechanism, m)
     # the posted sale reads no bid: there, bids are made (and, per row, kept)
@@ -196,10 +195,8 @@ def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtoc
         trade = run_posted_resale(initial, resale, prices, policies, values, m)
     held = [v.value(trade.final_alloc[:, i]) for i, v in enumerate(values)]
     payments = np.array([o.payments for o in outcomes], dtype=float)[which]
-    utilities = np.column_stack([x - payments[:, i] - trade.transfers[:, i]
-                                 for i, x in enumerate(held)])
-    return (outcomes, which, trade, utilities,
-            [sum(row) for row in np.column_stack(held).tolist()])
+    utilities = np.column_stack(held) - payments - trade.transfers
+    return outcomes, which, trade, utilities, _left_sum(held)
 
 
 # -- expectations ----------------------------------------------------------
@@ -268,42 +265,33 @@ def _node_rows(market: MarketModel, integration: Integration):
         yield scalars[start:start + CHUNK_ROWS], weights[start:start + CHUNK_ROWS]
 
 
-def _running_total(total, terms: np.ndarray):
-    """total + terms[0] + terms[1] + ..., added one at a time along axis 0."""
-    return np.cumsum(np.concatenate((np.asarray(total)[None], terms)), axis=0)[-1]
-
-
 def expected_outcome(market: MarketModel, mechanism: Mechanism,
                      protocol: SignalProtocol, resale: Optional[ResaleSpec],
                      strategies: Sequence[Strategy],
                      integration: Integration) -> ExpectedOutcome:
     """Expected welfare, utilities and revenue of play() over valuation
     draws. The rows of `draw_values` (or the quadrature cells) play in
-    chunks of at most CHUNK_ROWS as batches (`_play_rows`), and the running
-    totals add the rows one at a time in row order, so they equal a play()
-    loop over the same rows, one realized profile at a time, bit for bit."""
+    chunks of at most CHUNK_ROWS as batches (`_play_rows`), and
+    `_running_total` adds the rows in row order, so the totals equal a play()
+    loop over the same rows bit for bit. Welfare squares as w * w, correctly
+    rounded on every platform (libm's pow need not be)."""
     if len(strategies) != market.n:
         raise ValueError("strategy arity does not match profile")
     wel = rev = wel2 = 0.0
     utils = np.zeros(market.n)
     for scalars, weights in _node_rows(market, integration):
-        outcomes, which, _, row_utils, welfare = _play_rows(
+        outcomes, which, _, row_utils, row_wel = _play_rows(
             market, mechanism, protocol, resale, strategies,
             realize_batch(market.agents, scalars))
-        row_wel = np.array(welfare, dtype=float)
         row_rev = np.array([o.revenue for o in outcomes], dtype=float)[which]
-        # Python's x ** 2 (libm pow), as the play() loop squared; numpy
-        # squares by x * x, which may round differently
-        squares = np.array([x ** 2 for x in row_wel.tolist()])
         wel = float(_running_total(wel, weights * row_wel))
-        wel2 = float(_running_total(wel2, weights * squares))
+        wel2 = float(_running_total(wel2, weights * (row_wel * row_wel)))
         rev = float(_running_total(rev, weights * row_rev))
         utils = _running_total(utils, weights[:, None] * row_utils)
     stderr = None
     if isinstance(integration, MonteCarlo):
-        var = max(wel2 - wel * wel, 0.0)
-        stderr = math.sqrt(var / integration.n)
-    return ExpectedOutcome(wel, tuple(utils), rev, stderr)
+        stderr = math.sqrt(max(wel2 - wel * wel, 0.0) / integration.n)
+    return ExpectedOutcome(wel, tuple(utils.tolist()), rev, stderr)
 
 
 def expected_optimal_welfare(market: MarketModel,

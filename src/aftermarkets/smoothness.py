@@ -33,7 +33,7 @@ import numpy as np
 
 from .aftermarket import (NO_OFFER, ResaleSpec, ThresholdBuyer,
                           _distinct_rows, run_posted_resale)
-from .allocation import opt_allocation
+from .allocation import _left_sum, _running_total, opt_allocation
 from .auctions import (BidBatch, BidVector, _product_columns, all_pay,
                        discriminatory, discriminatory_units_won, uniform_price)
 from .valuations import MarginalValuation, ValuationBatch
@@ -41,11 +41,9 @@ from .valuations import MarginalValuation, ValuationBatch
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
 
-def _expectations(probs: np.ndarray, utils: np.ndarray) -> list:
-    """Per row of `utils`, the expectation sum(p * u), added in atom order by
-    the built-in sum of Python floats (compensated from Python 3.12 on).
-    np.sum and np.dot add pairwise and would change the last bits."""
-    return list(map(sum, (probs * utils).tolist()))
+def _expectations(probs: np.ndarray, utils: np.ndarray) -> np.ndarray:
+    """Per row of `utils`, sum(p * u) added in atom order by `_running_total`."""
+    return _running_total(0.0, (probs * utils).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +55,7 @@ class FiniteDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        total = sum(self.probs.tolist())
+        total = float(_running_total(0.0, self.probs))
         if not (abs(total - 1.0) <= 1e-9 and (self.probs >= -1e-15).all()  # NaN fails
                 and len(self.probs) == len(self.support)):
             raise ValueError(f"need one probability >= 0 per atom, sum 1, not {total}")
@@ -172,10 +170,9 @@ class AuctionGame(SmoothableGame):
 
     def revenues(self, values, sets):
         """Each agent's payments, its own actions as the atoms, added in agent
-        order by the built-in sum, as AuctionOutcome.revenue adds them."""
-        paid = [self.units_and_payments(sets, i, own)[1][_split(sets, i)].tolist()
-                for i, own in enumerate(sets)]
-        return np.array(list(map(sum, zip(*paid))), dtype=float)
+        order by `_left_sum`, as AuctionOutcome.revenue adds them."""
+        return _left_sum(self.units_and_payments(sets, i, own)[1][_split(sets, i)]
+                         for i, own in enumerate(sets))
 
 
 def _one_unit_bids(bids) -> list[BidVector]:
@@ -398,8 +395,8 @@ def fpa_deviation(own_value: float, resolution: int = 200) -> FiniteDist:
     if v <= 0.0:
         return FiniteDist.point(0.0)
     ys = top * np.arange(resolution + 1) / resolution
-    masses = [math.log(x) for x in ((v - ys[:-1]) / (v - ys[1:])).tolist()]
-    return FiniteDist(ys[:-1], np.array(masses) / sum(masses))
+    masses = np.array([math.log(x) for x in ((v - ys[:-1]) / (v - ys[1:])).tolist()])
+    return FiniteDist(ys[:-1], masses / _running_total(0.0, masses))
 
 
 def fpa_deviation_generator(resolution: int = 200):
@@ -550,15 +547,14 @@ def check_smooth(game: SmoothableGame, cert: SmoothnessCertificate,
         rev = game.revenues(values, distinct)
         terms = []
         for i, dist in enumerate(dists):
-            expected = []
-            for block in _blocks(distinct, i, len(dist.probs)):
-                expected += _expectations(dist.probs, game.deviation_utilities(
-                    values, block, i, dist.support))
+            blocks = _blocks(distinct, i, len(dist.probs))
+            expected = np.concatenate([_expectations(dist.probs, game.deviation_utilities(
+                values, block, i, dist.support)) for block in blocks])
             n_keys += len(expected)
             n_atoms += len(expected) * len(dist.probs)
-            terms.append(np.array(expected)[rows[i]])
+            terms.append(expected[rows[i]])
         with np.errstate(all="ignore"):  # as on Python floats; NaN raises below
-            slack = (sum(terms, 0.0) - cert.lam * opt + cert.mu * rev)[profile_of]
+            slack = (_left_sum(terms) - cert.lam * opt + cert.mu * rev)[profile_of]
         j = int(slack.argmin())  # the first NaN, if there is one
         actions = next(islice(product(*domain.action_sets), j, None))
         if math.isnan(slack[j]):

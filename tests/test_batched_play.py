@@ -174,7 +174,7 @@ def reference_expected_outcome(market, mechanism, protocol, resale, strategies,
             market, mechanism, protocol, resale, strategies,
             realize(market.agents, scalars))
         wel += w * out_wel
-        wel2 += w * out_wel ** 2
+        wel2 += w * (out_wel * out_wel)
         rev += w * out_rev
         utils += w * np.asarray(out_utils)
     stderr = None

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftermarkets.aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
-from aftermarkets.allocation import Allocation
+from aftermarkets.allocation import Allocation, welfare
 from aftermarkets.auctions import AuctionOutcome, BidVector
 from aftermarkets.cli import posted_fails_summary
 from aftermarkets import combined
@@ -19,8 +19,10 @@ from aftermarkets.equilibrium import (Action, CombinedGame,
                                       default_deviation_grid,
                                       scripted_lower_bound_equilibrium)
 from aftermarkets.distributions import Uniform
-from aftermarkets.smoothness import SingleItemAllPay, SingleItemFirstPrice
-from aftermarkets.valuations import (draw_values, lower_bound_market,
+from aftermarkets.smoothness import (SingleItemAllPay, SingleItemFirstPrice,
+                                     _expectations)
+from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
+                                     MarketModel, draw_values, lower_bound_market,
                                      posted_fails_market, realize_batch,
                                      sample_profile, symmetric_fpa_market)
 
@@ -407,3 +409,40 @@ def test_play_callable_seller_price_reads_signals(protocol):
         assert obs.bids == tuple(s.bid for s in strategies)
     else:
         assert obs.bids is None
+
+
+@pytest.mark.parametrize("kind", ("uniform", "discriminatory", "posted"))
+def test_outcome_fields_are_python_floats(kind):
+    """Every number of a CombinedOutcome and an ExpectedOutcome is a Python
+    float, not a numpy scalar (which prints as np.float64(...))."""
+    market, mech, resale, strategies = scripted(10)
+    if kind != "uniform":
+        mech = Mechanism(kind, posted_price=1.0 if kind == "posted" else None)
+    out = play(market, mech, PROTO, resale, strategies, sample_profile(market, 1))
+    numbers = [*out.auction_payments, *out.transfers, *out.utilities,
+               out.welfare, out.revenue]
+    if out.clearing_price is not None:
+        numbers.append(out.clearing_price)
+    for integration in (MonteCarlo(50, 1), Quadrature(subdivide=1)):
+        exp = expected_outcome(market, mech, PROTO, resale, strategies, integration)
+        numbers += [x for x in astuple(exp) if not isinstance(x, tuple) and x is not None]
+        numbers += exp.utilities
+    assert all(type(x) is float for x in numbers), [type(x) for x in numbers]
+
+
+def test_floats_add_left_to_right():
+    """Every site that adds floats adds them left to right from 0, on every
+    Python version: 1e16 + 1.0 rounds back to 1e16, twice. The built-in sum
+    compensates from Python 3.12 on and would give 1e16 + 2."""
+    values = (1e16, 1.0, 1.0)
+    assert math.fsum(values) == 1e16 + 2
+    profile = [MarginalValuation([v]) for v in values]
+    assert welfare(profile, Allocation((1, 1, 1))) == 1e16
+    assert AuctionOutcome(Allocation((1, 1, 1)), values).revenue == 1e16
+    assert _expectations(np.ones(3), np.array([values])).tolist() == [1e16]
+    market = MarketModel(3, tuple(HeadTailModel(head=(v,)) for v in values))
+    bid = Strategy(bid=BidVector.from_runs(((1.0, 1),), 3))
+    out = play(market, Mechanism("uniform"), PROTO, None, (bid,) * 3, profile)
+    assert out.welfare == 1e16
+    assert expected_outcome(market, Mechanism("uniform"), PROTO, None, (bid,) * 3,
+                            MonteCarlo(3, 0)).welfare == 1e16

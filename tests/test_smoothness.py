@@ -56,7 +56,9 @@ def reference_fpa_deviation(own_value, resolution):
     top = ONE_MINUS_INV_E * v
     ys = [top * k / resolution for k in range(resolution + 1)]
     masses = [math.log((v - y) / (v - z)) for y, z in zip(ys, ys[1:])]
-    total = sum(masses)
+    total = 0.0
+    for p in masses:
+        total += p
     return ys[:-1], [p / total for p in masses]
 
 
@@ -377,7 +379,7 @@ def test_report_counts_deviation_keys_and_atoms():
 
 
 def test_check_smooth_sums_atoms_in_order():
-    # the slack equals a per-atom computation with Python's sum bit for bit
+    # the slack equals a per-atom computation added left to right bit for bit
     # (a pairwise np.sum of the 2000 atoms changes the last bits)
     values, bids = (1.0, 0.5), BID_GRID[:4]
     game, cert = SingleItemFirstPrice(2), fpa_cert(2000)
@@ -387,9 +389,11 @@ def test_check_smooth_sums_atoms_in_order():
         lhs = 0.0
         for i in range(2):
             dist = cert.deviation(i, values)
-            lhs += sum(p * game.utilities_and_revenue(
-                values, actions[:i] + (d,) + actions[i + 1:])[0][i]
-                for d, p in zip(dist.support.tolist(), dist.probs.tolist()))
+            total = 0.0
+            for d, p in zip(dist.support.tolist(), dist.probs.tolist()):
+                total += p * game.utilities_and_revenue(
+                    values, actions[:i] + (d,) + actions[i + 1:])[0][i]
+            lhs += total
         rev = game.utilities_and_revenue(values, actions)[1]
         slacks.append(lhs - cert.lam * max(values) + cert.mu * rev)
     assert rep.min_slack == min(slacks)
@@ -697,7 +701,10 @@ def reference_check_smooth(game, cert, domain):
                 if key not in cache:
                     utils = SmoothableGame.deviation_utilities(
                         game, values, [(a,) for a in actions], i, tuple(dist.support))[0]
-                    cache[key] = sum((dist.probs * utils).tolist())
+                    total = 0.0
+                    for x in (dist.probs * utils).tolist():
+                        total += x
+                    cache[key] = total
                     n_keys += 1
                     n_atoms += len(dist.probs)
                 lhs += cache[key]
