@@ -18,6 +18,7 @@ import numpy as np
 
 from .allocation import Allocation
 from .auctions import AuctionOutcome, BidVector
+from .distributions import _running_total
 from .valuations import ValuationBatch
 
 
@@ -90,10 +91,10 @@ _TRUTHFUL_BUYER = ThresholdBuyer()
 class ResaleSpec:
     """Sellers and buyer visiting orders. `groups` are disjoint (seller,
     ordered buyers) blocks of distinct agents; `winner_led=True` instead
-    makes the agent holding the largest allocation the seller and everyone
-    else a buyer in index order (single-item resale). Raises ValueError for
-    groups that repeat an agent or name a negative index, and for groups
-    together with `winner_led`."""
+    has each row's largest holder offer her whole holding, however many
+    units, to every other agent in index order (`sales`). Raises ValueError
+    for groups that repeat an agent or name a negative index, and for
+    groups together with `winner_led`."""
 
     groups: tuple[tuple[int, tuple[int, ...]], ...] = ()
     winner_led: bool = False
@@ -228,5 +229,5 @@ def opt_out_outcome(initial: np.ndarray) -> TradeOutcome:
 
 
 def check_weak_budget_balance(outcome: TradeOutcome, scale: float = 1.0) -> bool:
-    """Every row's sum of transfers >= -tol with tol = 1e-12 * scale."""
-    return bool(np.all(outcome.transfers.sum(axis=1) >= -1e-12 * max(scale, 1.0)))
+    """Every row's transfers, added in agent order, total >= -1e-12 * scale."""
+    return bool(np.all(_running_total(0.0, outcome.transfers.T) >= -1e-12 * max(scale, 1.0)))

@@ -6,14 +6,13 @@ times one common denominator (`_scaled_runs`)."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
+from .distributions import _left_sum
 from .valuations import MarginalValuation, ValuationBatch
 
 
@@ -34,19 +33,6 @@ class Allocation:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-
-def _left_sum(terms):
-    """0 + terms[0] + terms[1] + ..., left to right: the package's one rule
-    for adding floats (the built-in sum compensates from Python 3.12 on),
-    exact on Fractions and elementwise on arrays."""
-    return reduce(operator.add, terms, 0)
-
-
-def _running_total(total, terms: np.ndarray) -> np.ndarray:
-    """`_left_sum` from `total` along axis 0, by a sequential np.cumsum."""
-    start = np.full((1,) + terms.shape[1:], total)
-    return np.cumsum(np.concatenate((start, terms)), axis=0)[-1]
 
 
 def welfare(profile: Sequence[MarginalValuation], alloc: Allocation):

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import Allocation, _greedy, _left_sum, _ranked_runs
+from .allocation import Allocation, _greedy, _ranked_runs
+from .distributions import _left_sum
 from .valuations import MarginalValuation, ValuationBatch, _merge_runs
 
 
@@ -112,10 +113,9 @@ def uniform_price(bids: Sequence[BidVector], m: int,
     reserve sells nothing; a negative or NaN reserve is rejected."""
     _check_reserve(reserve)
     counts, _, next_losing = _greedy(_sorted_entries(bids, reserve), m, len(bids))
-    sold = sum(counts)
-    price = next_losing
-    if reserve is not None and sold > 0:
-        price = max(price, reserve)
+    price = float(next_losing)  # a float, as every kind's payments are
+    if reserve is not None and sum(counts) > 0:
+        price = max(price, float(reserve))
     payments = tuple(price * c for c in counts)
     return AuctionOutcome(Allocation(tuple(counts)), payments, clearing_price=price)
 

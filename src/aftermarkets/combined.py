@@ -15,9 +15,10 @@ import numpy as np
 from .aftermarket import (NO_OFFER, Observation, ResaleSpec, SignalProtocol,
                           ThresholdBuyer, _distinct_rows, _sell, apply_signal,
                           opt_out_outcome, run_posted_resale)
-from .allocation import Allocation, _left_sum, _running_total, opt_welfare_rows
+from .allocation import Allocation, opt_welfare_rows
 from .auctions import (AuctionOutcome, BidVector, _check_reserve, all_pay,
                        discriminatory, uniform_price)
+from .distributions import _left_sum, _running_total
 from .valuations import (MarginalValuation, MarketModel, ValuationBatch,
                          cell_nodes, draw_values, realize_batch)
 
@@ -167,7 +168,7 @@ def _play_rows(market: MarketModel, mechanism: Mechanism, protocol: SignalProtoc
         first, which = _distinct_rows([*counts.T, *payments.T])
         outcomes = [AuctionOutcome(Allocation(tuple(counts[j].tolist())),
                                    tuple(payments[j].tolist()),
-                                   clearing_price=mechanism.posted_price)
+                                   clearing_price=float(mechanism.posted_price))
                     for j in first.tolist()]
     elif per_row:
         outcomes = [_run_auction(mechanism, bids, m) for bids in row_bids]

@@ -17,14 +17,17 @@ which integrates from the gap's start. The first-price interim curves
 integrate their win probability by the same rule. `_monotone_inverse`, an
 array bisection, is the one monotone inverse: a segment without a `ppf`
 inverts its `cdf` by it. A segment's callables may be scalar-only; every
-elementwise call of one goes through `_elementwise`.
+elementwise call of one goes through `_elementwise`. Floats add by one rule,
+left to right from 0 (`_left_sum`, `_running_total`), and every expectation
+outside the integral rule by it (`_expectations`, `mean`), not by a dot.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -153,7 +156,7 @@ class UnitDistribution:
     def mean(self) -> float:
         """E[Z] by the cell rule, which is exact for the linear integrand."""
         nodes, weights = self.cells()
-        return float(nodes @ weights)
+        return float(_running_total(0.0, nodes * weights))
 
     def partial_mean(self, a: float, b):
         """E[Z * 1{a <= Z < b}] of the continuous part only: the sum of each
@@ -200,6 +203,24 @@ def _unit_interval(u) -> np.ndarray:
     if not np.all((0.0 <= u) & (u < 1.0)):
         raise ValueError("quantile argument must lie in [0, 1)")
     return u
+
+
+def _left_sum(terms):
+    """0 + terms[0] + terms[1] + ..., left to right: the package's one rule
+    for adding floats (the built-in sum compensates from Python 3.12 on),
+    exact on Fractions and elementwise on arrays."""
+    return reduce(operator.add, terms, 0)
+
+
+def _running_total(total, terms: np.ndarray) -> np.ndarray:
+    """`_left_sum` from `total` along axis 0, by a sequential np.cumsum."""
+    start = np.full((1,) + terms.shape[1:], total)
+    return np.cumsum(np.concatenate((start, terms)), axis=0)[-1]
+
+
+def _expectations(probs: np.ndarray, utils: np.ndarray) -> np.ndarray:
+    """Per row of `utils`, sum(p * u) added in atom order by `_running_total`."""
+    return _running_total(0.0, (probs * utils).T)
 
 
 def _monotone_inverse(fn: Callable[[np.ndarray], np.ndarray], target,

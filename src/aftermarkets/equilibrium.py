@@ -41,7 +41,7 @@ from .aftermarket import (NO_OFFER, ResaleSpec, SignalProtocol, ThresholdBuyer,
 from .auctions import BidBatch, BidVector, uniform_price_deviations
 from .combined import Mechanism, Strategy, _check_single_item, _run_auction
 from .distributions import (UnitDistribution, _cumulative_integral,
-                            _monotone_inverse)
+                            _expectations, _left_sum, _monotone_inverse)
 from .valuations import (MarketModel, ValuationBatch, cell_nodes, draw_values,
                          grouped_market, lower_bound_market, realize_batch,
                          symmetric_fpa_market)
@@ -120,7 +120,8 @@ class ConstantActionEvaluator:
     on its members' auction allocation, the seller's price and the buyers'
     purchase cuts (`ThresholdBuyer.cut`). It is integrated once per distinct
     such key and kept for the evaluator's lifetime, as are the block's
-    cells, once per (block, cuts). Auction payments are subtracted afterwards.
+    cells, once per (block, cuts). Auction payments are subtracted afterwards;
+    every expectation is one `_expectations` call per row and cell batch.
     """
 
     def __init__(self, game: CombinedGame):
@@ -224,16 +225,10 @@ class ConstantActionEvaluator:
         alloc = tuple(outcome.alloc[i] for i in (block[0],) + block[1])
         return (alloc,) + self._terms(block, acts)
 
-    @staticmethod
-    def _utility(stage: _ResaleStage, agent: int, payment: float) -> float:
-        u = stage.vals[agent] - payment - stage.transfers[agent]
-        return float(u @ stage.weights)
-
     def expected_utility(self, agent: int,
                          overrides: Optional[Mapping[int, Action]] = None) -> float:
-        overrides = overrides or {}
-        return float(self.utilities(agent, [overrides.get(agent, Action())],
-                                    overrides)[0])
+        action = (overrides or {}).get(agent, Action())
+        return float(self.utilities(agent, [action], overrides)[0])
 
     def utilities(self, agent: int, actions: Sequence[Action],
                   others: Optional[Mapping[int, Action]] = None) -> np.ndarray:
@@ -253,17 +248,29 @@ class ConstantActionEvaluator:
                     self.game.mechanism, bids[:agent] + [bid] + bids[agent + 1:], self.m)
             keys.append(self._key(block, acts, outcomes[bid]))
             payments.append(outcomes[bid].payments[agent])
-        return np.array([self._utility(stage, agent, payment) for stage, payment
-                         in zip(self._stages(block, keys), payments)], dtype=float)
+        return self._scores(block, agent, keys, np.array(payments, dtype=float))
+
+    def _scores(self, block, agent: int, keys, payments: np.ndarray) -> np.ndarray:
+        """The agent's expected utility for each stage key and auction payment:
+        one `_stages` call, then one `_expectations` call per distinct cell
+        batch (the key's cuts) over its rows of value - payment - transfer."""
+        stages = self._stages(block, keys)
+        out = np.empty(len(keys))
+        for cuts in dict.fromkeys(key[-1] for key in keys):
+            rows = [j for j, key in enumerate(keys) if key[-1] == cuts]
+            u = (np.array([stages[j].vals[agent] for j in rows]) - payments[rows, None]
+                 - np.array([stages[j].transfers[agent] for j in rows]))
+            out[rows] = _expectations(stages[rows[0]].weights, u)
+        return out
 
     def bid_utilities(self, agent: int, batch: BidBatch) -> np.ndarray:
         """expected_utility(agent, {agent: Action(bid=batch.vector(j))}) for
         every row j, everything else on the base actions. Under every
         sealed-bid kind the rows clear in one `uniform_price_deviations`
         call, whose allocation without a reserve is every kind's; the kind
-        sets only the payment. The distinct block allocations not yet
-        integrated resell in one `_stages` call, and each distinct (block
-        allocation, payment) row computes its utility once."""
+        sets only the payment. Each distinct (block allocation, payment)
+        row is scored once by `_scores`; all of them share the base
+        actions' cuts, so one cell batch."""
         acts = self._actions(None)
         block = self._block_of[agent]
         kind, reserve = self.game.mechanism.kind, self.game.mechanism.reserve
@@ -273,21 +280,16 @@ class ConstantActionEvaluator:
                     batch.value(np.full_like(k, self.m) if kind == "all_pay" else k))
         first, inverse = _distinct_rows([*counts.T, payments])
         terms = self._terms(block, acts)
-        stages = self._stages(block, [(tuple(counts[j].tolist()),) + terms
-                                      for j in first.tolist()])
-        utils = np.array([self._utility(stage, agent, float(payments[j]))
-                          for stage, j in zip(stages, first.tolist())])
-        return utils[inverse]
+        keys = [(tuple(counts[j].tolist()),) + terms for j in first.tolist()]
+        return self._scores(block, agent, keys, payments[first])[inverse]
 
     def expected_welfare(self, overrides: Optional[Mapping[int, Action]] = None) -> float:
         acts = self._actions(overrides)
         outcome = _run_auction(self.game.mechanism, self._bids(acts), self.m)
-        total = 0.0
-        for block in self._blocks:
-            stage = self._stages(block, [self._key(block, acts, outcome)])[0]
-            for i in stage.vals:  # seller first, then buyers in order
-                total += float(stage.vals[i] @ stage.weights)
-        return total
+        stages = [self._stages(b, [self._key(b, acts, outcome)])[0] for b in self._blocks]
+        # blocks in order, each seller first, then its buyers in order
+        return float(_left_sum(x for s in stages for x in _expectations(
+            s.weights, np.array(list(s.vals.values()))).tolist()))
 
 
 # -- deviation grids and BNE reports ---------------------------------------
@@ -461,13 +463,11 @@ def verify_bne(game: CombinedGame,
                grids: Union[DeviationGrid, Mapping[int, DeviationGrid]],
                eps: float) -> BneReport:
     """best_response_gap for every agent; verdict = all gaps <= eps."""
-    results = []
-    descs = []
-    for i in range(game.market.n):
-        grid = grids[i] if isinstance(grids, Mapping) else grids
-        results.append(best_response_gap(game, i, grid))
-        descs.append(f"agent{i}:{grid.describe()}")
-    return BneReport(tuple(results), eps, "; ".join(descs))
+    per_agent = [grids[i] if isinstance(grids, Mapping) else grids
+                 for i in range(game.market.n)]
+    gaps = tuple(best_response_gap(game, i, g) for i, g in enumerate(per_agent))
+    return BneReport(gaps, eps, "; ".join(f"agent{i}:{g.describe()}"
+                                          for i, g in enumerate(per_agent)))
 
 
 # -- scripted equilibria ---------------------------------------------------

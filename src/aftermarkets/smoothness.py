@@ -33,17 +33,13 @@ import numpy as np
 
 from .aftermarket import (NO_OFFER, ResaleSpec, ThresholdBuyer,
                           _distinct_rows, run_posted_resale)
-from .allocation import _left_sum, _running_total, opt_allocation
+from .allocation import opt_allocation
 from .auctions import (BidBatch, BidVector, _product_columns, all_pay,
                        discriminatory, discriminatory_units_won, uniform_price)
+from .distributions import _expectations, _left_sum, _running_total
 from .valuations import MarginalValuation, ValuationBatch
 
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
-
-
-def _expectations(probs: np.ndarray, utils: np.ndarray) -> np.ndarray:
-    """Per row of `utils`, sum(p * u) added in atom order by `_running_total`."""
-    return _running_total(0.0, (probs * utils).T)
 
 
 @dataclass(frozen=True, eq=False)

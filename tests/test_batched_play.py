@@ -249,7 +249,10 @@ def reference_utility(game, agent, acts):
         game, acts, block, [outcome.alloc[i] for i in members])
     j = members.index(agent)
     u = vals[j] - outcome.payments[agent] - transfers[j]
-    return float(u @ weights)
+    total = 0.0
+    for w, x in zip(weights.tolist(), u.tolist()):
+        total += w * x
+    return total
 
 
 def reference_welfare(game, acts):
@@ -263,7 +266,10 @@ def reference_welfare(game, acts):
         weights, vals, _ = reference_stage(game, acts, block,
                                            [outcome.alloc[i] for i in members])
         for v in vals:
-            total += float(v @ weights)
+            expected = 0.0
+            for w, x in zip(weights.tolist(), v.tolist()):
+                expected += w * x
+            total += expected
     return total
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aftermarkets.aftermarket import ResaleSpec, SignalProtocol, ThresholdBuyer
+from aftermarkets.aftermarket import (ResaleSpec, SignalProtocol, ThresholdBuyer,
+                                      TradeOutcome, check_weak_budget_balance)
 from aftermarkets.allocation import Allocation, welfare
-from aftermarkets.auctions import AuctionOutcome, BidVector
+from aftermarkets.auctions import AuctionOutcome, BidVector, uniform_price
 from aftermarkets.cli import posted_fails_summary
 from aftermarkets import combined
 from aftermarkets.combined import (CHUNK_ROWS, MECHANISM_KINDS, Mechanism,
@@ -18,9 +19,8 @@ from aftermarkets.combined import (CHUNK_ROWS, MECHANISM_KINDS, Mechanism,
 from aftermarkets.equilibrium import (Action, CombinedGame,
                                       default_deviation_grid,
                                       scripted_lower_bound_equilibrium)
-from aftermarkets.distributions import Uniform
-from aftermarkets.smoothness import (SingleItemAllPay, SingleItemFirstPrice,
-                                     _expectations)
+from aftermarkets.distributions import Uniform, _expectations
+from aftermarkets.smoothness import SingleItemAllPay, SingleItemFirstPrice
 from aftermarkets.valuations import (HeadTailModel, MarginalValuation,
                                      MarketModel, draw_values, lower_bound_market,
                                      posted_fails_market, realize_batch,
@@ -411,16 +411,24 @@ def test_play_callable_seller_price_reads_signals(protocol):
         assert obs.bids is None
 
 
-@pytest.mark.parametrize("kind", ("uniform", "discriminatory", "posted"))
-def test_outcome_fields_are_python_floats(kind):
+@pytest.mark.parametrize("kind, price", [("uniform", None), ("discriminatory", None),
+                                         ("posted", 1.0), ("posted", 1)],
+                         ids=("uniform", "discriminatory", "posted", "posted-int"))
+def test_outcome_fields_are_python_floats(kind, price):
     """Every number of a CombinedOutcome and an ExpectedOutcome is a Python
-    float, not a numpy scalar (which prints as np.float64(...))."""
+    float, not a numpy scalar (which prints as np.float64(...)) nor an int:
+    an int posted price, and a uniform price set by an int bid, become
+    floats."""
     market, mech, resale, strategies = scripted(10)
     if kind != "uniform":
-        mech = Mechanism(kind, posted_price=1.0 if kind == "posted" else None)
+        mech = Mechanism(kind, posted_price=price)
     out = play(market, mech, PROTO, resale, strategies, sample_profile(market, 1))
     numbers = [*out.auction_payments, *out.transfers, *out.utilities,
                out.welfare, out.revenue]
+    if kind == "uniform":
+        cleared = uniform_price([BidVector.flat(2, 1, 2), BidVector.flat(1, 2, 2)], 2)
+        assert cleared.clearing_price == 1 and cleared.payments == (1, 1)
+        numbers += [cleared.clearing_price, *cleared.payments]
     if out.clearing_price is not None:
         numbers.append(out.clearing_price)
     for integration in (MonteCarlo(50, 1), Quadrature(subdivide=1)):
@@ -440,6 +448,11 @@ def test_floats_add_left_to_right():
     assert welfare(profile, Allocation((1, 1, 1))) == 1e16
     assert AuctionOutcome(Allocation((1, 1, 1)), values).revenue == 1e16
     assert _expectations(np.ones(3), np.array([values])).tolist() == [1e16]
+    # a row's transfers add in agent order: 1e16 - 1 - 1 rounds back to 1e16,
+    # so the row totals 0, where a compensated sum gives -2
+    trade = TradeOutcome(np.zeros((1, 4), dtype=np.int64),
+                         np.array([[1e16, -1.0, -1.0, -1e16]]))
+    assert check_weak_budget_balance(trade)
     market = MarketModel(3, tuple(HeadTailModel(head=(v,)) for v in values))
     bid = Strategy(bid=BidVector.from_runs(((1.0, 1),), 3))
     out = play(market, Mechanism("uniform"), PROTO, None, (bid,) * 3, profile)

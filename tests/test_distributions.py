@@ -429,6 +429,28 @@ def test_square_cells_mean():
     assert _square_cdf().mean() == pytest.approx(2.0 / 3.0, rel=1e-12, abs=1e-12)
 
 
+mean_cases = {
+    "uniform": lambda: Uniform(-1.0, 3.0), "uniform-1e5": lambda: Uniform(1e5, 1e5 + 1.0),
+    "point-mass": lambda: PointMass(2.0), "equal-revenue": lambda: EqualRevenueCapped(50.0),
+    "z-10": lambda: lower_bound_z_distribution(10),
+    "z-10000": lambda: lower_bound_z_distribution(10_000),
+    "speculative": lambda: speculative_buyer_value_distribution(0.01, 1000.0),
+    **pdf_only, "interior-singular": _interior_singular_cdf,
+    "end-singular": _end_singular_cdf}
+
+
+@pytest.mark.parametrize("name", mean_cases)
+def test_mean_adds_cells_left_to_right(name):
+    """mean() is each cell's node times its weight, added left to right from
+    0 in cell order: the package's one rule, not a dot product."""
+    d = mean_cases[name]()
+    nodes, weights = d.cells()
+    total = 0.0
+    for x, w in zip(nodes.tolist(), weights.tolist()):
+        total += x * w
+    assert d.mean().hex() == total.hex()
+
+
 def reference_cells(d, breakpoints, subdivide):
     """The cell rule as each cell's whole-distribution moment over its segment's
     mass there: partial_mean(a, b) / (F_s(b) - F_s(a)), zero-mass cells

@@ -1,9 +1,12 @@
 """Every name a library module imports is used in that module, every
 private module-level function or class, and every private method, is used
 by some library module, and every public method of a library class is
-called by some library or test module. There is no linter in the
-toolchain, so these scans stand in for one. Last, scipy loads only for the
-`quad` fallback of the moment rule."""
+called by some library or test module. No expectation or sum adds by a
+matrix product (a BLAS dot may fuse multiply and add, so its digits depend
+on the CPU and the build): the package's one rule for adding floats is
+defined once. There is no linter in the toolchain, so these scans stand in
+for one. Last, scipy loads only for the `quad` fallback of the moment
+rule."""
 
 import ast
 import os
@@ -135,6 +138,57 @@ def test_scan_finds_an_unused_public_method():
 def test_no_unused_public_methods():
     assert unused_public_methods({p.name: p.read_text() for p in SOURCES},
                                  {p.name: p.read_text() for p in TESTS}) == []
+
+
+MATRIX_PRODUCTS = {"dot", "matmul", "vdot", "inner"}
+# the integral rule's Kronrod and Gauss weights, not an expectation
+INTEGRAL_RULE = "_cumulative_integral"
+
+
+def matrix_products(sources: dict[str, str]) -> list[str]:
+    """Every `@`, `@=` and call of a `dot`, `matmul`, `vdot` or `inner`
+    attribute (np.dot, a.dot, ...) in `sources` (name -> source), outside
+    the body of `_cumulative_integral`."""
+    found = []
+
+    def visit(node, name):
+        if isinstance(node, ast.FunctionDef) and node.name == INTEGRAL_RULE:
+            return
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MATRIX_PRODUCTS):
+            found.append(f"{name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), name)
+    return sorted(found)
+
+
+def test_scan_finds_a_matrix_product():
+    sources = {"a.py": "import numpy as np\n\nx = a @ b\ny = np.dot(a, b)\n"
+                       "z = a.dot(b)\nw = np.inner(a, b)\nv = np.vdot(a, b)\n"
+                       "a @= b\nu = np.matmul(a, b)\n",
+               "b.py": "def _cumulative_integral(f):\n    return f @ w\n\n"
+                       "def mean(x, w):\n    return x @ w\n"}
+    assert matrix_products(sources) == [
+        "a.py:3", "a.py:4", "a.py:5", "a.py:6", "a.py:7", "a.py:8", "a.py:9",
+        "b.py:5"]
+
+
+def test_no_matrix_product_outside_the_integral_rule():
+    assert matrix_products({p.name: p.read_text() for p in SOURCES}) == []
+
+
+@pytest.mark.parametrize("rule", ("_left_sum", "_running_total", "_expectations"))
+def test_float_rule_is_defined_once(rule):
+    """The rule for adding floats has one definition, in `distributions`,
+    the bottom of the import graph, so that every module can import it."""
+    defined = [p.name for p in SOURCES for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == rule]
+    assert defined == ["distributions.py"]
 
 
 SCIPY_FREE_RUN = textwrap.dedent("""
